@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import NotUnitary, NumericallySingular, Singular, ZeroWeight
+from .errors import NotUnitary, NumericallySingular, Singular, ValidationError, ZeroWeight
 from .linalg import as_operator, dagger, frobenius, require_hermitian
 from .states import (
     PositiveFunctional,
@@ -134,7 +134,7 @@ def classical_phi(w, p) -> ProbabilityVector:
     prob = p if isinstance(p, ProbabilityVector) else validate_probability(p)
     weights = np.asarray(w, dtype=complex)
     if weights.shape != (prob.m,):
-        raise ZeroWeight(f"expected {prob.m} weights, got shape {weights.shape}")
+        raise ValidationError(f"expected {prob.m} weights, got shape {weights.shape}")
     mags = np.abs(weights) ** 2
     if np.any(mags == 0.0):
         raise ZeroWeight("weight vector has a zero entry")
@@ -145,7 +145,7 @@ def classical_phi(w, p) -> ProbabilityVector:
 def mix_states(rho1: StateDensity, rho2: StateDensity, lam: float) -> StateDensity:
     """Convex combination lam*rho1 + (1-lam)*rho2."""
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
+        raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
     return validate_state(lam * rho1.matrix + (1.0 - lam) * rho2.matrix)
 
 

@@ -1,14 +1,15 @@
 """Finite-dimensional GNS construction for states on the full matrix algebra.
 
-The semi-inner product <a, b> = rho(a†b) on the algebra has Gram matrix
-G = I kron rho^T over the matrix-unit basis (row-major vectorization), so
-its rank is n * rank(rho).  Quotienting the null space and orthonormalizing
-yields a Hilbert space on which left multiplication is a unital
-*-representation, with the class of the identity as cyclic vector:
-rho(a) = <psi| pi(a) |psi>.  The representation is irreducible (trivial
-commutant) exactly for pure states, and an invertible element g transports
-the cyclic vector to pi(g)|psi> / sqrt(<psi|pi(g†g)|psi>), implementing the
-normalized action inside a fixed representation.
+At finite dimension the GNS triple of rho = sum_j p_j |e_j><e_j| (rank k) is
+its purification: the Hilbert space is C^n kron C^k, the representation is
+pi(a) = a kron I_k, and the cyclic vector is psi = sum_j sqrt(p_j) e_j kron f_j,
+so rho(a) = <psi| pi(a) |psi> and the dimension is n * rank(rho).  Vectors are
+stored row-major over C^n kron C^k, i.e. as the flattened n x k coefficient
+matrix X = [sqrt(p_1) e_1, ..., sqrt(p_k) e_k], on which pi(a) acts as
+X -> a X.  The representation is irreducible (trivial commutant) exactly for
+pure states, and an invertible element g transports the cyclic vector to
+pi(g)|psi> / sqrt(<psi|pi(g†g)|psi>), implementing the normalized action
+inside a fixed representation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import config
 from .actions import group_element
 from .errors import NumericalError, NumericallySingular, ValidationError
-from .linalg import as_operator, dagger, hermitian_eig
+from .linalg import as_operator, dagger, hermitian_eig, matrix_unit
 from .states import ProbabilityVector, StateDensity, spectral_split
 
 __all__ = [
@@ -34,74 +35,63 @@ __all__ = [
 ]
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    """Row-major vectorization matching the matrix-unit basis order."""
-    return m.ravel()
-
-
 @dataclass(frozen=True)
 class GnsTriple:
-    """GNS data: Hilbert-space dimension, representation, cyclic vector.
+    """GNS data: Hilbert-space dimension and cyclic vector of C^n kron C^k.
 
-    ``embed`` maps GNS coordinates to coefficient vectors of algebra-class
-    representatives over the matrix-unit basis; its columns are orthonormal
-    for the Gram pairing.  ``rep`` extends by linearity from the stored
-    projection, so any algebra element can be represented, not only basis
-    elements.
+    The representation pi(a) = a kron I_k is implicit, so any algebra element
+    can be represented, not only basis elements.
     """
 
     n: int
     dim: int
-    embed: np.ndarray      # n^2 x d
-    gram: np.ndarray       # n^2 x n^2
-    cyclic: np.ndarray     # length d, unit norm
+    cyclic: np.ndarray     # length dim = n * k, unit norm, row-major over C^n kron C^k
 
-    def rep(self, a) -> np.ndarray:
-        """Represent left multiplication by ``a`` on the GNS space."""
+    def _element(self, a) -> np.ndarray:
         m = as_operator(a, "algebra element")
         if m.shape[0] != self.n:
             raise NumericalError(f"element has dimension {m.shape[0]}, expected {self.n}")
-        lift = np.kron(m, np.eye(self.n, dtype=complex))
-        return dagger(self.embed) @ self.gram @ lift @ self.embed
+        return m
+
+    def _coefficients(self) -> np.ndarray:
+        """The cyclic vector as its n x k coefficient matrix."""
+        return self.cyclic.reshape(self.n, self.dim // self.n)
+
+    def rep(self, a) -> np.ndarray:
+        """Represent left multiplication by ``a`` on the GNS space."""
+        return np.kron(self._element(a), np.eye(self.dim // self.n, dtype=complex))
 
     def vector_of(self, a) -> np.ndarray:
-        """GNS coordinates of the class of ``a``."""
-        m = as_operator(a, "algebra element")
-        return dagger(self.embed) @ self.gram @ _vec(m)
+        """GNS coordinates of the class of ``a``, i.e. pi(a)|psi>."""
+        return (self._element(a) @ self._coefficients()).ravel()
 
     def expectation(self, a) -> complex:
         """Vector expectation <psi| rep(a) |psi>; equals rho(a) for the source state."""
-        return complex(np.conjugate(self.cyclic) @ self.rep(a) @ self.cyclic)
+        x = self._coefficients()
+        return complex(np.vdot(x, self._element(a) @ x))
 
     def rep_matrices(self) -> list[np.ndarray]:
         """Images of the n^2 matrix units, in row-major order."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                e = np.zeros((self.n, self.n), dtype=complex)
-                e[i, j] = 1.0
-                out.append(self.rep(e))
-        return out
+        return [self.rep(matrix_unit(self.n, i, j))
+                for i in range(self.n) for j in range(self.n)]
 
 
 def gns_construct(rho: StateDensity) -> GnsTriple:
     """Build the GNS triple of a state on the full matrix algebra.
 
-    The Gram matrix over the matrix-unit basis is quotiented at the relative
-    threshold 1e-12 * ||G||_2; the resulting dimension is n * rank(rho).
+    The support of rho is cut at the relative threshold 1e-12 times its top
+    eigenvalue; the resulting dimension is n * rank(rho).
     """
     m = rho.matrix
     n = m.shape[0]
-    gram = np.kron(np.eye(n, dtype=complex), m.T)
-    dec = hermitian_eig(gram)
+    dec = hermitian_eig(m)
     w = dec.eigenvalues
     cut = config.scaled(config.GNS_NULLSPACE_RTOL) * max(w[0], 0.0)
-    d = int(np.sum(w > cut))
-    if d == 0:
-        raise NumericalError("Gram matrix is numerically zero")
-    embed = dec.eigenvectors[:, :d] / np.sqrt(w[:d])
-    cyclic = dagger(embed) @ gram @ _vec(np.eye(n, dtype=complex))
-    return GnsTriple(n=n, dim=d, embed=embed, gram=gram, cyclic=cyclic)
+    k = int(np.sum(w > cut))
+    if k == 0:
+        raise NumericalError("state is numerically zero")
+    cyclic = (dec.eigenvectors[:, :k] * np.sqrt(w[:k])).ravel()
+    return GnsTriple(n=n, dim=n * k, cyclic=cyclic)
 
 
 def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
@@ -116,28 +106,27 @@ def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     norm_sq = triple.expectation(gram_g).real
     # the vector expectation of g†g must reproduce rho(g†g)
     from_state = float(np.trace(rho.matrix @ gram_g).real)
-    if abs(norm_sq - from_state) > 1e-8 * (1.0 + abs(from_state)):
+    bound = config.scaled(config.GNS_CONSISTENCY_RTOL) * (1.0 + abs(from_state))
+    if abs(norm_sq - from_state) > bound:
         raise ValidationError(
             f"triple does not represent the given state: {norm_sq!r} vs {from_state!r}"
         )
     if norm_sq <= config.scaled(config.DENOMINATOR_FLOOR):
         raise NumericallySingular(f"<psi|pi(g†g)|psi> = {norm_sq:.3e} is numerically zero")
-    moved = triple.rep(ge.matrix) @ triple.cyclic
-    return GnsTriple(
-        n=triple.n,
-        dim=triple.dim,
-        embed=triple.embed,
-        gram=triple.gram,
-        cyclic=moved / np.sqrt(norm_sq),
-    )
+    moved = triple.vector_of(ge.matrix) / np.sqrt(norm_sq)
+    return GnsTriple(n=triple.n, dim=triple.dim, cyclic=moved)
 
 
-def commutant_dimension(triple: GnsTriple, rel_tol: float = 1e-10) -> int:
+def commutant_dimension(triple: GnsTriple, rel_tol: float | None = None) -> int:
     """Complex dimension of the commutant of the represented algebra.
 
     A cyclic shift and a diagonal with distinct entries generate the full
     matrix algebra, so it is enough to solve [pi(s), X] = [pi(d), X] = 0.
+    Singular values below ``rel_tol`` (default the scaled COMMUTANT_RTOL)
+    times max(largest, 1) count as zero.
     """
+    if rel_tol is None:
+        rel_tol = config.scaled(config.COMMUTANT_RTOL)
     n = triple.n
     shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
     diag = np.diag(np.arange(n, dtype=complex))

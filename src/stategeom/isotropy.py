@@ -18,7 +18,7 @@ import numpy as np
 
 from . import config
 from .errors import ValidationError
-from .linalg import as_operator, dagger, frobenius, fro_scale
+from .linalg import as_operator, dagger, frobenius, fro_scale, matrix_unit
 from .states import (
     PositiveFunctional,
     SpectralSplit,
@@ -51,21 +51,12 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
     Spans the algebra over C, so sweeping it is enough for the (complex
     linear in b) isotropy constraints.
     """
-    basis = []
-    for j in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[j, j] = 1.0
-        basis.append(e)
+    basis = [matrix_unit(n, j, j) for j in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            s = np.zeros((n, n), dtype=complex)
-            s[j, k] = 1.0
-            s[k, j] = 1.0
-            basis.append(s)
-            t = np.zeros((n, n), dtype=complex)
-            t[j, k] = 1j
-            t[k, j] = -1j
-            basis.append(t)
+            upper, lower = matrix_unit(n, j, k), matrix_unit(n, k, j)
+            basis.append(upper + lower)
+            basis.append(1j * upper - 1j * lower)
     return basis
 
 
@@ -146,12 +137,6 @@ def _real_basis(vectors: list[np.ndarray]) -> RealBasis:
     return RealBasis(vectors=tuple(normalized))
 
 
-def _unit(n: int, row: int, col: int) -> np.ndarray:
-    e = np.zeros((n, n), dtype=complex)
-    e[row, col] = 1.0
-    return e
-
-
 def isotropy_basis_alpha(split: SpectralSplit) -> RealBasis:
     """Explicit real basis of the congruence-action isotropy algebra.
 
@@ -167,20 +152,20 @@ def isotropy_basis_alpha(split: SpectralSplit) -> RealBasis:
     blocks: list[np.ndarray] = []
 
     for j in range(k):
-        blocks.append(1j * _unit(n, j, j))
+        blocks.append(1j * matrix_unit(n, j, j))
     for l in range(k):
         for m in range(l + 1, k):
             ratio = p[l] / p[m]
-            blocks.append(_unit(n, m, l) - ratio * _unit(n, l, m))
-            blocks.append(1j * _unit(n, m, l) + 1j * ratio * _unit(n, l, m))
+            blocks.append(matrix_unit(n, m, l) - ratio * matrix_unit(n, l, m))
+            blocks.append(1j * matrix_unit(n, m, l) + 1j * ratio * matrix_unit(n, l, m))
     for j in range(k):
         for l in range(k, n):
-            blocks.append(_unit(n, j, l))
-            blocks.append(1j * _unit(n, j, l))
+            blocks.append(matrix_unit(n, j, l))
+            blocks.append(1j * matrix_unit(n, j, l))
     for j in range(k, n):
         for l in range(k, n):
-            blocks.append(_unit(n, j, l))
-            blocks.append(1j * _unit(n, j, l))
+            blocks.append(matrix_unit(n, j, l))
+            blocks.append(1j * matrix_unit(n, j, l))
 
     return _real_basis([w @ b @ dagger(w) for b in blocks])
 
@@ -194,15 +179,15 @@ def complement_basis_alpha(split: SpectralSplit) -> RealBasis:
     blocks: list[np.ndarray] = []
 
     for j in range(k):
-        blocks.append(_unit(n, j, j))
+        blocks.append(matrix_unit(n, j, j))
     for l in range(k):
         for m in range(l + 1, k):
-            blocks.append(_unit(n, l, m) + _unit(n, m, l))
-            blocks.append(1j * _unit(n, l, m) - 1j * _unit(n, m, l))
+            blocks.append(matrix_unit(n, l, m) + matrix_unit(n, m, l))
+            blocks.append(1j * matrix_unit(n, l, m) - 1j * matrix_unit(n, m, l))
     for j in range(k, n):
         for l in range(k):
-            blocks.append(_unit(n, j, l))
-            blocks.append(1j * _unit(n, j, l))
+            blocks.append(matrix_unit(n, j, l))
+            blocks.append(1j * matrix_unit(n, j, l))
 
     return _real_basis([w @ b @ dagger(w) for b in blocks])
 

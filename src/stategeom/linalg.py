@@ -37,6 +37,7 @@ __all__ = [
     "sigma_min",
     "commutator",
     "anticommutator",
+    "matrix_unit",
 ]
 
 
@@ -89,6 +90,13 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """{a, b} = ab + ba."""
     return a @ b + b @ a
+
+
+def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
+    """The n x n matrix unit E_ij: 1 at (i, j), 0 elsewhere."""
+    e = np.zeros((n, n), dtype=complex)
+    e[i, j] = 1.0
+    return e
 
 
 def opnorm(a: np.ndarray) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from . import config
 from .actions import group_element, phi
 from .errors import ValidationError
-from .linalg import as_operator, dagger, frobenius, matrix_exp, require_hermitian
+from .linalg import as_operator, dagger, frobenius, matrix_exp, matrix_unit, require_hermitian
 from .states import PositiveFunctional, StateDensity
 
 __all__ = [
@@ -107,19 +107,21 @@ def realification_basis(n: int) -> list[np.ndarray]:
     basis = []
     for j in range(n):
         for k in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[j, k] = 1.0
+            e = matrix_unit(n, j, k)
             basis.append(e)
             basis.append(1j * e)
     return basis
 
 
-def tangent_map_rank(rho: StateDensity, rel_tol: float = 1e-8) -> int:
+def tangent_map_rank(rho: StateDensity, rel_tol: float | None = None) -> int:
     """Rank of the real-linear map a -> phi_velocity(rho, a).
 
     Equals the orbit dimension of the normalized action at rho: singular
-    values below ``rel_tol`` times the largest count as zero.
+    values below ``rel_tol`` (default the scaled TANGENT_RANK_RTOL) times the
+    largest count as zero.
     """
+    if rel_tol is None:
+        rel_tol = config.scaled(config.TANGENT_RANK_RTOL)
     m = rho.matrix
     cols = []
     for b in realification_basis(m.shape[0]):

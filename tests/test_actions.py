@@ -15,7 +15,13 @@ from stategeom.actions import (
     phi,
     unitary_phi,
 )
-from stategeom.errors import NotUnitary, NumericallySingular, Singular, ZeroWeight
+from stategeom.errors import (
+    NotUnitary,
+    NumericallySingular,
+    Singular,
+    ValidationError,
+    ZeroWeight,
+)
 from stategeom.linalg import frobenius, matrix_sqrt_psd
 from stategeom.sampling import (
     random_hermitian,
@@ -223,6 +229,11 @@ class TestClassicalPhi:
         with pytest.raises(ZeroWeight):
             classical_phi(np.array([1.0, 0.0]), validate_probability([0.5, 0.5]))
 
+    def test_wrong_length_is_plain_validation_error(self):
+        with pytest.raises(ValidationError) as info:
+            classical_phi(np.ones(3), validate_probability([0.5, 0.5]))
+        assert type(info.value) is ValidationError
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
     def test_output_is_normalized(self, seed, m):
@@ -250,6 +261,10 @@ class TestNonconvexity:
         # phi(g, mix) = diag(0.8, 0.2) vs diag(0.5, 0.5): norm 0.3*sqrt(2)
         witness = nonconvexity_witness(g, r1, r2, 0.5)
         assert witness == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-12)
+
+    def test_mix_weight_out_of_range_is_validation_error(self):
+        with pytest.raises(ValidationError):
+            mix_states(qubit(1.0), qubit(0.0), 1.5)
 
     def test_mix_validates(self):
         r1, r2 = qubit(1.0), qubit(0.0)

@@ -178,6 +178,19 @@ class TestGnsCommand:
         assert payload["dim"] == 2
         assert len(payload["rep"]) == 4
 
+    def test_pinned_cyclic_coordinates(self, runner, files):
+        first = runner.invoke(main, ["gns", files["target"]])
+        second = runner.invoke(main, ["gns", files["target"]])
+        assert first.exit_code == 0
+        assert first.output == second.output
+        payload = json.loads(first.output)
+        # purification of diag(3/4, 1/4): sqrt(p_j) e_j kron f_j, row-major
+        np.testing.assert_allclose(
+            payload["cyclic"],
+            [[np.sqrt(0.75), 0.0], [0.0, 0.0], [0.0, 0.0], [np.sqrt(0.25), 0.0]],
+            rtol=0.0, atol=1e-15,
+        )
+
 
 class TestTruncateCommand:
     def test_identity_config(self, runner, files):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import dag
+from stategeom import config
 from stategeom.actions import alpha, classical_phi, phi
 from stategeom.errors import NotTracial, RankMismatch
 from stategeom.linalg import frobenius, fro_scale, matrix_sqrt_psd, opnorm
@@ -12,6 +13,7 @@ from stategeom.orbits import (
     convex_recombine,
     convex_recombine_classical,
     make_spectrum_generator,
+    require_tracial,
     same_orbit_alpha,
     tracial_orbit_point,
     truncation_sweep,
@@ -147,6 +149,48 @@ class TestTracialOrbit:
             g = matrix_sqrt_psd(rho.matrix)
             out = tracial_orbit_point(g, 4)
             assert frobenius(out.matrix - rho.matrix) <= 1e-10
+
+
+def expect_tracial_decision(tau, rejected):
+    if rejected:
+        with pytest.raises(NotTracial):
+            require_tracial(tau)
+    else:
+        require_tracial(tau)
+
+
+class TestRequireTracial:
+    tol = config.TRACIAL_ATOL
+
+    @pytest.mark.parametrize("factor, rejected", [(1.01, True), (0.99, False)])
+    def test_off_diagonal_entry_at_threshold(self, factor, rejected):
+        eps = factor * self.tol
+        tau = validate_state(np.array([[0.5, eps], [eps, 0.5]], dtype=complex))
+        expect_tracial_decision(tau, rejected)
+
+    @pytest.mark.parametrize("factor, rejected", [(1.01, True), (0.99, False)])
+    def test_diagonal_spread_at_threshold(self, factor, rejected):
+        half = factor * self.tol / 2.0
+        tau = diag_state(1.0 / 3.0 + half, 1.0 / 3.0, 1.0 / 3.0 - half)
+        expect_tracial_decision(tau, rejected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_decision_matches_matrix_unit_loop(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = (h + dag(h)) / 2.0
+            h -= np.trace(h) / n * np.eye(n)
+            m = np.eye(n) / n + 10.0 ** rng.uniform(-12, -8) * h
+            tau = validate_state(m)
+            # reference: the commutator with every matrix unit, entry by entry
+            worst = 0.0
+            for i in range(n):
+                for j in range(n):
+                    e = np.zeros((n, n), dtype=complex)
+                    e[i, j] = 1.0
+                    worst = max(worst, float(np.max(np.abs(tau.matrix @ e - e @ tau.matrix))))
+            expect_tracial_decision(tau, worst > self.tol)
 
 
 class TestConvexRecombine:
