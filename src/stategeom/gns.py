@@ -50,7 +50,7 @@ class GnsTriple:
     def _element(self, a) -> np.ndarray:
         m = as_operator(a, "algebra element")
         if m.shape[0] != self.n:
-            raise NumericalError(f"element has dimension {m.shape[0]}, expected {self.n}")
+            raise ValidationError(f"element has dimension {m.shape[0]}, expected {self.n}")
         return m
 
     def _coefficients(self) -> np.ndarray:
@@ -174,7 +174,7 @@ class AbelianGnsTriple:
     def rep(self, f) -> np.ndarray:
         values = np.asarray(f, dtype=complex)
         if values.shape != (self.m,):
-            raise NumericalError(f"expected a length-{self.m} diagonal element")
+            raise ValidationError(f"expected a length-{self.m} diagonal element")
         return np.diag(values[self.support])
 
     def expectation(self, f) -> complex:

@@ -8,6 +8,26 @@ a_kl = -(p_k/p_l) * conj(a_lk).  The normalized action adds exactly one real
 direction, the identity.  This module builds explicit real bases for the
 isotropy algebra and its complement, tests membership, and evaluates orbit
 dimensions.
+
+Every basis element is a unit-norm block B = c1 E[j1,l1] + c2 E[j2,l2] in
+the adapted eigenbasis w, rotated back through w E[j,l] w† = w_j w_l†, so a
+whole basis is one O(n^4) stack of outer products.  Blocks share matrix
+units only with their real/imaginary partner, so the block Gram matrix
+G = [Re Tr(B_a† B_b)] is 1x1- and 2x2-block-diagonal and its extreme
+eigenvalues cost O(dim).  Linear independence is certified without forming
+the Gram matrix of the rotated vectors:
+
+- ||w X w†||_F >= sigma_min(w)^2 ||X||_F, so the rotated Gram matrix has
+  lambda_min >= sigma_min(w)^4 lambda_min(G) and lambda_max <=
+  sigma_max(w)^4 lambda_max(G);
+- for the normalized action the unrotated identity I/sqrt(n) borders G with
+  c_a = Re Tr(B_a)/sqrt(n).  With G = I the bordered eigenvalues are 1 and
+  1 -+ ||c||; by Weyl they move by at most ||G - I||_2.  Because the identity
+  is not rotated, the square root of the bound is lowered by ||I - w w†||_2.
+
+A basis is rejected (ValidationError) when the bound is at most
+GRAM_MIN_EIG_RTOL times max(1, the bound on lambda_max).  The certificate
+costs one O(n^3) SVD of w; building a basis costs O(n^4) time and memory.
 """
 
 from __future__ import annotations
@@ -18,7 +38,7 @@ import numpy as np
 
 from . import config
 from .errors import ValidationError
-from .linalg import as_operator, dagger, frobenius, fro_scale, matrix_unit
+from .linalg import as_operator, dagger, fro_scale, matrix_unit
 from .states import (
     PositiveFunctional,
     SpectralSplit,
@@ -65,15 +85,16 @@ def hermitian_components(t: np.ndarray) -> np.ndarray:
 
     For Hermitian t these are the diagonal entries and, per off-diagonal
     pair, twice the real and imaginary parts, all real numbers, in the same
-    order as hermitian_basis.
+    order as hermitian_basis.  A stack of shape (..., n, n) gives one row of
+    n^2 pairings per matrix.
     """
-    n = t.shape[0]
+    n = t.shape[-1]
     rows, cols = np.triu_indices(n, k=1)
-    off = t[rows, cols]
-    pairs = np.empty(2 * off.size)
-    pairs[0::2] = 2.0 * off.real
-    pairs[1::2] = 2.0 * off.imag
-    return np.concatenate([np.diagonal(t).real, pairs])
+    off = t[..., rows, cols]
+    pairs = np.empty(off.shape[:-1] + (2 * off.shape[-1],))
+    pairs[..., 0::2] = 2.0 * off.real
+    pairs[..., 1::2] = 2.0 * off.imag
+    return np.concatenate([np.diagonal(t, axis1=-2, axis2=-1).real, pairs], axis=-1)
 
 
 def _membership(values: np.ndarray, a: np.ndarray, base: np.ndarray) -> tuple[bool, float]:
@@ -107,9 +128,15 @@ def real_gram(vectors) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RealBasis:
-    """Real-linearly independent unit-norm matrices spanning a subspace."""
+    """Real-linearly independent matrices spanning a subspace.
+
+    The vectors have unit norm when the adapted eigenbasis is unitary.
+    ``gram_floor`` is the certified lower bound on the smallest eigenvalue of
+    ``gram()`` that the independence check accepted.
+    """
 
     vectors: tuple
+    gram_floor: float
 
     @property
     def dim_real(self) -> int:
@@ -119,22 +146,142 @@ class RealBasis:
         return real_gram(self.vectors)
 
 
-def _real_basis(vectors: list[np.ndarray]) -> RealBasis:
-    normalized = []
-    for v in vectors:
-        nrm = frobenius(v)
-        if nrm == 0.0:
-            raise ValidationError("basis candidate is zero")
-        w = v / nrm
-        w.flags.writeable = False
-        normalized.append(w)
-    g = real_gram(normalized)
-    eigs = np.linalg.eigvalsh(g)
-    if eigs[0] <= config.scaled(config.GRAM_MIN_EIG_RTOL) * max(1.0, eigs[-1]):
+@dataclass(frozen=True)
+class _Blocks:
+    """Unit-norm blocks c1 E[j1,l1] + c2 E[j2,l2] in the adapted eigenbasis.
+
+    The first ``singles`` blocks stand alone; the rest come in consecutive
+    real/imaginary partners on the same units.  Blocks of different groups
+    share no unit, so the block Gram matrix is 1x1- and 2x2-block-diagonal.
+    """
+
+    j1: np.ndarray
+    l1: np.ndarray
+    c1: np.ndarray
+    j2: np.ndarray
+    l2: np.ndarray
+    c2: np.ndarray
+    singles: int
+
+    @property
+    def dim(self) -> int:
+        return self.c1.size
+
+
+def _from_sections(singles: int, sections) -> _Blocks:
+    """Blocks from sections of fields (j1, l1, c1, j2, l2, c2).
+
+    The fields of a section broadcast to (count, partners); partners become
+    consecutive blocks.
+    """
+    columns = zip(*(np.broadcast_arrays(*section) for section in sections))
+    return _Blocks(*(np.concatenate([c.ravel() for c in col]) for col in columns),
+                   singles=singles)
+
+
+def _blocks(split: SpectralSplit) -> tuple[_Blocks, _Blocks]:
+    """Blocks of the congruence isotropy algebra and of its complement.
+
+    Isotropy: i E[j,j] on the support; per support pair l < m the partners
+    E[m,l] - r E[l,m] and i E[m,l] + i r E[l,m] with r = p_l/p_m; then E, iE
+    on every unit (j, l) with l in the kernel, row-major.  Complement: E[j,j]
+    on the support; the Hermitian pairs E[l,m] + E[m,l], i E[l,m] - i E[m,l];
+    then E, iE on the kernel-to-support units (j in kernel, l in support).
+    """
+    n, k = split.ambient_dim, split.support_dim
+    diag = np.arange(k)[:, None]
+    low, high = (idx[:, None] for idx in np.triu_indices(k, k=1))
+    ratio = split.eigenvalues[low] / split.eigenvalues[high]
+    norm = np.hypot(1.0, ratio)
+    half = np.sqrt(0.5)
+    partners = np.array([1.0, 1j])
+
+    def grid(rows, cols):
+        j, l = np.meshgrid(rows, cols, indexing="ij")
+        return j.reshape(-1, 1), l.reshape(-1, 1)
+
+    free_j, free_l = grid(np.arange(n), np.arange(k, n))
+    into_j, into_l = grid(np.arange(k, n), np.arange(k))
+    isotropy = _from_sections(k, [
+        (diag, diag, 1j, diag, diag, 0j),
+        (high, low, partners / norm, low, high, np.array([-1.0, 1j]) * ratio / norm),
+        (free_j, free_l, partners, free_j, free_l, 0j),
+    ])
+    complement = _from_sections(k, [
+        (diag, diag, 1.0 + 0j, diag, diag, 0j),
+        (low, high, partners * half, high, low, np.array([1.0, -1j]) * half),
+        (into_j, into_l, partners, into_j, into_l, 0j),
+    ])
+    return isotropy, complement
+
+
+def _overlap(b: _Blocks, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re Tr(B_x† B_y) elementwise over index arrays x and y."""
+    terms = ((b.j1, b.l1, b.c1), (b.j2, b.l2, b.c2))
+    total = np.zeros(x.size, dtype=complex)
+    for jx, lx, cx in terms:
+        for jy, ly, cy in terms:
+            same = (jx[x] == jy[y]) & (lx[x] == ly[y])
+            total += np.where(same, np.conjugate(cx[x]) * cy[y], 0.0)
+    return total.real
+
+
+def _gram_range(b: _Blocks) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the block Gram matrix, group by group."""
+    solo = np.arange(b.singles)
+    first = np.arange(b.singles, b.dim, 2)
+    second = first + 1
+    single = _overlap(b, solo, solo)
+    p, s = _overlap(b, first, first), _overlap(b, second, second)
+    mean = (p + s) / 2.0
+    radius = np.hypot((p - s) / 2.0, _overlap(b, first, second))
+    return (float(np.concatenate([single, mean - radius]).min()),
+            float(np.concatenate([single, mean + radius]).max()))
+
+
+def _certify(b: _Blocks, sv: np.ndarray, identity: bool = False) -> float:
+    """Certified lower bound on the smallest Gram eigenvalue of the blocks rotated
+    by w (followed by I/sqrt(n) when ``identity``), from the singular values
+    ``sv`` of w in descending order; raises ValidationError when it does not
+    clear the independence threshold."""
+    low, high = _gram_range(b)
+    defect = 0.0
+    if identity:
+        trace = np.where(b.j1 == b.l1, b.c1, 0.0) + np.where(b.j2 == b.l2, b.c2, 0.0)
+        border = float(np.linalg.norm(trace.real)) / np.sqrt(sv.size)
+        spread = max(1.0 - low, high - 1.0)
+        low, high = 1.0 - border - spread, 1.0 + border + spread
+        defect = float(np.max(np.abs(1.0 - sv**2)))
+    lower = max(sv[-1] ** 2 * np.sqrt(max(low, 0.0)) - defect, 0.0) ** 2
+    upper = (sv[0] ** 2 * np.sqrt(high) + defect) ** 2
+    if lower <= config.scaled(config.GRAM_MIN_EIG_RTOL) * max(1.0, upper):
         raise ValidationError(
-            f"basis is not linearly independent: Gram eigenvalue {eigs[0]:.3e}"
+            f"basis is not linearly independent: Gram eigenvalue bound {lower:.3e}"
         )
-    return RealBasis(vectors=tuple(normalized))
+    return lower
+
+
+def _outer_stack(b: _Blocks, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Stack of c1 left_j1 right_l1† + c2 left_j2 right_l2† over the blocks,
+    where left_j and right_l are columns."""
+    lt, rt = left.T, np.conjugate(right.T)
+    out = (b.c1[:, None] * lt[b.j1])[:, :, None] * rt[b.l1][:, None, :]
+    out += (b.c2[:, None] * lt[b.j2])[:, :, None] * rt[b.l2][:, None, :]
+    return out
+
+
+def _rotated_basis(split: SpectralSplit, b: _Blocks, identity: bool = False) -> RealBasis:
+    w = split.full_basis()
+    floor = _certify(b, np.linalg.svd(w, compute_uv=False), identity)
+    stack = _outer_stack(b, w, w)
+    stack.flags.writeable = False
+    vectors = tuple(stack)
+    if identity:
+        n = split.ambient_dim
+        eye = np.eye(n, dtype=complex) / np.sqrt(n)
+        eye.flags.writeable = False
+        vectors += (eye,)
+    return RealBasis(vectors=vectors, gram_floor=floor)
 
 
 def isotropy_basis_alpha(split: SpectralSplit) -> RealBasis:
@@ -145,58 +292,18 @@ def isotropy_basis_alpha(split: SpectralSplit) -> RealBasis:
     pairing uses the actual eigenvalue ratios, which degenerates continuously
     to the skew-Hermitian rule on subspaces with equal eigenvalues.
     """
-    n = split.ambient_dim
-    k = split.support_dim
-    p = split.eigenvalues
-    w = split.full_basis()
-    blocks: list[np.ndarray] = []
-
-    for j in range(k):
-        blocks.append(1j * matrix_unit(n, j, j))
-    for l in range(k):
-        for m in range(l + 1, k):
-            ratio = p[l] / p[m]
-            blocks.append(matrix_unit(n, m, l) - ratio * matrix_unit(n, l, m))
-            blocks.append(1j * matrix_unit(n, m, l) + 1j * ratio * matrix_unit(n, l, m))
-    for j in range(k):
-        for l in range(k, n):
-            blocks.append(matrix_unit(n, j, l))
-            blocks.append(1j * matrix_unit(n, j, l))
-    for j in range(k, n):
-        for l in range(k, n):
-            blocks.append(matrix_unit(n, j, l))
-            blocks.append(1j * matrix_unit(n, j, l))
-
-    return _real_basis([w @ b @ dagger(w) for b in blocks])
+    return _rotated_basis(split, _blocks(split)[0])
 
 
 def complement_basis_alpha(split: SpectralSplit) -> RealBasis:
     """Algebraic complement of the isotropy algebra: support-block Hermitian
     plus arbitrary kernel-to-support entries; dimension k^2 + 2k(n-k)."""
-    n = split.ambient_dim
-    k = split.support_dim
-    w = split.full_basis()
-    blocks: list[np.ndarray] = []
-
-    for j in range(k):
-        blocks.append(matrix_unit(n, j, j))
-    for l in range(k):
-        for m in range(l + 1, k):
-            blocks.append(matrix_unit(n, l, m) + matrix_unit(n, m, l))
-            blocks.append(1j * matrix_unit(n, l, m) - 1j * matrix_unit(n, m, l))
-    for j in range(k, n):
-        for l in range(k):
-            blocks.append(matrix_unit(n, j, l))
-            blocks.append(1j * matrix_unit(n, j, l))
-
-    return _real_basis([w @ b @ dagger(w) for b in blocks])
+    return _rotated_basis(split, _blocks(split)[1])
 
 
 def isotropy_basis_phi(split: SpectralSplit) -> RealBasis:
     """Isotropy basis of the normalized action: the congruence one plus the identity."""
-    base = isotropy_basis_alpha(split)
-    n = split.ambient_dim
-    return _real_basis(list(base.vectors) + [np.eye(n, dtype=complex)])
+    return _rotated_basis(split, _blocks(split)[0], identity=True)
 
 
 def isotropy_dimension_alpha(k: int, n: int) -> int:
@@ -229,30 +336,50 @@ class IsotropyReport:
     max_residual: float
 
 
+def _sweep_residual(b: _Blocks, w: np.ndarray, base: np.ndarray, normalized: bool) -> float:
+    """Worst membership residual of the rotated blocks at ``base``, sweeping the
+    velocities without forming the basis vectors.
+
+    For v = c w_j w_l† and y = h w, h the Hermitian part of base, the
+    congruence velocity is c w_j y_l† + conj(c) y_l w_j†; the normalized
+    action subtracts its trace times base.
+    """
+    t = _outer_stack(b, w, ((base + dagger(base)) / 2.0) @ w)
+    velocity = t + np.conjugate(np.swapaxes(t, 1, 2))
+    values = hermitian_components(velocity)
+    if normalized:
+        trace = np.trace(velocity, axis1=1, axis2=2).real
+        values -= trace[:, None] * hermitian_components(base)
+    return float(np.max(np.abs(values)))
+
+
 def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     """Compute both isotropy bases at xi and report dimensions and residuals.
 
     The congruence isotropy is scale invariant, so a non-normalized
     functional is paired with its normalized state for the phi residuals.
+    The bases are certified but never formed: the membership sweep works on
+    their blocks.
     """
     split = spectral_split(xi)
-    basis_a = isotropy_basis_alpha(split)
-    basis_c = complement_basis_alpha(split)
-    basis_p = isotropy_basis_phi(split)
+    isotropy, complement = _blocks(split)
+    w = split.full_basis()
+    sv = np.linalg.svd(w, compute_uv=False)
+    _certify(complement, sv)
+    # the congruence Gram matrix is a principal submatrix of the bordered one
+    _certify(isotropy, sv, identity=True)
     state = validate_state(xi.matrix / np.trace(xi.matrix).real)
-
-    residual = 0.0
-    for v in basis_a.vectors:
-        residual = max(residual, isotropy_membership_alpha(v, xi)[1])
-    for v in basis_p.vectors:
-        residual = max(residual, isotropy_membership_phi(v, state)[1])
-
     n = split.ambient_dim
+    residual = max(
+        _sweep_residual(isotropy, w, xi.matrix, normalized=False),
+        _sweep_residual(isotropy, w, state.matrix, normalized=True),
+        isotropy_membership_phi(np.eye(n) / np.sqrt(n), state)[1],
+    )
     return IsotropyReport(
         ambient_dim=2 * n * n,
         support_dim=split.support_dim,
-        dim_alpha=basis_a.dim_real,
-        dim_phi=basis_p.dim_real,
-        dim_complement=basis_c.dim_real,
+        dim_alpha=isotropy.dim,
+        dim_phi=isotropy.dim + 1,
+        dim_complement=complement.dim,
         max_residual=residual,
     )

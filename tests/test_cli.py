@@ -138,6 +138,18 @@ class TestIsotropyCommand:
         assert payload["orbit_dim_phi"] == 3
         assert payload["max_residual"] <= 1e-9
 
+    def test_lapack_failure_exits_3(self, runner, files, monkeypatch):
+        import stategeom.cli
+
+        def no_convergence(functional):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(stategeom.cli, "isotropy_report", no_convergence)
+        result = runner.invoke(main, ["isotropy", files["state"]])
+        assert result.exit_code == 3
+        assert "NumericalError: Eigenvalues did not converge" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestTangentCommand:
     def test_phi_tangent_with_fd_report(self, runner, files):

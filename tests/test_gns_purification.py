@@ -3,9 +3,9 @@ import pytest
 
 from stategeom import config
 from stategeom.errors import ValidationError
-from stategeom.gns import gns_construct, gns_transform
+from stategeom.gns import gns_construct, gns_construct_abelian, gns_transform
 from stategeom.sampling import random_state
-from stategeom.states import validate_state
+from stategeom.states import maximally_mixed, validate_probability, validate_state
 
 
 def test_rank_three_state_at_n48():
@@ -32,3 +32,17 @@ def test_tolerance_scale_moves_transform_consistency_bound():
     config.set_tolerance_scale(100.0)
     moved = gns_transform(triple, g, other)
     assert np.linalg.norm(moved.cyclic) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_wrong_dimension_element_is_validation_error():
+    triple = gns_construct(maximally_mixed(2))
+    for call in (triple.rep, triple.vector_of, triple.expectation):
+        with pytest.raises(ValidationError, match="dimension 3, expected 2"):
+            call(np.eye(3))
+
+
+def test_abelian_wrong_length_element_is_validation_error():
+    triple = gns_construct_abelian(validate_probability([0.5, 0.5]))
+    for call in (triple.rep, triple.expectation):
+        with pytest.raises(ValidationError, match="length-2"):
+            call(np.array([1.0, 2.0, 3.0]))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from oracles import (
     constraint_matrix_alpha,
@@ -230,3 +231,106 @@ class TestReportAndDims:
         assert report.dim_phi == report.dim_alpha + 1
         assert report.dim_alpha + report.dim_complement == report.ambient_dim
         assert report.max_residual <= 1e-9 * fro_scale(xi.matrix) * 2.0
+
+
+def _unit(n, j, l):
+    e = np.zeros((n, n), dtype=complex)
+    e[j, l] = 1.0
+    return e
+
+
+def _reference_blocks(split):
+    """The per-block loops of the dense construction: (isotropy, complement)."""
+    n, k, p = split.ambient_dim, split.support_dim, split.eigenvalues
+    iso = [1j * _unit(n, j, j) for j in range(k)]
+    comp = [_unit(n, j, j) for j in range(k)]
+    for l in range(k):
+        for m in range(l + 1, k):
+            ratio = p[l] / p[m]
+            iso.append(_unit(n, m, l) - ratio * _unit(n, l, m))
+            iso.append(1j * _unit(n, m, l) + 1j * ratio * _unit(n, l, m))
+            comp.append(_unit(n, l, m) + _unit(n, m, l))
+            comp.append(1j * _unit(n, l, m) - 1j * _unit(n, m, l))
+    for j in range(k):
+        for l in range(k, n):
+            iso += [_unit(n, j, l), 1j * _unit(n, j, l)]
+    for j in range(k, n):
+        for l in range(k, n):
+            iso += [_unit(n, j, l), 1j * _unit(n, j, l)]
+    for j in range(k, n):
+        for l in range(k):
+            comp += [_unit(n, j, l), 1j * _unit(n, j, l)]
+    return iso, comp
+
+
+def _reference_vectors(split, blocks):
+    w = split.full_basis()
+    rotated = [w @ b @ dag(w) for b in blocks]
+    return [v / frobenius(v) for v in rotated]
+
+
+def _certificate_splits():
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            yield spectral_split(random_state(rng, n, rank=k))
+    # support eigenvalues spanning a ratio of ~1e10, the smallest a few times
+    # above the rank cut 1e-12 * (1 + ||rho||_F), plus a two-dimensional kernel
+    u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+    p = np.array([0.6, 0.4 - 5e-11, 5e-11, 0.0, 0.0])
+    split = spectral_split(validate_positive((u * p) @ dag(u)))
+    assert split.support_dim == 3
+    yield split
+
+
+class TestBlockCertificate:
+    """The closed-form blocks against the dense per-block construction."""
+
+    def test_vectors_match_per_block_reference(self):
+        for split in _certificate_splits():
+            iso, comp = _reference_blocks(split)
+            n = split.ambient_dim
+            expected_phi = _reference_vectors(split, iso) + [np.eye(n) / np.sqrt(n)]
+            for basis, expected in (
+                (isotropy_basis_alpha(split), _reference_vectors(split, iso)),
+                (complement_basis_alpha(split), _reference_vectors(split, comp)),
+                (isotropy_basis_phi(split), expected_phi),
+            ):
+                assert basis.dim_real == len(expected)
+                np.testing.assert_allclose(np.array(basis.vectors), np.array(expected),
+                                           rtol=0, atol=1e-13)
+
+    def test_certified_floor_below_dense_gram(self):
+        for split in _certificate_splits():
+            for build in (isotropy_basis_alpha, complement_basis_alpha, isotropy_basis_phi):
+                basis = build(split)
+                smallest = np.linalg.eigvalsh(real_gram(basis.vectors))[0]
+                # forming and diagonalising the dense Gram matrix rounds by O(dim eps)
+                assert 0.0 < basis.gram_floor <= smallest + 1e-13
+
+    def test_dependent_adapted_basis_rejected(self):
+        from stategeom.errors import ValidationError
+        from stategeom.states import SpectralSplit
+
+        split = spectral_split(random_state(np.random.default_rng(22), 3, rank=2))
+        # the kernel direction repeats the first support vector: w is singular
+        broken = SpectralSplit(eigenvalues=split.eigenvalues,
+                               support_basis=split.support_basis,
+                               kernel_basis=split.support_basis[:, :1])
+        for build in (isotropy_basis_alpha, complement_basis_alpha, isotropy_basis_phi):
+            with pytest.raises(ValidationError, match="not linearly independent"):
+                build(broken)
+
+
+def test_report_at_n32():
+    rng = np.random.default_rng(32)
+    for k in (8, 32):
+        rho = random_state(rng, 32, rank=k)
+        report = isotropy_report(rho)
+        assert report.ambient_dim == 2 * 32 * 32
+        assert report.support_dim == k
+        assert report.dim_alpha == isotropy_dimension_alpha(k, 32)
+        assert report.dim_phi == report.dim_alpha + 1
+        assert report.dim_alpha + report.dim_complement == report.ambient_dim
+        # the membership bound of a unit-norm generator
+        assert report.max_residual <= 1e-9 * fro_scale(rho.matrix) * 2.0
