@@ -10,6 +10,7 @@ q_j = |w_j|^2 p_j / sum_k |w_k|^2 p_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +107,21 @@ def phi(g, rho: StateDensity) -> StateDensity:
     """Normalized action g rho g† / Tr(g rho g†).
 
     Preserves unit trace, positivity, rank and faithfulness; invariant under
-    rescaling g -> lambda g.
+    rescaling g -> lambda g.  That invariance keeps g rho g† finite for large
+    g: when sigma_max >= 1, g is first divided by the smallest power of two
+    above sigma_max, which is exact, and the floor test applies to the trace
+    of the unscaled product.
     """
     ge = group_element(g)
-    num = ge.matrix @ rho.matrix @ dagger(ge.matrix)
+    e = max(math.frexp(ge.sigma_max)[1], 0)
+    m = np.empty_like(ge.matrix)
+    m.real = np.ldexp(ge.matrix.real, -e)
+    m.imag = np.ldexp(ge.matrix.imag, -e)
+    num = m @ rho.matrix @ dagger(m)
     den = float(np.trace(num).real)
-    if den <= config.scaled(config.DENOMINATOR_FLOOR):
-        raise NumericallySingular(f"Tr(g rho g†) = {den:.3e} is numerically zero")
+    if den <= math.ldexp(config.scaled(config.DENOMINATOR_FLOOR), -2 * e):
+        unscaled = math.ldexp(den, 2 * e)
+        raise NumericallySingular(f"Tr(g rho g†) = {unscaled:.3e} is numerically zero")
     return validate_state(num / den)
 
 

@@ -88,13 +88,18 @@ def hermitian_components(t: np.ndarray) -> np.ndarray:
     order as hermitian_basis.  A stack of shape (..., n, n) gives one row of
     n^2 pairings per matrix.
     """
-    n = t.shape[-1]
-    rows, cols = np.triu_indices(n, k=1)
-    off = t[..., rows, cols]
-    pairs = np.empty(off.shape[:-1] + (2 * off.shape[-1],))
-    pairs[..., 0::2] = 2.0 * off.real
-    pairs[..., 1::2] = 2.0 * off.imag
-    return np.concatenate([np.diagonal(t, axis1=-2, axis2=-1).real, pairs], axis=-1)
+    rows, cols = np.triu_indices(t.shape[-1], k=1)
+    return _pairings(np.diagonal(t, axis1=-2, axis2=-1).real, t[..., rows, cols])
+
+
+def _pairings(diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The diagonal pairings, then 2 Re and 2 Im of each upper off-diagonal entry."""
+    k = diagonal.shape[-1]
+    out = np.empty(diagonal.shape[:-1] + (k + 2 * off.shape[-1],))
+    out[..., :k] = diagonal
+    out[..., k::2] = 2.0 * off.real
+    out[..., k + 1::2] = 2.0 * off.imag
+    return out
 
 
 def _membership(values: np.ndarray, a: np.ndarray, base: np.ndarray) -> tuple[bool, float]:
@@ -342,13 +347,15 @@ def _sweep_residual(b: _Blocks, w: np.ndarray, base: np.ndarray, normalized: boo
 
     For v = c w_j w_l† and y = h w, h the Hermitian part of base, the
     congruence velocity is c w_j y_l† + conj(c) y_l w_j†; the normalized
-    action subtracts its trace times base.
+    action subtracts its trace times base.  The pairings of the velocity
+    t + t† are read straight from t, in the order of hermitian_components.
     """
     t = _outer_stack(b, w, ((base + dagger(base)) / 2.0) @ w)
-    velocity = t + np.conjugate(np.swapaxes(t, 1, 2))
-    values = hermitian_components(velocity)
+    rows, cols = np.triu_indices(w.shape[0], k=1)
+    values = _pairings(2.0 * np.diagonal(t, axis1=1, axis2=2).real,
+                       t[:, rows, cols] + np.conjugate(t[:, cols, rows]))
     if normalized:
-        trace = np.trace(velocity, axis1=1, axis2=2).real
+        trace = 2.0 * np.trace(t, axis1=1, axis2=2).real
         values -= trace[:, None] * hermitian_components(base)
     return float(np.max(np.abs(values)))
 

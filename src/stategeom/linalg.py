@@ -8,6 +8,10 @@ which makes the output a pure function of the input bits.
 
 All operations are pure functions of their arguments and safe to call from
 multiple threads.
+
+Everything here is numpy except ``matrix_exp``, which imports scipy on its
+first call, so only the callers of the exponential map (``flow`` and the
+tangent finite-difference check) pay scipy's import time.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import config
 from .errors import NotHermitian, NotPSD, Singular, ValidationError
@@ -132,17 +135,17 @@ class SpectralDecomposition:
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Rephase each column so its largest-|.| entry is real positive.
 
-    np.argmax breaks exact magnitude ties by lowest index.
+    np.argmax breaks exact magnitude ties by lowest index.  The pivot
+    magnitude comes from hypot, which agrees with the scalar abs to the
+    last bit, and each column is scaled as a strided vector times one
+    complex scalar, so the result matches a per-column loop bit for bit.
     """
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        mag = abs(pivot)
-        if mag > 0.0:
-            v[:, j] = col * (np.conjugate(pivot) / mag)
-    return v
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    mag = np.hypot(pivot.real, pivot.imag)
+    nonzero = mag > 0.0
+    factor = np.ones_like(pivot)
+    factor[nonzero] = np.conjugate(pivot[nonzero]) / mag[nonzero]
+    return np.ascontiguousarray((v.T * factor[:, None]).T)
 
 
 def hermitian_eig(h) -> SpectralDecomposition:
@@ -180,7 +183,13 @@ def matrix_sqrt_psd(p) -> np.ndarray:
 
 
 def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring via scipy)."""
+    """Matrix exponential (scaling-and-squaring via scipy).
+
+    The only function in the package that needs scipy; it is imported here,
+    on first use, to keep it out of every command that never exponentiates.
+    """
+    import scipy.linalg
+
     return scipy.linalg.expm(as_operator(a))
 
 

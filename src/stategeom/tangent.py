@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config
 from .actions import group_element, phi
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import as_operator, dagger, frobenius, matrix_exp, matrix_unit, require_hermitian
 from .states import PositiveFunctional, StateDensity
 
@@ -79,13 +79,32 @@ def covariance(rho: StateDensity, a, b) -> float:
     return quad - 2.0 * float(np.trace(m @ am).real) * float(np.trace(m @ bm).real)
 
 
+def _flow_point(rho0: StateDensity, gen: np.ndarray, t) -> StateDensity:
+    """phi(exp(t gen), rho0).
+
+    exp(t gen) is invertible for every t, so a group element or state that
+    fails validation here means the exponential overflowed or became too
+    ill-conditioned to use: a NumericalError that names t.
+    """
+    try:
+        return phi(group_element(matrix_exp(t * gen)), rho0)
+    except ValidationError as exc:
+        raise NumericalError(
+            f"exp(t a) is not numerically usable at t = {float(t)!r}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
 def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
-    """Trajectory t -> phi(exp(ta), rho0) over the given parameter grid."""
+    """Trajectory t -> phi(exp(ta), rho0) over the given parameter grid.
+
+    Raises NumericalError, naming the first failing t, where exp(ta)
+    overflows or exceeds the singularity limit.
+    """
     gen = as_operator(a, "generator")
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0:
         raise ValidationError(f"t_grid must be a nonempty 1-d array, got shape {ts.shape}")
-    return [phi(group_element(matrix_exp(t * gen)), rho0) for t in ts]
+    return [_flow_point(rho0, gen, t) for t in ts]
 
 
 def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
@@ -96,8 +115,8 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     """
     gen = as_operator(a, "generator")
     value = phi_velocity(rho.matrix, gen)
-    fwd = phi(group_element(matrix_exp(h * gen)), rho).matrix
-    bwd = phi(group_element(matrix_exp(-h * gen)), rho).matrix
+    fwd = _flow_point(rho, gen, h).matrix
+    bwd = _flow_point(rho, gen, -h).matrix
     fd = (fwd - bwd) / (2.0 * h)
     return frobenius(fd - value) / (1.0 + frobenius(value))
 

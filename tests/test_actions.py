@@ -171,6 +171,28 @@ class TestPhi:
                          - alpha(g1 @ g2, rho).matrix) <= 1e-10
 
 
+class TestPhiExtremeScale:
+    def test_power_of_two_rescale_is_bit_exact(self):
+        rng = np.random.default_rng(60)
+        for n in (1, 2, 4, 8):
+            g = random_invertible(rng, n)
+            rho = random_state(rng, n)
+            assert phi(2.0**600 * g, rho).matrix.tobytes() == phi(g, rho).matrix.tobytes()
+
+    def test_huge_multiple_of_identity_fixes_rho(self):
+        rng = np.random.default_rng(61)
+        for n in (1, 3, 6):
+            rho = random_state(rng, n)
+            out = phi(1e200 * np.eye(n, dtype=complex), rho)
+            np.testing.assert_allclose(out.matrix, rho.matrix, rtol=0.0, atol=1e-14)
+
+    def test_floor_applies_to_unscaled_trace(self):
+        # sigma_max >= 1/2 is prescaled; Tr(g rho g†) = 1e-16 is still refused
+        g = np.diag([1.0, 1e-8]).astype(complex)
+        with pytest.raises(NumericallySingular, match="1.000e-16"):
+            phi(group_element(g), qubit(0.0))
+
+
 class TestUnitaryPhi:
     def test_identity(self):
         rho = qubit(0.75)

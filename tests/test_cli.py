@@ -180,6 +180,14 @@ class TestFlowCommand:
         payload = json.loads(result.output)
         assert len(payload["states"]) == 3
 
+    def test_ill_conditioned_flow_exits_3(self, runner, files, tmp_path):
+        z = write(tmp_path / "z.json", np.diag([1.0, -1.0]))
+        result = runner.invoke(main, ["flow", files["state"], z, "--t0", "0",
+                                      "--t1", "20", "--steps", "3"])
+        assert result.exit_code == 3
+        assert "NumericalError" in result.output
+        assert "t = 20.0" in result.output
+
 
 class TestGnsCommand:
     def test_pure_state_dimension(self, runner, files, tmp_path):

@@ -334,3 +334,12 @@ def test_report_at_n32():
         assert report.dim_alpha + report.dim_complement == report.ambient_dim
         # the membership bound of a unit-norm generator
         assert report.max_residual <= 1e-9 * fro_scale(rho.matrix) * 2.0
+
+
+def test_report_residual_pinned_at_n16():
+    # max_residual of the sweep that materialised the velocity stack t + t†;
+    # reading the pairings straight from t gives the same bits
+    rho = random_state(np.random.default_rng(1601), 16)
+    assert isotropy_report(rho).max_residual == float.fromhex("0x1.205249c088ddbp-54")
+    xi = validate_positive(3.5 * random_state(np.random.default_rng(1602), 16, rank=4).matrix)
+    assert isotropy_report(xi).max_residual == float.fromhex("0x1.8000000000000p-52")

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stategeom
 from oracles import dag, eig_count, expm_series
 from stategeom.errors import NotHermitian, NotPSD, Singular
 from stategeom.linalg import (
+    _fix_phases,
     frobenius,
     fro_scale,
     hermitian_eig,
@@ -16,6 +23,7 @@ from stategeom.linalg import (
     polar,
 )
 from stategeom.sampling import random_hermitian, random_invertible, random_unitary
+from stategeom.serialize import save_matrix_text
 
 
 class TestHermitianEig:
@@ -164,3 +172,67 @@ class TestInertia:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             inertia(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1e-12)
+
+
+def _fix_phases_loop(v):
+    """Per-column reference for the vectorised rephasing."""
+    v = v.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        k = int(np.argmax(np.abs(col)))
+        pivot = col[k]
+        mag = abs(pivot)
+        if mag > 0.0:
+            v[:, j] = col * (np.conjugate(pivot) / mag)
+    return v
+
+
+class TestFixPhases:
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+    def test_bit_equal_to_column_loop(self, n):
+        rng = np.random.default_rng(100 + n)
+        inputs = [random_unitary(rng, n),
+                  np.linalg.eigh(random_hermitian(rng, n))[1],
+                  1e-150 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))]
+        tie = random_unitary(rng, n)
+        tie[:, 0] = 0.0
+        tie[-1, 0] = 0.6j
+        tie[0, 0] = -0.6  # same magnitude: the lowest row is the pivot
+        inputs.append(tie)
+        for v in inputs:
+            v = np.ascontiguousarray(v)
+            assert _fix_phases(v).tobytes() == _fix_phases_loop(v).tobytes()
+        assert _fix_phases(tie)[0, 0] == 0.6
+
+    def test_zero_column_left_alone(self):
+        v = np.array([[0.0, 1j], [0.0, 0.5]], dtype=complex)
+        out = _fix_phases(v)
+        assert out.tobytes() == _fix_phases_loop(v).tobytes()
+        np.testing.assert_array_equal(out[:, 0], 0.0)
+
+
+def test_scipy_loaded_only_by_matrix_exp(tmp_path):
+    """Importing the package and running a non-flow command leaves scipy
+    unimported; the first matrix_exp call loads it."""
+    state = tmp_path / "state.json"
+    state.write_text(save_matrix_text(np.diag([0.5, 0.5]).astype(complex), "state"))
+    script = f"""
+import sys
+import numpy as np
+import stategeom
+import stategeom.cli
+from click.testing import CliRunner
+result = CliRunner().invoke(stategeom.cli.main, ["validate", {str(state)!r}])
+assert result.exit_code == 0, result.output
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+e = stategeom.linalg.matrix_exp(np.diag([np.log(2.0), 0.0]))
+assert np.allclose(e, np.diag([2.0, 1.0]), atol=1e-12), e
+assert "scipy.linalg" in sys.modules
+"""
+    src = str(Path(stategeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

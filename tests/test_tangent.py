@@ -3,7 +3,7 @@ import pytest
 
 from oracles import central_difference, dag
 from stategeom.actions import phi
-from stategeom.errors import NotHermitian
+from stategeom.errors import NotHermitian, NumericalError
 from stategeom.isotropy import (
     complement_basis_alpha,
     isotropy_basis_phi,
@@ -152,6 +152,30 @@ class TestFlow:
         for point in flow(rho, a, np.linspace(-2.0, 2.0, 9)):
             assert abs(np.trace(point.matrix).real - 1.0) <= 1e-10
             assert np.linalg.eigvalsh(point.matrix)[0] >= -1e-10
+
+
+class TestFlowNumericalLimits:
+    def test_ill_conditioned_point_is_numerical_error(self):
+        # cond exp(t Z) = e^{2t}: 5e8 at t = 10, 2e17 beyond the 1e12 limit at t = 20
+        rho = maximally_mixed(2)
+        assert len(flow(rho, PAULI_Z, [0.0, 10.0])) == 2
+        with pytest.raises(NumericalError, match=r"t = 20\.0"):
+            flow(rho, PAULI_Z, [0.0, 10.0, 20.0, 30.0])
+
+    def test_overflowing_exponential_is_numerical_error(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"t = 1000\.0"):
+                flow(maximally_mixed(2), PAULI_Z, [1000.0])
+
+    def test_valid_points_unchanged(self):
+        rng = np.random.default_rng(15)
+        rho = random_state(rng, 4)
+        a = random_direction(rng, 4, norm=50.0)
+        grid = [0.0, 0.01, 0.1]
+        for t, point in zip(grid, flow(rho, a, grid)):
+            assert point.matrix.tobytes() == phi(matrix_exp(t * a), rho).matrix.tobytes()
+        with pytest.raises(NumericalError, match=r"t = 5\.0"):
+            flow(rho, a, [0.0, 5.0, 20.0])
 
 
 class TestFdCheck:
