@@ -17,6 +17,7 @@ import numpy as np
 
 from . import config
 from .errors import NotUnitary, NumericallySingular, Singular, ValidationError, ZeroWeight
+from .errors import NumericalError
 from .linalg import as_operator, dagger, frobenius, require_hermitian
 from .states import (
     PositiveFunctional,
@@ -75,18 +76,27 @@ def group_element(g) -> GroupElement:
     return GroupElement(matrix=frozen, sigma_min=smin, sigma_max=smax)
 
 
+def _congruence(g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """g m g†; NumericalError when the product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = g @ m @ dagger(g)
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("g xi g† overflows double precision")
+    return out
+
+
 def alpha(g, xi):
     """Congruence action xi -> g xi g† on self-adjoint functionals.
 
     Accepts a PositiveFunctional (returned as PositiveFunctional) or a bare
     Hermitian matrix (returned as a matrix).  The action is linear and sends
-    PSD inputs to PSD outputs of the same rank.
+    PSD inputs to PSD outputs of the same rank.  Raises NumericalError when
+    g xi g† overflows.
     """
     ge = group_element(g)
     if isinstance(xi, PositiveFunctional):
-        return validate_positive(ge.matrix @ xi.matrix @ dagger(ge.matrix))
-    m = require_hermitian(xi, "functional")
-    out = ge.matrix @ m @ dagger(ge.matrix)
+        return validate_positive(_congruence(ge.matrix, xi.matrix))
+    out = _congruence(ge.matrix, require_hermitian(xi, "functional"))
     return (out + dagger(out)) / 2.0
 
 
@@ -94,10 +104,14 @@ def denominator(g, rho: StateDensity) -> float:
     """Normalization Tr(rho g†g), strictly positive for invertible g.
 
     Raises NumericallySingular when the value falls at or below 1e-14; the
-    action fails loudly there instead of renormalizing noise.
+    action fails loudly there instead of renormalizing noise.  Raises
+    NumericalError when the value overflows.
     """
     ge = group_element(g)
-    value = float(np.trace(rho.matrix @ dagger(ge.matrix) @ ge.matrix).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.trace(rho.matrix @ dagger(ge.matrix) @ ge.matrix).real)
+    if not math.isfinite(value):
+        raise NumericalError("Tr(rho g†g) overflows double precision")
     if value <= config.scaled(config.DENOMINATOR_FLOOR):
         raise NumericallySingular(f"Tr(rho g†g) = {value:.3e} is numerically zero")
     return value

@@ -22,7 +22,7 @@ from . import config
 from .actions import alpha, group_element, phi
 from .errors import NumericalError, ValidationError
 from .gns import gns_construct
-from .isotropy import isotropy_report, orbit_dimension
+from .isotropy import isotropy_report
 from .orbits import (
     connect_alpha,
     connect_phi,
@@ -212,7 +212,6 @@ def isotropy(ctx, file, action):
     _require_format(ctx, ("json",), "json")
     functional, _ = _load_functional(file)
     report = isotropy_report(functional)
-    split = spectral_split(functional)
     payload = {
         "action": action,
         "ambient_dim": report.ambient_dim,
@@ -223,9 +222,9 @@ def isotropy(ctx, file, action):
         "max_residual": report.max_residual,
     }
     if action in ("alpha", "both"):
-        payload["orbit_dim_alpha"] = orbit_dimension(split, "alpha")
+        payload["orbit_dim_alpha"] = report.ambient_dim - report.dim_alpha
     if action in ("phi", "both"):
-        payload["orbit_dim_phi"] = orbit_dimension(split, "phi")
+        payload["orbit_dim_phi"] = report.ambient_dim - report.dim_phi
     _emit(ctx, dumps_canonical(payload))
 
 

@@ -18,9 +18,7 @@ DENOMINATOR_FLOOR = 1e-14     # absolute floor for Tr(rho g†g)
 CONNECT_RESIDUAL_RTOL = 1e-9  # intertwiner reconstruction residual
 NORM_BOUND_SLACK = 1e-10      # multiplicative slack on the sqrt(C+1) bound
 TRACIAL_ATOL = 1e-10          # commutator residual for tracial inputs
-GNS_NULLSPACE_RTOL = 1e-12    # GNS support cut, relative to the top eigenvalue of rho
 GNS_CONSISTENCY_RTOL = 1e-8   # |<psi|pi(g†g)|psi> - rho(g†g)|, relative to 1 + |rho(g†g)|
-COMMUTANT_RTOL = 1e-10        # commutant null-space cut, relative to max(sigma_max, 1)
 TANGENT_RANK_RTOL = 1e-8      # tangent-map rank cut, relative to sigma_max
 FD_STEP = 1e-5                # central-difference step
 

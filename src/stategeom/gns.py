@@ -6,8 +6,9 @@ pi(a) = a kron I_k, and the cyclic vector is psi = sum_j sqrt(p_j) e_j kron f_j,
 so rho(a) = <psi| pi(a) |psi> and the dimension is n * rank(rho).  Vectors are
 stored row-major over C^n kron C^k, i.e. as the flattened n x k coefficient
 matrix X = [sqrt(p_1) e_1, ..., sqrt(p_k) e_k], on which pi(a) acts as
-X -> a X.  The representation is irreducible (trivial commutant) exactly for
-pure states, and an invertible element g transports the cyclic vector to
+X -> a X.  The support is that of ``spectral_split``.  The commutant of pi is
+I_n kron M_k, of dimension k^2, so pi is irreducible exactly for pure states,
+and an invertible element g transports the cyclic vector to
 pi(g)|psi> / sqrt(<psi|pi(g†g)|psi>), implementing the normalized action
 inside a fixed representation.
 """
@@ -21,8 +22,8 @@ import numpy as np
 from . import config
 from .actions import group_element
 from .errors import NumericalError, NumericallySingular, ValidationError
-from .linalg import as_operator, dagger, hermitian_eig, matrix_unit
-from .states import ProbabilityVector, StateDensity, spectral_split
+from .linalg import as_operator, dagger, matrix_unit
+from .states import ProbabilityVector, StateDensity, default_rank_tol, spectral_split
 
 __all__ = [
     "GnsTriple",
@@ -77,21 +78,11 @@ class GnsTriple:
 
 
 def gns_construct(rho: StateDensity) -> GnsTriple:
-    """Build the GNS triple of a state on the full matrix algebra.
-
-    The support of rho is cut at the relative threshold 1e-12 times its top
-    eigenvalue; the resulting dimension is n * rank(rho).
-    """
-    m = rho.matrix
-    n = m.shape[0]
-    dec = hermitian_eig(m)
-    w = dec.eigenvalues
-    cut = config.scaled(config.GNS_NULLSPACE_RTOL) * max(w[0], 0.0)
-    k = int(np.sum(w > cut))
-    if k == 0:
-        raise NumericalError("state is numerically zero")
-    cyclic = (dec.eigenvectors[:, :k] * np.sqrt(w[:k])).ravel()
-    return GnsTriple(n=n, dim=n * k, cyclic=cyclic)
+    """Build the GNS triple of a state; its support is that of ``spectral_split``."""
+    split = spectral_split(rho)
+    n = split.ambient_dim
+    cyclic = (split.support_basis * np.sqrt(split.eigenvalues)).ravel()
+    return GnsTriple(n=n, dim=n * split.support_dim, cyclic=cyclic)
 
 
 def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
@@ -117,44 +108,32 @@ def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     return GnsTriple(n=triple.n, dim=triple.dim, cyclic=moved)
 
 
-def commutant_dimension(triple: GnsTriple, rel_tol: float | None = None) -> int:
-    """Complex dimension of the commutant of the represented algebra.
-
-    A cyclic shift and a diagonal with distinct entries generate the full
-    matrix algebra, so it is enough to solve [pi(s), X] = [pi(d), X] = 0.
-    Singular values below ``rel_tol`` (default the scaled COMMUTANT_RTOL)
-    times max(largest, 1) count as zero.
-    """
-    if rel_tol is None:
-        rel_tol = config.scaled(config.COMMUTANT_RTOL)
-    n = triple.n
-    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
-    diag = np.diag(np.arange(n, dtype=complex))
-    d = triple.dim
-    eye = np.eye(d, dtype=complex)
-    rows = []
-    for gen in (shift, diag):
-        r = triple.rep(gen)
-        rows.append(np.kron(r, eye) - np.kron(eye, r.T))
-    s = np.linalg.svd(np.vstack(rows), compute_uv=False)
-    cut = rel_tol * max(float(s[0]), 1.0)
-    return int(np.sum(s <= cut))
+def commutant_dimension(triple: GnsTriple) -> int:
+    """Complex dimension k^2 of the commutant I_n kron M_k of pi(a) = a kron I_k."""
+    return (triple.dim // triple.n) ** 2
 
 
 def purity_check(rho: StateDensity, cross_check: bool = True) -> bool:
-    """Whether the state is pure (rank one).
+    """Whether the state is pure: rank one, so the commutant is trivial.
 
-    With ``cross_check`` the rank decision is verified against the commutant
-    of the GNS representation, which is trivial exactly for pure states.
+    ``cross_check`` certifies the purification in O(n k^2): the Schmidt
+    coefficients of psi (squared singular values of its coefficient matrix)
+    must number k under the rank rule and match the eigenvalues within the
+    scaled GNS_CONSISTENCY_RTOL * (1 + p_max), else NumericalError.
     """
-    pure = spectral_split(rho).support_dim == 1
+    split = spectral_split(rho)
+    k = split.support_dim
     if cross_check:
-        cd = commutant_dimension(gns_construct(rho))
-        if (cd == 1) != pure:
+        p = split.eigenvalues
+        schmidt = np.linalg.svd(split.support_basis * np.sqrt(p), compute_uv=False) ** 2
+        rank = int(np.sum(schmidt > default_rank_tol(rho.matrix)))
+        gap = float(np.max(np.abs(schmidt - p)))
+        if rank != k or gap > config.scaled(config.GNS_CONSISTENCY_RTOL) * (1.0 + float(p[0])):
             raise NumericalError(
-                f"purity disagreement: rank says {pure}, commutant dimension is {cd}"
+                f"purification disagrees with the spectrum: Schmidt rank {rank} vs "
+                f"rank {k}, largest coefficient gap {gap:.3e}"
             )
-    return pure
+    return k == 1
 
 
 @dataclass(frozen=True)
@@ -184,8 +163,8 @@ class AbelianGnsTriple:
 def gns_construct_abelian(p: ProbabilityVector) -> AbelianGnsTriple:
     """GNS construction restricted to the diagonal (classical) subalgebra."""
     weights = p.p
-    cut = config.scaled(config.GNS_NULLSPACE_RTOL) * float(weights.max())
-    support = np.flatnonzero(weights > cut)
+    # the rank rule of spectral_split(embed_classical(p)): ||diag(p)||_F = ||p||_2
+    support = np.flatnonzero(weights > default_rank_tol(weights))
     return AbelianGnsTriple(
         m=weights.shape[0],
         dim=int(support.size),

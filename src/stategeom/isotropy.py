@@ -48,6 +48,8 @@ from .states import (
 )
 from .tangent import alpha_velocity, phi_velocity
 
+_SWEEP_ENTRIES = 1 << 16  # matrix entries per chunk of the residual sweep (1 MiB)
+
 __all__ = [
     "RealBasis",
     "IsotropyReport",
@@ -266,12 +268,12 @@ def _certify(b: _Blocks, sv: np.ndarray, identity: bool = False) -> float:
     return lower
 
 
-def _outer_stack(b: _Blocks, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Stack of c1 left_j1 right_l1† + c2 left_j2 right_l2† over the blocks,
-    where left_j and right_l are columns."""
+def _outer_stack(b: _Blocks, left: np.ndarray, right: np.ndarray, part=slice(None)) -> np.ndarray:
+    """Stack of c1 left_j1 right_l1† + c2 left_j2 right_l2† over the blocks in
+    ``part``, where left_j and right_l are columns."""
     lt, rt = left.T, np.conjugate(right.T)
-    out = (b.c1[:, None] * lt[b.j1])[:, :, None] * rt[b.l1][:, None, :]
-    out += (b.c2[:, None] * lt[b.j2])[:, :, None] * rt[b.l2][:, None, :]
+    out = (b.c1[part, None] * lt[b.j1[part]])[:, :, None] * rt[b.l1[part]][:, None, :]
+    out += (b.c2[part, None] * lt[b.j2[part]])[:, :, None] * rt[b.l2[part]][:, None, :]
     return out
 
 
@@ -343,21 +345,26 @@ class IsotropyReport:
 
 def _sweep_residual(b: _Blocks, w: np.ndarray, base: np.ndarray, normalized: bool) -> float:
     """Worst membership residual of the rotated blocks at ``base``, sweeping the
-    velocities without forming the basis vectors.
+    velocities _SWEEP_ENTRIES matrix entries at a time (O(n^2) memory).
 
     For v = c w_j w_l† and y = h w, h the Hermitian part of base, the
     congruence velocity is c w_j y_l† + conj(c) y_l w_j†; the normalized
     action subtracts its trace times base.  The pairings of the velocity
     t + t† are read straight from t, in the order of hermitian_components.
     """
-    t = _outer_stack(b, w, ((base + dagger(base)) / 2.0) @ w)
+    y = ((base + dagger(base)) / 2.0) @ w
     rows, cols = np.triu_indices(w.shape[0], k=1)
-    values = _pairings(2.0 * np.diagonal(t, axis1=1, axis2=2).real,
-                       t[:, rows, cols] + np.conjugate(t[:, cols, rows]))
-    if normalized:
-        trace = 2.0 * np.trace(t, axis1=1, axis2=2).real
-        values -= trace[:, None] * hermitian_components(base)
-    return float(np.max(np.abs(values)))
+    step = max(1, _SWEEP_ENTRIES // w.size)
+    worst = 0.0
+    for start in range(0, b.dim, step):
+        t = _outer_stack(b, w, y, slice(start, start + step))
+        values = _pairings(2.0 * np.diagonal(t, axis1=1, axis2=2).real,
+                           t[:, rows, cols] + np.conjugate(t[:, cols, rows]))
+        if normalized:
+            trace = 2.0 * np.trace(t, axis1=1, axis2=2).real
+            values -= trace[:, None] * hermitian_components(base)
+        worst = max(worst, float(np.max(np.abs(values))))
+    return worst
 
 
 def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
@@ -366,7 +373,7 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     The congruence isotropy is scale invariant, so a non-normalized
     functional is paired with its normalized state for the phi residuals.
     The bases are certified but never formed: the membership sweep works on
-    their blocks.
+    their blocks, one bounded chunk at a time.
     """
     split = spectral_split(xi)
     isotropy, complement = _blocks(split)

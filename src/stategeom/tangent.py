@@ -84,10 +84,12 @@ def _flow_point(rho0: StateDensity, gen: np.ndarray, t) -> StateDensity:
 
     exp(t gen) is invertible for every t, so a group element or state that
     fails validation here means the exponential overflowed or became too
-    ill-conditioned to use: a NumericalError that names t.
+    ill-conditioned to use: a NumericalError that names t.  Overflow
+    warnings are silenced, since that error reports them.
     """
     try:
-        return phi(group_element(matrix_exp(t * gen)), rho0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return phi(group_element(matrix_exp(t * gen)), rho0)
     except ValidationError as exc:
         raise NumericalError(
             f"exp(t a) is not numerically usable at t = {float(t)!r}: {type(exc).__name__}: {exc}"

@@ -111,6 +111,23 @@ def null_space_dimension(m, rel_tol=1e-8):
     return int(m.shape[1] - np.sum(s > cut))
 
 
+def commutant_dimension_dense(rep, n):
+    """Complex dimension of the commutant of a representation of M_n.
+
+    A cyclic shift and a diagonal with distinct entries generate M_n, so the
+    commutant is the null space of X -> ([pi(s), X], [pi(d), X]), assembled
+    densely as kron(r, I) - kron(I, r^T) for r = rep(s), rep(d).
+    """
+    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    diag = np.diag(np.arange(n, dtype=complex))
+    rows = []
+    for gen in (shift, diag):
+        r = rep(gen)
+        eye = np.eye(r.shape[0], dtype=complex)
+        rows.append(np.kron(r, eye) - np.kron(eye, r.T))
+    return null_space_dimension(np.vstack(rows))
+
+
 def eig_count(h, tol):
     """Signature by brute-force eigenvalue counting."""
     w = np.linalg.eigvalsh((h + dag(h)) / 2.0)

@@ -292,3 +292,36 @@ class TestNonconvexity:
         r1, r2 = qubit(1.0), qubit(0.0)
         mixed = mix_states(r1, r2, 0.25)
         np.testing.assert_allclose(np.diagonal(mixed.matrix).real, [0.25, 0.75])
+
+
+class TestCongruenceOverflow:
+    BIG = 1e200 * np.eye(2, dtype=complex)
+
+    def test_denominator_overflow_is_numerical_error(self):
+        import warnings
+
+        from stategeom.errors import NumericalError
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows") as info:
+                denominator(self.BIG, qubit(0.75))
+        assert not isinstance(info.value, NumericallySingular)
+
+    def test_alpha_overflow_is_numerical_error(self):
+        import warnings
+
+        from stategeom.errors import NumericalError
+
+        rho = qubit(0.75)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xi in (rho, PositiveFunctional(matrix=2.0 * rho.matrix), np.diag([1.0, -1.0])):
+                with pytest.raises(NumericalError, match="overflows"):
+                    alpha(self.BIG, xi)
+
+    def test_large_finite_scale_still_acts(self):
+        rho = qubit(0.75)
+        assert denominator(1e100 * np.eye(2), rho) == pytest.approx(1e200)
+        np.testing.assert_allclose(alpha(1e100 * np.eye(2), np.diag([1.0, -1.0])),
+                                   np.diag([1e200, -1e200]))

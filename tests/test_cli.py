@@ -293,3 +293,55 @@ class TestGlobalFlags:
     def test_unsupported_format_rejected(self, runner, files):
         result = runner.invoke(main, ["--format", "csv", "validate", files["state"]])
         assert result.exit_code == 2
+
+
+def _cli_process(*args):
+    """Run the CLI in a fresh interpreter, so stderr is exactly what a user sees."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stategeom
+
+    src = str(Path(stategeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "stategeom.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestOverflowStderr:
+    def test_act_alpha_overflow_exits_3_with_one_line(self, files, tmp_path):
+        big = write(tmp_path / "big.json", 1e200 * np.eye(2))
+        done = _cli_process("act", "alpha", big, files["state"])
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr == "NumericalError: g xi g† overflows double precision\n"
+
+    def test_flow_overflow_exits_3_with_one_line(self, files, tmp_path):
+        z = write(tmp_path / "z.json", np.diag([1.0, -1.0]))
+        done = _cli_process("flow", files["state"], z, "--t0", "1000", "--t1", "1000",
+                            "--steps", "1")
+        assert done.returncode == 3
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("NumericalError: ")
+        assert "t = 1000.0" in lines[0]
+
+
+def test_isotropy_output_pinned_at_n4_rank2(runner, tmp_path):
+    # H diag(3/4, 1/4, 0, 0) H with H the orthogonal 4x4 Hadamard / 2: exact entries
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    state = write(tmp_path / "rank2.json", h @ np.diag([0.75, 0.25, 0.0, 0.0]) @ h, "state")
+    common = ('"ambient_dim":32,"support_dim":2,"dim_alpha":20,"dim_phi":21,'
+              '"dim_complement":12,"max_residual":2.220446049250313e-16')
+    expected = {
+        "both": f'{{"action":"both",{common},"orbit_dim_alpha":12,"orbit_dim_phi":11}}',
+        "alpha": f'{{"action":"alpha",{common},"orbit_dim_alpha":12}}',
+        "phi": f'{{"action":"phi",{common},"orbit_dim_phi":11}}',
+    }
+    for action, text in expected.items():
+        result = runner.invoke(main, ["isotropy", "--action", action, state])
+        assert result.exit_code == 0
+        assert result.output == text + "\n"

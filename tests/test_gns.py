@@ -186,3 +186,69 @@ class TestAbelian:
         triple = gns_construct_abelian(p)
         f = np.array([1.0, -2.0, 4.0])
         assert triple.expectation(f) == pytest.approx(float(f @ p.p))
+
+
+class TestPurificationClosedForms:
+    def test_dense_commutant_oracle_matches_closed_form(self):
+        from oracles import commutant_dimension_dense
+
+        rng = np.random.default_rng(34)
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                rho = random_state(rng, n, rank=k)
+                triple = gns_construct(rho)
+                dense = commutant_dimension_dense(triple.rep, n)
+                assert dense == commutant_dimension(triple) == k * k
+                assert purity_check(rho) == (dense == 1)
+
+    def test_near_threshold_rank_is_one_decision(self):
+        from stategeom.states import classify_orbit, spectral_split
+
+        # 1.5e-12 is below the rank cut 1e-12 * (1 + ||rho||_F) ~ 2e-12
+        rho = validate_state(np.diag([1.0 - 1.5e-12, 1.5e-12]).astype(complex))
+        assert spectral_split(rho).support_dim == 1
+        assert classify_orbit(rho).rank == 1
+        assert gns_construct(rho).dim == 2
+        assert purity_check(rho)
+
+    def test_purity_at_n64(self):
+        rng = np.random.default_rng(64)
+        assert purity_check(random_state(rng, 64, rank=1))
+        assert not purity_check(random_state(rng, 64))
+
+    def test_cross_check_rejects_a_non_orthonormal_support(self, monkeypatch):
+        import stategeom.gns as gns_module
+        from stategeom.errors import NumericalError
+        from stategeom.states import SpectralSplit, spectral_split
+
+        def collapsed(rho):
+            # every support column along the top eigenvector: Schmidt rank 1
+            split = spectral_split(rho)
+            e = np.repeat(split.support_basis[:, :1], split.support_dim, axis=1)
+            return SpectralSplit(split.eigenvalues, e, split.kernel_basis)
+
+        monkeypatch.setattr(gns_module, "spectral_split", collapsed)
+        rho = random_state(np.random.default_rng(35), 3, rank=2)
+        with pytest.raises(NumericalError, match="Schmidt rank 1 vs rank 2"):
+            purity_check(rho)
+        assert not purity_check(rho, cross_check=False)
+
+    def test_abelian_support_follows_spectral_rank(self):
+        from stategeom.states import default_rank_tol, embed_classical, spectral_split
+
+        below, above = 1.9e-12, 2.1e-12
+        p = validate_probability([1.0 - below - above, below, above])
+        cut = default_rank_tol(np.diag(p.p))
+        assert below < cut < above
+        triple = gns_construct_abelian(p)
+        assert triple.support.tolist() == [0, 2]
+        assert triple.dim == spectral_split(embed_classical(p)).support_dim == 2
+        rng = np.random.default_rng(36)
+        for m in (1, 3, 6):
+            w = rng.dirichlet(np.ones(m))
+            w[rng.random(m) < 0.5] = 0.0
+            if w.sum() == 0.0:
+                w[0] = 1.0
+            q = validate_probability(w / w.sum())
+            expected = spectral_split(embed_classical(q)).support_dim
+            assert gns_construct_abelian(q).dim == expected == np.count_nonzero(q.p)

@@ -343,3 +343,34 @@ def test_report_residual_pinned_at_n16():
     assert isotropy_report(rho).max_residual == float.fromhex("0x1.205249c088ddbp-54")
     xi = validate_positive(3.5 * random_state(np.random.default_rng(1602), 16, rank=4).matrix)
     assert isotropy_report(xi).max_residual == float.fromhex("0x1.8000000000000p-52")
+
+
+def test_report_residual_independent_of_sweep_chunks(monkeypatch):
+    # every block's residual is computed on its own, so any chunking of the
+    # sweep gives the same bits as one chunk holding the whole basis
+    import stategeom.isotropy as iso
+
+    rng = np.random.default_rng(1603)
+    cases = [random_state(rng, n, rank=k) for n, k in ((5, 2), (9, 9), (12, 3))]
+    cases.append(validate_positive(2.5 * random_state(rng, 7, rank=4).matrix))
+    for entries in (1, 50, 1 << 30):
+        monkeypatch.setattr(iso, "_SWEEP_ENTRIES", entries)
+        got = [isotropy_report(xi).max_residual for xi in cases]
+        if entries == 1:
+            one_block = got
+        assert got == one_block
+
+
+def test_report_working_memory_is_bounded():
+    # the sweep holds one chunk of blocks at a time; materialising the whole
+    # velocity stack at n=32, rank 8 (1600 blocks of 32x32) peaked near 60 MiB
+    import tracemalloc
+
+    rho = random_state(np.random.default_rng(3208), 32, rank=8)
+    tracemalloc.start()
+    try:
+        isotropy_report(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

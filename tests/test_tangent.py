@@ -220,3 +220,16 @@ class TestKernelAndRank:
     def test_faithful_rank_value(self):
         rho = random_state(np.random.default_rng(19), 4)
         assert tangent_map_rank(rho) == 15  # n^2 - 1
+
+
+def test_overflowing_flow_warns_nothing():
+    import warnings
+
+    rng = np.random.default_rng(51)
+    a = random_direction(rng, 4, norm=5000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"t = 1000\.0"):
+            flow(maximally_mixed(2), PAULI_Z, [1000.0])
+        with pytest.raises(NumericalError, match=r"t = 1\.0"):
+            flow(maximally_mixed(4), a, [1.0])
