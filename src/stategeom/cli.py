@@ -1,10 +1,10 @@
 """Command-line harness: file-based access to every operation.
 
 Exit codes: 0 on success, 2 when an input fails validation, 3 on numerical
-failure, including a LAPACK routine that does not converge; stderr carries
-the error taxonomy name.  All outputs are deterministic for fixed inputs (and
-fixed --seed where randomness is requested), using canonical JSON and
-17-significant-digit CSV.
+failure, including a LAPACK routine that does not converge or an allocation
+that runs out of memory; stderr carries the error taxonomy name.  All
+outputs are deterministic for fixed inputs (and fixed --seed where
+randomness is requested), using canonical JSON and 17-significant-digit CSV.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ def handle_errors(fn):
             _fail(exc, 3)
         except np.linalg.LinAlgError as exc:
             _fail(NumericalError(str(exc)), 3)
+        except MemoryError as exc:
+            _fail(NumericalError(f"out of memory: {exc}" if str(exc) else "out of memory"), 3)
 
     return wrapper
 

@@ -16,6 +16,7 @@ tangent finite-difference check) pay scipy's import time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,6 @@ __all__ = [
     "inertia",
     "opnorm",
     "sigma_min",
-    "commutator",
-    "anticommutator",
     "matrix_unit",
 ]
 
@@ -62,7 +61,18 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm, finite whenever the norm itself is.
+
+    np.linalg.norm squares the entries, which overflows above about 1e154;
+    only then is the norm taken again on a copy divided by a power of two
+    above max|a| (exact in binary) and scaled back.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.linalg.norm(a))
+        if math.isinf(value):
+            e = math.frexp(float(np.max(np.abs(a))))[1]
+            value = float(np.ldexp(np.linalg.norm(a * math.ldexp(1.0, -e)), e))
+    return value
 
 
 def fro_scale(a: np.ndarray) -> float:
@@ -83,16 +93,6 @@ def require_hermitian(a, name: str = "operator") -> np.ndarray:
     if defect > tol:
         raise NotHermitian(f"{name} is not Hermitian: defect {defect:.3e} > {tol:.3e}")
     return m
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] = ab - ba."""
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """{a, b} = ab + ba."""
-    return a @ b + b @ a
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
@@ -172,7 +172,7 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     """
     dec = hermitian_eig(p)
     # for Hermitian input the Frobenius norm is the eigenvalue 2-norm
-    clamp = config.scaled(config.PSD_CLAMP_RTOL) * (1.0 + float(np.linalg.norm(dec.eigenvalues)))
+    clamp = config.scaled(config.PSD_CLAMP_RTOL) * fro_scale(dec.eigenvalues)
     w = dec.eigenvalues
     if np.any(w < -clamp):
         raise NotPSD(f"matrix has eigenvalue {w.min():.3e} below -{clamp:.3e}")

@@ -10,21 +10,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import dagger
-from .states import (
-    PositiveFunctional,
-    ProbabilityVector,
-    StateDensity,
-    validate_positive,
-    validate_probability,
-    validate_state,
-)
+from .states import ProbabilityVector, StateDensity, validate_probability, validate_state
 
 __all__ = [
     "random_hermitian",
     "random_unitary",
     "random_invertible",
     "random_state",
-    "random_positive",
     "random_probability",
     "random_direction",
 ]
@@ -82,13 +74,6 @@ def random_state(rng: np.random.Generator, n: int, rank: int | None = None,
     u = random_unitary(rng, n)
     m = (u * w) @ dagger(u)
     return validate_state((m + dagger(m)) / 2.0)
-
-
-def random_positive(rng: np.random.Generator, n: int, rank: int | None = None,
-                    scale: float = 1.0, floor: float = 0.2) -> PositiveFunctional:
-    """Random positive functional with prescribed rank and overall scale."""
-    rho = random_state(rng, n, rank=rank, floor=floor)
-    return validate_positive(rho.matrix * scale)
 
 
 def random_probability(rng: np.random.Generator, m: int) -> ProbabilityVector:

@@ -43,6 +43,20 @@ def realification_basis_explicit(n):
     return out
 
 
+def tangent_singular_values_dense(rho):
+    """Singular values of a -> a rho + rho a† - Tr(a rho + rho a†) rho, descending.
+
+    One column per realification basis element (real parts, then imaginary
+    parts of its image), then a full SVD of the 2n^2 x 2n^2 real matrix.
+    """
+    cols = []
+    for d in realification_basis_explicit(rho.shape[0]):
+        v = d @ rho + rho @ dag(d)
+        v = v - np.trace(v).real * rho
+        cols.append(np.concatenate([v.real.ravel(), v.imag.ravel()]))
+    return np.linalg.svd(np.array(cols).T, compute_uv=False)
+
+
 def constraint_matrix_alpha(xi):
     """Real matrix of a -> (Tr(xi(a†b_i + b_i a)))_i over the realification.
 

@@ -150,6 +150,18 @@ class TestIsotropyCommand:
         assert "NumericalError: Eigenvalues did not converge" in result.output
         assert "Traceback" not in result.output
 
+    def test_memory_error_exits_3(self, runner, files, monkeypatch):
+        import stategeom.cli
+
+        def too_large(functional):
+            raise MemoryError("Unable to allocate 512. MiB for an array")
+
+        monkeypatch.setattr(stategeom.cli, "isotropy_report", too_large)
+        result = runner.invoke(main, ["isotropy", files["state"]])
+        assert result.exit_code == 3
+        assert "NumericalError: out of memory: Unable to allocate 512. MiB" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestTangentCommand:
     def test_phi_tangent_with_fd_report(self, runner, files):

@@ -178,3 +178,23 @@ class TestGibbs:
             gibbs_family(0, 0.5)
         with pytest.raises(ValidationError):
             gibbs_family(3, 1.0)
+
+
+def test_huge_scales_validate_without_overflow():
+    # squaring entries above ~1e154 overflows a plain Frobenius norm, which
+    # made every floor scaled by it infinite and refused valid functionals
+    import warnings
+
+    from stategeom.actions import alpha
+    from stategeom.linalg import matrix_sqrt_psd
+
+    d = np.diag([0.75, 0.25]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_positive(1e160 * d).n == 2
+        split = spectral_split(1e160 * d)
+        np.testing.assert_allclose(split.eigenvalues, [7.5e159, 2.5e159], rtol=1e-15)
+        image = alpha(1e100 * np.eye(2), validate_positive(d))
+        np.testing.assert_allclose(image.matrix, 1e200 * d, rtol=1e-15)
+        assert frobenius(1e160 * d) == pytest.approx(1e160 * np.sqrt(0.625), rel=1e-15)
+        np.testing.assert_allclose(matrix_sqrt_psd(1e160 * d), 1e80 * np.sqrt(d), rtol=1e-15)

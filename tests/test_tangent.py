@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference, dag
+from oracles import central_difference, dag, tangent_singular_values_dense
+from stategeom import config
 from stategeom.actions import phi
 from stategeom.errors import NotHermitian, NumericalError
 from stategeom.isotropy import (
@@ -11,9 +12,10 @@ from stategeom.isotropy import (
     orbit_dimension,
 )
 from stategeom.linalg import frobenius, matrix_exp
-from stategeom.sampling import random_direction, random_hermitian, random_state
+from stategeom.sampling import random_direction, random_hermitian, random_state, random_unitary
 from stategeom.states import maximally_mixed, spectral_split, validate_positive, validate_state
 from stategeom.tangent import (
+    _singular_values,
     covariance,
     fd_tangent_check,
     flow,
@@ -220,6 +222,38 @@ class TestKernelAndRank:
     def test_faithful_rank_value(self):
         rho = random_state(np.random.default_rng(19), 4)
         assert tangent_map_rank(rho) == 15  # n^2 - 1
+
+
+def _oracle_rank(s):
+    return int(np.sum(s > config.TANGENT_RANK_RTOL * s[0])) if s[0] > 0.0 else 0
+
+
+class TestClosedFormAgainstDenseMap:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_singular_values_and_rank_every_rank(self, n):
+        rng = np.random.default_rng(60 + n)
+        for k in range(1, n + 1):
+            rho = random_state(rng, n, rank=k)
+            dense = tangent_singular_values_dense(rho.matrix)
+            closed = np.sort(np.concatenate([_singular_values(rho.matrix), np.zeros(n * n)]))
+            np.testing.assert_allclose(closed[::-1], dense, rtol=0.0, atol=1e-13)
+            if n > 1:  # at n = 1 the map is zero and a relative cut only sees round-off
+                assert tangent_map_rank(rho) == _oracle_rank(dense) == n * n - (n - k) ** 2 - 1
+
+    def test_spectrum_near_the_rank_cut(self):
+        # pairs with the zero eigenvalue give sqrt(2) p_j: 2x and 0.5x the cut
+        tiny = np.array([2e-8, 0.5e-8])
+        p = np.concatenate([[1.0 - tiny.sum()], tiny, [0.0]])
+        u = random_unitary(np.random.default_rng(66), 4)
+        rho = validate_state((u * p) @ dag(u))
+        dense = tangent_singular_values_dense(rho.matrix)
+        ratios = dense / (config.TANGENT_RANK_RTOL * dense[0])
+        assert np.any(np.abs(ratios - 2.0) < 0.01) and np.any(np.abs(ratios - 0.5) < 0.01)
+        assert tangent_map_rank(rho) == _oracle_rank(dense)
+
+    def test_rank_at_n64(self):
+        rho = random_state(np.random.default_rng(67), 64, rank=16)
+        assert tangent_map_rank(rho) == 64 ** 2 - 48 ** 2 - 1  # 1791
 
 
 def test_overflowing_flow_warns_nothing():
