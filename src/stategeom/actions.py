@@ -69,8 +69,7 @@ def group_element(g) -> GroupElement:
     m = as_operator(g, "group element")
     s = np.linalg.svd(m, compute_uv=False)
     smin, smax = float(s[-1]), float(s[0])
-    if smin <= config.scaled(config.SINGULAR_RTOL) * (1.0 + smax):
-        raise Singular(f"group element is numerically singular: sigma_min = {smin:.3e}")
+    config.check("sigma_min", smin, config.SINGULAR_RTOL, 1.0 + smax, Singular, floor=True)
     frozen = np.array(m)
     frozen.flags.writeable = False
     return GroupElement(matrix=frozen, sigma_min=smin, sigma_max=smax)
@@ -112,9 +111,8 @@ def denominator(g, rho: StateDensity) -> float:
         value = float(np.trace(rho.matrix @ dagger(ge.matrix) @ ge.matrix).real)
     if not math.isfinite(value):
         raise NumericalError("Tr(rho g†g) overflows double precision")
-    if value <= config.scaled(config.DENOMINATOR_FLOOR):
-        raise NumericallySingular(f"Tr(rho g†g) = {value:.3e} is numerically zero")
-    return value
+    return config.check("Tr(rho g†g)", value, config.DENOMINATOR_FLOOR, 1.0,
+                        NumericallySingular, floor=True)
 
 
 def phi(g, rho: StateDensity) -> StateDensity:
@@ -132,19 +130,16 @@ def phi(g, rho: StateDensity) -> StateDensity:
     m.real = np.ldexp(ge.matrix.real, -e)
     m.imag = np.ldexp(ge.matrix.imag, -e)
     num = m @ rho.matrix @ dagger(m)
-    den = float(np.trace(num).real)
-    if den <= math.ldexp(config.scaled(config.DENOMINATOR_FLOOR), -2 * e):
-        unscaled = math.ldexp(den, 2 * e)
-        raise NumericallySingular(f"Tr(g rho g†) = {unscaled:.3e} is numerically zero")
+    den = config.check("Tr(g rho g†)", float(np.trace(num).real), config.DENOMINATOR_FLOOR,
+                       1.0, NumericallySingular, floor=True, exp2=2 * e)
     return validate_state(num / den)
 
 
 def unitary_phi(u, rho: StateDensity) -> StateDensity:
     """Coadjoint action u rho u† of the unitary subgroup (spectrum preserving)."""
     m = as_operator(u, "unitary")
-    defect = frobenius(dagger(m) @ m - np.eye(m.shape[0]))
-    if defect > config.scaled(config.UNITARY_ATOL):
-        raise NotUnitary(f"u†u - I has norm {defect:.3e}")
+    config.check("||u†u - I||_F", frobenius(dagger(m) @ m - np.eye(m.shape[0])),
+                 config.UNITARY_ATOL, 1.0, NotUnitary)
     return validate_state(m @ rho.matrix @ dagger(m))
 
 

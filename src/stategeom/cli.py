@@ -10,7 +10,6 @@ randomness is requested), using canonical JSON and 17-significant-digit CSV.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import config
 from .actions import alpha, group_element, phi
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, TraceError, ValidationError
 from .gns import gns_construct
 from .isotropy import isotropy_report
 from .orbits import (
@@ -35,6 +34,7 @@ from .serialize import (
     flow_csv,
     load_matrix_file,
     matrix_to_jsonable,
+    read_json,
     truncation_csv,
 )
 from .states import (
@@ -46,7 +46,6 @@ from .states import (
     validate_state,
 )
 from .tangent import fd_tangent_check, flow, tangent_alpha, tangent_phi
-from .errors import TraceError
 
 
 def _fail(exc: Exception, code: int):
@@ -81,12 +80,8 @@ def _emit(ctx, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _format(ctx, default: str) -> str:
-    return ctx.obj.get("format") or default
-
-
 def _require_format(ctx, allowed: tuple, default: str) -> str:
-    fmt = _format(ctx, default)
+    fmt = ctx.obj.get("format") or default
     if fmt not in allowed:
         raise ValidationError(f"--format {fmt} unsupported here (allowed: {', '.join(allowed)})")
     return fmt
@@ -111,8 +106,8 @@ def _load_functional(path) -> tuple[PositiveFunctional, str]:
 
 
 @click.group()
-@click.option("--tol", type=float, default=None,
-              help="Global tolerance multiplier (default: STATEGEOM_TOL or 1.0).")
+@click.option("--tol", metavar="FLOAT", default=None,
+              help="Finite positive tolerance multiplier (default: STATEGEOM_TOL or 1.0).")
 @click.option("--seed", type=int, default=None,
               help="Seed for commands with randomized configuration.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -122,12 +117,12 @@ def _load_functional(path) -> tuple[PositiveFunctional, str]:
 @click.pass_context
 def main(ctx, tol, seed, out, fmt):
     """Numerical toolkit for group actions on density operators."""
-    if tol is None:
-        env = os.environ.get("STATEGEOM_TOL")
-        tol = float(env) if env else 1.0
-    if tol <= 0.0:
-        raise click.UsageError("--tol must be positive")
-    config.set_tolerance_scale(tol)
+    source = "--tol" if tol is not None else "STATEGEOM_TOL"
+    tol = tol if tol is not None else os.environ.get("STATEGEOM_TOL") or "1"
+    try:
+        config.set_tolerance_scale(float(tol))
+    except ValueError:
+        _fail(ValidationError(f"{source} must be a finite positive number, got {tol!r}"), 2)
     ctx.obj = {"seed": seed, "out": out, "format": fmt}
 
 
@@ -275,6 +270,8 @@ def flow_cmd(ctx, file, generator_file, t0, t1, steps):
     fmt = _require_format(ctx, ("csv", "json"), "csv")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValidationError(f"--t0 and --t1 must be finite, got {t0} and {t1}")
     rho = _load_state(file)
     gen, _ = load_matrix_file(generator_file)
     grid = np.linspace(t0, t1, steps)
@@ -320,10 +317,7 @@ def gns(ctx, file):
 def truncate(ctx, config_file):
     """Truncation sweep over a list of dimensions (CSV by default)."""
     fmt = _require_format(ctx, ("csv", "json"), "csv")
-    try:
-        cfg = json.loads(Path(config_file).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{config_file}: invalid JSON ({exc})") from None
+    cfg = read_json(config_file)
     if not isinstance(cfg, dict):
         raise ValidationError("truncation config must be a JSON object")
     for key in ("dims", "spec0", "spec1"):
@@ -339,7 +333,7 @@ def truncate(ctx, config_file):
         rng = np.random.default_rng(seed)
     report = truncation_sweep(
         gen0, gen1, cfg["dims"],
-        ceiling=float(cfg.get("ceiling", 1e6)),
+        ceiling=cfg.get("ceiling", 1e6),
         action=cfg.get("action", "phi"),
         rng=rng,
     )

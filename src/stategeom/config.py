@@ -1,9 +1,11 @@
-"""Baseline tolerances and the global rescale hook behind the CLI --tol flag.
+"""Baseline tolerances, the process-wide rescale behind the CLI --tol flag,
+and ``check``, the one threshold decision that raises.
 
-Every threshold in the package is ``BASE * tolerance_scale()``, and unless a
-docstring says otherwise the base is further multiplied by
-``1 + Frobenius norm`` of the relevant matrix so that tests are scale-free.
+Bounds are BASE * scale * a per-decision factor, usually ``1 + Frobenius norm``
+of the relevant matrix; the counting decisions read ``scaled``.
 """
+
+import math
 
 HERMITIAN_RTOL = 1e-10        # |h - h†| allowance, relative
 PSD_CLAMP_RTOL = 1e-10        # eigenvalues in [-clamp, 0) are treated as 0
@@ -25,19 +27,28 @@ FD_STEP = 1e-5                # central-difference step
 _scale = 1.0
 
 
-def tolerance_scale() -> float:
-    """Current global multiplier applied to every tolerance."""
-    return _scale
-
-
 def set_tolerance_scale(value: float) -> None:
-    """Rescale all module tolerances uniformly (must be positive)."""
+    """Rescale all module tolerances uniformly (must be finite and positive)."""
     global _scale
-    if not value > 0.0:
-        raise ValueError(f"tolerance scale must be positive, got {value}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"tolerance scale must be finite and positive, got {value}")
     _scale = float(value)
 
 
 def scaled(base: float) -> float:
     """A base tolerance after the global rescale."""
     return base * _scale
+
+
+def check(what: str, value: float, base: float, scale: float, exc: type,
+          *, floor: bool = False, exp2: int = 0) -> float:
+    """Return ``value``, or raise ``exc`` naming ``what``, the value and the bound
+    ``scaled(base) * scale`` when the value exceeds it (is at or below it for a
+    ``floor``).  ``exp2`` marks a value prescaled by 2**-exp2: the bound is
+    rescaled alike and both are reported unscaled."""
+    bound = math.ldexp(base * _scale * scale, -exp2)
+    if value <= bound if floor else value > bound:
+        relation = "at or below" if floor else "exceeds"
+        raise exc(f"{what} {math.ldexp(value, exp2):.3e} {relation} "
+                  f"{math.ldexp(bound, exp2):.3e}")
+    return value

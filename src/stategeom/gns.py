@@ -97,13 +97,10 @@ def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     norm_sq = triple.expectation(gram_g).real
     # the vector expectation of g†g must reproduce rho(g†g)
     from_state = float(np.trace(rho.matrix @ gram_g).real)
-    bound = config.scaled(config.GNS_CONSISTENCY_RTOL) * (1.0 + abs(from_state))
-    if abs(norm_sq - from_state) > bound:
-        raise ValidationError(
-            f"triple does not represent the given state: {norm_sq!r} vs {from_state!r}"
-        )
-    if norm_sq <= config.scaled(config.DENOMINATOR_FLOOR):
-        raise NumericallySingular(f"<psi|pi(g†g)|psi> = {norm_sq:.3e} is numerically zero")
+    config.check("|<psi|pi(g†g)|psi> - rho(g†g)|", abs(norm_sq - from_state),
+                 config.GNS_CONSISTENCY_RTOL, 1.0 + abs(from_state), ValidationError)
+    config.check("<psi|pi(g†g)|psi>", norm_sq, config.DENOMINATOR_FLOOR, 1.0,
+                 NumericallySingular, floor=True)
     moved = triple.vector_of(ge.matrix) / np.sqrt(norm_sq)
     return GnsTriple(n=triple.n, dim=triple.dim, cyclic=moved)
 
@@ -127,12 +124,10 @@ def purity_check(rho: StateDensity, cross_check: bool = True) -> bool:
         p = split.eigenvalues
         schmidt = np.linalg.svd(split.support_basis * np.sqrt(p), compute_uv=False) ** 2
         rank = int(np.sum(schmidt > default_rank_tol(rho.matrix)))
-        gap = float(np.max(np.abs(schmidt - p)))
-        if rank != k or gap > config.scaled(config.GNS_CONSISTENCY_RTOL) * (1.0 + float(p[0])):
-            raise NumericalError(
-                f"purification disagrees with the spectrum: Schmidt rank {rank} vs "
-                f"rank {k}, largest coefficient gap {gap:.3e}"
-            )
+        if rank != k:
+            raise NumericalError(f"purification: Schmidt rank {rank} vs rank {k} of the spectrum")
+        config.check("largest Schmidt coefficient gap", float(np.max(np.abs(schmidt - p))),
+                     config.GNS_CONSISTENCY_RTOL, 1.0 + float(p[0]), NumericalError)
     return k == 1
 
 

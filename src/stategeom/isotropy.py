@@ -261,11 +261,8 @@ def _certify(b: _Blocks, sv: np.ndarray, identity: bool = False) -> float:
         defect = float(np.max(np.abs(1.0 - sv**2)))
     lower = max(sv[-1] ** 2 * np.sqrt(max(low, 0.0)) - defect, 0.0) ** 2
     upper = (sv[0] ** 2 * np.sqrt(high) + defect) ** 2
-    if lower <= config.scaled(config.GRAM_MIN_EIG_RTOL) * max(1.0, upper):
-        raise ValidationError(
-            f"basis is not linearly independent: Gram eigenvalue bound {lower:.3e}"
-        )
-    return lower
+    return config.check("basis is not linearly independent: Gram eigenvalue bound", lower,
+                        config.GRAM_MIN_EIG_RTOL, max(1.0, upper), ValidationError, floor=True)
 
 
 def _outer_stack(b: _Blocks, left: np.ndarray, right: np.ndarray, part=slice(None)) -> np.ndarray:

@@ -6,8 +6,8 @@ are always sorted non-increasing (stable sort), and each eigenvector column
 is rephased so that its largest-magnitude component is real and positive,
 which makes the output a pure function of the input bits.
 
-All operations are pure functions of their arguments and safe to call from
-multiple threads.
+All operations are pure functions of their arguments and of the process-wide
+tolerance scale in ``config``, which every thread shares.
 
 Everything here is numpy except ``matrix_exp``, which imports scipy on its
 first call, so only the callers of the exponential map (``flow`` and the
@@ -38,7 +38,6 @@ __all__ = [
     "polar",
     "inertia",
     "opnorm",
-    "sigma_min",
     "matrix_unit",
 ]
 
@@ -88,10 +87,8 @@ def hermitian_defect(a: np.ndarray) -> float:
 def require_hermitian(a, name: str = "operator") -> np.ndarray:
     """Return ``a`` as an operator, or raise NotHermitian."""
     m = as_operator(a, name)
-    tol = config.scaled(config.HERMITIAN_RTOL) * fro_scale(m)
-    defect = hermitian_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"{name} is not Hermitian: defect {defect:.3e} > {tol:.3e}")
+    config.check("Hermitian defect", hermitian_defect(m), config.HERMITIAN_RTOL,
+                 fro_scale(m), NotHermitian)
     return m
 
 
@@ -105,11 +102,6 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
 def opnorm(a: np.ndarray) -> float:
     """Operator (spectral) norm."""
     return float(np.linalg.norm(a, 2))
-
-
-def sigma_min(a: np.ndarray) -> float:
-    """Smallest singular value."""
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)
@@ -171,11 +163,9 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     zero; anything below raises NotPSD.
     """
     dec = hermitian_eig(p)
-    # for Hermitian input the Frobenius norm is the eigenvalue 2-norm
-    clamp = config.scaled(config.PSD_CLAMP_RTOL) * fro_scale(dec.eigenvalues)
     w = dec.eigenvalues
-    if np.any(w < -clamp):
-        raise NotPSD(f"matrix has eigenvalue {w.min():.3e} below -{clamp:.3e}")
+    # for Hermitian input the Frobenius norm is the eigenvalue 2-norm
+    config.check("-(smallest eigenvalue)", -w[-1], config.PSD_CLAMP_RTOL, fro_scale(w), NotPSD)
     w = np.where(w < 0.0, 0.0, w)
     v = dec.eigenvectors
     s = (v * np.sqrt(w)) @ dagger(v)
@@ -200,8 +190,7 @@ def polar(g) -> tuple[np.ndarray, np.ndarray]:
     """
     m = as_operator(g)
     u, s, vh = np.linalg.svd(m)
-    if s[-1] <= config.scaled(config.SINGULAR_RTOL) * (1.0 + s[0]):
-        raise Singular(f"matrix is numerically singular: sigma_min = {s[-1]:.3e}")
+    config.check("sigma_min", s[-1], config.SINGULAR_RTOL, 1.0 + s[0], Singular, floor=True)
     unitary = u @ vh
     v = dagger(vh)
     psd = (v * s) @ vh

@@ -14,12 +14,14 @@ grows.
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import config
-from .actions import GroupElement, group_element, phi
+from .actions import GroupElement, classical_phi, group_element, phi
 from .errors import NotTracial, NumericalError, RankMismatch, ValidationError
 from .linalg import (
     dagger,
@@ -43,7 +45,6 @@ from .states import (
     validate_probability,
     validate_state,
 )
-from .actions import classical_phi
 
 __all__ = [
     "ConnectCertificate",
@@ -114,26 +115,22 @@ def _connect(rho0, rho1, permutation, rank_tol=None):
     c = float(np.max(ratios))
     element = group_element(g)
     bound = float(np.sqrt(c + 1.0))
-    if element.sigma_max > bound * (1.0 + config.scaled(config.NORM_BOUND_SLACK)):
-        raise NumericalError(
-            f"connecting element norm {element.sigma_max:.6e} exceeds bound {bound:.6e}"
-        )
+    config.check("connecting element norm above sqrt(C+1)", element.sigma_max - bound,
+                 config.NORM_BOUND_SLACK, bound, NumericalError)
     return element, c, bound
 
 
-def _residual_guard(residual: float, target: np.ndarray) -> float:
-    tol = config.scaled(config.CONNECT_RESIDUAL_RTOL) * fro_scale(target)
-    if residual > tol:
-        raise NumericalError(f"connection residual {residual:.3e} exceeds {tol:.3e}")
-    return residual
+def _residual_guard(image: np.ndarray, target: np.ndarray) -> float:
+    return config.check("connection residual", frobenius(image - target),
+                        config.CONNECT_RESIDUAL_RTOL, fro_scale(target), NumericalError)
 
 
 def connect_alpha(rho0: PositiveFunctional, rho1: PositiveFunctional,
                   permutation=None, rank_tol=None) -> ConnectCertificate:
     """Element g with g rho0 g† = rho1, for equal-rank positive functionals."""
     element, c, bound = _connect(rho0, rho1, permutation, rank_tol)
-    image = element.matrix @ rho0.matrix @ dagger(element.matrix)
-    residual = _residual_guard(frobenius(image - rho1.matrix), rho1.matrix)
+    residual = _residual_guard(element.matrix @ rho0.matrix @ dagger(element.matrix),
+                               rho1.matrix)
     return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
                               achieved_residual=residual)
 
@@ -145,8 +142,7 @@ def connect_phi(rho0: StateDensity, rho1: StateDensity,
     Unit traces make the congruence element exact without rescaling.
     """
     element, c, bound = _connect(rho0, rho1, permutation, rank_tol)
-    image = phi(element, rho0).matrix
-    residual = _residual_guard(frobenius(image - rho1.matrix), rho1.matrix)
+    residual = _residual_guard(phi(element, rho0).matrix, rho1.matrix)
     return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
                               achieved_residual=residual)
 
@@ -187,9 +183,8 @@ def require_tracial(tau: StateDensity) -> None:
     # the largest off-diagonal |tau_kl| or the spread of the diagonal.
     diag = np.diagonal(m).real
     off = float(np.max(np.abs(m[~np.eye(n, dtype=bool)]), initial=0.0))
-    worst = max(off, float(diag.max() - diag.min()))
-    if worst > config.scaled(config.TRACIAL_ATOL):
-        raise NotTracial(f"commutator residual {worst:.3e} on the matrix-unit sample")
+    config.check("commutator residual", max(off, float(diag.max() - diag.min())),
+                 config.TRACIAL_ATOL, 1.0, NotTracial)
 
 
 def convex_recombine(tau: StateDensity, g1, g2, lam: float) -> tuple[GroupElement, float]:
@@ -236,6 +231,11 @@ def convex_recombine_classical(p: ProbabilityVector, w1, w2,
     return weights, residual
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether a config value is a number of the given kind; bools are not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpectrumGenerator:
     """Produces a strictly positive spectrum for each truncation dimension."""
@@ -244,18 +244,28 @@ class SpectrumGenerator:
     params: dict = field(default_factory=dict)
     declared_limit: str | None = None
 
+    def _number(self, key: str, default=None) -> float:
+        value = self.params.get(key, default)
+        if not _is_number(value):
+            raise ValidationError(f"{self.kind} spectrum needs a number {key!r}, got {value!r}")
+        return float(value)
+
     def spectrum(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
         if self.kind == "gibbs":
-            return gibbs_spectrum(n, self.params["ratio"])
+            return gibbs_spectrum(n, self._number("ratio"))
         if self.kind == "uniform":
             return np.full(n, 1.0 / n)
         if self.kind == "power":
-            raw = np.arange(1, n + 1, dtype=float) ** (-float(self.params["exponent"]))
-            return raw / raw.sum()
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw = np.arange(1, n + 1, dtype=float) ** (-self._number("exponent"))
+                return raw / raw.sum()
         if self.kind == "dirichlet":
             if rng is None:
                 raise ValidationError("dirichlet spectra need a seeded generator")
-            raw = np.sort(rng.dirichlet(np.full(n, float(self.params.get("alpha", 1.0)))))[::-1]
+            alpha = self._number("alpha", 1.0)
+            if not alpha >= 0.0:
+                raise ValidationError(f"dirichlet alpha must be non-negative, got {alpha}")
+            raw = np.sort(rng.dirichlet(np.full(n, alpha)))[::-1]
             floor = 1e-6 / n
             raw = np.maximum(raw, floor)
             return raw / raw.sum()
@@ -302,17 +312,18 @@ def truncation_sweep(gen0: SpectrumGenerator, gen1: SpectrumGenerator, dims,
     """
     if action not in ("alpha", "phi"):
         raise ValidationError(f"unknown action {action!r}, expected 'alpha' or 'phi'")
-    if ceiling <= 0.0:
-        raise ValidationError(f"ceiling must be positive, got {ceiling}")
-    dims = [int(n) for n in dims]
-    if not dims or any(n < 1 for n in dims):
+    if not (_is_number(ceiling) and ceiling > 0.0):
+        raise ValidationError(f"ceiling must be a positive number, got {ceiling!r}")
+    dims = list(dims) if isinstance(dims, Iterable) else []
+    if not dims or not all(_is_number(n, numbers.Integral) and n >= 1 for n in dims):
         raise ValidationError("dims must be a nonempty list of positive integers")
+    dims = [int(n) for n in dims]
 
     cs, norms, residuals, tags, flags = [], [], [], [], []
     for n in dims:
         s0 = np.asarray(gen0.spectrum(n, rng), dtype=float)
         s1 = np.asarray(gen1.spectrum(n, rng), dtype=float)
-        if s0.shape != (n,) or s1.shape != (n,) or np.any(s0 <= 0.0) or np.any(s1 <= 0.0):
+        if s0.shape != (n,) or s1.shape != (n,) or not (np.all(s0 > 0.0) and np.all(s1 > 0.0)):
             raise ValidationError(f"generators must produce positive length-{n} spectra")
         # Deep truncations carry eigenvalues far below the generic support
         # threshold but are full rank by construction, so the split runs at

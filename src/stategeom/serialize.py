@@ -23,6 +23,7 @@ __all__ = [
     "matrix_to_jsonable",
     "matrix_from_jsonable",
     "dumps_canonical",
+    "read_json",
     "load_matrix_file",
     "save_matrix_text",
     "format_float",
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 KINDS = ("operator", "state", "positive")
+_NUMBERS = {int, float}  # exact entry types: no null, true/false or numeric strings
 
 
 def matrix_to_jsonable(m: np.ndarray, kind: str = "operator") -> dict:
@@ -47,22 +49,23 @@ def matrix_from_jsonable(obj) -> tuple[np.ndarray, str]:
     """Decode and validate a matrix object; returns (matrix, kind)."""
     if not isinstance(obj, dict):
         raise ValidationError("matrix file must contain a JSON object")
-    try:
-        n = int(obj["n"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed matrix object: {exc}") from None
+    n, entries = obj.get("n"), obj.get("entries")
+    if type(n) is not int or n < 1 or not isinstance(entries, (list, tuple)):
+        raise ValidationError("malformed matrix object: needs a positive integer n and a list "
+                              f"of entries, got n = {n!r}")
     kind = obj.get("kind", "operator")
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    if n < 1 or len(entries) != n * n:
+    if len(entries) != n * n:
         raise ValidationError(f"expected {n * n} entries for n = {n}, got {len(entries)}")
-    flat = np.empty(n * n, dtype=complex)
-    for idx, pair in enumerate(entries):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValidationError(f"entry {idx} is not a [re, im] pair")
-        flat[idx] = complex(float(pair[0]), float(pair[1]))
-    m = as_operator(flat.reshape(n, n), "matrix file")
+    try:
+        pairs = np.array(entries, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if (pairs is None or pairs.shape != (n * n, 2)
+            or not {type(x) for pair in entries for x in pair} <= _NUMBERS):
+        raise ValidationError("matrix entries must be [re, im] pairs of numbers")
+    m = as_operator(pairs.view(complex).reshape(n, n), "matrix file")
     if kind == "state":
         validate_state(m)
     elif kind == "positive":
@@ -75,13 +78,17 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def read_json(path):
+    """Parse a JSON file; ValidationError when it is not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+
+
 def load_matrix_file(path) -> tuple[np.ndarray, str]:
     """Load and validate a matrix JSON file."""
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    return matrix_from_jsonable(obj)
+    return matrix_from_jsonable(read_json(path))
 
 
 def save_matrix_text(m: np.ndarray, kind: str = "operator") -> str:

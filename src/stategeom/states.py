@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import NotPSD, TraceError, ValidationError, ZeroFunctional
-from .linalg import dagger, fro_scale, hermitian_eig, require_hermitian
+from .errors import NotHermitian, NotPSD, TraceError, ValidationError, ZeroFunctional
+from .linalg import as_operator, dagger, fro_scale, hermitian_defect, hermitian_eig
 
 __all__ = [
     "PositiveFunctional",
@@ -144,23 +144,21 @@ def validate_positive(m) -> PositiveFunctional:
 
     Raises NotHermitian, NotPSD or ZeroFunctional.
     """
-    mat = require_hermitian(m, "functional")
+    mat = as_operator(m, "functional")
     scale = fro_scale(mat)
+    config.check("Hermitian defect", hermitian_defect(mat), config.HERMITIAN_RTOL, scale,
+                 NotHermitian)
     w = np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
-    floor = config.scaled(config.PSD_CLAMP_RTOL) * scale
-    if w[0] < -floor:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{floor:.3e}")
-    if w[-1] <= floor:
-        raise ZeroFunctional("matrix is numerically zero")
+    config.check("-(smallest eigenvalue)", -w[0], config.PSD_CLAMP_RTOL, scale, NotPSD)
+    config.check("largest eigenvalue", w[-1], config.PSD_CLAMP_RTOL, scale, ZeroFunctional,
+                 floor=True)
     return PositiveFunctional(matrix=_frozen(mat))
 
 
 def validate_state(m) -> StateDensity:
     """Validate a matrix as a density matrix (positive, unit trace)."""
     pos = validate_positive(m)
-    tr = np.trace(pos.matrix).real
-    if abs(tr - 1.0) > config.scaled(config.TRACE_ATOL):
-        raise TraceError(f"trace is {tr!r}, expected 1")
+    config.check("|trace - 1|", abs(pos.trace - 1.0), config.TRACE_ATOL, 1.0, TraceError)
     return StateDensity(matrix=pos.matrix)
 
 
@@ -173,9 +171,7 @@ def validate_probability(p) -> ProbabilityVector:
         raise ValidationError("probability vector contains non-finite entries")
     if np.any(v < 0.0):
         raise NotPSD(f"probability vector has negative entry {v.min():.3e}")
-    total = float(v.sum())
-    if abs(total - 1.0) > config.scaled(config.PROBABILITY_ATOL):
-        raise TraceError(f"probability vector sums to {total!r}, expected 1")
+    config.check("|sum - 1|", abs(v.sum() - 1.0), config.PROBABILITY_ATOL, 1.0, TraceError)
     return ProbabilityVector(p=_frozen(v))
 
 

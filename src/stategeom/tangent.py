@@ -14,6 +14,7 @@ against the SVD of the dense realified 2n^2 x 2n^2 map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import config
 from .actions import group_element, phi
 from .errors import NumericalError, ValidationError
 from .linalg import as_operator, dagger, frobenius, hermitian_eig, matrix_exp, require_hermitian
-from .states import PositiveFunctional, StateDensity
+from .states import PositiveFunctional, StateDensity, default_rank_tol
 
 __all__ = [
     "TangentVector",
@@ -108,8 +109,8 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     """
     gen = as_operator(a, "generator")
     ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValidationError(f"t_grid must be a nonempty 1-d array, got shape {ts.shape}")
+    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
+        raise ValidationError(f"t_grid must be a nonempty 1-d finite array, got shape {ts.shape}")
     return [_flow_point(rho0, gen, t) for t in ts]
 
 
@@ -117,8 +118,10 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     """Relative error between the central difference of the flow and tangent_phi.
 
     Returns ||fd - value||_F / (1 + ||value||_F) with the symmetric
-    difference (phi(exp(ha)) - phi(exp(-ha))) / 2h.
+    difference (phi(exp(ha)) - phi(exp(-ha))) / 2h; h must be finite and nonzero.
     """
+    if not (math.isfinite(h) and h != 0.0):
+        raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
     gen = as_operator(a, "generator")
     value = phi_velocity(rho.matrix, gen)
     fwd = _flow_point(rho, gen, h).matrix
@@ -145,16 +148,14 @@ def tangent_map_rank(rho: StateDensity, rel_tol: float | None = None) -> int:
     """Rank of the real-linear map a -> phi_velocity(rho, a).
 
     Equals the orbit dimension of the normalized action at rho,
-    n^2 - (n-k)^2 - 1 at rank k: singular values below ``rel_tol`` (default
-    the scaled TANGENT_RANK_RTOL) times the largest count as zero.  They come
-    in closed form from the spectrum of rho (``_singular_values``) in O(n^3)
-    time and O(n^2) memory; the tests check them against the SVD of the dense
+    n^2 - (n-k)^2 - 1 at rank k: singular values at or below ``rel_tol`` (default
+    the scaled TANGENT_RANK_RTOL) times the largest, or at or below the rank cut
+    of rho (binding only for a zero map, n = 1), count as zero.  They come in
+    closed form from the spectrum of rho (``_singular_values``) in O(n^3) time
+    and O(n^2) memory; the tests check them against the SVD of the dense
     2n^2 x 2n^2 realified map.
     """
     if rel_tol is None:
         rel_tol = config.scaled(config.TANGENT_RANK_RTOL)
     s = _singular_values(rho.matrix)
-    s_max = s.max()
-    if s_max == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s_max))
+    return int(np.sum(s > max(rel_tol * s.max(), default_rank_tol(rho.matrix))))

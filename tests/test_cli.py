@@ -357,3 +357,78 @@ def test_isotropy_output_pinned_at_n4_rank2(runner, tmp_path):
         result = runner.invoke(main, ["isotropy", "--action", action, state])
         assert result.exit_code == 0
         assert result.output == text + "\n"
+
+
+def _exits_2_with_one_line(result):
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ValidationError: "), result.stderr
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [
+    '{"n":1,"entries":[[null,0]]}',
+    '{"n":1,"entries":[["a",0]]}',
+    '{"n":1,"entries":[[true,0]]}',
+    '{"n":1,"entries":[[1' + "0" * 400 + ',0]]}',
+    '{"n":1,"entries":5}',
+    '{"n":1.7,"entries":[[1,0]]}',
+    '{"n":true,"entries":[[1,0]]}',
+    b'\xff\xfe',
+], ids=["null", "string", "bool", "huge-int", "entries-number", "n-float", "n-bool", "not-utf8"])
+def test_malformed_matrix_file_exits_2(runner, tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    _exits_2_with_one_line(runner.invoke(main, ["validate", str(path)]))
+
+
+_GIBBS = {"kind": "gibbs", "ratio": 0.5}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("changes", [
+    {"dims": ["a"]},
+    {"dims": 5},
+    {"dims": [2.5]},
+    {"spec0": {"kind": "gibbs"}},
+    {"spec0": {"kind": "gibbs", "ratio": "x"}},
+    {"spec0": {"kind": "power", "exponent": None}},
+    {"spec0": {"kind": "power", "exponent": -1e308}},
+    {"spec0": {"kind": "dirichlet", "alpha": -1.0}},
+    {"ceiling": "x"},
+    {"ceiling": float("nan")},
+], ids=["dims-string", "dims-number", "dims-float", "gibbs-no-ratio", "ratio-string",
+        "exponent-null", "exponent-overflow", "alpha-negative", "ceiling-string",
+        "ceiling-nan"])
+def test_malformed_truncation_config_exits_2(runner, tmp_path, changes):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dims": [2, 4], "spec0": _GIBBS, "spec1": _GIBBS, **changes}))
+    _exits_2_with_one_line(runner.invoke(main, ["--seed", "1", "truncate", str(path)]))
+
+
+@pytest.mark.parametrize("args, env", [
+    (["--tol", "nan"], {}),
+    (["--tol", "inf"], {}),
+    (["--tol", "0"], {}),
+    (["--tol", "-1"], {}),
+    (["--tol", "abc"], {}),
+    ([], {"STATEGEOM_TOL": "abc"}),
+    ([], {"STATEGEOM_TOL": "nan"}),
+    ([], {"STATEGEOM_TOL": "inf"}),
+], ids=["flag-nan", "flag-inf", "flag-zero", "flag-negative", "flag-text", "env-text",
+        "env-nan", "env-inf"])
+def test_bad_tolerance_exits_2(runner, files, args, env):
+    _exits_2_with_one_line(runner.invoke(main, [*args, "validate", files["state"]], env=env))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["tangent", "{state}", "{gen}", "--fd-step", "0"],
+    ["tangent", "{state}", "{gen}", "--fd-step", "nan"],
+    ["flow", "{state}", "{gen}", "--t0", "nan", "--t1", "1", "--steps", "3"],
+    ["flow", "{state}", "{gen}", "--t0", "0", "--t1", "inf", "--steps", "3"],
+], ids=["fd-step-zero", "fd-step-nan", "t0-nan", "t1-inf"])
+def test_bad_step_or_time_exits_2(runner, files, command):
+    args = [arg.format(state=files["state"], gen=files["gen"]) for arg in command]
+    _exits_2_with_one_line(runner.invoke(main, args))

@@ -4,7 +4,7 @@ import pytest
 from oracles import central_difference, dag, tangent_singular_values_dense
 from stategeom import config
 from stategeom.actions import phi
-from stategeom.errors import NotHermitian, NumericalError
+from stategeom.errors import NotHermitian, NumericalError, ValidationError
 from stategeom.isotropy import (
     complement_basis_alpha,
     isotropy_basis_phi,
@@ -254,6 +254,25 @@ class TestClosedFormAgainstDenseMap:
     def test_rank_at_n64(self):
         rho = random_state(np.random.default_rng(67), 64, rank=16)
         assert tangent_map_rank(rho) == 64 ** 2 - 48 ** 2 - 1  # 1791
+
+    def test_rank_at_n1_is_zero(self):
+        # the entry 1.0000000000000002 leaves a round-off singular value 4.4e-16
+        rho = random_state(np.random.default_rng(61), 1)
+        assert _singular_values(rho.matrix).max() > 0.0
+        assert tangent_map_rank(rho) == 0 == 1 - (1 - 1) ** 2 - 1
+        assert tangent_map_rank(validate_state(np.eye(1, dtype=complex))) == 0
+
+
+@pytest.mark.parametrize("h", [0.0, np.nan, np.inf])
+def test_fd_step_must_be_finite_and_nonzero(h):
+    with pytest.raises(ValidationError, match="finite and nonzero"):
+        fd_tangent_check(maximally_mixed(2), PAULI_Z, h)
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan], [np.inf], [-np.inf, 0.0]])
+def test_flow_grid_must_be_finite(grid):
+    with pytest.raises(ValidationError, match="finite array"):
+        flow(maximally_mixed(2), PAULI_Z, grid)
 
 
 def test_overflowing_flow_warns_nothing():
