@@ -62,11 +62,15 @@ class GroupElement:
         return 1.0 / self.sigma_min
 
 
-def group_element(g) -> GroupElement:
-    """Certify invertibility: sigma_min > 1e-12*(1+opnorm).  Raises Singular."""
+def group_element(g, n: int | None = None) -> GroupElement:
+    """Certify invertibility, sigma_min > 1e-12*(1+opnorm) (Singular otherwise), and
+    the dimension ``n`` of the value g acts on when given.  A GroupElement is its
+    own certificate."""
     if isinstance(g, GroupElement):
-        return g
-    m = as_operator(g, "group element")
+        if n is None or g.n == n:
+            return g
+        g = g.matrix  # the gate below reports the mismatch
+    m = as_operator(g, "group element", n)
     s = np.linalg.svd(m, compute_uv=False)
     smin, smax = float(s[-1]), float(s[0])
     config.check("sigma_min", smin, config.SINGULAR_RTOL, 1.0 + smax, Singular, floor=True)
@@ -92,10 +96,10 @@ def alpha(g, xi):
     PSD inputs to PSD outputs of the same rank.  Raises NumericalError when
     g xi g† overflows.
     """
-    ge = group_element(g)
     if isinstance(xi, PositiveFunctional):
-        return validate_positive(_congruence(ge.matrix, xi.matrix))
-    out = _congruence(ge.matrix, require_hermitian(xi, "functional"))
+        return validate_positive(_congruence(group_element(g, xi.n).matrix, xi.matrix))
+    ge = group_element(g)
+    out = _congruence(ge.matrix, require_hermitian(xi, "functional", ge.n)[0])
     return (out + dagger(out)) / 2.0
 
 
@@ -106,7 +110,7 @@ def denominator(g, rho: StateDensity) -> float:
     action fails loudly there instead of renormalizing noise.  Raises
     NumericalError when the value overflows.
     """
-    ge = group_element(g)
+    ge = group_element(g, rho.n)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(np.trace(rho.matrix @ dagger(ge.matrix) @ ge.matrix).real)
     if not math.isfinite(value):
@@ -124,7 +128,7 @@ def phi(g, rho: StateDensity) -> StateDensity:
     above sigma_max, which is exact, and the floor test applies to the trace
     of the unscaled product.
     """
-    ge = group_element(g)
+    ge = group_element(g, rho.n)
     e = max(math.frexp(ge.sigma_max)[1], 0)
     m = np.empty_like(ge.matrix)
     m.real = np.ldexp(ge.matrix.real, -e)
@@ -137,7 +141,7 @@ def phi(g, rho: StateDensity) -> StateDensity:
 
 def unitary_phi(u, rho: StateDensity) -> StateDensity:
     """Coadjoint action u rho u† of the unitary subgroup (spectrum preserving)."""
-    m = as_operator(u, "unitary")
+    m = as_operator(u, "unitary", rho.n)
     config.check("||u†u - I||_F", frobenius(dagger(m) @ m - np.eye(m.shape[0])),
                  config.UNITARY_ATOL, 1.0, NotUnitary)
     return validate_state(m @ rho.matrix @ dagger(m))
@@ -164,7 +168,8 @@ def mix_states(rho1: StateDensity, rho2: StateDensity, lam: float) -> StateDensi
     """Convex combination lam*rho1 + (1-lam)*rho2."""
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
-    return validate_state(lam * rho1.matrix + (1.0 - lam) * rho2.matrix)
+    m2 = as_operator(rho2.matrix, "second state", rho1.n)
+    return validate_state(lam * rho1.matrix + (1.0 - lam) * m2)
 
 
 def nonconvexity_witness(g, rho1: StateDensity, rho2: StateDensity, lam: float) -> float:
@@ -173,7 +178,7 @@ def nonconvexity_witness(g, rho1: StateDensity, rho2: StateDensity, lam: float) 
     Zero on the unitary subgroup and at the endpoints lam in {0, 1};
     generically positive otherwise.
     """
-    ge = group_element(g)
+    ge = group_element(g, rho1.n)
     mixed_image = phi(ge, mix_states(rho1, rho2, lam)).matrix
     image_mix = lam * phi(ge, rho1).matrix + (1.0 - lam) * phi(ge, rho2).matrix
     return frobenius(mixed_image - image_mix)

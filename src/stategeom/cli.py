@@ -41,7 +41,6 @@ from .states import (
     PositiveFunctional,
     StateDensity,
     classify_orbit,
-    spectral_split,
     validate_positive,
     validate_state,
 )
@@ -134,14 +133,13 @@ def validate(ctx, file):
     """Validate a matrix file as a state or positive functional."""
     _require_format(ctx, ("json",), "json")
     functional, kind = _load_functional(file)
-    split = spectral_split(functional)
     orbit = classify_orbit(functional)
     report = {
         "valid": True,
         "kind": kind,
         "n": functional.n,
-        "rank": split.support_dim,
-        "corank": split.corank,
+        "rank": orbit.rank,
+        "corank": orbit.corank,
         "trace": functional.trace,
         "min_eigenvalue": float(np.linalg.eigvalsh(functional.matrix)[0]),
         "orbit_class": orbit.tag,

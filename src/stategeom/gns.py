@@ -48,28 +48,23 @@ class GnsTriple:
     dim: int
     cyclic: np.ndarray     # length dim = n * k, unit norm, row-major over C^n kron C^k
 
-    def _element(self, a) -> np.ndarray:
-        m = as_operator(a, "algebra element")
-        if m.shape[0] != self.n:
-            raise ValidationError(f"element has dimension {m.shape[0]}, expected {self.n}")
-        return m
-
     def _coefficients(self) -> np.ndarray:
         """The cyclic vector as its n x k coefficient matrix."""
         return self.cyclic.reshape(self.n, self.dim // self.n)
 
     def rep(self, a) -> np.ndarray:
         """Represent left multiplication by ``a`` on the GNS space."""
-        return np.kron(self._element(a), np.eye(self.dim // self.n, dtype=complex))
+        m = as_operator(a, "algebra element", self.n)
+        return np.kron(m, np.eye(self.dim // self.n, dtype=complex))
 
     def vector_of(self, a) -> np.ndarray:
         """GNS coordinates of the class of ``a``, i.e. pi(a)|psi>."""
-        return (self._element(a) @ self._coefficients()).ravel()
+        return (as_operator(a, "algebra element", self.n) @ self._coefficients()).ravel()
 
     def expectation(self, a) -> complex:
         """Vector expectation <psi| rep(a) |psi>; equals rho(a) for the source state."""
         x = self._coefficients()
-        return complex(np.vdot(x, self._element(a) @ x))
+        return complex(np.vdot(x, as_operator(a, "algebra element", self.n) @ x))
 
     def rep_matrices(self) -> list[np.ndarray]:
         """Images of the n^2 matrix units, in row-major order."""
@@ -92,7 +87,7 @@ def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     normalized action of g on the source state inside the same
     representation.  ``rho`` must be the state the triple was built from.
     """
-    ge = group_element(g)
+    ge = group_element(g, rho.n)
     gram_g = dagger(ge.matrix) @ ge.matrix
     norm_sq = triple.expectation(gram_g).real
     # the vector expectation of g†g must reproduce rho(g†g)

@@ -112,14 +112,14 @@ def _membership(values: np.ndarray, a: np.ndarray, base: np.ndarray) -> tuple[bo
 
 def isotropy_membership_alpha(a, xi: PositiveFunctional) -> tuple[bool, float]:
     """Whether xi(a†b + ba) vanishes over the Hermitian basis, with the residual."""
-    gen = as_operator(a, "generator")
+    gen = as_operator(a, "generator", xi.n)
     values = hermitian_components(alpha_velocity(xi.matrix, gen))
     return _membership(values, gen, xi.matrix)
 
 
 def isotropy_membership_phi(a, rho: StateDensity) -> tuple[bool, float]:
     """Membership in the normalized-action isotropy: the covariance-corrected sweep."""
-    gen = as_operator(a, "generator")
+    gen = as_operator(a, "generator", rho.n)
     values = hermitian_components(phi_velocity(rho.matrix, gen))
     return _membership(values, gen, rho.matrix)
 

@@ -6,6 +6,11 @@ are always sorted non-increasing (stable sort), and each eigenvector column
 is rephased so that its largest-magnitude component is real and positive,
 which makes the output a pure function of the input bits.
 
+``as_operator`` is the one gate for square operands (shape, finiteness and
+the dimension of the value they act on); ``require_hermitian`` adds the one
+Hermitian test and returns the scale 1 + ||a||_F.  A validated functional has
+passed both, so its holders call the solvers ``sorted_eigh`` and ``signature``.
+
 All operations are pure functions of their arguments and of the process-wide
 tolerance scale in ``config``, which every thread shares.
 
@@ -30,9 +35,10 @@ __all__ = [
     "dagger",
     "frobenius",
     "fro_scale",
-    "hermitian_defect",
     "require_hermitian",
     "hermitian_eig",
+    "sorted_eigh",
+    "signature",
     "matrix_sqrt_psd",
     "matrix_exp",
     "polar",
@@ -42,13 +48,16 @@ __all__ = [
 ]
 
 
-def as_operator(a, name: str = "operator") -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+def as_operator(a, name: str = "operator", n: int | None = None) -> np.ndarray:
+    """Coerce to a square complex matrix with finite entries, of dimension ``n``
+    when given (the dimension of the value the operand acts on)."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
         raise ValidationError(f"{name} must have positive dimension")
+    if n is not None and m.shape[0] != n:
+        raise ValidationError(f"{name} has dimension {m.shape[0]}, expected {n}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
@@ -79,17 +88,15 @@ def fro_scale(a: np.ndarray) -> float:
     return 1.0 + frobenius(a)
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """Frobenius distance to the Hermitian part."""
-    return frobenius(a - dagger(a))
-
-
-def require_hermitian(a, name: str = "operator") -> np.ndarray:
-    """Return ``a`` as an operator, or raise NotHermitian."""
-    m = as_operator(a, name)
-    config.check("Hermitian defect", hermitian_defect(m), config.HERMITIAN_RTOL,
-                 fro_scale(m), NotHermitian)
-    return m
+def require_hermitian(a, name: str = "operator",
+                      n: int | None = None) -> tuple[np.ndarray, float]:
+    """``a`` through ``as_operator`` with its scale 1 + ||a||_F; raises
+    NotHermitian when ||a - a†||_F exceeds HERMITIAN_RTOL times that scale."""
+    m = as_operator(a, name, n)
+    scale = fro_scale(m)
+    config.check("Hermitian defect", frobenius(m - dagger(m)), config.HERMITIAN_RTOL, scale,
+                 NotHermitian)
+    return m, scale
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
@@ -141,12 +148,17 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eig(h) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with deterministic output.
+    """Eigendecomposition of a Hermitian matrix with deterministic output:
+    ``sorted_eigh`` behind the Hermitian gate."""
+    return sorted_eigh(require_hermitian(h)[0])
 
-    The input is symmetrized (h + h†)/2 before LAPACK to keep round-off in
+
+def sorted_eigh(m: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of an operator that passed ``require_hermitian``.
+
+    The input is symmetrized (m + m†)/2 before LAPACK to keep round-off in
     the off-Hermitian part from leaking into the spectrum.
     """
-    m = require_hermitian(h)
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
     order = np.argsort(-w, kind="stable")
     w = np.ascontiguousarray(w[order])
@@ -162,10 +174,10 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     Eigenvalues in [-clamp, 0) with clamp = 1e-10*(1+||p||_F) are clamped to
     zero; anything below raises NotPSD.
     """
-    dec = hermitian_eig(p)
+    m, scale = require_hermitian(p)
+    dec = sorted_eigh(m)
     w = dec.eigenvalues
-    # for Hermitian input the Frobenius norm is the eigenvalue 2-norm
-    config.check("-(smallest eigenvalue)", -w[-1], config.PSD_CLAMP_RTOL, fro_scale(w), NotPSD)
+    config.check("-(smallest eigenvalue)", -w[-1], config.PSD_CLAMP_RTOL, scale, NotPSD)
     w = np.where(w < 0.0, 0.0, w)
     v = dec.eigenvectors
     s = (v * np.sqrt(w)) @ dagger(v)
@@ -200,9 +212,14 @@ def polar(g) -> tuple[np.ndarray, np.ndarray]:
 
 def inertia(h, zero_tol: float) -> tuple[int, int, int]:
     """Signature counts (n_plus, n_zero, n_minus) wrt the given threshold."""
-    m = require_hermitian(h)
+    m, _ = require_hermitian(h)
     if zero_tol < 0.0:
         raise ValidationError("zero_tol must be non-negative")
+    return signature(m, zero_tol)
+
+
+def signature(m: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
+    """``inertia`` of an operator that passed ``require_hermitian``."""
     w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
     n_plus = int(np.sum(w > zero_tol))
     n_minus = int(np.sum(w < -zero_tol))

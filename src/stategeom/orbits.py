@@ -23,14 +23,7 @@ import numpy as np
 from . import config
 from .actions import GroupElement, classical_phi, group_element, phi
 from .errors import NotTracial, NumericalError, RankMismatch, ValidationError
-from .linalg import (
-    dagger,
-    frobenius,
-    fro_scale,
-    inertia,
-    matrix_sqrt_psd,
-    require_hermitian,
-)
+from .linalg import dagger, frobenius, fro_scale, matrix_sqrt_psd, require_hermitian, signature
 from .states import (
     OrbitClass,
     PositiveFunctional,
@@ -147,19 +140,17 @@ def connect_phi(rho0: StateDensity, rho1: StateDensity,
                               achieved_residual=residual)
 
 
-def same_orbit_alpha(xi0, xi1, zero_tol: float | None = None) -> bool:
+def same_orbit_alpha(xi0, xi1) -> bool:
     """Complete finite-dimensional congruence-orbit decision via inertia.
 
     Two Hermitian matrices are congruent iff their signatures agree
     (Sylvester); for positive functionals this reduces to equal rank.
     """
-    m0 = require_hermitian(xi0, "first functional")
-    m1 = require_hermitian(xi1, "second functional")
+    m0, _ = require_hermitian(xi0, "first functional")
+    m1, _ = require_hermitian(xi1, "second functional")
     if m0.shape != m1.shape:
         return False
-    tol0 = default_rank_tol(m0) if zero_tol is None else zero_tol
-    tol1 = default_rank_tol(m1) if zero_tol is None else zero_tol
-    return inertia(m0, tol0) == inertia(m1, tol1)
+    return signature(m0, default_rank_tol(m0)) == signature(m1, default_rank_tol(m1))
 
 
 def tracial_orbit_point(g, n: int) -> StateDensity:
@@ -167,10 +158,7 @@ def tracial_orbit_point(g, n: int) -> StateDensity:
 
     Every faithful state arises this way (take g = sqrt of the state).
     """
-    element = group_element(g)
-    if element.n != n:
-        raise ValidationError(f"group element has dimension {element.n}, expected {n}")
-    return phi(element, maximally_mixed(n))
+    return phi(g, maximally_mixed(n))
 
 
 def require_tracial(tau: StateDensity) -> None:
@@ -198,8 +186,8 @@ def convex_recombine(tau: StateDensity, g1, g2, lam: float) -> tuple[GroupElemen
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
     require_tracial(tau)
-    e1 = group_element(g1)
-    e2 = group_element(g2)
+    e1 = group_element(g1, tau.n)
+    e2 = group_element(g2, tau.n)
     m = tau.matrix
     p1 = e1.matrix @ dagger(e1.matrix)
     p2 = e2.matrix @ dagger(e2.matrix)
@@ -221,12 +209,13 @@ def convex_recombine_classical(p: ProbabilityVector, w1, w2,
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
     prob = p if isinstance(p, ProbabilityVector) else validate_probability(p)
+    # the images first: classical_phi checks each weight vector's length
+    target = (lam * classical_phi(w1, prob).p
+              + (1.0 - lam) * classical_phi(w2, prob).p)
     a1 = np.abs(np.asarray(w1, dtype=complex)) ** 2
     a2 = np.abs(np.asarray(w2, dtype=complex)) ** 2
     combined = lam * a1 / float(a1 @ prob.p) + (1.0 - lam) * a2 / float(a2 @ prob.p)
     weights = np.sqrt(combined)
-    target = (lam * classical_phi(w1, prob).p
-              + (1.0 - lam) * classical_phi(w2, prob).p)
     residual = float(np.max(np.abs(classical_phi(weights, prob).p - target)))
     return weights, residual
 

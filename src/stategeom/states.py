@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import NotHermitian, NotPSD, TraceError, ValidationError, ZeroFunctional
-from .linalg import as_operator, dagger, fro_scale, hermitian_defect, hermitian_eig
+from .errors import NotPSD, TraceError, ValidationError, ZeroFunctional
+from .linalg import dagger, fro_scale, require_hermitian, sorted_eigh
 
 __all__ = [
     "PositiveFunctional",
@@ -144,10 +144,7 @@ def validate_positive(m) -> PositiveFunctional:
 
     Raises NotHermitian, NotPSD or ZeroFunctional.
     """
-    mat = as_operator(m, "functional")
-    scale = fro_scale(mat)
-    config.check("Hermitian defect", hermitian_defect(mat), config.HERMITIAN_RTOL, scale,
-                 NotHermitian)
+    mat, scale = require_hermitian(m, "functional")
     w = np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
     config.check("-(smallest eigenvalue)", -w[0], config.PSD_CLAMP_RTOL, scale, NotPSD)
     config.check("largest eigenvalue", w[-1], config.PSD_CLAMP_RTOL, scale, ZeroFunctional,
@@ -187,11 +184,10 @@ def spectral_split(rho, rank_tol: float | None = None) -> SpectralSplit:
     ``rank_tol`` defaults to 1e-12*(1+||rho||_F); eigenvalues at or below it
     count as kernel.
     """
-    functional = _as_functional(rho)
-    mat = functional.matrix
+    mat = _as_functional(rho).matrix
     if rank_tol is None:
         rank_tol = default_rank_tol(mat)
-    dec = hermitian_eig(mat)
+    dec = sorted_eigh(mat)
     k = int(np.sum(dec.eigenvalues > rank_tol))
     if k == 0:
         raise ZeroFunctional("functional has empty support at the given tolerance")
@@ -202,10 +198,9 @@ def spectral_split(rho, rank_tol: float | None = None) -> SpectralSplit:
     )
 
 
-def classify_orbit(rho, rank_tol: float | None = None,
-                   declared_limit: str | None = None) -> OrbitClass:
+def classify_orbit(rho, declared_limit: str | None = None) -> OrbitClass:
     """Rank/corank orbit label of a positive functional."""
-    split = spectral_split(rho, rank_tol=rank_tol)
+    split = spectral_split(rho)
     k = split.support_dim
     return OrbitClass(
         rank=k,

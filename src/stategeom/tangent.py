@@ -22,7 +22,7 @@ import numpy as np
 from . import config
 from .actions import group_element, phi
 from .errors import NumericalError, ValidationError
-from .linalg import as_operator, dagger, frobenius, hermitian_eig, matrix_exp, require_hermitian
+from .linalg import as_operator, dagger, frobenius, matrix_exp, require_hermitian, sorted_eigh
 from .states import PositiveFunctional, StateDensity, default_rank_tol
 
 __all__ = [
@@ -61,13 +61,13 @@ def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def tangent_alpha(xi: PositiveFunctional, a) -> TangentVector:
     """Tangent vector of the congruence action at ``xi`` along generator ``a``."""
-    gen = as_operator(a, "generator")
+    gen = as_operator(a, "generator", xi.n)
     return TangentVector(base=xi, value=alpha_velocity(xi.matrix, gen), generator=gen)
 
 
 def tangent_phi(rho: StateDensity, a) -> TangentVector:
     """Tangent vector of the normalized action at ``rho``; always traceless."""
-    gen = as_operator(a, "generator")
+    gen = as_operator(a, "generator", rho.n)
     return TangentVector(base=rho, value=phi_velocity(rho.matrix, gen), generator=gen)
 
 
@@ -77,8 +77,8 @@ def covariance(rho: StateDensity, a, b) -> float:
     Defined for Hermitian a, b; symmetric in its arguments, zero when either
     argument is a multiple of the identity, and nonnegative on the diagonal.
     """
-    am = require_hermitian(a, "a")
-    bm = require_hermitian(b, "b")
+    am, _ = require_hermitian(a, "a", rho.n)
+    bm, _ = require_hermitian(b, "b", rho.n)
     m = rho.matrix
     quad = float(np.trace(m @ (am @ bm + bm @ am)).real)
     return quad - 2.0 * float(np.trace(m @ am).real) * float(np.trace(m @ bm).real)
@@ -107,7 +107,7 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     Raises NumericalError, naming the first failing t, where exp(ta)
     overflows or exceeds the singularity limit.
     """
-    gen = as_operator(a, "generator")
+    gen = as_operator(a, "generator", rho0.n)
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
         raise ValidationError(f"t_grid must be a nonempty 1-d finite array, got shape {ts.shape}")
@@ -122,7 +122,7 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     """
     if not (math.isfinite(h) and h != 0.0):
         raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
-    gen = as_operator(a, "generator")
+    gen = as_operator(a, "generator", rho.n)
     value = phi_velocity(rho.matrix, gen)
     fwd = _flow_point(rho, gen, h).matrix
     bwd = _flow_point(rho, gen, -h).matrix
@@ -137,25 +137,24 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     entries gives sqrt(2(p_j^2 + p_l^2)) twice, and Re a_jj gives
     |eigenvalues| of 2(diag(p) - p p^T); the other n^2 directions map to 0.
     """
-    p = hermitian_eig(m).eigenvalues
+    p = sorted_eigh(m).eigenvalues
     j, l = np.triu_indices(p.shape[0], 1)
     pairs = np.sqrt(2.0 * (p[j] ** 2 + p[l] ** 2))
     diagonal = np.abs(np.linalg.eigvalsh(2.0 * (np.diag(p) - np.outer(p, p))))
     return np.concatenate([pairs, pairs, diagonal])
 
 
-def tangent_map_rank(rho: StateDensity, rel_tol: float | None = None) -> int:
+def tangent_map_rank(rho: StateDensity) -> int:
     """Rank of the real-linear map a -> phi_velocity(rho, a).
 
     Equals the orbit dimension of the normalized action at rho,
-    n^2 - (n-k)^2 - 1 at rank k: singular values at or below ``rel_tol`` (default
-    the scaled TANGENT_RANK_RTOL) times the largest, or at or below the rank cut
-    of rho (binding only for a zero map, n = 1), count as zero.  They come in
+    n^2 - (n-k)^2 - 1 at rank k: singular values at or below the scaled
+    TANGENT_RANK_RTOL times the largest, or at or below the rank cut of rho
+    (binding only for a zero map, n = 1), count as zero.  They come in
     closed form from the spectrum of rho (``_singular_values``) in O(n^3) time
     and O(n^2) memory; the tests check them against the SVD of the dense
     2n^2 x 2n^2 realified map.
     """
-    if rel_tol is None:
-        rel_tol = config.scaled(config.TANGENT_RANK_RTOL)
     s = _singular_values(rho.matrix)
-    return int(np.sum(s > max(rel_tol * s.max(), default_rank_tol(rho.matrix))))
+    cut = max(config.scaled(config.TANGENT_RANK_RTOL) * s.max(), default_rank_tol(rho.matrix))
+    return int(np.sum(s > cut))

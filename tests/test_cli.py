@@ -432,3 +432,22 @@ def test_bad_tolerance_exits_2(runner, files, args, env):
 def test_bad_step_or_time_exits_2(runner, files, command):
     args = [arg.format(state=files["state"], gen=files["gen"]) for arg in command]
     _exits_2_with_one_line(runner.invoke(main, args))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["act", "phi", "{g3}", "{state}"],
+    ["act", "alpha", "{g3}", "{state}"],
+    ["act", "alpha", "{g3}", "{identity}"],
+    ["tangent", "{state}", "{g3}", "--action", "phi"],
+    ["tangent", "{state}", "{g3}", "--action", "alpha"],
+    ["flow", "{state}", "{g3}", "--t0", "0", "--t1", "1", "--steps", "3"],
+    ["recombine", "{state}", "{g3}", "{identity}", "0.5"],
+], ids=["act-phi", "act-alpha", "act-alpha-operator", "tangent-phi", "tangent-alpha", "flow",
+        "recombine"])
+def test_operand_of_another_dimension_exits_2(runner, files, command):
+    g3 = write(files["tmp"] / "g3.json", np.diag([2.0, 1.0, 0.5]))
+    args = [arg.format(g3=g3, **files) for arg in command]
+    result = runner.invoke(main, args)
+    _exits_2_with_one_line(result)
+    assert "has dimension" in result.stderr

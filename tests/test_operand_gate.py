@@ -1,0 +1,91 @@
+"""The operand gate: every square operand is checked against the dimension of
+the value it acts on, and a validated state is not checked again."""
+
+import numpy as np
+import pytest
+
+import stategeom as sg
+from stategeom import linalg
+from stategeom.errors import ValidationError
+
+RHO = sg.validate_state(np.diag([0.75, 0.25]).astype(complex))
+OTHER = sg.validate_state(np.eye(3, dtype=complex) / 3.0)
+G2 = np.diag([2.0, 1.0]).astype(complex)
+G3 = np.diag([2.0, 1.0, 0.5]).astype(complex)
+A3 = np.array([[0.2, 0.1, 0.0], [0.3, -0.1, 0.2j], [0.0, 0.1, 0.4]], dtype=complex)
+H3 = np.diag([1.0, -1.0, 0.5]).astype(complex)
+H2 = np.diag([1.0, -1.0]).astype(complex)
+
+# each call hands a 3 x 3 operand to a 2 x 2 state
+MISMATCHED = {
+    "phi": lambda: sg.phi(G3, RHO),
+    "phi-group-element": lambda: sg.phi(sg.group_element(G3), RHO),
+    "alpha-functional": lambda: sg.alpha(G3, RHO),
+    "alpha-matrix": lambda: sg.alpha(G3, RHO.matrix),
+    "denominator": lambda: sg.denominator(G3, RHO),
+    "unitary_phi": lambda: sg.unitary_phi(np.eye(3), RHO),
+    "tangent_phi": lambda: sg.tangent_phi(RHO, A3),
+    "tangent_alpha": lambda: sg.tangent_alpha(RHO, A3),
+    "flow": lambda: sg.flow(RHO, A3, [0.0, 1.0]),
+    "fd_tangent_check": lambda: sg.fd_tangent_check(RHO, A3),
+    "covariance": lambda: sg.covariance(RHO, H3, H2),
+    "isotropy_membership_alpha": lambda: sg.isotropy_membership_alpha(A3, RHO),
+    "isotropy_membership_phi": lambda: sg.isotropy_membership_phi(A3, RHO),
+    "mix_states": lambda: sg.mix_states(RHO, OTHER, 0.5),
+    "nonconvexity_witness": lambda: sg.nonconvexity_witness(G3, RHO, RHO, 0.5),
+    "convex_recombine": lambda: sg.convex_recombine(sg.maximally_mixed(2), G3, G2, 0.5),
+    "gns_transform": lambda: sg.gns_transform(sg.gns_construct(RHO), G2, OTHER),
+    "tracial_orbit_point": lambda: sg.tracial_orbit_point(G3, 2),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", MISMATCHED.values(), ids=MISMATCHED.keys())
+def test_dimension_mismatch_is_validation_error(call):
+    with pytest.raises(ValidationError, match=r"has dimension \d, expected \d$"):
+        call()
+
+
+def test_group_element_keeps_a_matching_certificate():
+    ge = sg.group_element(G2)
+    assert sg.group_element(ge, 2) is ge
+
+
+def test_classical_recombine_checks_weight_lengths():
+    prob = sg.validate_probability([0.5, 0.5])
+    with pytest.raises(ValidationError, match="expected 2 weights"):
+        sg.convex_recombine_classical(prob, [1.0, 2.0, 3.0], [1.0, 1.0], 0.5)
+    with pytest.raises(ValidationError, match="expected 2 weights"):
+        sg.convex_recombine_classical(prob, [1.0, 1.0], [1.0], 0.5)
+
+
+@pytest.fixture
+def count_norms(monkeypatch):
+    calls = []
+    inner = linalg.frobenius
+
+    def counted(a):
+        calls.append(1)
+        return inner(a)
+
+    monkeypatch.setattr(linalg, "frobenius", counted)
+    return calls
+
+
+# a validated state is its own Hermitian certificate: only the rank cut
+# takes a norm, and validation takes the defect and the scale
+NORMS = {
+    "spectral_split": (lambda: sg.spectral_split(RHO), 1),
+    "classify_orbit": (lambda: sg.classify_orbit(RHO), 1),
+    "gns_construct": (lambda: sg.gns_construct(RHO), 1),
+    "tangent_map_rank": (lambda: sg.tangent_map_rank(RHO), 1),
+    "validate_state": (lambda: sg.validate_state(RHO.matrix), 2),
+    "matrix_sqrt_psd": (lambda: sg.matrix_sqrt_psd(RHO.matrix), 2),
+    "same_orbit_alpha": (lambda: sg.same_orbit_alpha(RHO.matrix, G2), 6),
+}
+
+
+@pytest.mark.parametrize("call, expected", NORMS.values(), ids=NORMS.keys())
+def test_frobenius_calls_per_call(count_norms, call, expected):
+    call()
+    assert len(count_norms) == expected
