@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from pathlib import Path
 
 import click
 import numpy as np
@@ -30,6 +29,8 @@ from .orbits import (
     truncation_sweep,
 )
 from .serialize import (
+    _decode_matrix,
+    complex_pairs,
     dumps_canonical,
     flow_csv,
     load_matrix_file,
@@ -71,12 +72,18 @@ def handle_errors(fn):
     return wrapper
 
 
-def _emit(ctx, text: str) -> None:
+def _emit(ctx, chunks) -> None:
+    """Write one text, or an iterable of text chunks as they come, to --out or stdout."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     out = ctx.obj.get("out")
     if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
+        return
+    with open(out, "w") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def _require_format(ctx, allowed: tuple, default: str) -> str:
@@ -86,18 +93,22 @@ def _require_format(ctx, allowed: tuple, default: str) -> str:
     return fmt
 
 
+def _load(path) -> tuple[np.ndarray, str, PositiveFunctional | None]:
+    """(matrix, kind, functional) of a matrix file; a state or positive file
+    comes with its validated functional, so it is validated once."""
+    return _decode_matrix(read_json(path))
+
+
 def _load_state(path) -> StateDensity:
-    m, _ = load_matrix_file(path)
-    return validate_state(m)
+    m, kind, functional = _load(path)
+    return functional if kind == "state" else validate_state(m)
 
 
 def _load_functional(path) -> tuple[PositiveFunctional, str]:
     """Load as a state when possible, falling back to a positive functional."""
-    m, kind = load_matrix_file(path)
-    if kind == "state":
-        return validate_state(m), "state"
-    if kind == "positive":
-        return validate_positive(m), "positive"
+    m, kind, functional = _load(path)
+    if functional is not None:
+        return functional, kind
     try:
         return validate_state(m), "state"
     except TraceError:
@@ -162,13 +173,12 @@ def act(ctx, action, g_file, state_file):
         result = phi(element, _load_state(state_file))
         _emit(ctx, dumps_canonical(matrix_to_jsonable(result.matrix, "state")))
         return
-    m, kind = load_matrix_file(state_file)
-    if kind == "operator":
+    m, kind, functional = _load(state_file)
+    if functional is None:
         # alpha acts on all self-adjoint functionals, positive or not
         moved = alpha(element, m)
         _emit(ctx, dumps_canonical(matrix_to_jsonable(moved, "operator")))
         return
-    functional = validate_state(m) if kind == "state" else validate_positive(m)
     moved = alpha(element, functional)
     _emit(ctx, dumps_canonical(matrix_to_jsonable(moved.matrix, "positive")))
 
@@ -278,7 +288,7 @@ def flow_cmd(ctx, file, generator_file, t0, t1, steps):
         _emit(ctx, flow_csv(grid, states))
     else:
         payload = {
-            "t": [float(t) for t in grid],
+            "t": grid.tolist(),
             "states": [matrix_to_jsonable(s.matrix, "state") for s in states],
         }
         _emit(ctx, dumps_canonical(payload))
@@ -291,21 +301,21 @@ def flow_cmd(ctx, file, generator_file, t0, t1, steps):
 def gns(ctx, file):
     """GNS data of a state: dimension, represented basis, cyclic vector."""
     _require_format(ctx, ("json",), "json")
-    rho = _load_state(file)
-    triple = gns_construct(rho)
-    units = [(i, j) for i in range(triple.n) for j in range(triple.n)]
-    reps = [
-        {"unit": [i, j],
-         "entries": [[float(z.real), float(z.imag)] for z in mat.ravel()]}
-        for (i, j), mat in zip(units, triple.rep_matrices())
-    ]
-    payload = {
-        "n": triple.n,
-        "dim": triple.dim,
-        "cyclic": [[float(z.real), float(z.imag)] for z in triple.cyclic],
-        "rep": reps,
-    }
-    _emit(ctx, dumps_canonical(payload))
+    triple = gns_construct(_load_state(file))
+    _emit(ctx, _gns_chunks(triple))
+
+
+def _gns_chunks(triple):
+    """The gns payload {"n", "dim", "cyclic", "rep": [...]} as text chunks: the
+    header, then one {"unit", "entries"} object per matrix unit, each encoded
+    and dropped before the next is built."""
+    head = dumps_canonical({"n": triple.n, "dim": triple.dim,
+                            "cyclic": complex_pairs(triple.cyclic)})
+    yield head[:-2] + ',"rep":['  # reopen the object closed by "}\n"
+    for k, mat in enumerate(triple.rep_matrices()):
+        unit = {"unit": list(divmod(k, triple.n)), "entries": complex_pairs(mat)}
+        yield ("," if k else "") + dumps_canonical(unit)[:-1]
+    yield "]}\n"
 
 
 @main.command()

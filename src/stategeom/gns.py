@@ -15,6 +15,7 @@ inside a fixed representation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,11 @@ class GnsTriple:
         x = self._coefficients()
         return complex(np.vdot(x, as_operator(a, "algebra element", self.n) @ x))
 
-    def rep_matrices(self) -> list[np.ndarray]:
-        """Images of the n^2 matrix units, in row-major order."""
-        return [self.rep(matrix_unit(self.n, i, j))
-                for i in range(self.n) for j in range(self.n)]
+    def rep_matrices(self) -> Iterator[np.ndarray]:
+        """Images of the n^2 matrix units, in row-major order, one at a time."""
+        for i in range(self.n):
+            for j in range(self.n):
+                yield self.rep(matrix_unit(self.n, i, j))
 
 
 def gns_construct(rho: StateDensity) -> GnsTriple:

@@ -5,6 +5,11 @@ row-major order with a fixed key order, compact separators and a trailing
 newline, so saving a loaded canonical file is byte-identical.  JSON numbers
 use Python's shortest round-trip float representation; CSV carries a
 mandatory header and 17 significant digits.
+
+Arrays reach the text through ``tolist``: complex entries become their
+[re, im] pairs by viewing the buffer as float64, and a flow trajectory is
+one float table formatted a row at a time with one row template, so no
+entry is converted or type-tested on its own.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_operator
-from .states import validate_positive, validate_state
+from .states import PositiveFunctional, validate_positive, validate_state
 
 __all__ = [
     "KINDS",
+    "complex_pairs",
     "matrix_to_jsonable",
     "matrix_from_jsonable",
     "dumps_canonical",
@@ -34,19 +40,27 @@ __all__ = [
 
 KINDS = ("operator", "state", "positive")
 _NUMBERS = {int, float}  # exact entry types: no null, true/false or numeric strings
+_FLOAT_FIELD = "%.17g"
+
+
+def complex_pairs(a) -> list:
+    """The [re, im] pairs of an array's entries, in row-major order."""
+    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
 def matrix_to_jsonable(m: np.ndarray, kind: str = "operator") -> dict:
     """Encode a matrix as the canonical JSON object."""
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    mat = np.asarray(m, dtype=complex)
-    entries = [[float(z.real), float(z.imag)] for z in mat.ravel()]
-    return {"n": int(mat.shape[0]), "kind": kind, "entries": entries}
+    return {"n": np.shape(m)[0], "kind": kind, "entries": complex_pairs(m)}
 
 
-def matrix_from_jsonable(obj) -> tuple[np.ndarray, str]:
-    """Decode and validate a matrix object; returns (matrix, kind)."""
+def _decode_matrix(obj) -> tuple[np.ndarray, str, PositiveFunctional | None]:
+    """Decode a matrix object into (matrix, kind, functional).
+
+    A ``state`` or ``positive`` object is validated here, once, and the
+    validated value is the third item; it is None for an ``operator``.
+    """
     if not isinstance(obj, dict):
         raise ValidationError("matrix file must contain a JSON object")
     n, entries = obj.get("n"), obj.get("entries")
@@ -67,9 +81,15 @@ def matrix_from_jsonable(obj) -> tuple[np.ndarray, str]:
         raise ValidationError("matrix entries must be [re, im] pairs of numbers")
     m = as_operator(pairs.view(complex).reshape(n, n), "matrix file")
     if kind == "state":
-        validate_state(m)
-    elif kind == "positive":
-        validate_positive(m)
+        return m, kind, validate_state(m)
+    if kind == "positive":
+        return m, kind, validate_positive(m)
+    return m, kind, None
+
+
+def matrix_from_jsonable(obj) -> tuple[np.ndarray, str]:
+    """Decode and validate a matrix object; returns (matrix, kind)."""
+    m, kind, _ = _decode_matrix(obj)
     return m, kind
 
 
@@ -98,7 +118,7 @@ def save_matrix_text(m: np.ndarray, kind: str = "operator") -> str:
 
 def format_float(x: float) -> str:
     """CSV float field with 17 significant digits."""
-    return f"{float(x):.17g}"
+    return _FLOAT_FIELD % float(x)
 
 
 def csv_table(header: list[str], rows: list[list]) -> str:
@@ -121,18 +141,19 @@ def flow_csv(t_grid, states) -> str:
     """Trajectory CSV: t followed by the flattened state entries (re/im pairs)."""
     if not states:
         raise ValidationError("empty trajectory")
+    t = np.asarray(t_grid, dtype=float)
+    if t.shape != (len(states),):
+        raise ValidationError(f"{t.size} grid points for {len(states)} states")
     n = states[0].n
-    header = ["t"]
-    for i in range(n):
-        for j in range(n):
-            header.extend([f"re_{i}_{j}", f"im_{i}_{j}"])
-    rows = []
-    for t, rho in zip(t_grid, states):
-        row = [float(t)]
-        for z in rho.matrix.ravel():
-            row.extend([float(z.real), float(z.imag)])
-        rows.append(row)
-    return csv_table(header, rows)
+    dims = sorted({rho.n for rho in states})
+    if dims != [n]:
+        raise ValidationError(f"trajectory states have dimensions {dims}, expected one")
+    entries = np.stack([rho.matrix for rho in states]).astype(complex, copy=False)
+    table = np.column_stack([t, entries.reshape(len(states), -1).view(float)])
+    header = ",".join(["t"] + [f"{part}_{i}_{j}" for i in range(n) for j in range(n)
+                               for part in ("re", "im")])
+    template = ",".join([_FLOAT_FIELD] * table.shape[1])
+    return "\n".join([header] + [template % tuple(row) for row in table.tolist()]) + "\n"
 
 
 def truncation_csv(report) -> str:
