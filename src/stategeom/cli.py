@@ -81,7 +81,11 @@ def _emit(ctx, chunks) -> None:
         for chunk in chunks:
             click.echo(chunk, nl=False)
         return
-    with open(out, "w") as fh:
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+    with fh:
         for chunk in chunks:
             fh.write(chunk)
 

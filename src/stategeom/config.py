@@ -1,5 +1,6 @@
 """Baseline tolerances, the process-wide rescale behind the CLI --tol flag,
-and ``check``, the one threshold decision that raises.
+``check``, the one threshold decision that raises, and the size limit of the
+explicit isotropy bases.
 
 Bounds are BASE * scale * a per-decision factor, usually ``1 + Frobenius norm``
 of the relevant matrix; the counting decisions read ``scaled``.
@@ -23,6 +24,7 @@ TRACIAL_ATOL = 1e-10          # commutator residual for tracial inputs
 GNS_CONSISTENCY_RTOL = 1e-8   # |<psi|pi(g†g)|psi> - rho(g†g)|, relative to 1 + |rho(g†g)|
 TANGENT_RANK_RTOL = 1e-8      # tangent-map rank cut, relative to sigma_max
 FD_STEP = 1e-5                # central-difference step
+BASIS_MAX_ENTRIES = 1 << 26   # explicit isotropy bases: dim * n^2 complex entries (1 GiB)
 
 _scale = 1.0
 

@@ -27,7 +27,16 @@ the Gram matrix of the rotated vectors:
 
 A basis is rejected (ValidationError) when the bound is at most
 GRAM_MIN_EIG_RTOL times max(1, the bound on lambda_max).  The certificate
-costs one O(n^3) SVD of w; building a basis costs O(n^4) time and memory.
+costs one O(n^3) SVD of w; building a basis costs O(n^4) time and memory,
+so a basis of more than config.BASIS_MAX_ENTRIES matrix entries is refused
+(ValidationError) before it is allocated.
+
+isotropy_report never builds a basis.  It certifies the blocks and sweeps
+their membership residuals _SWEEP_ENTRIES matrix entries at a time through
+two chunk buffers allocated once: O(n^4) time, O(n^2) memory (a traced peak
+of about 1 MiB at n=32).  The velocity of each chunk is formed as whole
+matrices, so the residual costs a few passes over each chunk and no index
+gathers, and has the bits of the pairings taken one by one.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from .states import (
 )
 from .tangent import alpha_velocity, phi_velocity
 
-_SWEEP_ENTRIES = 1 << 16  # matrix entries per chunk of the residual sweep (1 MiB)
+_SWEEP_ENTRIES = 1 << 14  # matrix entries per chunk of the residual sweep (256 KiB)
 
 __all__ = [
     "RealBasis",
@@ -90,17 +99,13 @@ def hermitian_components(t: np.ndarray) -> np.ndarray:
     order as hermitian_basis.  A stack of shape (..., n, n) gives one row of
     n^2 pairings per matrix.
     """
-    rows, cols = np.triu_indices(t.shape[-1], k=1)
-    return _pairings(np.diagonal(t, axis1=-2, axis2=-1).real, t[..., rows, cols])
-
-
-def _pairings(diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """The diagonal pairings, then 2 Re and 2 Im of each upper off-diagonal entry."""
-    k = diagonal.shape[-1]
-    out = np.empty(diagonal.shape[:-1] + (k + 2 * off.shape[-1],))
-    out[..., :k] = diagonal
-    out[..., k::2] = 2.0 * off.real
-    out[..., k + 1::2] = 2.0 * off.imag
+    n = t.shape[-1]
+    rows, cols = np.triu_indices(n, k=1)
+    off = t[..., rows, cols]
+    out = np.empty(t.shape[:-2] + (n * n,))
+    out[..., :n] = np.diagonal(t, axis1=-2, axis2=-1).real
+    out[..., n::2] = 2.0 * off.real
+    out[..., n + 1::2] = 2.0 * off.imag
     return out
 
 
@@ -265,23 +270,27 @@ def _certify(b: _Blocks, sv: np.ndarray, identity: bool = False) -> float:
                         config.GRAM_MIN_EIG_RTOL, max(1.0, upper), ValidationError, floor=True)
 
 
-def _outer_stack(b: _Blocks, left: np.ndarray, right: np.ndarray, part=slice(None)) -> np.ndarray:
-    """Stack of c1 left_j1 right_l1† + c2 left_j2 right_l2† over the blocks in
-    ``part``, where left_j and right_l are columns."""
-    lt, rt = left.T, np.conjugate(right.T)
-    out = (b.c1[part, None] * lt[b.j1[part]])[:, :, None] * rt[b.l1[part]][:, None, :]
-    out += (b.c2[part, None] * lt[b.j2[part]])[:, :, None] * rt[b.l2[part]][:, None, :]
+def _outer_stack(b: _Blocks, w: np.ndarray) -> np.ndarray:
+    """Stack of the rotated blocks c1 w_j1 w_l1† + c2 w_j2 w_l2†."""
+    lt, rt = w.T, np.conjugate(w.T)
+    out = (b.c1[:, None] * lt[b.j1])[:, :, None] * rt[b.l1][:, None, :]
+    out += (b.c2[:, None] * lt[b.j2])[:, :, None] * rt[b.l2][:, None, :]
     return out
 
 
 def _rotated_basis(split: SpectralSplit, b: _Blocks, identity: bool = False) -> RealBasis:
+    n = split.ambient_dim
+    if b.dim * n * n > config.BASIS_MAX_ENTRIES:
+        raise ValidationError(
+            f"explicit basis of {b.dim} matrices of dimension {n} has {b.dim * n * n} "
+            f"entries, above the limit of {config.BASIS_MAX_ENTRIES} (isotropy_report "
+            "needs no basis)")
     w = split.full_basis()
     floor = _certify(b, np.linalg.svd(w, compute_uv=False), identity)
-    stack = _outer_stack(b, w, w)
+    stack = _outer_stack(b, w)
     stack.flags.writeable = False
     vectors = tuple(stack)
     if identity:
-        n = split.ambient_dim
         eye = np.eye(n, dtype=complex) / np.sqrt(n)
         eye.flags.writeable = False
         vectors += (eye,)
@@ -342,25 +351,53 @@ class IsotropyReport:
 
 def _sweep_residual(b: _Blocks, w: np.ndarray, base: np.ndarray, normalized: bool) -> float:
     """Worst membership residual of the rotated blocks at ``base``, sweeping the
-    velocities _SWEEP_ENTRIES matrix entries at a time (O(n^2) memory).
+    velocities _SWEEP_ENTRIES matrix entries at a time through two chunk
+    buffers allocated once (O(n^2) memory).
 
     For v = c w_j w_l† and y = h w, h the Hermitian part of base, the
-    congruence velocity is c w_j y_l† + conj(c) y_l w_j†; the normalized
-    action subtracts its trace times base.  The pairings of the velocity
-    t + t† are read straight from t, in the order of hermitian_components.
+    congruence velocity is t + t† with t = c w_j y_l†, plus the second unit
+    of the block unless the whole chunk has c2 = 0; the normalized action
+    subtracts 2 Re Tr(t) times base.  t + t† is formed as whole matrices: its
+    diagonal is 2 Re t and its off-diagonal is exactly Hermitian, as is base
+    with its upper triangle mirrored, so with the diagonal halved the largest
+    pairing of hermitian_components is 2 max(|Re|, |Im|) over the chunk.
+    Each step is exact up to factors of two, so the residual has the bits of
+    the pairings taken one by one (unless an intermediate is subnormal).
     """
+    n = w.shape[0]
     y = ((base + dagger(base)) / 2.0) @ w
-    rows, cols = np.triu_indices(w.shape[0], k=1)
-    step = max(1, _SWEEP_ENTRIES // w.size)
+    lt, rt = w.T, np.conjugate(y.T)
+    step = max(1, min(b.dim, _SWEEP_ENTRIES // w.size))
+    t = np.empty((step, n, n), dtype=complex)
+    v = np.empty_like(t)
+    t_real, v_real = (a.view(float).reshape(step, n, n, 2) for a in (t, v))
+    t_diag, v_diag = (a.reshape(step, n * n)[:, :: n + 1] for a in (t, v))
+    if normalized:
+        mirror = np.triu(base, 1)
+        mirror += dagger(mirror)
+        np.fill_diagonal(mirror, base.diagonal().real)
+        mirror = mirror.view(float).reshape(n, n, 2)
+    single = b.c2 == 0
     worst = 0.0
     for start in range(0, b.dim, step):
-        t = _outer_stack(b, w, y, slice(start, start + step))
-        values = _pairings(2.0 * np.diagonal(t, axis1=1, axis2=2).real,
-                           t[:, rows, cols] + np.conjugate(t[:, cols, rows]))
+        stop = min(start + step, b.dim)
+        m = stop - start
+        tc, vc = t[:m], v[:m]
+        left = b.c1[start:stop, None] * lt[b.j1[start:stop]]
+        np.multiply(left[:, :, None], rt[b.l1[start:stop]][:, None, :], out=tc)
+        if not single[start:stop].all():
+            left = b.c2[start:stop, None] * lt[b.j2[start:stop]]
+            np.multiply(left[:, :, None], rt[b.l2[start:stop]][:, None, :], out=vc)
+            tc += vc
+        np.conjugate(tc.transpose(0, 2, 1), out=vc)
+        vc += tc
         if normalized:
-            trace = 2.0 * np.trace(t, axis1=1, axis2=2).real
-            values -= trace[:, None] * hermitian_components(base)
-        worst = max(worst, float(np.max(np.abs(values))))
+            trace = t_diag[:m].sum(axis=-1).real * 2.0
+            # t is spent: it holds trace * base, one float product per entry
+            np.einsum("b,pqc->bpqc", trace, mirror, out=t_real[:m])
+            v_real[:m] -= t_real[:m]
+        v_diag[:m] *= 0.5
+        worst = max(worst, 2.0 * float(v_real[:m].max()), -2.0 * float(v_real[:m].min()))
     return worst
 
 

@@ -113,6 +113,34 @@ def constraint_matrix_phi_fast(rho):
     return (base - np.outer(tr_b, tr_d)).real
 
 
+def sweep_residual_reference(blocks, w, base, normalized):
+    """Worst membership residual of the rotated blocks c1 w_j1 w_l1† + c2 w_j2 w_l2†
+    at ``base``, the straightforward way.
+
+    Materialises every t = c1 w_j1 y_l1† + c2 w_j2 y_l2† (y = h w, h the
+    Hermitian part of base) at once, gathers the pairings of t + t† against
+    the Hermitian basis (the diagonal, then 2 Re and 2 Im of each upper
+    entry), subtracts 2 Re Tr(t) times the pairings of base for the
+    normalized action, and takes the largest magnitude.  Reads only the
+    fields of the blocks.
+    """
+    n = w.shape[0]
+    y = ((base + dag(base)) / 2.0) @ w
+    left, right = w.T, np.conjugate(y.T)
+    t = (blocks.c1[:, None] * left[blocks.j1])[:, :, None] * right[blocks.l1][:, None, :]
+    t += (blocks.c2[:, None] * left[blocks.j2])[:, :, None] * right[blocks.l2][:, None, :]
+    rows, cols = np.triu_indices(n, k=1)
+    off = t[:, rows, cols] + np.conjugate(t[:, cols, rows])
+    values = np.concatenate([2.0 * np.diagonal(t, axis1=1, axis2=2).real,
+                             2.0 * off.real, 2.0 * off.imag], axis=1)
+    if normalized:
+        base_off = base[rows, cols]
+        pairings = np.concatenate([np.diagonal(base).real, 2.0 * base_off.real,
+                                   2.0 * base_off.imag])
+        values -= (2.0 * np.trace(t, axis1=1, axis2=2).real)[:, None] * pairings
+    return float(np.abs(values).max())
+
+
 def null_space_dimension(m, rel_tol=1e-8):
     """Number of singular values below rel_tol times max(largest, 1).
 

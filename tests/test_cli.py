@@ -366,6 +366,14 @@ def _exits_2_with_one_line(result):
     assert len(lines) == 1 and lines[0].startswith("ValidationError: "), result.stderr
 
 
+def test_out_in_missing_directory_exits_2(runner, files, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    result = runner.invoke(main, ["--out", str(target), "validate", files["state"]])
+    _exits_2_with_one_line(result)
+    assert "cannot write --out" in result.stderr
+    assert not target.parent.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", [
     '{"n":1,"entries":[[null,0]]}',

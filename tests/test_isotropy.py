@@ -6,6 +6,7 @@ from oracles import (
     constraint_matrix_phi,
     dag,
     null_space_dimension,
+    sweep_residual_reference,
 )
 from stategeom.actions import phi
 from stategeom.isotropy import (
@@ -23,7 +24,12 @@ from stategeom.isotropy import (
 )
 from stategeom.linalg import frobenius, fro_scale, matrix_exp
 from stategeom.sampling import random_direction, random_state
-from stategeom.states import maximally_mixed, spectral_split, validate_positive
+from stategeom.states import (
+    maximally_mixed,
+    spectral_split,
+    validate_positive,
+    validate_state,
+)
 from stategeom.tangent import alpha_velocity, phi_velocity
 
 
@@ -374,3 +380,115 @@ def test_report_working_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _sweep_cases():
+    rng = np.random.default_rng(1604)
+    for n in (1, 2, 3, 5, 8, 16):
+        for k in sorted({1, max(1, n // 2), n}):
+            yield random_state(rng, n, rank=k)
+    # a repeated support eigenvalue and a two-dimensional kernel, rotated
+    u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    yield validate_positive((u * np.array([0.3, 0.3, 0.2, 0.2, 0.0, 0.0])) @ dag(u))
+    yield validate_positive(3.5 * random_state(rng, 7, rank=4).matrix)
+    # Hermitian only up to the validation tolerance: the lower triangle is off
+    # by about 1e-14 and the diagonal has imaginary parts of about 1e-12
+    noise = 1e-14 * np.tril(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)), -1)
+    noise += 1e-12j * np.diag(rng.standard_normal(6))
+    yield validate_positive(random_state(rng, 6, rank=3).matrix + noise)
+
+
+def test_sweep_residual_matches_reference_bit_for_bit(monkeypatch):
+    import stategeom.isotropy as iso
+
+    for xi in _sweep_cases():
+        split = spectral_split(xi)
+        w = split.full_basis()
+        state = validate_state(xi.matrix / np.trace(xi.matrix).real)
+        for blocks in iso._blocks(split):
+            for base in (xi.matrix, state.matrix):
+                for normalized in (False, True):
+                    expected = sweep_residual_reference(blocks, w, base, normalized)
+                    for entries in (1, 50, 1 << 30):
+                        monkeypatch.setattr(iso, "_SWEEP_ENTRIES", entries)
+                        got = iso._sweep_residual(blocks, w, base, normalized)
+                        assert got == expected, (xi.n, split.support_dim, normalized, entries)
+
+
+def test_sweep_residual_of_the_identity_matches_reference():
+    # I / sqrt(2) = w (E00 + E11) w† / sqrt(2) fixes the state under the
+    # normalized action, so its residual is pure rounding while 2 Re Tr(t) =
+    # sqrt(2) multiplies the base: reading the base's upper triangle and real
+    # diagonal, as the pairings do, shows in the bits only in such a case
+    import stategeom.isotropy as iso
+
+    rng = np.random.default_rng(1605)
+    noise = np.array([[1e-12j, 0.0], [3e-14 - 2e-14j, -2e-12j]])
+    xi = validate_positive(random_state(rng, 2).matrix + noise)
+    w = spectral_split(xi).full_basis()
+    half = np.array([np.sqrt(0.5) + 0j])
+    identity = iso._Blocks(j1=np.array([0]), l1=np.array([0]), c1=half,
+                           j2=np.array([1]), l2=np.array([1]), c2=half, singles=1)
+    for normalized in (False, True):
+        expected = sweep_residual_reference(identity, w, xi.matrix, normalized)
+        assert iso._sweep_residual(identity, w, xi.matrix, normalized) == expected
+    assert expected < 1e-13
+
+
+def test_report_peak_memory_below_2mib():
+    # the sweep reuses two 256 KiB chunk buffers; allocating fresh 1 MiB
+    # temporaries for every chunk peaked at 4.0 MiB at this size
+    import tracemalloc
+
+    rho = random_state(np.random.default_rng(3208), 32, rank=8)
+    tracemalloc.start()
+    try:
+        isotropy_report(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+class TestBasisSizeGuard:
+    BUILDERS = (isotropy_basis_alpha, complement_basis_alpha, isotropy_basis_phi)
+
+    def test_oversize_basis_refused_before_it_is_built(self, monkeypatch):
+        import tracemalloc
+
+        import stategeom.isotropy as iso
+        from stategeom import config
+        from stategeom.errors import ValidationError
+
+        def unreachable(*args):
+            raise AssertionError("the O(n^4) stack was built")
+
+        monkeypatch.setattr(iso, "_outer_stack", unreachable)
+        # full rank at n = 91: 91^2 matrices of 91^2 entries each, over 1 GiB
+        split = spectral_split(random_state(np.random.default_rng(91), 91))
+        assert 91**4 > config.BASIS_MAX_ENTRIES
+        for build in self.BUILDERS:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValidationError, match="above the limit"):
+                    build(split)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        from stategeom import config
+        from stategeom.errors import ValidationError
+
+        split = spectral_split(random_state(np.random.default_rng(92), 4, rank=2))
+        # the identity of the phi basis is not part of the block stack
+        stacked = [build(split).dim_real - (build is isotropy_basis_phi)
+                   for build in self.BUILDERS]
+        for build, count in zip(self.BUILDERS, stacked):
+            entries = count * 4 * 4
+            monkeypatch.setattr(config, "BASIS_MAX_ENTRIES", entries)
+            assert build(split).dim_real > 0
+            monkeypatch.setattr(config, "BASIS_MAX_ENTRIES", entries - 1)
+            with pytest.raises(ValidationError, match="above the limit"):
+                build(split)
