@@ -129,14 +129,23 @@ def phi(g, rho: StateDensity) -> StateDensity:
     of the unscaled product.
     """
     ge = group_element(g, rho.n)
-    e = max(math.frexp(ge.sigma_max)[1], 0)
-    m = np.empty_like(ge.matrix)
-    m.real = np.ldexp(ge.matrix.real, -e)
-    m.imag = np.ldexp(ge.matrix.imag, -e)
+    return validate_state(prescaled_phi(ge.matrix, max(math.frexp(ge.sigma_max)[1], 0), rho)[0])
+
+
+def prescaled_phi(g: np.ndarray, e: int, rho: StateDensity) -> tuple[np.ndarray, float]:
+    """``phi``'s matrix before validation and its divisor: (m rho m† / d, d) with
+    m = 2^-e g and d = Tr(m rho m†), the floor test applied to 2^2e d.
+
+    Any e gives the same bits while no product of entries underflows, since
+    scaling by a power of two is exact; ``phi`` takes the one above sigma_max.
+    """
+    m = np.empty(g.shape, dtype=complex)
+    m.real = np.ldexp(g.real, -e)
+    m.imag = np.ldexp(g.imag, -e)
     num = m @ rho.matrix @ dagger(m)
     den = config.check("Tr(g rho g†)", float(np.trace(num).real), config.DENOMINATOR_FLOOR,
                        1.0, NumericallySingular, floor=True, exp2=2 * e)
-    return validate_state(num / den)
+    return num / den, den
 
 
 def unitary_phi(u, rho: StateDensity) -> StateDensity:

@@ -73,21 +73,23 @@ def handle_errors(fn):
 
 
 def _emit(ctx, chunks) -> None:
-    """Write one text, or an iterable of text chunks as they come, to --out or stdout."""
+    """Write one text, or an iterable of text chunks as they come, to --out or
+    stdout.  An output that cannot be opened, written, flushed or closed is a
+    ValidationError, like any other unusable input."""
     if isinstance(chunks, str):
         chunks = (chunks,)
     out = ctx.obj.get("out")
-    if out is None:
-        for chunk in chunks:
-            click.echo(chunk, nl=False)
-        return
     try:
-        fh = open(out, "w")
+        if out is None:
+            for chunk in chunks:
+                click.echo(chunk, nl=False)
+            return
+        with open(out, "w") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
-        raise ValidationError(f"cannot write --out {out}: {exc.strerror or exc}") from None
-    with fh:
-        for chunk in chunks:
-            fh.write(chunk)
+        target = "stdout" if out is None else f"--out {out}"
+        raise ValidationError(f"cannot write {target}: {exc.strerror or exc}") from None
 
 
 def _require_format(ctx, allowed: tuple, default: str) -> str:
@@ -306,6 +308,11 @@ def gns(ctx, file):
     """GNS data of a state: dimension, represented basis, cyclic vector."""
     _require_format(ctx, ("json",), "json")
     triple = gns_construct(_load_state(file))
+    entries = triple.n ** 2 * triple.dim ** 2
+    if entries > config.GNS_MAX_ENTRIES:
+        raise ValidationError(
+            f"gns payload of {triple.n ** 2} matrices of dimension {triple.dim} has {entries} "
+            f"entries, above the limit of {config.GNS_MAX_ENTRIES}")
     _emit(ctx, _gns_chunks(triple))
 
 

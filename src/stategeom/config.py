@@ -1,6 +1,7 @@
 """Baseline tolerances, the process-wide rescale behind the CLI --tol flag,
-``check``, the one threshold decision that raises, and the size limit of the
-explicit isotropy bases.
+``check``, the one threshold decision that raises, its non-raising form
+``clears``, and the size limits of the explicit isotropy bases and the gns
+payload.
 
 Bounds are BASE * scale * a per-decision factor, usually ``1 + Frobenius norm``
 of the relevant matrix; the counting decisions read ``scaled``.
@@ -25,6 +26,7 @@ GNS_CONSISTENCY_RTOL = 1e-8   # |<psi|pi(g†g)|psi> - rho(g†g)|, relative to 
 TANGENT_RANK_RTOL = 1e-8      # tangent-map rank cut, relative to sigma_max
 FD_STEP = 1e-5                # central-difference step
 BASIS_MAX_ENTRIES = 1 << 26   # explicit isotropy bases: dim * n^2 complex entries (1 GiB)
+GNS_MAX_ENTRIES = 1 << 22     # gns payload: n^2 (nk)^2 complex entries (~40 MB of text)
 
 _scale = 1.0
 
@@ -42,15 +44,25 @@ def scaled(base: float) -> float:
     return base * _scale
 
 
+def clears(value: float, base: float, scale: float, *, floor: bool = False,
+           exp2: int = 0) -> bool:
+    """Whether ``value`` passes ``check``'s decision: it is at or below the bound
+    ``scaled(base) * scale`` (above it for a ``floor``), and NaN passes.  The
+    flow certificates decide with it where a failure means a fallback, not an
+    error."""
+    bound = math.ldexp(base * _scale * scale, -exp2)
+    return not (value <= bound if floor else value > bound)
+
+
 def check(what: str, value: float, base: float, scale: float, exc: type,
           *, floor: bool = False, exp2: int = 0) -> float:
     """Return ``value``, or raise ``exc`` naming ``what``, the value and the bound
     ``scaled(base) * scale`` when the value exceeds it (is at or below it for a
     ``floor``).  ``exp2`` marks a value prescaled by 2**-exp2: the bound is
     rescaled alike and both are reported unscaled."""
+    if clears(value, base, scale, floor=floor, exp2=exp2):
+        return value
     bound = math.ldexp(base * _scale * scale, -exp2)
-    if value <= bound if floor else value > bound:
-        relation = "at or below" if floor else "exceeds"
-        raise exc(f"{what} {math.ldexp(value, exp2):.3e} {relation} "
-                  f"{math.ldexp(bound, exp2):.3e}")
-    return value
+    relation = "at or below" if floor else "exceeds"
+    raise exc(f"{what} {math.ldexp(value, exp2):.3e} {relation} "
+              f"{math.ldexp(bound, exp2):.3e}")

@@ -154,9 +154,15 @@ def validate_positive(m) -> PositiveFunctional:
 
 def validate_state(m) -> StateDensity:
     """Validate a matrix as a density matrix (positive, unit trace)."""
-    pos = validate_positive(m)
-    config.check("|trace - 1|", abs(pos.trace - 1.0), config.TRACE_ATOL, 1.0, TraceError)
-    return StateDensity(matrix=pos.matrix)
+    return unit_trace(validate_positive(m).matrix)
+
+
+def unit_trace(frozen: np.ndarray) -> StateDensity:
+    """``validate_state``'s trace test on a frozen matrix that passed (or is
+    certified to pass) ``validate_positive``."""
+    trace = float(np.trace(frozen).real)
+    config.check("|trace - 1|", abs(trace - 1.0), config.TRACE_ATOL, 1.0, TraceError)
+    return StateDensity(matrix=frozen)
 
 
 def validate_probability(p) -> ProbabilityVector:

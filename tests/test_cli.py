@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -459,3 +460,64 @@ def test_operand_of_another_dimension_exits_2(runner, files, command):
     result = runner.invoke(main, args)
     _exits_2_with_one_line(result)
     assert "has dimension" in result.stderr
+
+
+def _cli_to_dev_full(*args):
+    """``_cli_process`` with its stdout on /dev/full, where every write fails."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stategeom
+
+    src = str(Path(stategeom.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    with open("/dev/full", "w") as full:
+        return subprocess.run([sys.executable, "-m", "stategeom.cli", *args], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestFailingWrite:
+    def test_out_that_cannot_be_written_exits_2(self, files):
+        done = _cli_process("--out", "/dev/full", "validate", files["state"])
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("ValidationError: cannot write --out /dev/full: ")
+        assert len(done.stderr.splitlines()) == 1
+
+    def test_stdout_that_cannot_be_written_exits_2(self, files):
+        done = _cli_to_dev_full("validate", files["state"])
+        assert done.returncode == 2
+        assert done.stderr.startswith("ValidationError: cannot write stdout: ")
+        assert len(done.stderr.splitlines()) == 1
+
+    def test_streamed_gns_that_cannot_be_written_exits_2(self, files):
+        done = _cli_to_dev_full("gns", files["state"])
+        assert done.returncode == 2
+        assert len(done.stderr.splitlines()) == 1
+
+
+class TestGnsPayloadLimit:
+    def test_default_limit_refuses_n13_before_writing(self, runner, tmp_path):
+        # a full-rank state at n = 13 asks for 13^6 = 4826809 entries, about 50 MB of text
+        from stategeom import config
+
+        assert 12 ** 6 <= config.GNS_MAX_ENTRIES < 13 ** 6
+        state = write(tmp_path / "s13.json", np.eye(13) / 13.0, "state")
+        out = tmp_path / "gns.json"
+        for args in (["gns", state], ["--out", str(out), "gns", state]):
+            result = runner.invoke(main, args)
+            _exits_2_with_one_line(result)
+            assert "above the limit of 4194304" in result.stderr
+        assert not out.exists()
+
+    def test_limit_is_inclusive(self, runner, files, monkeypatch):
+        # the maximally mixed qubit: 2^2 matrices of dimension 4, 64 entries
+        from stategeom import config
+
+        monkeypatch.setattr(config, "GNS_MAX_ENTRIES", 64)
+        assert runner.invoke(main, ["gns", files["state"]]).exit_code == 0
+        monkeypatch.setattr(config, "GNS_MAX_ENTRIES", 63)
+        _exits_2_with_one_line(runner.invoke(main, ["gns", files["state"]]))
