@@ -359,16 +359,13 @@ def truncate(ctx, config_file):
     if fmt == "csv":
         _emit(ctx, truncation_csv(report))
     else:
-        payload = {
-            "dims": list(report.dims),
-            "C": list(report.bound_constants),
-            "opnorm": list(report.opnorms),
-            "residual": list(report.residuals),
-            "flag": list(report.flags),
-            "orbit_class": list(report.orbit_class_tags),
-            "ceiling": report.ceiling,
-            "diverged": report.diverged,
-        }
+        payload = {"dims": list(report.dims)}
+        for key, column in (("C", report.bound_constants), ("opnorm", report.opnorms),
+                            ("residual", report.residuals)):
+            # a row whose C overflows holds inf, which JSON writes as null
+            payload[key] = [x if np.isfinite(x) else None for x in column]
+        payload.update(flag=list(report.flags), orbit_class=list(report.orbit_class_tags),
+                       ceiling=report.ceiling, diverged=report.diverged)
         _emit(ctx, dumps_canonical(payload))
 
 

@@ -45,24 +45,24 @@ def scaled(base: float) -> float:
 
 
 def clears(value: float, base: float, scale: float, *, floor: bool = False,
-           exp2: int = 0) -> bool:
+           exp2: int = 0, slack: float = 0.0) -> bool:
     """Whether ``value`` passes ``check``'s decision: it is at or below the bound
-    ``scaled(base) * scale`` (above it for a ``floor``), and NaN passes.  The
-    flow certificates decide with it where a failure means a fallback, not an
-    error."""
-    bound = math.ldexp(base * _scale * scale, -exp2)
+    ``scaled(base) * scale + slack`` (above it for a ``floor``), and NaN passes.
+    The flow certificates decide with it where a failure means a fallback, not
+    an error."""
+    bound = math.ldexp(base * _scale * scale + slack, -exp2)
     return not (value <= bound if floor else value > bound)
 
 
 def check(what: str, value: float, base: float, scale: float, exc: type,
-          *, floor: bool = False, exp2: int = 0) -> float:
+          *, floor: bool = False, exp2: int = 0, slack: float = 0.0) -> float:
     """Return ``value``, or raise ``exc`` naming ``what``, the value and the bound
-    ``scaled(base) * scale`` when the value exceeds it (is at or below it for a
-    ``floor``).  ``exp2`` marks a value prescaled by 2**-exp2: the bound is
-    rescaled alike and both are reported unscaled."""
-    if clears(value, base, scale, floor=floor, exp2=exp2):
+    ``scaled(base) * scale + slack`` (``slack``: the value's own rounding) when the
+    value exceeds it (is at or below it for a ``floor``).  ``exp2`` marks a value
+    prescaled by 2**-exp2: the bound is rescaled alike and both are reported unscaled."""
+    if clears(value, base, scale, floor=floor, exp2=exp2, slack=slack):
         return value
-    bound = math.ldexp(base * _scale * scale, -exp2)
+    bound = math.ldexp(base * _scale * scale + slack, -exp2)
     relation = "at or below" if floor else "exceeds"
     raise exc(f"{what} {math.ldexp(value, exp2):.3e} {relation} "
               f"{math.ldexp(bound, exp2):.3e}")

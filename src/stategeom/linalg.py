@@ -83,6 +83,12 @@ def frobenius(a: np.ndarray) -> float:
     return value
 
 
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: the rounding bound of k operations."""
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
+
+
 def fro_scale(a: np.ndarray) -> float:
     """Scale factor ``1 + ||a||_F`` used by relative tolerances."""
     return 1.0 + frobenius(a)

@@ -9,11 +9,12 @@ dimension congruence orbits are decided completely by Sylvester inertia.
 The tracial orbit is in bijection with positive invertible unit-trace
 elements and is convex, with an explicit square-root recombiner; the
 truncation sweep tracks how the bound constant behaves as the dimension
-grows.
+grows, from the closed form of the connection between two diagonal states.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -34,9 +35,7 @@ from .states import (
     gibbs_spectrum,
     maximally_mixed,
     spectral_split,
-    validate_positive,
     validate_probability,
-    validate_state,
 )
 
 __all__ = [
@@ -71,10 +70,9 @@ class ConnectCertificate:
     achieved_residual: float
 
 
-def _matched_splits(rho0, rho1, permutation=None,
-                    rank_tol=None) -> tuple[SpectralSplit, SpectralSplit, np.ndarray]:
-    split0 = spectral_split(rho0, rank_tol=rank_tol)
-    split1 = spectral_split(rho1, rank_tol=rank_tol)
+def _matched_splits(rho0, rho1, permutation) -> tuple[SpectralSplit, SpectralSplit, np.ndarray]:
+    split0 = spectral_split(rho0)
+    split1 = spectral_split(rho1)
     k = split0.support_dim
     if k != split1.support_dim or split0.ambient_dim != split1.ambient_dim:
         raise RankMismatch(
@@ -90,18 +88,18 @@ def _matched_splits(rho0, rho1, permutation=None,
     return split0, split1, perm
 
 
-def bound_constant(rho0, rho1, permutation=None, rank_tol=None) -> float:
+def bound_constant(rho0, rho1, permutation=None) -> float:
     """Largest eigenvalue ratio C = max_j p1_j / p0_j over matched spectra.
 
     Spectra are matched in non-increasing order unless an explicit
     permutation of the target spectrum is given.  Raises RankMismatch.
     """
-    split0, split1, perm = _matched_splits(rho0, rho1, permutation, rank_tol)
+    split0, split1, perm = _matched_splits(rho0, rho1, permutation)
     return float(np.max(split1.eigenvalues[perm] / split0.eigenvalues))
 
 
-def _connect(rho0, rho1, permutation, rank_tol=None):
-    split0, split1, perm = _matched_splits(rho0, rho1, permutation, rank_tol)
+def _connect(rho0, rho1, permutation):
+    split0, split1, perm = _matched_splits(rho0, rho1, permutation)
     ratios = split1.eigenvalues[perm] / split0.eigenvalues
     e0, e1 = split0.support_basis, split1.support_basis[:, perm]
     g = (e1 * np.sqrt(ratios)) @ dagger(e0) + split1.kernel_basis @ dagger(split0.kernel_basis)
@@ -119,22 +117,21 @@ def _residual_guard(image: np.ndarray, target: np.ndarray) -> float:
 
 
 def connect_alpha(rho0: PositiveFunctional, rho1: PositiveFunctional,
-                  permutation=None, rank_tol=None) -> ConnectCertificate:
+                  permutation=None) -> ConnectCertificate:
     """Element g with g rho0 g† = rho1, for equal-rank positive functionals."""
-    element, c, bound = _connect(rho0, rho1, permutation, rank_tol)
+    element, c, bound = _connect(rho0, rho1, permutation)
     residual = _residual_guard(element.matrix @ rho0.matrix @ dagger(element.matrix),
                                rho1.matrix)
     return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
                               achieved_residual=residual)
 
 
-def connect_phi(rho0: StateDensity, rho1: StateDensity,
-                permutation=None, rank_tol=None) -> ConnectCertificate:
+def connect_phi(rho0: StateDensity, rho1: StateDensity, permutation=None) -> ConnectCertificate:
     """Element g realizing rho1 under the normalized action, for equal ranks.
 
     Unit traces make the congruence element exact without rescaling.
     """
-    element, c, bound = _connect(rho0, rho1, permutation, rank_tol)
+    element, c, bound = _connect(rho0, rho1, permutation)
     residual = _residual_guard(phi(element, rho0).matrix, rho1.matrix)
     return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
                               achieved_residual=residual)
@@ -289,6 +286,22 @@ class TruncationReport:
         return any(self.flags)
 
 
+def _matched_spectra(n: int, spectra, normalise: bool) -> list:
+    """Positive finite length-n spectra (normalised when asked), non-increasing."""
+    out = []
+    for s in spectra:
+        s = np.asarray(s, dtype=float)
+        ok = s.shape == (n,) and np.all((s > 0.0) & (s < math.inf))
+        if ok and normalise:
+            with np.errstate(over="ignore"):  # a sum that overflows leaves zeros
+                s = s / s.sum()
+            ok = np.all(s > 0.0)
+        if not ok:
+            raise ValidationError(f"generators must produce positive length-{n} spectra")
+        out.append(np.sort(s)[::-1])
+    return out
+
+
 def truncation_sweep(gen0: SpectrumGenerator, gen1: SpectrumGenerator, dims,
                      ceiling: float = 1e6, action: str = "phi",
                      rng: np.random.Generator | None = None) -> TruncationReport:
@@ -296,8 +309,9 @@ def truncation_sweep(gen0: SpectrumGenerator, gen1: SpectrumGenerator, dims,
 
     ``action`` selects the normalized connection on unit-trace truncations
     ("phi") or the raw congruence connection on the fixed spectra ("alpha",
-    where nested truncations make C non-decreasing).  A row is flagged when
-    C exceeds ``ceiling``.
+    where nested truncations make C non-decreasing).  Each row is the closed
+    form for two diagonal states, O(n log n).  A row is flagged when C exceeds
+    ``ceiling``; a row whose C overflows holds inf in C, opnorm and residual.
     """
     if action not in ("alpha", "phi"):
         raise ValidationError(f"unknown action {action!r}, expected 'alpha' or 'phi'")
@@ -308,36 +322,31 @@ def truncation_sweep(gen0: SpectrumGenerator, gen1: SpectrumGenerator, dims,
         raise ValidationError("dims must be a nonempty list of positive integers")
     dims = [int(n) for n in dims]
 
-    cs, norms, residuals, tags, flags = [], [], [], [], []
+    cs, residuals = [], []
     for n in dims:
-        s0 = np.asarray(gen0.spectrum(n, rng), dtype=float)
-        s1 = np.asarray(gen1.spectrum(n, rng), dtype=float)
-        if s0.shape != (n,) or s1.shape != (n,) or not (np.all(s0 > 0.0) and np.all(s1 > 0.0)):
-            raise ValidationError(f"generators must produce positive length-{n} spectra")
-        # Deep truncations carry eigenvalues far below the generic support
-        # threshold but are full rank by construction, so the split runs at
-        # rank_tol = 0 and the class label comes from the generator.
-        if action == "phi":
-            rho0 = validate_state(np.diag((s0 / s0.sum()).astype(complex)))
-            rho1 = validate_state(np.diag((s1 / s1.sum()).astype(complex)))
-            cert = connect_phi(rho0, rho1, rank_tol=0.0)
-        else:
-            rho0 = validate_positive(np.diag(s0.astype(complex)))
-            rho1 = validate_positive(np.diag(s1.astype(complex)))
-            cert = connect_alpha(rho0, rho1, rank_tol=0.0)
-        cs.append(cert.bound_constant)
-        norms.append(cert.g.sigma_max)
-        residuals.append(cert.achieved_residual)
-        tags.append(OrbitClass(rank=n, corank=0, tag=f"FiniteRank({n})",
-                               declared_limit=gen1.declared_limit).label())
-        flags.append(cert.bound_constant > ceiling)
+        p0, p1 = _matched_spectra(n, (gen0.spectrum(n, rng), gen1.spectrum(n, rng)),
+                                  action == "phi")
+        # In the matched (non-increasing) order of sorted_eigh the connecting
+        # element is diag(sqrt(r)), r = p1/p0, and it maps p0 to sqrt(r) p0 sqrt(r).
+        with np.errstate(over="ignore"):
+            ratios = p1 / p0
+        cs.append(float(np.max(ratios)))
+        root = np.sqrt(ratios)
+        image = root * p0 * root
+        # where C overflows the element has no double entries and no residual
+        residuals.append(math.inf if cs[-1] == math.inf else
+                         _residual_guard(image / image.sum() if action == "phi" else image, p1))
 
     return TruncationReport(
         dims=tuple(dims),
         bound_constants=tuple(cs),
-        opnorms=tuple(norms),
+        # ||diag(sqrt(p1/p0))||_op = sqrt(C), rounded once by a monotone sqrt:
+        # at most sqrt(C + 1), so the norm bound holds without a check.
+        opnorms=tuple(math.sqrt(c) for c in cs),
         residuals=tuple(residuals),
-        orbit_class_tags=tuple(tags),
-        flags=tuple(flags),
+        orbit_class_tags=tuple(OrbitClass(rank=n, corank=0, tag=f"FiniteRank({n})",
+                                          declared_limit=gen1.declared_limit).label()
+                               for n in dims),
+        flags=tuple(c > ceiling for c in cs),
         ceiling=float(ceiling),
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import config
 from .errors import NotPSD, TraceError, ValidationError, ZeroFunctional
-from .linalg import dagger, fro_scale, require_hermitian, sorted_eigh
+from .linalg import dagger, fro_scale, gamma, require_hermitian, sorted_eigh
 
 __all__ = [
     "PositiveFunctional",
@@ -161,7 +161,9 @@ def unit_trace(frozen: np.ndarray) -> StateDensity:
     """``validate_state``'s trace test on a frozen matrix that passed (or is
     certified to pass) ``validate_positive``."""
     trace = float(np.trace(frozen).real)
-    config.check("|trace - 1|", abs(trace - 1.0), config.TRACE_ATOL, 1.0, TraceError)
+    # the slack is the rounding of the tested sum of n terms, gamma_(n+1)
+    config.check("|trace - 1|", abs(trace - 1.0), config.TRACE_ATOL, 1.0, TraceError,
+                 slack=gamma(frozen.shape[0] + 1))
     return StateDensity(matrix=frozen)
 
 
@@ -174,7 +176,8 @@ def validate_probability(p) -> ProbabilityVector:
         raise ValidationError("probability vector contains non-finite entries")
     if np.any(v < 0.0):
         raise NotPSD(f"probability vector has negative entry {v.min():.3e}")
-    config.check("|sum - 1|", abs(v.sum() - 1.0), config.PROBABILITY_ATOL, 1.0, TraceError)
+    config.check("|sum - 1|", abs(v.sum() - 1.0), config.PROBABILITY_ATOL, 1.0, TraceError,
+                 slack=gamma(v.shape[0] + 1))
     return ProbabilityVector(p=_frozen(v))
 
 
@@ -184,17 +187,12 @@ def _as_functional(rho) -> PositiveFunctional:
     return validate_positive(rho)
 
 
-def spectral_split(rho, rank_tol: float | None = None) -> SpectralSplit:
-    """Split the ambient space into the support and kernel of ``rho``.
-
-    ``rank_tol`` defaults to 1e-12*(1+||rho||_F); eigenvalues at or below it
-    count as kernel.
-    """
+def spectral_split(rho) -> SpectralSplit:
+    """Split the ambient space into the support and kernel of ``rho``:
+    eigenvalues at or below 1e-12*(1+||rho||_F) count as kernel."""
     mat = _as_functional(rho).matrix
-    if rank_tol is None:
-        rank_tol = default_rank_tol(mat)
     dec = sorted_eigh(mat)
-    k = int(np.sum(dec.eigenvalues > rank_tol))
+    k = int(np.sum(dec.eigenvalues > default_rank_tol(mat)))
     if k == 0:
         raise ZeroFunctional("functional has empty support at the given tolerance")
     return SpectralSplit(

@@ -23,7 +23,8 @@ import numpy as np
 from . import config
 from .actions import group_element, phi, prescaled_phi
 from .errors import NumericalError, ValidationError
-from .linalg import as_operator, dagger, frobenius, matrix_exp, require_hermitian, sorted_eigh
+from .linalg import (as_operator, dagger, frobenius, gamma, matrix_exp, require_hermitian,
+                     sorted_eigh)
 from .states import PositiveFunctional, StateDensity, default_rank_tol, unit_trace
 
 __all__ = [
@@ -85,21 +86,15 @@ def covariance(rho: StateDensity, a, b) -> float:
     return quad - 2.0 * float(np.trace(m @ am).real) * float(np.trace(m @ bm).real)
 
 
-_U = 2.0 ** -53               # unit roundoff of double precision
 _NORMAL_MIN = 2.0 ** -1022    # smallest normal double
 _EXACT_PRODUCTS = 2.0 ** -900  # least m * m * rho component product keeping the congruence exact
-
-
-def _gamma(k: int) -> float:
-    """Higham's rounding constant gamma_k = k u / (1 - k u)."""
-    return k * _U / (1.0 - k * _U)
 
 
 def _eig_allowance(n: int) -> float:
     """How far eigvalsh's eigenvalues of (m + m†)/2 may lie from those of m's
     Hermitian part, per unit of ||m||_F: sqrt(n) gamma_4n for its backward error
     and gamma_4n for the symmetrization and a division before it."""
-    return (math.sqrt(n) + 1.0) * _gamma(4 * n)
+    return (math.sqrt(n) + 1.0) * gamma(4 * n)
 
 
 def _smallest_component(a: np.ndarray) -> float:
@@ -153,8 +148,8 @@ def _invertible(g_norm: float, x: float, n: int) -> bool:
     if not x < 700.0:  # e^x overflows near 709.8; the bound fails long before
         return False
     growth = math.exp(x)
-    svd = math.sqrt(n) * _gamma(8 * n)
-    lower = 1.0 / growth - _gamma(8 * n) * (2.0 + (1.0 + math.sqrt(n)) * x) * growth \
+    svd = math.sqrt(n) * gamma(8 * n)
+    lower = 1.0 / growth - gamma(8 * n) * (2.0 + (1.0 + math.sqrt(n)) * x) * growth \
         - svd * g_norm
     return config.clears(lower, config.SINGULAR_RTOL, 1.0 + g_norm * (1.0 + 2.0 * svd),
                          floor=True)
@@ -175,8 +170,8 @@ def _positive(mat: np.ndarray, scale: float, flow: _Flow, m_norm: float, den: fl
     """
     n = mat.shape[0]
     allowance = _eig_allowance(n) * scale
-    deficit = (_gamma(4 * n + 8) * flow.rho_norm - flow.rho_floor) * m_norm * m_norm / den
-    top = (float(np.trace(mat).real) - math.sqrt(n) * _gamma(n) * scale) / n
+    deficit = (gamma(4 * n + 8) * flow.rho_norm - flow.rho_floor) * m_norm * m_norm / den
+    top = (float(np.trace(mat).real) - math.sqrt(n) * gamma(n) * scale) / n
     return (config.clears(deficit + allowance, config.PSD_CLAMP_RTOL, scale)
             and config.clears(top - allowance, config.PSD_CLAMP_RTOL, scale, floor=True))
 

@@ -198,3 +198,37 @@ def test_huge_scales_validate_without_overflow():
         np.testing.assert_allclose(image.matrix, 1e200 * d, rtol=1e-15)
         assert frobenius(1e160 * d) == pytest.approx(1e160 * np.sqrt(0.625), rel=1e-15)
         np.testing.assert_allclose(matrix_sqrt_psd(1e160 * d), 1e80 * np.sqrt(d), rtol=1e-15)
+
+
+class TestUnitSumRounding:
+    """Below --tol ~ 2e-6 the unit-sum bounds fall under one ulp of 1; each test
+    also allows the rounding of the sum it takes, gamma_(n+1)."""
+
+    def test_trace_normalised_state_passes_at_a_fine_tolerance(self):
+        from stategeom import config
+
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        m = a @ dag(a)
+        m = (m + dag(m)) / 2.0
+        m = m / np.trace(m).real
+        config.set_tolerance_scale(2e-6)
+        assert validate_state(m).n == 64  # |trace - 1| is 2.2e-16, one ulp
+
+    def test_dirichlet_vectors_pass_at_a_fine_tolerance(self):
+        from stategeom import config
+        from stategeom.states import validate_probability
+
+        rng = np.random.default_rng(0)
+        draws = [rng.dirichlet(np.ones(50)) for _ in range(200)]
+        config.set_tolerance_scale(1e-4)
+        assert all(validate_probability(p).m == 50 for p in draws)
+
+    def test_a_trace_off_by_1e_12_is_still_refused(self):
+        from stategeom import config
+
+        m = np.diag(np.full(64, 1.0 / 64)).astype(complex)
+        m[0, 0] += 1e-12
+        config.set_tolerance_scale(1e-6)
+        with pytest.raises(TraceError, match=r"^\|trace - 1\| 1\.000e-12 exceeds "):
+            validate_state(m)
