@@ -311,12 +311,14 @@ def truncation_sweep(gen0: SpectrumGenerator, gen1: SpectrumGenerator, dims,
     ("phi") or the raw congruence connection on the fixed spectra ("alpha",
     where nested truncations make C non-decreasing).  Each row is the closed
     form for two diagonal states, O(n log n).  A row is flagged when C exceeds
-    ``ceiling``; a row whose C overflows holds inf in C, opnorm and residual.
+    ``ceiling``, a finite positive number; a row whose C overflows holds inf in
+    C, opnorm and residual, and is flagged.
     """
     if action not in ("alpha", "phi"):
         raise ValidationError(f"unknown action {action!r}, expected 'alpha' or 'phi'")
-    if not (_is_number(ceiling) and ceiling > 0.0):
-        raise ValidationError(f"ceiling must be a positive number, got {ceiling!r}")
+    # an infinite ceiling would flag no row, not even one whose C overflows
+    if not (_is_number(ceiling) and 0.0 < ceiling < math.inf):
+        raise ValidationError(f"ceiling must be a finite positive number, got {ceiling!r}")
     dims = list(dims) if isinstance(dims, Iterable) else []
     if not dims or not all(_is_number(n, numbers.Integral) and n >= 1 for n in dims):
         raise ValidationError("dims must be a nonempty list of positive integers")

@@ -1,5 +1,8 @@
 """Canonical file encodings: matrix JSON and CSV reports.
 
+Every encoding the package writes lives here: matrix JSON, the CSV reports,
+the truncation JSON payload and the streamed GNS payload.
+
 The matrix format is {"n": ..., "kind": ..., "entries": [[re, im], ...]} in
 row-major order with a fixed key order, compact separators and a trailing
 newline, so saving a loaded canonical file is byte-identical.  JSON numbers
@@ -7,9 +10,9 @@ use Python's shortest round-trip float representation; CSV carries a
 mandatory header and 17 significant digits.
 
 Arrays reach the text through ``tolist``: complex entries become their
-[re, im] pairs by viewing the buffer as float64, and a flow trajectory is
-one float table formatted a row at a time with one row template, so no
-entry is converted or type-tested on its own.
+[re, im] pairs by viewing the buffer as float64, and each CSV report is
+formatted a row at a time with one row template, so no entry is converted
+or type-tested on its own.
 """
 
 from __future__ import annotations
@@ -30,12 +33,14 @@ __all__ = [
     "matrix_from_jsonable",
     "dumps_canonical",
     "read_json",
+    "read_matrix",
     "load_matrix_file",
     "save_matrix_text",
     "format_float",
-    "csv_table",
     "flow_csv",
     "truncation_csv",
+    "truncation_json",
+    "gns_chunks",
 ]
 
 KINDS = ("operator", "state", "positive")
@@ -80,17 +85,13 @@ def _decode_matrix(obj) -> tuple[np.ndarray, str, PositiveFunctional | None]:
             or not {type(x) for pair in entries for x in pair} <= _NUMBERS):
         raise ValidationError("matrix entries must be [re, im] pairs of numbers")
     m = as_operator(pairs.view(complex).reshape(n, n), "matrix file")
-    if kind == "state":
-        return m, kind, validate_state(m)
-    if kind == "positive":
-        return m, kind, validate_positive(m)
-    return m, kind, None
+    check = {"state": validate_state, "positive": validate_positive}.get(kind)
+    return m, kind, None if check is None else check(m)
 
 
 def matrix_from_jsonable(obj) -> tuple[np.ndarray, str]:
     """Decode and validate a matrix object; returns (matrix, kind)."""
-    m, kind, _ = _decode_matrix(obj)
-    return m, kind
+    return _decode_matrix(obj)[:2]
 
 
 def dumps_canonical(obj) -> str:
@@ -99,16 +100,23 @@ def dumps_canonical(obj) -> str:
 
 
 def read_json(path):
-    """Parse a JSON file; ValidationError when it is not UTF-8 JSON."""
+    """Parse a JSON file; ValidationError when it is not UTF-8 JSON or nests
+    deeper than the parser's recursion limit."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+
+
+def read_matrix(path) -> tuple[np.ndarray, str, PositiveFunctional | None]:
+    """(matrix, kind, functional) of a matrix JSON file; a state or positive
+    file comes with its validated functional, so it is validated once."""
+    return _decode_matrix(read_json(path))
 
 
 def load_matrix_file(path) -> tuple[np.ndarray, str]:
     """Load and validate a matrix JSON file."""
-    return matrix_from_jsonable(read_json(path))
+    return read_matrix(path)[:2]
 
 
 def save_matrix_text(m: np.ndarray, kind: str = "operator") -> str:
@@ -121,20 +129,9 @@ def format_float(x: float) -> str:
     return _FLOAT_FIELD % float(x)
 
 
-def csv_table(header: list[str], rows: list[list]) -> str:
-    """Render a CSV text with a mandatory header row."""
-    lines = [",".join(header)]
-    for row in rows:
-        fields = []
-        for cell in row:
-            if isinstance(cell, bool):
-                fields.append("true" if cell else "false")
-            elif isinstance(cell, float):
-                fields.append(format_float(cell))
-            else:
-                fields.append(str(cell))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, template: str, rows) -> str:
+    """CSV text: the header, then each row formatted by one row template."""
+    return "\n".join([header] + [template % tuple(row) for row in rows]) + "\n"
 
 
 def flow_csv(t_grid, states) -> str:
@@ -152,17 +149,36 @@ def flow_csv(t_grid, states) -> str:
     table = np.column_stack([t, entries.reshape(len(states), -1).view(float)])
     header = ",".join(["t"] + [f"{part}_{i}_{j}" for i in range(n) for j in range(n)
                                for part in ("re", "im")])
-    template = ",".join([_FLOAT_FIELD] * table.shape[1])
-    return "\n".join([header] + [template % tuple(row) for row in table.tolist()]) + "\n"
+    return _csv(header, ",".join([_FLOAT_FIELD] * table.shape[1]), table.tolist())
 
 
 def truncation_csv(report) -> str:
     """Truncation report CSV with columns n, C, opnorm, residual, flag."""
-    rows = [
-        [n, c, nrm, res, bool(flag)]
-        for n, c, nrm, res, flag in zip(
-            report.dims, report.bound_constants, report.opnorms,
-            report.residuals, report.flags,
-        )
-    ]
-    return csv_table(["n", "C", "opnorm", "residual", "flag"], rows)
+    rows = zip(report.dims, report.bound_constants, report.opnorms, report.residuals,
+               ("true" if flag else "false" for flag in report.flags))
+    return _csv("n,C,opnorm,residual,flag", f"%d,{_FLOAT_FIELD},{_FLOAT_FIELD},{_FLOAT_FIELD},%s",
+                rows)
+
+
+def truncation_json(report) -> str:
+    """Truncation report JSON; a row whose C overflows holds inf, written as null."""
+    payload = {"dims": list(report.dims)}
+    for key, column in (("C", report.bound_constants), ("opnorm", report.opnorms),
+                        ("residual", report.residuals)):
+        payload[key] = [x if np.isfinite(x) else None for x in column]
+    payload.update(flag=list(report.flags), orbit_class=list(report.orbit_class_tags),
+                   ceiling=report.ceiling, diverged=report.diverged)
+    return dumps_canonical(payload)
+
+
+def gns_chunks(triple):
+    """The gns payload {"n", "dim", "cyclic", "rep": [...]} as text chunks: the
+    header, then one {"unit", "entries"} object per matrix unit, each encoded
+    and dropped before the next is built."""
+    head = dumps_canonical({"n": triple.n, "dim": triple.dim,
+                            "cyclic": complex_pairs(triple.cyclic)})
+    yield head[:-2] + ',"rep":['  # reopen the object closed by "}\n"
+    for k, mat in enumerate(triple.rep_matrices()):
+        unit = {"unit": list(divmod(k, triple.n)), "entries": complex_pairs(mat)}
+        yield ("," if k else "") + dumps_canonical(unit)[:-1]
+    yield "]}\n"

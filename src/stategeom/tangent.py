@@ -266,7 +266,8 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     Returns ||fd - value||_F / (1 + ||value||_F) with the symmetric
     difference (phi(exp(ha)) - phi(exp(-ha))) / 2h; h must be finite and nonzero.
     The two points are ``flow``'s, with its certificates and fallback, so they
-    cost two expm, two congruences and one eigvalsh of rho.
+    cost two expm, two congruences and one eigvalsh of rho.  A step so small
+    that the quotient overflows raises NumericalError.
     """
     if not (math.isfinite(h) and h != 0.0):
         raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
@@ -274,8 +275,12 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     value = phi_velocity(rho.matrix, f.gen)
     fwd = _flow_point(f, h).matrix
     bwd = _flow_point(f, -h).matrix
-    fd = (fwd - bwd) / (2.0 * h)
-    return frobenius(fd - value) / (1.0 + frobenius(value))
+    with np.errstate(over="ignore", invalid="ignore"):  # a complex 0 over subnormal 2h: 0 * inf
+        fd = (fwd - bwd) / (2.0 * h)
+    error = frobenius(fd - value) / (1.0 + frobenius(value))
+    if not math.isfinite(error):
+        raise NumericalError(f"finite-difference quotient overflows double precision at h = {h}")
+    return error
 
 
 def _singular_values(m: np.ndarray) -> np.ndarray:

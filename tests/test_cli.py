@@ -1,6 +1,7 @@
 import json
 import os
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -521,3 +522,55 @@ class TestGnsPayloadLimit:
         assert runner.invoke(main, ["gns", files["state"]]).exit_code == 0
         monkeypatch.setattr(config, "GNS_MAX_ENTRIES", 63)
         _exits_2_with_one_line(runner.invoke(main, ["gns", files["state"]]))
+
+
+_JSON_ONLY = sorted(set(main.commands) - {"flow", "truncate"})
+
+
+def _parseable_args(command, path):
+    """Positional arguments that click's own parsing accepts: a choice's first
+    value, an existing file, or a number."""
+    args = []
+    for param in command.params:
+        if isinstance(param, click.Argument):
+            if isinstance(param.type, click.Choice):
+                args.append(param.type.choices[0])
+            else:
+                args.append(path if isinstance(param.type, click.Path) else "0.5")
+    return args
+
+
+@pytest.mark.parametrize("name", _JSON_ONLY)
+def test_json_only_command_refuses_csv(runner, files, name):
+    assert len(_JSON_ONLY) == 7
+    args = _parseable_args(main.commands[name], files["state"])
+    result = runner.invoke(main, ["--format", "csv", name, *args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "ValidationError: --format csv unsupported here (allowed: json)\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["truncate"]])
+def test_deeply_nested_json_exits_2(runner, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    result = runner.invoke(main, [*command, str(path)])
+    _exits_2_with_one_line(result)
+    assert "invalid JSON" in result.stderr
+
+
+def test_negative_seed_exits_2(runner, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dims": [2], "spec0": {"kind": "dirichlet"},
+                                "spec1": {"kind": "uniform"}}))
+    result = runner.invoke(main, ["--seed", "-1", "truncate", str(path)])
+    _exits_2_with_one_line(result)
+    assert result.stderr == "ValidationError: --seed must be a non-negative integer, got -1\n"
+
+
+def test_fd_step_whose_quotient_overflows_exits_3(files):
+    done = _cli_process("tangent", files["state"], files["gen"], "--fd-step", "1e-310")
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == ("NumericalError: finite-difference quotient overflows double "
+                           "precision at h = 1e-310\n")

@@ -269,6 +269,20 @@ def test_fd_step_must_be_finite_and_nonzero(h):
         fd_tangent_check(maximally_mixed(2), PAULI_Z, h)
 
 
+@pytest.mark.parametrize("h", [1e-310, -1e-310, 5e-324])
+def test_fd_step_whose_quotient_overflows_is_numerical_error(h):
+    # (fwd - bwd) / 2h leaves double precision for a subnormal h; no threshold
+    # is set on h itself, since 1.1e-308 still gives a finite relative error
+    import warnings
+
+    rho = maximally_mixed(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"at h = {h}$"):
+            fd_tangent_check(rho, PAULI_Z, h)
+        assert np.isfinite(fd_tangent_check(rho, PAULI_Z, 1.1e-308))
+
+
 @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.inf], [-np.inf, 0.0]])
 def test_flow_grid_must_be_finite(grid):
     with pytest.raises(ValidationError, match="finite array"):

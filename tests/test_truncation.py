@@ -18,6 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 from stategeom.cli import main
+from stategeom.errors import ValidationError
 from stategeom.orbits import make_spectrum_generator, truncation_sweep
 
 PINS = Path(__file__).with_name("truncation_pins.json")
@@ -147,6 +148,25 @@ def test_underflowing_spectra_are_refused(run_config):
     assert result.exit_code == 2
     assert result.stderr == ("ValidationError: generators must produce positive "
                              "length-540 spectra\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_infinite_ceiling_is_refused(tmp_path, fmt):
+    # 1e400 parses as inf, under which no row would be flagged, not even one
+    # whose C overflows (inf > inf is false)
+    path = tmp_path / "cfg.json"
+    path.write_text('{"dims": [2, 520], "spec0": {"kind": "gibbs", "ratio": 0.25}, '
+                    '"spec1": {"kind": "uniform"}, "ceiling": 1e400}')
+    result = CliRunner().invoke(main, ["--format", fmt, "truncate", str(path)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "ValidationError: ceiling must be a finite positive number, got inf\n"
+
+
+def test_an_infinite_ceiling_is_refused_by_the_library():
+    gen = make_spectrum_generator(_UNIFORM)
+    with pytest.raises(ValidationError, match="finite positive number"):
+        truncation_sweep(gen, gen, [2], ceiling=math.inf)
 
 
 @_ACTIONS
