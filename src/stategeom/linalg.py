@@ -14,20 +14,26 @@ passed both, so its holders call the solvers ``sorted_eigh`` and ``signature``.
 All operations are pure functions of their arguments and of the process-wide
 tolerance scale in ``config``, which every thread shares.
 
-Everything here is numpy except ``matrix_exp``, which imports scipy on its
-first call, so only the callers of the exponential map (``flow`` and the
-tangent finite-difference check) pay scipy's import time.
+Everything here is numpy except ``matrix_exp``, which calls scipy's compiled
+scaling-and-squaring kernel, loaded by file path on first need without
+importing ``scipy`` or ``scipy.linalg``; only a triangular input, or a scipy
+whose kernel cannot be used, imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .errors import NotHermitian, NotPSD, Singular, ValidationError
+from .errors import NotHermitian, NotPSD, NumericalError, Singular, ValidationError
 
 __all__ = [
     "SpectralDecomposition",
@@ -190,15 +196,88 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     return (s + dagger(s)) / 2.0
 
 
-def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring via scipy).
+# The scipy release whose scipy.linalg.expm tests/test_matrix_exp.py matches bit
+# for bit; older wrappers around the same kernel differ, so they are used instead.
+_KERNEL_SCIPY = (1, 17, 1)
 
-    The only function in the package that needs scipy; it is imported here,
-    on first use, to keep it out of every command that never exponentiates.
+
+@functools.cache
+def _expm_kernel():
+    """``pick_pade_structure`` and ``pade_UV_calc`` from scipy's compiled
+    ``_matfuncs_expm``, loaded once by file path so that neither ``scipy``'s
+    nor ``scipy.linalg``'s ``__init__`` runs; None when scipy predates
+    ``_KERNEL_SCIPY`` or the kernel cannot be found or loaded."""
+    try:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        with open(os.path.join(root, "version.py"), encoding="utf-8") as file:
+            release = re.search(r'^version\s*=\s*["\'](\d+)\.(\d+)\.(\d+)', file.read(), re.M)
+        if release is None or tuple(map(int, release.groups())) < _KERNEL_SCIPY:
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(
+            "scipy.linalg._matfuncs_expm", [os.path.join(root, "linalg")])
+        kernel = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(kernel)
+        return kernel.pick_pade_structure, kernel.pade_UV_calc
+    except (AttributeError, ImportError, OSError, TypeError, ValueError):
+        return None
+
+
+def _off_diagonal(m: np.ndarray) -> tuple[bool, bool]:
+    """Whether m has a nonzero entry below its diagonal, and whether above:
+    the structure test by which scipy.linalg.expm picks its branch.
+
+    Two nonzero corners settle a general matrix, and a diagonal one is read
+    through one strided view of the flat buffer that holds exactly the
+    off-diagonal entries (row r: (r, r+1..n-1), then (r+1, 0..r)); only the
+    remaining cases locate their nonzero entries.
     """
-    import scipy.linalg
+    n = m.shape[0]
+    if n > 1 and m.item(n - 1, 0) != 0 and m.item(0, n - 1) != 0:
+        return True, True
+    if not m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return False, False
+    i, j = np.nonzero(m)
+    return bool(np.any(i > j)), bool(np.any(i < j))
 
-    return scipy.linalg.expm(as_operator(a))
+
+def matrix_exp(a) -> np.ndarray:
+    """Matrix exponential, with the bits of ``scipy.linalg.expm``.
+
+    The Al-Mohy and Higham (2009) scaling and squaring of scipy's compiled
+    kernel, run as scipy's generic branch runs it: ``pick_pade_structure``
+    picks the Pade order m and the scaling s, ``pade_UV_calc`` evaluates the
+    approximant, and s squarings follow.  A diagonal input (1 x 1 and the zero
+    matrix included) is ``np.exp`` of its diagonal, as in scipy.  A triangular
+    one goes to ``scipy.linalg.expm`` itself, for its Code Fragment 2.1, as
+    does every input when the kernel is unavailable (``_expm_kernel``).  The
+    kernel's allocation failures raise MemoryError; any other error code it
+    returns raises NumericalError.
+    """
+    m = as_operator(a)
+    below, above = _off_diagonal(m)
+    if not (below or above):
+        return np.diag(np.exp(np.diag(m)))
+    kernel = _expm_kernel() if below and above else None
+    if kernel is None:
+        import scipy.linalg
+
+        return scipy.linalg.expm(m)
+    pick_pade_structure, pade_uv_calc = kernel
+    n = m.shape[0]
+    work = np.empty((5, n, n), dtype=complex)
+    work[0] = m
+    order, s = pick_pade_structure(work)
+    if order < 0:
+        raise MemoryError(f"expm could not allocate its Pade structure (error code {order})")
+    info = pade_uv_calc(work, order)
+    if info <= -11:
+        raise MemoryError(f"expm could not allocate its Pade evaluation (error code {info})")
+    if info != 0:
+        raise NumericalError(f"expm's Pade evaluation failed in LAPACK (error code {info})")
+    e = work[0]
+    for _ in range(s):
+        e = e @ e
+    return e if s else e.copy()
 
 
 def polar(g) -> tuple[np.ndarray, np.ndarray]:

@@ -23,8 +23,8 @@ import numpy as np
 from . import config
 from .actions import group_element, phi, prescaled_phi
 from .errors import NumericalError, ValidationError
-from .linalg import (as_operator, dagger, frobenius, gamma, matrix_exp, require_hermitian,
-                     sorted_eigh)
+from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, matrix_exp,
+                     require_hermitian, sorted_eigh)
 from .states import PositiveFunctional, StateDensity, default_rank_tol, unit_trace
 
 __all__ = [
@@ -267,7 +267,10 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     difference (phi(exp(ha)) - phi(exp(-ha))) / 2h; h must be finite and nonzero.
     The two points are ``flow``'s, with its certificates and fallback, so they
     cost two expm, two congruences and one eigvalsh of rho.  A step so small
-    that the quotient overflows raises NumericalError.
+    that the quotient overflows raises NumericalError, and so does one whose
+    quotient rounding may swallow whole: the allowance
+    gamma_{4n+8} (||fwd||_F + ||bwd||_F) / 2|h| of the two points' congruences
+    (as in ``_positive``) is not below 1 + ||value||_F.
     """
     if not (math.isfinite(h) and h != 0.0):
         raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
@@ -277,9 +280,13 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     bwd = _flow_point(f, -h).matrix
     with np.errstate(over="ignore", invalid="ignore"):  # a complex 0 over subnormal 2h: 0 * inf
         fd = (fwd - bwd) / (2.0 * h)
-    error = frobenius(fd - value) / (1.0 + frobenius(value))
+    scale = fro_scale(value)
+    error = frobenius(fd - value) / scale
     if not math.isfinite(error):
         raise NumericalError(f"finite-difference quotient overflows double precision at h = {h}")
+    allowance = gamma(4 * rho.n + 8) * (frobenius(fwd) + frobenius(bwd)) / (2.0 * abs(h))
+    config.check(f"finite-difference quotient at h = {h} lost to rounding: 1 + ||value||_F",
+                 scale, 0.0, 1.0, NumericalError, floor=True, slack=allowance)
     return error
 
 

@@ -574,3 +574,14 @@ def test_fd_step_whose_quotient_overflows_exits_3(files):
     assert done.stdout == ""
     assert done.stderr == ("NumericalError: finite-difference quotient overflows double "
                            "precision at h = 1e-310\n")
+
+
+@pytest.mark.parametrize("step", ["1.1e-308", "-1e-16"])
+def test_fd_step_lost_to_rounding_exits_3(runner, files, step):
+    result = runner.invoke(main, ["tangent", files["state"], files["gen"], "--fd-step", step])
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith(f"NumericalError: finite-difference quotient at h = {float(step)} "
+                               "lost to rounding: 1 + ||value||_F ")

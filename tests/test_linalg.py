@@ -213,7 +213,8 @@ class TestFixPhases:
 
 def test_scipy_loaded_only_by_matrix_exp(tmp_path):
     """Importing the package and running a non-flow command leaves scipy
-    unimported; the first matrix_exp call loads it."""
+    unimported; matrix_exp on a diagonal or a general input leaves
+    scipy.linalg unimported, and only a triangular input loads it."""
     state = tmp_path / "state.json"
     state.write_text(save_matrix_text(np.diag([0.5, 0.5]).astype(complex), "state"))
     script = f"""
@@ -228,6 +229,11 @@ loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 assert not loaded, loaded
 e = stategeom.linalg.matrix_exp(np.diag([np.log(2.0), 0.0]))
 assert np.allclose(e, np.diag([2.0, 1.0]), atol=1e-12), e
+e = stategeom.linalg.matrix_exp(np.array([[0.0, -np.pi / 2], [np.pi / 2, 0.0]]))
+assert np.allclose(e, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12), e
+assert "scipy.linalg" not in sys.modules
+e = stategeom.linalg.matrix_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+assert np.allclose(e, [[1.0, 1.0], [0.0, 1.0]], atol=1e-12), e
 assert "scipy.linalg" in sys.modules
 """
     src = str(Path(stategeom.__file__).resolve().parents[1])

@@ -271,16 +271,17 @@ def test_fd_step_must_be_finite_and_nonzero(h):
 
 @pytest.mark.parametrize("h", [1e-310, -1e-310, 5e-324])
 def test_fd_step_whose_quotient_overflows_is_numerical_error(h):
-    # (fwd - bwd) / 2h leaves double precision for a subnormal h; no threshold
-    # is set on h itself, since 1.1e-308 still gives a finite relative error
+    # (fwd - bwd) / 2h leaves double precision for a subnormal h; 1.1e-308
+    # keeps the quotient finite, but rounding swallows all of it
     import warnings
 
     rho = maximally_mixed(2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match=f"at h = {h}$"):
+        with pytest.raises(NumericalError, match=f"overflows double precision at h = {h}$"):
             fd_tangent_check(rho, PAULI_Z, h)
-        assert np.isfinite(fd_tangent_check(rho, PAULI_Z, 1.1e-308))
+        with pytest.raises(NumericalError, match="at h = 1.1e-308 lost to rounding: "):
+            fd_tangent_check(rho, PAULI_Z, 1.1e-308)
 
 
 @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.inf], [-np.inf, 0.0]])
@@ -300,3 +301,12 @@ def test_overflowing_flow_warns_nothing():
             flow(maximally_mixed(2), PAULI_Z, [1000.0])
         with pytest.raises(NumericalError, match=r"t = 1\.0"):
             flow(maximally_mixed(4), a, [1.0])
+
+
+@pytest.mark.parametrize("h", [5e-16, -1e-16, 1e-300])
+def test_fd_step_lost_to_rounding_is_numerical_error(h):
+    # for the maximally mixed qubit along Z the allowance
+    # gamma_16 (||fwd||_F + ||bwd||_F) / 2|h| reaches 1 + sqrt(2) near |h| = 5.2e-16
+    with pytest.raises(NumericalError, match=f"at h = {h} lost to rounding: "):
+        fd_tangent_check(maximally_mixed(2), PAULI_Z, h)
+    assert fd_tangent_check(maximally_mixed(2), PAULI_Z, 6e-16) < 0.1
