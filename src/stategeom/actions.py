@@ -28,18 +28,6 @@ from .states import (
     validate_state,
 )
 
-__all__ = [
-    "GroupElement",
-    "group_element",
-    "alpha",
-    "denominator",
-    "phi",
-    "unitary_phi",
-    "classical_phi",
-    "nonconvexity_witness",
-    "mix_states",
-]
-
 
 @dataclass(frozen=True)
 class GroupElement:

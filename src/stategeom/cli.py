@@ -1,10 +1,11 @@
 """Command-line harness: file-based access to every operation.
 
 Each subcommand body returns its payload; ``command`` registers it and owns
---format, the output and the mapping of errors onto exit codes, and
-``serialize`` owns every encoding.  Exit codes: 0 on success, 2 when an input fails validation, 3 on numerical
-failure, including a LAPACK routine that does not converge or an allocation
-that runs out of memory; stderr carries the error taxonomy name.  All
+--format and the output, ``_Main.main`` maps every error onto an exit code, and
+``serialize`` owns every encoding.  Exit codes: 0 on success, 2 when an input
+or a command line fails validation, 3 on numerical failure, including a LAPACK
+routine that does not converge or an allocation that runs out of memory;
+stderr carries one line, led by the error taxonomy name.  All
 outputs are deterministic for fixed inputs (and fixed --seed where
 randomness is requested), using canonical JSON and 17-significant-digit CSV.
 """
@@ -25,6 +26,7 @@ from .actions import alpha, group_element, phi
 from .errors import NumericalError, TraceError, ValidationError
 from .gns import gns_construct
 from .isotropy import isotropy_report
+from .linalg import dagger
 from .orbits import (
     connect_alpha,
     connect_phi,
@@ -46,6 +48,7 @@ from .states import (
     PositiveFunctional,
     StateDensity,
     classify_orbit,
+    unit_trace,
     validate_positive,
     validate_state,
 )
@@ -82,17 +85,50 @@ def _load_state(path) -> StateDensity:
 
 
 def _load_functional(path) -> tuple[PositiveFunctional, str]:
-    """Load as a state when possible, falling back to a positive functional."""
+    """Load as a state when possible, falling back to a positive functional;
+    either way the matrix is validated once."""
     m, kind, functional = read_matrix(path)
     if functional is not None:
         return functional, kind
+    functional = validate_positive(m)
     try:
-        return validate_state(m), "state"
+        return unit_trace(functional.matrix), "state"
     except TraceError:
-        return validate_positive(m), "positive"
+        return functional, "positive"
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, whose ``main`` is the one place an error becomes an
+    exit code."""
+
+    def main(self, *args, **extra):
+        """Run the CLI.  A usage error (a missing or unparsable argument or
+        option, a FILE that does not exist) exits 2 as one ValidationError
+        line, as does the error taxonomy's ValidationError; NumericalError, a
+        LAPACK routine that does not converge and an allocation that runs out
+        of memory exit 3 with one NumericalError line.  A bare invocation
+        prints the help."""
+        try:
+            return super().main(*args, **{**extra, "standalone_mode": False})
+        except click.exceptions.NoArgsIsHelpError as exc:
+            exc.show()
+            sys.exit(exc.exit_code)
+        except click.ClickException as exc:
+            _fail(ValidationError(exc.format_message()), 2)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+        except ValidationError as exc:
+            _fail(exc, 2)
+        except NumericalError as exc:
+            _fail(exc, 3)
+        except np.linalg.LinAlgError as exc:
+            _fail(NumericalError(str(exc)), 3)
+        except MemoryError as exc:
+            _fail(NumericalError(f"out of memory: {exc}" if str(exc) else "out of memory"), 3)
+
+
+@click.group(cls=_Main)
 @click.option("--tol", metavar="FLOAT", default=None,
               help="Finite positive tolerance multiplier (default: STATEGEOM_TOL or 1.0).")
 @click.option("--seed", type=int, default=None,
@@ -109,7 +145,7 @@ def main(ctx, tol, seed, out, fmt):
     try:
         config.set_tolerance_scale(float(tol))
     except ValueError:
-        _fail(ValidationError(f"{source} must be a finite positive number, got {tol!r}"), 2)
+        raise ValidationError(f"{source} must be a finite positive number, got {tol!r}") from None
     ctx.obj = {"seed": seed, "out": out, "format": fmt}
 
 
@@ -120,9 +156,7 @@ def command(*formats: str, **settings):
     default; any other --format exits 2.  A body that takes ``fmt`` gets the
     resolved format and one that takes ``seed`` gets --seed.  A returned
     mapping is written as canonical JSON, text or text chunks as they are, to
-    --out or stdout.  The error taxonomy maps onto exit code 2 (validation)
-    or 3 (numerical, including a LAPACK routine that does not converge and
-    an allocation that runs out of memory), with one line on stderr.
+    --out or stdout.  Errors reach ``_Main.main``.
     """
     def register(body):
         extras = inspect.signature(body).parameters.keys() & {"fmt", "seed"}
@@ -130,22 +164,13 @@ def command(*formats: str, **settings):
         @functools.wraps(body)
         def run(**params):
             obj = click.get_current_context().obj
-            try:
-                fmt = obj["format"] or formats[0]
-                if fmt not in formats:
-                    raise ValidationError(
-                        f"--format {fmt} unsupported here (allowed: {', '.join(formats)})")
-                given = {"fmt": fmt, "seed": obj["seed"]}
-                result = body(**params, **{key: given[key] for key in extras})
-                _emit(obj["out"], dumps_canonical(result) if isinstance(result, Mapping) else result)
-            except ValidationError as exc:
-                _fail(exc, 2)
-            except NumericalError as exc:
-                _fail(exc, 3)
-            except np.linalg.LinAlgError as exc:
-                _fail(NumericalError(str(exc)), 3)
-            except MemoryError as exc:
-                _fail(NumericalError(f"out of memory: {exc}" if str(exc) else "out of memory"), 3)
+            fmt = obj["format"] or formats[0]
+            if fmt not in formats:
+                raise ValidationError(
+                    f"--format {fmt} unsupported here (allowed: {', '.join(formats)})")
+            given = {"fmt": fmt, "seed": obj["seed"]}
+            result = body(**params, **{key: given[key] for key in extras})
+            _emit(obj["out"], dumps_canonical(result) if isinstance(result, Mapping) else result)
 
         return main.command(**settings)(run)
 
@@ -158,6 +183,7 @@ def validate(file):
     """Validate a matrix file as a state or positive functional."""
     functional, kind = _load_functional(file)
     orbit = classify_orbit(functional)
+    m = functional.matrix
     return {
         "valid": True,
         "kind": kind,
@@ -165,7 +191,8 @@ def validate(file):
         "rank": orbit.rank,
         "corank": orbit.corank,
         "trace": functional.trace,
-        "min_eigenvalue": float(np.linalg.eigvalsh(functional.matrix)[0]),
+        # of the Hermitian part that validation tested, not of one triangle
+        "min_eigenvalue": float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0]),
         "orbit_class": orbit.tag,
     }
 

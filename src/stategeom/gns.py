@@ -24,17 +24,7 @@ from . import config
 from .actions import group_element
 from .errors import NumericalError, NumericallySingular, ValidationError
 from .linalg import as_operator, dagger, matrix_unit
-from .states import ProbabilityVector, StateDensity, default_rank_tol, spectral_split
-
-__all__ = [
-    "GnsTriple",
-    "AbelianGnsTriple",
-    "gns_construct",
-    "gns_transform",
-    "purity_check",
-    "commutant_dimension",
-    "gns_construct_abelian",
-]
+from .states import ProbabilityVector, StateDensity, _frozen, default_rank_tol, spectral_split
 
 
 @dataclass(frozen=True)
@@ -79,7 +69,7 @@ def gns_construct(rho: StateDensity) -> GnsTriple:
     split = spectral_split(rho)
     n = split.ambient_dim
     cyclic = (split.support_basis * np.sqrt(split.eigenvalues)).ravel()
-    return GnsTriple(n=n, dim=n * split.support_dim, cyclic=cyclic)
+    return GnsTriple(n=n, dim=n * split.support_dim, cyclic=_frozen(cyclic))
 
 
 def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
@@ -99,7 +89,7 @@ def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     config.check("<psi|pi(g†g)|psi>", norm_sq, config.DENOMINATOR_FLOOR, 1.0,
                  NumericallySingular, floor=True)
     moved = triple.vector_of(ge.matrix) / np.sqrt(norm_sq)
-    return GnsTriple(n=triple.n, dim=triple.dim, cyclic=moved)
+    return GnsTriple(n=triple.n, dim=triple.dim, cyclic=_frozen(moved))
 
 
 def commutant_dimension(triple: GnsTriple) -> int:
@@ -107,24 +97,23 @@ def commutant_dimension(triple: GnsTriple) -> int:
     return (triple.dim // triple.n) ** 2
 
 
-def purity_check(rho: StateDensity, cross_check: bool = True) -> bool:
+def purity_check(rho: StateDensity) -> bool:
     """Whether the state is pure: rank one, so the commutant is trivial.
 
-    ``cross_check`` certifies the purification in O(n k^2): the Schmidt
-    coefficients of psi (squared singular values of its coefficient matrix)
-    must number k under the rank rule and match the eigenvalues within the
-    scaled GNS_CONSISTENCY_RTOL * (1 + p_max), else NumericalError.
+    The purification is certified in O(n k^2): the Schmidt coefficients of psi
+    (squared singular values of its coefficient matrix) must number k under
+    the rank rule and match the eigenvalues within the scaled
+    GNS_CONSISTENCY_RTOL * (1 + p_max), else NumericalError.
     """
     split = spectral_split(rho)
     k = split.support_dim
-    if cross_check:
-        p = split.eigenvalues
-        schmidt = np.linalg.svd(split.support_basis * np.sqrt(p), compute_uv=False) ** 2
-        rank = int(np.sum(schmidt > default_rank_tol(rho.matrix)))
-        if rank != k:
-            raise NumericalError(f"purification: Schmidt rank {rank} vs rank {k} of the spectrum")
-        config.check("largest Schmidt coefficient gap", float(np.max(np.abs(schmidt - p))),
-                     config.GNS_CONSISTENCY_RTOL, 1.0 + float(p[0]), NumericalError)
+    p = split.eigenvalues
+    schmidt = np.linalg.svd(split.support_basis * np.sqrt(p), compute_uv=False) ** 2
+    rank = int(np.sum(schmidt > default_rank_tol(rho.matrix)))
+    if rank != k:
+        raise NumericalError(f"purification: Schmidt rank {rank} vs rank {k} of the spectrum")
+    config.check("largest Schmidt coefficient gap", float(np.max(np.abs(schmidt - p))),
+                 config.GNS_CONSISTENCY_RTOL, 1.0 + float(p[0]), NumericalError)
     return k == 1
 
 
@@ -160,6 +149,6 @@ def gns_construct_abelian(p: ProbabilityVector) -> AbelianGnsTriple:
     return AbelianGnsTriple(
         m=weights.shape[0],
         dim=int(support.size),
-        support=support,
-        cyclic=np.sqrt(weights[support]),
+        support=_frozen(support),
+        cyclic=_frozen(np.sqrt(weights[support])),
     )

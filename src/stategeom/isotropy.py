@@ -59,22 +59,6 @@ from .tangent import alpha_velocity, phi_velocity
 
 _SWEEP_ENTRIES = 1 << 14  # matrix entries per chunk of the residual sweep (256 KiB)
 
-__all__ = [
-    "RealBasis",
-    "IsotropyReport",
-    "hermitian_basis",
-    "hermitian_components",
-    "isotropy_membership_alpha",
-    "isotropy_membership_phi",
-    "isotropy_basis_alpha",
-    "complement_basis_alpha",
-    "isotropy_basis_phi",
-    "isotropy_dimension_alpha",
-    "orbit_dimension",
-    "real_gram",
-    "isotropy_report",
-]
-
 
 def hermitian_basis(n: int) -> list[np.ndarray]:
     """Canonical Hermitian basis: diagonal units, symmetric and antisymmetric pairs.

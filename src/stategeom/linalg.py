@@ -35,24 +35,6 @@ import numpy as np
 from . import config
 from .errors import NotHermitian, NotPSD, NumericalError, Singular, ValidationError
 
-__all__ = [
-    "SpectralDecomposition",
-    "as_operator",
-    "dagger",
-    "frobenius",
-    "fro_scale",
-    "require_hermitian",
-    "hermitian_eig",
-    "sorted_eigh",
-    "signature",
-    "matrix_sqrt_psd",
-    "matrix_exp",
-    "polar",
-    "inertia",
-    "opnorm",
-    "matrix_unit",
-]
-
 
 def as_operator(a, name: str = "operator", n: int | None = None) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries, of dimension ``n``
@@ -116,11 +98,6 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     e = np.zeros((n, n), dtype=complex)
     e[i, j] = 1.0
     return e
-
-
-def opnorm(a: np.ndarray) -> float:
-    """Operator (spectral) norm."""
-    return float(np.linalg.norm(a, 2))
 
 
 @dataclass(frozen=True)

@@ -38,22 +38,6 @@ from .states import (
     validate_probability,
 )
 
-__all__ = [
-    "ConnectCertificate",
-    "bound_constant",
-    "connect_alpha",
-    "connect_phi",
-    "same_orbit_alpha",
-    "tracial_orbit_point",
-    "require_tracial",
-    "convex_recombine",
-    "convex_recombine_classical",
-    "SpectrumGenerator",
-    "make_spectrum_generator",
-    "TruncationReport",
-    "truncation_sweep",
-]
-
 
 @dataclass(frozen=True)
 class ConnectCertificate:

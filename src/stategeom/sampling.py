@@ -40,17 +40,13 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * d
 
 
-def random_invertible(rng: np.random.Generator, n: int,
-                      sigma_range: tuple[float, float] = (0.5, 2.0)) -> np.ndarray:
-    """Random invertible matrix with singular values in ``sigma_range``.
+def random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random invertible matrix with singular values in [0.5, 2].
 
-    The default keeps the condition number small so congruences stay well
+    The range keeps the condition number small so congruences stay well
     away from the numerical rank thresholds.
     """
-    lo, hi = sigma_range
-    if not 0.0 < lo <= hi:
-        raise ValidationError(f"invalid singular value range {sigma_range}")
-    s = rng.uniform(lo, hi, size=n)
+    s = rng.uniform(0.5, 2.0, size=n)
     return (random_unitary(rng, n) * s) @ random_unitary(rng, n)
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "read_matrix",
     "load_matrix_file",
     "save_matrix_text",
-    "format_float",
     "flow_csv",
     "truncation_csv",
     "truncation_json",
@@ -122,11 +121,6 @@ def load_matrix_file(path) -> tuple[np.ndarray, str]:
 def save_matrix_text(m: np.ndarray, kind: str = "operator") -> str:
     """Canonical text for a matrix (the save half of the byte round-trip)."""
     return dumps_canonical(matrix_to_jsonable(m, kind))
-
-
-def format_float(x: float) -> str:
-    """CSV float field with 17 significant digits."""
-    return _FLOAT_FIELD % float(x)
 
 
 def _csv(header: str, template: str, rows) -> str:

@@ -21,24 +21,6 @@ from . import config
 from .errors import NotPSD, TraceError, ValidationError, ZeroFunctional
 from .linalg import dagger, fro_scale, gamma, require_hermitian, sorted_eigh
 
-__all__ = [
-    "PositiveFunctional",
-    "StateDensity",
-    "ProbabilityVector",
-    "SpectralSplit",
-    "OrbitClass",
-    "validate_positive",
-    "validate_state",
-    "validate_probability",
-    "spectral_split",
-    "classify_orbit",
-    "embed_classical",
-    "gibbs_spectrum",
-    "gibbs_family",
-    "maximally_mixed",
-    "default_rank_tol",
-]
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=a.dtype)

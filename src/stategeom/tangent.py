@@ -25,24 +25,13 @@ from .actions import group_element, phi, prescaled_phi
 from .errors import NumericalError, ValidationError
 from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, matrix_exp,
                      require_hermitian, sorted_eigh)
-from .states import PositiveFunctional, StateDensity, default_rank_tol, unit_trace
-
-__all__ = [
-    "TangentVector",
-    "alpha_velocity",
-    "phi_velocity",
-    "tangent_alpha",
-    "tangent_phi",
-    "covariance",
-    "flow",
-    "fd_tangent_check",
-    "tangent_map_rank",
-]
+from .states import PositiveFunctional, StateDensity, _frozen, default_rank_tol, unit_trace
 
 
 @dataclass(frozen=True)
 class TangentVector:
-    """Velocity of a one-parameter flow through ``base`` generated by ``generator``."""
+    """Velocity of a one-parameter flow through ``base`` generated by ``generator``;
+    both arrays are frozen copies, like a validated value's."""
 
     base: PositiveFunctional
     value: np.ndarray
@@ -63,14 +52,14 @@ def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def tangent_alpha(xi: PositiveFunctional, a) -> TangentVector:
     """Tangent vector of the congruence action at ``xi`` along generator ``a``."""
-    gen = as_operator(a, "generator", xi.n)
-    return TangentVector(base=xi, value=alpha_velocity(xi.matrix, gen), generator=gen)
+    gen = _frozen(as_operator(a, "generator", xi.n))
+    return TangentVector(base=xi, value=_frozen(alpha_velocity(xi.matrix, gen)), generator=gen)
 
 
 def tangent_phi(rho: StateDensity, a) -> TangentVector:
     """Tangent vector of the normalized action at ``rho``; always traceless."""
-    gen = as_operator(a, "generator", rho.n)
-    return TangentVector(base=rho, value=phi_velocity(rho.matrix, gen), generator=gen)
+    gen = _frozen(as_operator(a, "generator", rho.n))
+    return TangentVector(base=rho, value=_frozen(phi_velocity(rho.matrix, gen)), generator=gen)
 
 
 def covariance(rho: StateDensity, a, b) -> float:

@@ -43,6 +43,13 @@ def realification_basis_explicit(n):
     return out
 
 
+def real_gram_explicit(vectors):
+    """Gram matrix of Re Tr(a†b): dot products of the realified vectors
+    (real parts of the entries, then imaginary parts)."""
+    rows = np.array([np.concatenate([np.ravel(v).real, np.ravel(v).imag]) for v in vectors])
+    return rows @ rows.T
+
+
 def tangent_singular_values_dense(rho):
     """Singular values of a -> a rho + rho a† - Tr(a rho + rho a†) rho, descending.
 

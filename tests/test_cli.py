@@ -8,7 +8,6 @@ from click.testing import CliRunner
 
 from stategeom.cli import main
 from stategeom.serialize import (
-    format_float,
     load_matrix_file,
     matrix_from_jsonable,
     save_matrix_text,
@@ -63,9 +62,6 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             matrix_from_jsonable({"n": 2, "entries": [[1.0, 0.0]]})
 
-    def test_csv_float_format(self):
-        assert format_float(1.0 / 3.0) == "0.33333333333333331"
-
 
 class TestValidateCommand:
     def test_valid_state(self, runner, files):
@@ -85,6 +81,29 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", path])
         assert result.exit_code == 0
         assert json.loads(result.output)["kind"] == "positive"
+
+    def test_positive_fallback_validates_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        result = runner.invoke(main, ["validate", write(tmp_path / "two.json", 2.0 * np.eye(2))])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["kind"] == "positive"
+        # one for validate_positive, one for min_eigenvalue
+        assert len(calls) == 2
+
+    def test_min_eigenvalue_of_the_hermitian_part(self, runner, tmp_path):
+        # Hermitian part [[0.5, 1.5e-11], [1.5e-11, 0.5]], eigenvalues 0.5 -+ 1.5e-11
+        path = write(tmp_path / "skewed.json", np.array([[0.5, 0.0], [3e-11, 0.5]]))
+        result = runner.invoke(main, ["validate", path])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["min_eigenvalue"] == pytest.approx(0.5 - 1.5e-11,
+                                                                            rel=1e-15)
 
 
 class TestActCommand:
@@ -366,6 +385,33 @@ def _exits_2_with_one_line(result):
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ValidationError: "), result.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "{tmp}/missing.json"],
+    ["act", "beta", "{g}", "{state}"],
+    ["validate"],
+    ["--tol"],
+    ["--no-such-flag", "validate", "{state}"],
+], ids=["missing-file", "bad-action", "missing-argument", "tol-without-value", "unknown-flag"])
+def test_usage_error_exits_2_with_one_line(runner, files, command):
+    _exits_2_with_one_line(runner.invoke(main, [arg.format(**files) for arg in command]))
+
+
+def test_bare_invocation_prints_help(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("Usage: ") and "Commands:" in result.stderr
+
+
+def test_interrupt_exits_1_with_aborted(runner, files, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("stategeom.cli.classify_orbit", interrupted)
+    result = runner.invoke(main, ["validate", files["state"]])
+    assert result.exit_code == 1
+    assert result.stdout == "" and result.stderr.strip() == "Aborted!"
 
 
 def test_out_in_missing_directory_exits_2(runner, files, tmp_path):

@@ -61,6 +61,20 @@ class TestTangentAlpha:
         np.testing.assert_allclose(tangent_alpha(xi, a).value, expected, atol=1e-12)
 
 
+class TestTangentVectorIsImmutable:
+    @pytest.mark.parametrize("tangent", [tangent_alpha, tangent_phi])
+    def test_generator_is_a_frozen_copy(self, tangent):
+        rng = np.random.default_rng(9)
+        rho = random_state(rng, 3)
+        a = random_direction(rng, 3)
+        vec = tangent(rho, a)
+        a[0, 0] = 99.0
+        assert vec.generator[0, 0] != 99.0
+        for array in (vec.value, vec.generator):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+
 class TestTangentPhi:
     def test_identity_is_isotropy_direction(self):
         rho = random_state(np.random.default_rng(5), 3)
