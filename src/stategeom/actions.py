@@ -117,7 +117,20 @@ def phi(g, rho: StateDensity) -> StateDensity:
     of the unscaled product.
     """
     ge = group_element(g, rho.n)
-    return validate_state(prescaled_phi(ge.matrix, max(math.frexp(ge.sigma_max)[1], 0), rho)[0])
+    return validate_state(prescaled_phi(ge.matrix, _exponent_above(ge.sigma_max), rho)[0])
+
+
+def _exponent_above(x: float) -> int:
+    """The e >= 0 of the smallest power of two 2^e above x (0 for x < 1/2)."""
+    return max(math.frexp(x)[1], 0)
+
+
+def _scaled_down(g: np.ndarray, e: int) -> np.ndarray:
+    """2^-e g, exact while no entry underflows."""
+    m = np.empty(g.shape, dtype=complex)
+    m.real = np.ldexp(g.real, -e)
+    m.imag = np.ldexp(g.imag, -e)
+    return m
 
 
 def prescaled_phi(g: np.ndarray, e: int, rho: StateDensity) -> tuple[np.ndarray, float]:
@@ -127,9 +140,7 @@ def prescaled_phi(g: np.ndarray, e: int, rho: StateDensity) -> tuple[np.ndarray,
     Any e gives the same bits while no product of entries underflows, since
     scaling by a power of two is exact; ``phi`` takes the one above sigma_max.
     """
-    m = np.empty(g.shape, dtype=complex)
-    m.real = np.ldexp(g.real, -e)
-    m.imag = np.ldexp(g.imag, -e)
+    m = _scaled_down(g, e)
     num = m @ rho.matrix @ dagger(m)
     den = config.check("Tr(g rho g†)", float(np.trace(num).real), config.DENOMINATOR_FLOOR,
                        1.0, NumericallySingular, floor=True, exp2=2 * e)
@@ -144,17 +155,25 @@ def unitary_phi(u, rho: StateDensity) -> StateDensity:
     return validate_state(m @ rho.matrix @ dagger(m))
 
 
+def _weight_squares(w) -> np.ndarray:
+    """|w|^2 after dividing w by the power of two above max|w| when that is >= 1:
+    exact, so the classical quotients keep their bits while no square overflows."""
+    mags = np.abs(np.asarray(w, dtype=complex))
+    return np.ldexp(mags, -_exponent_above(float(np.max(mags)))) ** 2
+
+
 def classical_phi(w, p) -> ProbabilityVector:
     """Classical action q_j = |w_j|^2 p_j / sum_k |w_k|^2 p_k.
 
-    Weights must all be nonzero (ZeroWeight otherwise).  Dirac vectors are
-    exact fixed points.
+    Weights must all be nonzero (ZeroWeight otherwise, also for a square that
+    underflows).  Invariant under w -> lambda w, which keeps large w finite as
+    in ``phi``.  Dirac vectors are exact fixed points.
     """
     prob = p if isinstance(p, ProbabilityVector) else validate_probability(p)
     weights = np.asarray(w, dtype=complex)
     if weights.shape != (prob.m,):
         raise ValidationError(f"expected {prob.m} weights, got shape {weights.shape}")
-    mags = np.abs(weights) ** 2
+    mags = _weight_squares(weights)
     if np.any(mags == 0.0):
         raise ZeroWeight("weight vector has a zero entry")
     scaled = mags * prob.p

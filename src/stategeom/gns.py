@@ -15,13 +15,14 @@ inside a fixed representation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .actions import group_element
+from .actions import _exponent_above, _scaled_down, group_element
 from .errors import NumericalError, NumericallySingular, ValidationError
 from .linalg import as_operator, dagger, matrix_unit
 from .states import ProbabilityVector, StateDensity, _frozen, default_rank_tol, spectral_split
@@ -78,17 +79,23 @@ def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     The new vector pi(g)|psi> / sqrt(<psi|pi(g†g)|psi>) represents the
     normalized action of g on the source state inside the same
     representation.  ``rho`` must be the state the triple was built from.
+    Like ``phi`` it runs on m = g / 2^e, 2^e the power of two above
+    sigma_max, so large g stay finite.
     """
     ge = group_element(g, rho.n)
-    gram_g = dagger(ge.matrix) @ ge.matrix
-    norm_sq = triple.expectation(gram_g).real
-    # the vector expectation of g†g must reproduce rho(g†g)
-    from_state = float(np.trace(rho.matrix @ gram_g).real)
-    config.check("|<psi|pi(g†g)|psi> - rho(g†g)|", abs(norm_sq - from_state),
-                 config.GNS_CONSISTENCY_RTOL, 1.0 + abs(from_state), ValidationError)
+    e = _exponent_above(ge.sigma_max)
+    m = _scaled_down(ge.matrix, e)
+    gram = dagger(m) @ m
+    norm_sq = triple.expectation(gram).real
+    # the vector expectation must reproduce rho(m†m); the bound 2^-2e rtol (1 + rho(g†g))
+    # is rtol (2^-2e + rho(m†m)), both exact in binary
+    from_state = float(np.trace(rho.matrix @ gram).real)
+    config.check(f"|<psi|pi(m†m)|psi> - rho(m†m)|, m = g / 2^{e},", abs(norm_sq - from_state),
+                 config.GNS_CONSISTENCY_RTOL, math.ldexp(1.0, -2 * e) + abs(from_state),
+                 ValidationError)
     config.check("<psi|pi(g†g)|psi>", norm_sq, config.DENOMINATOR_FLOOR, 1.0,
-                 NumericallySingular, floor=True)
-    moved = triple.vector_of(ge.matrix) / np.sqrt(norm_sq)
+                 NumericallySingular, floor=True, exp2=2 * e)
+    moved = triple.vector_of(m) / np.sqrt(norm_sq)
     return GnsTriple(n=triple.n, dim=triple.dim, cyclic=_frozen(moved))
 
 

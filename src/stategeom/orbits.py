@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from . import config
-from .actions import GroupElement, classical_phi, group_element, phi
+from .actions import GroupElement, _weight_squares, classical_phi, group_element, phi
 from .errors import NotTracial, NumericalError, RankMismatch, ValidationError
 from .linalg import dagger, frobenius, fro_scale, matrix_sqrt_psd, require_hermitian, signature
 from .states import (
@@ -54,38 +55,28 @@ class ConnectCertificate:
     achieved_residual: float
 
 
-def _matched_splits(rho0, rho1, permutation) -> tuple[SpectralSplit, SpectralSplit, np.ndarray]:
+def _matched_splits(rho0, rho1) -> tuple[SpectralSplit, SpectralSplit]:
     split0 = spectral_split(rho0)
     split1 = spectral_split(rho1)
-    k = split0.support_dim
-    if k != split1.support_dim or split0.ambient_dim != split1.ambient_dim:
+    if split0.support_dim != split1.support_dim or split0.ambient_dim != split1.ambient_dim:
         raise RankMismatch(
             f"rank {split0.support_dim} (dim {split0.ambient_dim}) vs "
             f"rank {split1.support_dim} (dim {split1.ambient_dim})"
         )
-    if permutation is None:
-        perm = np.arange(k)
-    else:
-        perm = np.asarray(permutation, dtype=int)
-        if sorted(perm.tolist()) != list(range(k)):
-            raise ValidationError(f"permutation must reorder range({k})")
-    return split0, split1, perm
+    return split0, split1
 
 
-def bound_constant(rho0, rho1, permutation=None) -> float:
-    """Largest eigenvalue ratio C = max_j p1_j / p0_j over matched spectra.
-
-    Spectra are matched in non-increasing order unless an explicit
-    permutation of the target spectrum is given.  Raises RankMismatch.
-    """
-    split0, split1, perm = _matched_splits(rho0, rho1, permutation)
-    return float(np.max(split1.eigenvalues[perm] / split0.eigenvalues))
+def bound_constant(rho0, rho1) -> float:
+    """Largest eigenvalue ratio C = max_j p1_j / p0_j over the spectra matched
+    in non-increasing order.  Raises RankMismatch."""
+    split0, split1 = _matched_splits(rho0, rho1)
+    return float(np.max(split1.eigenvalues / split0.eigenvalues))
 
 
-def _connect(rho0, rho1, permutation):
-    split0, split1, perm = _matched_splits(rho0, rho1, permutation)
-    ratios = split1.eigenvalues[perm] / split0.eigenvalues
-    e0, e1 = split0.support_basis, split1.support_basis[:, perm]
+def _connect(rho0, rho1):
+    split0, split1 = _matched_splits(rho0, rho1)
+    ratios = split1.eigenvalues / split0.eigenvalues
+    e0, e1 = split0.support_basis, split1.support_basis
     g = (e1 * np.sqrt(ratios)) @ dagger(e0) + split1.kernel_basis @ dagger(split0.kernel_basis)
     c = float(np.max(ratios))
     element = group_element(g)
@@ -100,22 +91,23 @@ def _residual_guard(image: np.ndarray, target: np.ndarray) -> float:
                         config.CONNECT_RESIDUAL_RTOL, fro_scale(target), NumericalError)
 
 
-def connect_alpha(rho0: PositiveFunctional, rho1: PositiveFunctional,
-                  permutation=None) -> ConnectCertificate:
-    """Element g with g rho0 g† = rho1, for equal-rank positive functionals."""
-    element, c, bound = _connect(rho0, rho1, permutation)
+def connect_alpha(rho0: PositiveFunctional, rho1: PositiveFunctional) -> ConnectCertificate:
+    """Element g with g rho0 g† = rho1, for equal-rank positive functionals,
+    from their spectra matched in non-increasing order."""
+    element, c, bound = _connect(rho0, rho1)
     residual = _residual_guard(element.matrix @ rho0.matrix @ dagger(element.matrix),
                                rho1.matrix)
     return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
                               achieved_residual=residual)
 
 
-def connect_phi(rho0: StateDensity, rho1: StateDensity, permutation=None) -> ConnectCertificate:
-    """Element g realizing rho1 under the normalized action, for equal ranks.
+def connect_phi(rho0: StateDensity, rho1: StateDensity) -> ConnectCertificate:
+    """Element g realizing rho1 under the normalized action, for equal ranks,
+    from their spectra matched in non-increasing order.
 
     Unit traces make the congruence element exact without rescaling.
     """
-    element, c, bound = _connect(rho0, rho1, permutation)
+    element, c, bound = _connect(rho0, rho1)
     residual = _residual_guard(phi(element, rho0).matrix, rho1.matrix)
     return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
                               achieved_residual=residual)
@@ -159,23 +151,17 @@ def require_tracial(tau: StateDensity) -> None:
 def convex_recombine(tau: StateDensity, g1, g2, lam: float) -> tuple[GroupElement, float]:
     """Square-root recombiner for mixtures on the tracial orbit.
 
-    For tracial tau the mixture lam*phi(g1,tau) + (1-lam)*phi(g2,tau) equals
-    phi(p, tau) with p the PSD square root of
-    lam*g1 g1†/tau(g1 g1†) + (1-lam)*g2 g2†/tau(g2 g2†).
+    For tracial tau = I/n, phi(g, tau) = g g†/Tr(g g†), so the mixture
+    target = lam*phi(g1,tau) + (1-lam)*phi(g2,tau) is phi(p, tau) for p the
+    PSD square root of n * target; like phi it stays finite for large g.
     Returns the recombiner and the achieved Frobenius residual.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
     require_tracial(tau)
-    e1 = group_element(g1, tau.n)
-    e2 = group_element(g2, tau.n)
-    m = tau.matrix
-    p1 = e1.matrix @ dagger(e1.matrix)
-    p2 = e2.matrix @ dagger(e2.matrix)
-    combined = (lam * p1 / np.trace(m @ p1).real
-                + (1.0 - lam) * p2 / np.trace(m @ p2).real)
-    recombiner = group_element(matrix_sqrt_psd(combined))
-    target = lam * phi(e1, tau).matrix + (1.0 - lam) * phi(e2, tau).matrix
+    target = (lam * phi(group_element(g1, tau.n), tau).matrix
+              + (1.0 - lam) * phi(group_element(g2, tau.n), tau).matrix)
+    recombiner = group_element(matrix_sqrt_psd(tau.n * target))
     residual = frobenius(phi(recombiner, tau).matrix - target)
     return recombiner, residual
 
@@ -185,7 +171,8 @@ def convex_recombine_classical(p: ProbabilityVector, w1, w2,
     """Componentwise recombiner on the simplex (every classical state is tracial).
 
     Returns the weight vector sqrt(lam*|w1|^2/<p,|w1|^2> + ...) and the
-    max-norm residual against the mixture of the two images.
+    max-norm residual against the mixture of the two images; like
+    ``classical_phi`` it stays finite for large w.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
@@ -193,8 +180,8 @@ def convex_recombine_classical(p: ProbabilityVector, w1, w2,
     # the images first: classical_phi checks each weight vector's length
     target = (lam * classical_phi(w1, prob).p
               + (1.0 - lam) * classical_phi(w2, prob).p)
-    a1 = np.abs(np.asarray(w1, dtype=complex)) ** 2
-    a2 = np.abs(np.asarray(w2, dtype=complex)) ** 2
+    a1 = _weight_squares(w1)
+    a2 = _weight_squares(w2)
     combined = lam * a1 / float(a1 @ prob.p) + (1.0 - lam) * a2 / float(a2 @ prob.p)
     weights = np.sqrt(combined)
     residual = float(np.max(np.abs(classical_phi(weights, prob).p - target)))
@@ -208,11 +195,15 @@ def _is_number(value, kind=numbers.Real) -> bool:
 
 @dataclass(frozen=True)
 class SpectrumGenerator:
-    """Produces a strictly positive spectrum for each truncation dimension."""
+    """Produces a strictly positive spectrum for each truncation dimension;
+    ``params`` is a read-only copy of the mapping given at construction."""
 
     kind: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     declared_limit: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     def _number(self, key: str, default=None) -> float:
         value = self.params.get(key, default)

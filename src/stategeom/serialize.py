@@ -30,12 +30,10 @@ __all__ = [
     "KINDS",
     "complex_pairs",
     "matrix_to_jsonable",
-    "matrix_from_jsonable",
     "dumps_canonical",
     "read_json",
     "read_matrix",
     "load_matrix_file",
-    "save_matrix_text",
     "flow_csv",
     "truncation_csv",
     "truncation_json",
@@ -88,11 +86,6 @@ def _decode_matrix(obj) -> tuple[np.ndarray, str, PositiveFunctional | None]:
     return m, kind, None if check is None else check(m)
 
 
-def matrix_from_jsonable(obj) -> tuple[np.ndarray, str]:
-    """Decode and validate a matrix object; returns (matrix, kind)."""
-    return _decode_matrix(obj)[:2]
-
-
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text: insertion key order, compact separators."""
     return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
@@ -116,11 +109,6 @@ def read_matrix(path) -> tuple[np.ndarray, str, PositiveFunctional | None]:
 def load_matrix_file(path) -> tuple[np.ndarray, str]:
     """Load and validate a matrix JSON file."""
     return read_matrix(path)[:2]
-
-
-def save_matrix_text(m: np.ndarray, kind: str = "operator") -> str:
-    """Canonical text for a matrix (the save half of the byte round-trip)."""
-    return dumps_canonical(matrix_to_jsonable(m, kind))
 
 
 def _csv(header: str, template: str, rows) -> str:

@@ -184,16 +184,11 @@ def spectral_split(rho) -> SpectralSplit:
     )
 
 
-def classify_orbit(rho, declared_limit: str | None = None) -> OrbitClass:
+def classify_orbit(rho) -> OrbitClass:
     """Rank/corank orbit label of a positive functional."""
     split = spectral_split(rho)
     k = split.support_dim
-    return OrbitClass(
-        rank=k,
-        corank=split.corank,
-        tag=f"FiniteRank({k})",
-        declared_limit=declared_limit,
-    )
+    return OrbitClass(rank=k, corank=split.corank, tag=f"FiniteRank({k})")
 
 
 def embed_classical(p) -> StateDensity:

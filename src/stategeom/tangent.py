@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .actions import group_element, phi, prescaled_phi
+from .actions import _exponent_above, group_element, phi, prescaled_phi
 from .errors import NumericalError, ValidationError
 from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, matrix_exp,
                      require_hermitian, sorted_eigh)
@@ -95,12 +95,9 @@ def _smallest_component(a: np.ndarray) -> float:
 @dataclass(frozen=True)
 class _Flow:
     """What every point of the flow of ``rho`` along ``gen`` shares: ||gen||_F,
-    ||rho||_F, the smallest nonzero component of rho, ``rho_floor`` =
+    ||rho||_F, the smallest nonzero component of rho, and ``rho_floor`` =
     min(0, lambda_min - ``_eig_allowance`` ||rho||_F), a lower bound on the
-    smallest eigenvalue of rho's Hermitian part (one eigvalsh per flow), and
-    whether ``_positive`` can pass at all: not where eigvalsh's allowance alone
-    exceeds the scaled PSD_CLAMP_RTOL (a tolerance scale below about 3e-3 at
-    n = 64), so that no point pays for a certificate bound to fail."""
+    smallest eigenvalue of rho's Hermitian part (one eigvalsh per flow)."""
 
     rho: StateDensity
     gen: np.ndarray
@@ -108,7 +105,6 @@ class _Flow:
     rho_norm: float
     rho_floor: float
     rho_tiny: float
-    certifiable: bool
 
 
 def _flow_of(rho: StateDensity, a) -> _Flow:
@@ -118,8 +114,7 @@ def _flow_of(rho: StateDensity, a) -> _Flow:
     lam = float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0])
     return _Flow(rho=rho, gen=gen, gen_norm=frobenius(gen), rho_norm=rho_norm,
                  rho_floor=min(0.0, lam - _eig_allowance(rho.n) * rho_norm),
-                 rho_tiny=_smallest_component(m),
-                 certifiable=config.clears(_eig_allowance(rho.n), config.PSD_CLAMP_RTOL, 1.0))
+                 rho_tiny=_smallest_component(m))
 
 
 def _invertible(g_norm: float, x: float, n: int) -> bool:
@@ -180,7 +175,7 @@ def _certified_point(flow: _Flow, g: np.ndarray, x: float) -> StateDensity | Non
     g_norm = float(np.linalg.norm(g))  # inf or NaN unless every entry is finite
     if not (math.isfinite(g_norm) and _invertible(g_norm, x, n)):
         return None
-    e = max(math.frexp(g_norm)[1], 0)
+    e = _exponent_above(g_norm)
     tiny = math.ldexp(_smallest_component(g), -e)
     if not (tiny >= _NORMAL_MIN and tiny * tiny * flow.rho_tiny >= _EXACT_PRODUCTS
             and config.clears(_NORMAL_MIN, config.DENOMINATOR_FLOOR, 1.0, exp2=2 * e)):
@@ -205,8 +200,7 @@ def _flow_point(flow: _Flow, t) -> StateDensity:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             g = matrix_exp(t * flow.gen)
-            point = _certified_point(flow, g, abs(float(t)) * flow.gen_norm) \
-                if flow.certifiable else None
+            point = _certified_point(flow, g, abs(float(t)) * flow.gen_norm)
             return point if point is not None else phi(group_element(g), flow.rho)
     except ValidationError as exc:
         raise NumericalError(
@@ -234,13 +228,13 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
 
     A point falls back to phi(group_element(exp(ta)), rho0), SVD and
     eigvalsh included, where exp(ta) is not finite, a certificate fails
-    (typically |t| ||a||_F above about 10, or a rank-deficient rho0 moved by a
-    badly conditioned exp(ta)), or a product of entries could round below
-    2^-1022; every point does when the tolerance scale is so small that
-    eigvalsh's allowance alone exceeds PSD_CLAMP_RTOL's bound.  So every error
-    is the one phi(group_element(exp(ta)), rho0) raises: NumericalError,
-    naming the first failing t, where exp(ta) overflows or exceeds the
-    singularity limit.
+    (typically |t| ||a||_F above about 10, a rank-deficient rho0 moved by a
+    badly conditioned exp(ta), or every point at a tolerance scale below
+    about 3e-3 at n = 64, where eigvalsh's allowance alone exceeds
+    PSD_CLAMP_RTOL's bound), or a product of entries could round below
+    2^-1022.  So every error is the one phi(group_element(exp(ta)), rho0)
+    raises: NumericalError, naming the first failing t, where exp(ta)
+    overflows or exceeds the singularity limit.
     """
     f = _flow_of(rho0, a)
     ts = np.asarray(t_grid, dtype=float)

@@ -6,6 +6,8 @@ paths (block constructions, closed-form dimensions, certificates) they are
 used to check.
 """
 
+import json
+
 import numpy as np
 
 
@@ -196,3 +198,18 @@ def expm_series(a, terms=20):
 def central_difference(curve, h):
     """(curve(h) - curve(-h)) / 2h for a matrix-valued curve."""
     return (curve(h) - curve(-h)) / (2.0 * h)
+
+
+def matrix_text(m, kind="operator"):
+    """A matrix file written with json alone: {"n", "kind", "entries"} with the
+    [re, im] pairs in row-major order, compact separators and a newline."""
+    m = np.asarray(m, dtype=complex)
+    entries = [[float(z.real), float(z.imag)] for z in m.ravel()]
+    return json.dumps({"n": m.shape[0], "kind": kind, "entries": entries},
+                      separators=(",", ":")) + "\n"
+
+
+def matrix_of(obj):
+    """The matrix of a matrix JSON object, read with numpy alone."""
+    n = obj["n"]
+    return np.array([complex(re, im) for re, im in obj["entries"]]).reshape(n, n)

@@ -268,6 +268,24 @@ class TestClassicalPhi:
         assert np.all(q.p >= 0.0)
 
 
+class TestClassicalPhiExtremeScale:
+    def test_power_of_two_rescale_is_bit_exact(self):
+        rng = np.random.default_rng(62)
+        for m in (1, 3, 8):
+            p = random_probability(rng, m)
+            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            assert classical_phi(2.0**600 * w, p).p.tobytes() == classical_phi(w, p).p.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_huge_weights_act(self, scale):
+        rng = np.random.default_rng(63)
+        p = random_probability(rng, 4)
+        w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        np.testing.assert_allclose(classical_phi(scale * w, p).p, classical_phi(w, p).p,
+                                   rtol=1e-14)
+
+
 class TestNonconvexity:
     def test_endpoints_exact(self):
         rng = np.random.default_rng(15)

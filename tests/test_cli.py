@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from oracles import matrix_of, matrix_text
 from stategeom.cli import main
-from stategeom.serialize import (
-    load_matrix_file,
-    matrix_from_jsonable,
-    save_matrix_text,
-)
+from stategeom.serialize import dumps_canonical, load_matrix_file, matrix_to_jsonable
 
 
 @pytest.fixture
@@ -20,7 +17,7 @@ def runner():
 
 
 def write(path, matrix, kind="operator"):
-    path.write_text(save_matrix_text(np.asarray(matrix, dtype=complex), kind))
+    path.write_text(matrix_text(matrix, kind))
     return str(path)
 
 
@@ -44,23 +41,25 @@ class TestSerialization:
         rng = np.random.default_rng(1)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         path = tmp_path / "m.json"
-        path.write_text(save_matrix_text(m, "operator"))
+        path.write_text(matrix_text(m, "operator"))
         loaded, kind = load_matrix_file(path)
-        assert save_matrix_text(loaded, kind) == path.read_text()
+        assert dumps_canonical(matrix_to_jsonable(loaded, kind)) == path.read_text()
 
     def test_kind_validation_on_load(self, tmp_path):
         path = tmp_path / "notstate.json"
-        path.write_text(save_matrix_text(np.diag([0.6, 0.6]).astype(complex), "state"))
+        path.write_text(matrix_text(np.diag([0.6, 0.6]), "state"))
         from stategeom.errors import TraceError
 
         with pytest.raises(TraceError):
             load_matrix_file(path)
 
-    def test_entry_count_checked(self):
+    def test_entry_count_checked(self, tmp_path):
         from stategeom.errors import ValidationError
 
-        with pytest.raises(ValidationError):
-            matrix_from_jsonable({"n": 2, "entries": [[1.0, 0.0]]})
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[1.0, 0.0]]}))
+        with pytest.raises(ValidationError, match="expected 4 entries"):
+            load_matrix_file(path)
 
 
 class TestValidateCommand:
@@ -129,7 +128,7 @@ class TestActCommand:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["kind"] == "operator"
-        m, _ = matrix_from_jsonable(payload)
+        m = matrix_of(payload)
         np.testing.assert_allclose(m, np.diag([1.5, -0.5]), atol=1e-12)
 
 
@@ -139,7 +138,7 @@ class TestConnectCommand:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["C"] == pytest.approx(1.5)
-        g, _ = matrix_from_jsonable(payload["g"])
+        g = matrix_of(payload["g"])
         np.testing.assert_allclose(g, np.diag([np.sqrt(1.5), np.sqrt(0.5)]), atol=1e-12)
 
     def test_rank_mismatch_exits_2(self, runner, files, tmp_path):
@@ -294,6 +293,17 @@ class TestRecombineCommand:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["residual"] <= 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_elements_exit_0(self, runner, files, tmp_path):
+        g = np.array([[1.0, 0.5], [0.0, 1.0]])
+        big = write(tmp_path / "big.json", 1e200 * g)
+        result = runner.invoke(main, ["recombine", files["state"], big, big, "0.5"])
+        assert result.exit_code == 0 and result.stderr == ""
+        payload = json.loads(result.output)
+        assert payload["residual"] <= 1e-12
+        np.testing.assert_allclose(matrix_of(payload["mixture"]), g @ g.T / np.trace(g @ g.T),
+                                   rtol=1e-14)
 
     def test_non_tracial_exits_2(self, runner, files, tmp_path):
         tau = write(tmp_path / "tau.json", np.diag([0.75, 0.25]), "state")

@@ -146,6 +146,35 @@ class TestTransform:
                 assert abs(moved.expectation(e) - np.trace(target @ e)) <= 1e-9
 
 
+class TestTransformExtremeScale:
+    def test_power_of_two_rescale_is_bit_exact(self):
+        rng = np.random.default_rng(34)
+        for n in (1, 2, 4):
+            rho = random_state(rng, n)
+            triple = gns_construct(rho)
+            g = random_invertible(rng, n)
+            assert (gns_transform(triple, 2.0**600 * g, rho).cyclic.tobytes()
+                    == gns_transform(triple, g, rho).cyclic.tobytes())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_huge_element_transports(self, scale):
+        rng = np.random.default_rng(35)
+        rho = random_state(rng, 3)
+        triple = gns_construct(rho)
+        g = random_invertible(rng, 3)
+        np.testing.assert_allclose(gns_transform(triple, scale * g, rho).cyclic,
+                                   gns_transform(triple, g, rho).cyclic, rtol=1e-12, atol=1e-14)
+
+    def test_floor_applies_to_the_unscaled_expectation(self):
+        # sigma_max >= 1/2 is prescaled; <psi|pi(g†g)|psi> = 1e-16 is still refused
+        from stategeom.errors import NumericallySingular
+
+        rho = validate_state(np.diag([0.0, 1.0]).astype(complex))
+        with pytest.raises(NumericallySingular, match="1.000e-16"):
+            gns_transform(gns_construct(rho), np.diag([1.0, 1e-8]).astype(complex), rho)
+
+
 class TestPurity:
     def test_pure_state_trivial_commutant(self):
         rho = random_state(np.random.default_rng(30), 3, rank=1)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stategeom
-from oracles import dag, eig_count, expm_series
+from oracles import dag, eig_count, expm_series, matrix_text
 from stategeom.errors import NotHermitian, NotPSD, Singular
 from stategeom.linalg import (
     _fix_phases,
@@ -22,7 +22,6 @@ from stategeom.linalg import (
     polar,
 )
 from stategeom.sampling import random_hermitian, random_invertible, random_unitary
-from stategeom.serialize import save_matrix_text
 
 
 class TestHermitianEig:
@@ -215,7 +214,7 @@ def test_scipy_loaded_only_by_matrix_exp(tmp_path):
     unimported; matrix_exp on a diagonal or a general input leaves
     scipy.linalg unimported, and only a triangular input loads it."""
     state = tmp_path / "state.json"
-    state.write_text(save_matrix_text(np.diag([0.5, 0.5]).astype(complex), "state"))
+    state.write_text(matrix_text(np.diag([0.5, 0.5]), "state"))
     script = f"""
 import sys
 import numpy as np

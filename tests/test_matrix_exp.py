@@ -12,11 +12,11 @@ import pytest
 from click.testing import CliRunner
 
 import stategeom
+from oracles import matrix_text
 from stategeom import linalg
 from stategeom.cli import main
 from stategeom.errors import NumericalError
 from stategeom.linalg import matrix_exp
-from stategeom.serialize import save_matrix_text
 
 
 def _scipy_expm(a):
@@ -147,9 +147,9 @@ def test_kernel_error_codes(monkeypatch, tmp_path, pick, info, exc, code):
     with pytest.raises(exc, match=rf"\(error code {code}\)$"):
         matrix_exp(a)
     state = tmp_path / "state.json"
-    state.write_text(save_matrix_text(np.diag([0.5, 0.5]).astype(complex), "state"))
+    state.write_text(matrix_text(np.diag([0.5, 0.5]), "state"))
     gen = tmp_path / "gen.json"
-    gen.write_text(save_matrix_text(a[:2, :2], "operator"))
+    gen.write_text(matrix_text(a[:2, :2], "operator"))
     for args in (["flow", str(state), str(gen), "--t0", "0", "--t1", "1", "--steps", "2"],
                  ["tangent", str(state), str(gen)]):
         result = CliRunner().invoke(main, args)
@@ -166,10 +166,9 @@ def test_kernel_error_codes(monkeypatch, tmp_path, pick, info, exc, code):
 ])
 def test_exponentiating_commands_do_not_import_scipy_linalg(tmp_path, command):
     state = tmp_path / "state.json"
-    state.write_text(save_matrix_text(np.diag([0.75, 0.25]).astype(complex), "state"))
+    state.write_text(matrix_text(np.diag([0.75, 0.25]), "state"))
     gen = tmp_path / "gen.json"
-    gen.write_text(save_matrix_text(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]]),
-                                    "operator"))
+    gen.write_text(matrix_text(np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.3]]), "operator"))
     argv = [arg.format(state=state, gen=gen) for arg in command]
     script = f"""
 import runpy, sys

@@ -7,6 +7,7 @@ from stategeom.actions import alpha, classical_phi, phi
 from stategeom.errors import NotTracial, RankMismatch
 from stategeom.linalg import frobenius, fro_scale, matrix_sqrt_psd
 from stategeom.orbits import (
+    SpectrumGenerator,
     bound_constant,
     connect_alpha,
     connect_phi,
@@ -99,12 +100,6 @@ class TestConnect:
         back = connect_phi(rho1, rho0)
         composed = back.g.matrix @ fwd.g.matrix
         assert frobenius(phi(composed, rho0).matrix - rho0.matrix) <= 1e-8
-
-    def test_permutation_still_connects(self):
-        rng = np.random.default_rng(5)
-        rho0, rho1 = random_state(rng, 4), random_state(rng, 4)
-        cert = connect_phi(rho0, rho1, permutation=[3, 2, 1, 0])
-        assert frobenius(phi(cert.g, rho0).matrix - rho1.matrix) <= 1e-9
 
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatch):
@@ -241,6 +236,30 @@ class TestConvexRecombine:
             np.testing.assert_allclose(classical_phi(weights, p).p, target, atol=1e-12)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_huge_elements_recombine(self, scale):
+        rng = np.random.default_rng(13)
+        tau = maximally_mixed(3)
+        g1, g2 = random_invertible(rng, 3), random_invertible(rng, 3)
+        p, _ = convex_recombine(tau, g1, g2, 0.3)
+        big, residual = convex_recombine(tau, scale * g1, scale * g2, 0.3)
+        assert residual <= 1e-12
+        np.testing.assert_allclose(big.matrix, p.matrix, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_huge_classical_weights_recombine(self, scale):
+        rng = np.random.default_rng(14)
+        p = random_probability(rng, 3)
+        w1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        w2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        weights, _ = convex_recombine_classical(p, w1, w2, 0.3)
+        big, residual = convex_recombine_classical(p, scale * w1, scale * w2, 0.3)
+        assert residual <= 1e-12
+        np.testing.assert_allclose(big, weights, rtol=1e-14)
+
+
 class TestTruncationSweep:
     def test_identical_spectra(self):
         gen = make_spectrum_generator({"kind": "gibbs", "ratio": 0.5})
@@ -283,6 +302,19 @@ class TestTruncationSweep:
         assert all(cs[i] <= cs[i + 1] for i in range(len(cs) - 1))
         # residuals tiny even though the inputs are not states
         assert max(report.residuals) <= 1e-12
+
+    def test_params_are_read_only(self):
+        params = {"ratio": 0.5}
+        gen = SpectrumGenerator(kind="gibbs", params=params)
+        spectrum = gen.spectrum(3).tobytes()
+        with pytest.raises(TypeError):
+            gen.params["ratio"] = 0.9
+        params["ratio"] = 0.9
+        assert gen.spectrum(3).tobytes() == spectrum
+        built = make_spectrum_generator({"kind": "gibbs", "ratio": 0.5})
+        with pytest.raises(TypeError):
+            built.params["ratio"] = 0.9
+        assert built.spectrum(3).tobytes() == spectrum
 
     def test_csv_columns(self):
         gen = make_spectrum_generator({"kind": "uniform"})

@@ -4,7 +4,10 @@ Every top-level function or class without a leading underscore is either
 exported by ``__init__.py``, used by name elsewhere in the package, listed in
 the ``__all__`` of ``serialize`` or ``sampling`` (the two modules the package
 does not re-export), or a registered CLI command; anything else is a helper
-that no caller needs.
+that no caller needs.  Every name in ``serialize.__all__`` is used by the
+package or the benchmark, and every defaulted parameter of a public function
+(outside the test-support module ``sampling``) is passed by some call there,
+so an option that only tests set cannot stay.
 """
 
 import ast
@@ -69,3 +72,76 @@ def test_every_public_definition_has_a_caller():
             if not any(stmt.name in names for other, names in uses if other is not stmt):
                 unused.append(f"{module}:{stmt.name}")
     assert not unused, f"public definitions nothing exports or calls: {unused}"
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _caller_trees():
+    """The package's modules and the benchmark's: the callers the surface serves."""
+    return list(_trees().values()) + [ast.parse(path.read_text())
+                                      for path in sorted(BENCH.glob("*.py"))]
+
+
+def _loaded_names(node):
+    """Identifiers and attributes that ``node`` reads (imports and strings do not count)."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def test_every_serialize_name_has_a_caller():
+    trees = _caller_trees()
+    declared = _declared_all(_trees()["serialize.py"])
+    uses = [(stmt, _loaded_names(stmt)) for tree in trees for stmt in tree.body]
+    unused = sorted(name for name in declared
+                    if not any(name in names for stmt, names in uses
+                               if getattr(stmt, "name", None) != name))
+    assert not unused, f"serialize names nothing in the package or the benchmark uses: {unused}"
+
+
+def _public_functions(trees):
+    """(qualified name, def, whether a method) of every public function and
+    public method of a public class, outside the test-support module ``sampling``."""
+    for module, tree in trees.items():
+        if module == "sampling.py":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                yield stmt.name, stmt, False
+            elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                for sub in stmt.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{stmt.name}.{sub.name}", sub, True
+
+
+def _passes(call, position, keyword):
+    """Whether ``call`` passes the parameter at ``position`` (None: keyword-only)
+    or named ``keyword``; unpacked arguments pass every parameter."""
+    if any(kw.arg is None or kw.arg == keyword for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_by_some_caller():
+    calls = {}
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for qualname, func, is_method in _public_functions(_trees()):
+        args = func.args
+        positional = args.posonlyargs + args.args
+        offset = 1 if is_method else 0  # a bound call does not pass self
+        defaulted = [(p.arg, i - offset) for i, p in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        for param, position in defaulted:
+            if not any(_passes(call, position, param) for call in calls.get(func.name, [])):
+                unpassed.append(f"{qualname}.{param}")
+    assert not unpassed, f"defaulted parameters no caller passes: {unpassed}"
