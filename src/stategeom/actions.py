@@ -156,18 +156,20 @@ def unitary_phi(u, rho: StateDensity) -> StateDensity:
 
 
 def _weight_squares(w) -> np.ndarray:
-    """|w|^2 after dividing w by the power of two above max|w| when that is >= 1:
-    exact, so the classical quotients keep their bits while no square overflows."""
+    """|w|^2 after dividing w by the smallest power of two above max|w|, which may
+    lie below 1 as well as above: exact, so the classical quotients keep their bits
+    while the largest square lies in [1/4, 1), neither overflowing nor underflowing."""
     mags = np.abs(np.asarray(w, dtype=complex))
-    return np.ldexp(mags, -_exponent_above(float(np.max(mags)))) ** 2
+    return np.ldexp(mags, -math.frexp(float(np.max(mags)))[1]) ** 2
 
 
 def classical_phi(w, p) -> ProbabilityVector:
     """Classical action q_j = |w_j|^2 p_j / sum_k |w_k|^2 p_k.
 
     Weights must all be nonzero (ZeroWeight otherwise, also for a square that
-    underflows).  Invariant under w -> lambda w, which keeps large w finite as
-    in ``phi``.  Dirac vectors are exact fixed points.
+    underflows).  Invariant under w -> lambda w: w is first scaled by the power
+    of two that brings max|w| into [1/2, 1), which is exact, so large and tiny
+    weights alike act as in ordinary range.  Dirac vectors are exact fixed points.
     """
     prob = p if isinstance(p, ProbabilityVector) else validate_probability(p)
     weights = np.asarray(w, dtype=complex)

@@ -80,8 +80,9 @@ def _emit(out, chunks) -> None:
 
 
 def _load_state(path) -> StateDensity:
-    m, kind, functional = read_matrix(path)
-    return functional if kind == "state" else validate_state(m)
+    m, _, functional = read_matrix(path)
+    # a state or positive file was validated as it was read: only the trace is left
+    return validate_state(m) if functional is None else unit_trace(functional.matrix)
 
 
 def _load_functional(path) -> tuple[PositiveFunctional, str]:

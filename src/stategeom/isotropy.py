@@ -113,22 +113,13 @@ def isotropy_membership_phi(a, rho: StateDensity) -> tuple[bool, float]:
     return _membership(values, gen, rho.matrix)
 
 
-def real_gram(vectors) -> np.ndarray:
-    """Gram matrix of Re Tr(a†b), the real inner product of the realification.
-
-    Tr(a†b) is the entrywise inner product of the flattened matrices.
-    """
-    flat = np.array([np.ravel(v) for v in vectors])
-    return (np.conjugate(flat) @ flat.T).real
-
-
 @dataclass(frozen=True)
 class RealBasis:
     """Real-linearly independent matrices spanning a subspace.
 
     The vectors have unit norm when the adapted eigenbasis is unitary.
     ``gram_floor`` is the certified lower bound on the smallest eigenvalue of
-    ``gram()`` that the independence check accepted.
+    their real Gram matrix Re Tr(a†b) that the independence check accepted.
     """
 
     vectors: tuple
@@ -137,9 +128,6 @@ class RealBasis:
     @property
     def dim_real(self) -> int:
         return len(self.vectors)
-
-    def gram(self) -> np.ndarray:
-        return real_gram(self.vectors)
 
 
 @dataclass(frozen=True)

@@ -111,14 +111,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
-
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Rephase each column so its largest-|.| entry is real positive.

@@ -27,7 +27,6 @@ from .actions import GroupElement, _weight_squares, classical_phi, group_element
 from .errors import NotTracial, NumericalError, RankMismatch, ValidationError
 from .linalg import dagger, frobenius, fro_scale, matrix_sqrt_psd, require_hermitian, signature
 from .states import (
-    OrbitClass,
     PositiveFunctional,
     ProbabilityVector,
     SpectralSplit,
@@ -171,8 +170,9 @@ def convex_recombine_classical(p: ProbabilityVector, w1, w2,
     """Componentwise recombiner on the simplex (every classical state is tracial).
 
     Returns the weight vector sqrt(lam*|w1|^2/<p,|w1|^2> + ...) and the
-    max-norm residual against the mixture of the two images; like
-    ``classical_phi`` it stays finite for large w.
+    max-norm residual against the mixture of the two images.  Like
+    ``classical_phi`` it first scales each w by a power of two, so large and
+    tiny weights give the bits of ordinary ones.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
@@ -200,10 +200,15 @@ class SpectrumGenerator:
 
     kind: str
     params: Mapping = field(default_factory=dict)
-    declared_limit: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    @property
+    def declared_limit(self) -> str | None:
+        """"FullSupport" for the families of full support at every n (gibbs, power
+        and uniform: the faithful class of the tracial orbit), None for dirichlet."""
+        return "FullSupport" if self.kind in ("gibbs", "power", "uniform") else None
 
     def _number(self, key: str, default=None) -> float:
         value = self.params.get(key, default)
@@ -234,14 +239,12 @@ class SpectrumGenerator:
 
 
 def make_spectrum_generator(mapping: dict) -> SpectrumGenerator:
-    """Build a generator from a config mapping like {"kind": "gibbs", "ratio": 0.5}."""
+    """Build a generator from a config mapping like {"kind": "gibbs", "ratio": 0.5};
+    keys that its kind does not read are ignored."""
     if not isinstance(mapping, dict) or "kind" not in mapping:
         raise ValidationError("spectrum config must be a mapping with a 'kind' key")
-    params = {k: v for k, v in mapping.items() if k not in ("kind", "declared_limit")}
-    declared = mapping.get("declared_limit")
-    if declared is None and mapping["kind"] in ("gibbs", "uniform", "power"):
-        declared = "FullSupport"
-    return SpectrumGenerator(kind=mapping["kind"], params=params, declared_limit=declared)
+    params = {k: v for k, v in mapping.items() if k != "kind"}
+    return SpectrumGenerator(kind=mapping["kind"], params=params)
 
 
 @dataclass(frozen=True)
@@ -314,6 +317,7 @@ def truncation_sweep(gen0: SpectrumGenerator, gen1: SpectrumGenerator, dims,
         residuals.append(math.inf if cs[-1] == math.inf else
                          _residual_guard(image / image.sum() if action == "phi" else image, p1))
 
+    limit = "" if gen1.declared_limit is None else f" (declared limit: {gen1.declared_limit})"
     return TruncationReport(
         dims=tuple(dims),
         bound_constants=tuple(cs),
@@ -321,9 +325,7 @@ def truncation_sweep(gen0: SpectrumGenerator, gen1: SpectrumGenerator, dims,
         # at most sqrt(C + 1), so the norm bound holds without a check.
         opnorms=tuple(math.sqrt(c) for c in cs),
         residuals=tuple(residuals),
-        orbit_class_tags=tuple(OrbitClass(rank=n, corank=0, tag=f"FiniteRank({n})",
-                                          declared_limit=gen1.declared_limit).label()
-                               for n in dims),
+        orbit_class_tags=tuple(f"FiniteRank({n}){limit}" for n in dims),
         flags=tuple(c > ceiling for c in cs),
         ceiling=float(ceiling),
     )

@@ -42,10 +42,6 @@ class PositiveFunctional:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def expect(self, a: np.ndarray) -> complex:
-        """Pairing Tr(xi a); real whenever a is Hermitian."""
-        return complex(np.trace(self.matrix @ a))
-
 
 @dataclass(frozen=True)
 class StateDensity(PositiveFunctional):
@@ -98,23 +94,15 @@ class SpectralSplit:
 
 @dataclass(frozen=True)
 class OrbitClass:
-    """Rank/corank class of a positive functional.
+    """Rank/corank class of a positive functional, as computed from its spectrum.
 
-    At finite ambient dimension only the finite-rank class occurs natively;
-    ``declared_limit`` records the class a truncated family is declared to
-    approach (e.g. "FullSupport" for geometric spectra), with no numerical
-    content of its own.
+    At finite ambient dimension only the finite-rank class occurs, so ``tag``
+    is "FiniteRank(rank)".
     """
 
     rank: int
     corank: int
     tag: str
-    declared_limit: str | None = None
-
-    def label(self) -> str:
-        if self.declared_limit is None:
-            return self.tag
-        return f"{self.tag} (declared limit: {self.declared_limit})"
 
 
 def default_rank_tol(m: np.ndarray) -> float:

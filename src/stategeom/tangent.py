@@ -30,10 +30,10 @@ from .states import PositiveFunctional, StateDensity, _frozen, default_rank_tol,
 
 @dataclass(frozen=True)
 class TangentVector:
-    """Velocity of a one-parameter flow through ``base`` generated by ``generator``;
-    both arrays are frozen copies, like a validated value's."""
+    """Velocity ``value`` at t = 0 of the flow of ``generator`` through the
+    functional it was computed at; both arrays are frozen copies, like a
+    validated value's."""
 
-    base: PositiveFunctional
     value: np.ndarray
     generator: np.ndarray
 
@@ -53,13 +53,13 @@ def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
 def tangent_alpha(xi: PositiveFunctional, a) -> TangentVector:
     """Tangent vector of the congruence action at ``xi`` along generator ``a``."""
     gen = _frozen(as_operator(a, "generator", xi.n))
-    return TangentVector(base=xi, value=_frozen(alpha_velocity(xi.matrix, gen)), generator=gen)
+    return TangentVector(value=_frozen(alpha_velocity(xi.matrix, gen)), generator=gen)
 
 
 def tangent_phi(rho: StateDensity, a) -> TangentVector:
     """Tangent vector of the normalized action at ``rho``; always traceless."""
     gen = _frozen(as_operator(a, "generator", rho.n))
-    return TangentVector(base=rho, value=_frozen(phi_velocity(rho.matrix, gen)), generator=gen)
+    return TangentVector(value=_frozen(phi_velocity(rho.matrix, gen)), generator=gen)
 
 
 def covariance(rho: StateDensity, a, b) -> float:

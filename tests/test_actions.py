@@ -285,6 +285,22 @@ class TestClassicalPhiExtremeScale:
         np.testing.assert_allclose(classical_phi(scale * w, p).p, classical_phi(w, p).p,
                                    rtol=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_weights_act_exactly(self):
+        # the squares of 1e-161 weights are subnormal unless w is scaled up first;
+        # the exact image is [1, 1.21] / 2.21
+        q = classical_phi(1e-161 * np.array([1.0, 1.1]), validate_probability([0.5, 0.5])).p
+        np.testing.assert_allclose(q, np.array([1.0, 1.21]) / 2.21, rtol=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weights_whose_squares_underflow_act(self):
+        # 2^-600 squared is below the smallest subnormal, yet no weight is zero
+        rng = np.random.default_rng(64)
+        for m in (1, 3, 8):
+            p = random_probability(rng, m)
+            w = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            assert classical_phi(2.0**-600 * w, p).p.tobytes() == classical_phi(w, p).p.tobytes()
+
 
 class TestNonconvexity:
     def test_endpoints_exact(self):

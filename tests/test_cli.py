@@ -442,7 +442,10 @@ def test_out_in_missing_directory_exits_2(runner, files, tmp_path):
     '{"n":1.7,"entries":[[1,0]]}',
     '{"n":true,"entries":[[1,0]]}',
     b'\xff\xfe',
-], ids=["null", "string", "bool", "huge-int", "entries-number", "n-float", "n-bool", "not-utf8"])
+    '[[1,0]]',
+    '{"n":1,"kind":"foo","entries":[[1,0]]}',
+], ids=["null", "string", "bool", "huge-int", "entries-number", "n-float", "n-bool", "not-utf8",
+        "array", "kind-foo"])
 def test_malformed_matrix_file_exits_2(runner, tmp_path, text):
     path = tmp_path / "m.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -473,6 +476,17 @@ def test_malformed_truncation_config_exits_2(runner, tmp_path, changes):
     _exits_2_with_one_line(runner.invoke(main, ["--seed", "1", "truncate", str(path)]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config", [
+    [2, 4],
+    {"dims": [2, 4], "spec0": _GIBBS},
+], ids=["array", "no-spec1"])
+def test_truncation_config_of_the_wrong_shape_exits_2(runner, tmp_path, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    _exits_2_with_one_line(runner.invoke(main, ["truncate", str(path)]))
+
+
 @pytest.mark.parametrize("args, env", [
     (["--tol", "nan"], {}),
     (["--tol", "inf"], {}),
@@ -494,7 +508,8 @@ def test_bad_tolerance_exits_2(runner, files, args, env):
     ["tangent", "{state}", "{gen}", "--fd-step", "nan"],
     ["flow", "{state}", "{gen}", "--t0", "nan", "--t1", "1", "--steps", "3"],
     ["flow", "{state}", "{gen}", "--t0", "0", "--t1", "inf", "--steps", "3"],
-], ids=["fd-step-zero", "fd-step-nan", "t0-nan", "t1-inf"])
+    ["flow", "{state}", "{gen}", "--t0", "0", "--t1", "1", "--steps", "0"],
+], ids=["fd-step-zero", "fd-step-nan", "t0-nan", "t1-inf", "steps-zero"])
 def test_bad_step_or_time_exits_2(runner, files, command):
     args = [arg.format(state=files["state"], gen=files["gen"]) for arg in command]
     _exits_2_with_one_line(runner.invoke(main, args))

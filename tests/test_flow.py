@@ -96,6 +96,18 @@ class TestInvertibilityCertificate:
         assert len(svd_calls) == 1
         assert point.matrix.tobytes() == _reference(rho, a, 1.0)
 
+    def test_gives_up_past_its_cut_off_and_keeps_the_bits(self, svd_calls):
+        # at t = 700, |t| ||a||_F = 1050 passes the cut-off of 700, past which
+        # e^x would overflow (math.exp raises there); exp(t a) stays unitary
+        rng = np.random.default_rng(726)
+        rho = random_state(rng, 4)
+        h = random_direction(rng, 4, 1.0)
+        a = 1.5j * (h + h.conj().T) / frobenius(h + h.conj().T)
+        grid = [0.5, 700.0]
+        points = flow(rho, a, grid)
+        assert len(svd_calls) == 1  # only t = 700 fell back
+        assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
+
     def test_fallback_raises_todays_error(self, svd_calls):
         # cond exp(t Z) = e^{2t} passes the 1e12 limit at t = 14
         rho = validate_state(np.eye(2, dtype=complex) / 2.0)

@@ -6,6 +6,7 @@ from oracles import (
     constraint_matrix_phi,
     dag,
     null_space_dimension,
+    real_gram_explicit,
     sweep_residual_reference,
 )
 from stategeom.actions import phi
@@ -20,7 +21,6 @@ from stategeom.isotropy import (
     isotropy_membership_phi,
     isotropy_report,
     orbit_dimension,
-    real_gram,
 )
 from stategeom.linalg import frobenius, fro_scale, matrix_exp
 from stategeom.sampling import random_direction, random_state
@@ -188,7 +188,7 @@ class TestDirectSum:
             union = list(isotropy_basis_alpha(split).vectors)
             union += list(complement_basis_alpha(split).vectors)
             assert len(union) == 2 * n * n
-            eigs = np.linalg.eigvalsh(real_gram(union))
+            eigs = np.linalg.eigvalsh(real_gram_explicit(union))
             assert eigs[0] > 1e-8 * eigs[-1]
 
     def test_complement_of_full_rank_is_hermitian(self):
@@ -310,7 +310,7 @@ class TestBlockCertificate:
         for split in _certificate_splits():
             for build in (isotropy_basis_alpha, complement_basis_alpha, isotropy_basis_phi):
                 basis = build(split)
-                smallest = np.linalg.eigvalsh(real_gram(basis.vectors))[0]
+                smallest = np.linalg.eigvalsh(real_gram_explicit(basis.vectors))[0]
                 # forming and diagonalising the dense Gram matrix rounds by O(dim eps)
                 assert 0.0 < basis.gram_floor <= smallest + 1e-13
 

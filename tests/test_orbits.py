@@ -259,6 +259,17 @@ class TestConvexRecombine:
         assert residual <= 1e-12
         np.testing.assert_allclose(big, weights, rtol=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_classical_weights_recombine(self):
+        # the squares of 2^-600 weights underflow to 0 unless w is scaled up first
+        rng = np.random.default_rng(15)
+        p = random_probability(rng, 3)
+        w1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        w2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        weights, residual = convex_recombine_classical(p, w1, w2, 0.3)
+        tiny = convex_recombine_classical(p, 2.0**-600 * w1, 2.0**-600 * w2, 0.3)
+        assert tiny[0].tobytes() == weights.tobytes() and tiny[1] == residual
+
 
 class TestTruncationSweep:
     def test_identical_spectra(self):
@@ -275,6 +286,16 @@ class TestTruncationSweep:
         assert report.diverged
         assert report.flags[-1]
         assert report.orbit_class_tags[-1] == "FiniteRank(64) (declared limit: FullSupport)"
+
+    def test_orbit_class_follows_the_kind_of_spec1(self):
+        # a "declared_limit" key is ignored like any key the kind does not read
+        rng = np.random.default_rng(16)
+        uniform = make_spectrum_generator({"kind": "uniform", "declared_limit": "Other"})
+        dirichlet = make_spectrum_generator({"kind": "dirichlet"})
+        assert truncation_sweep(dirichlet, uniform, [3], rng=rng).orbit_class_tags == (
+            "FiniteRank(3) (declared limit: FullSupport)",)
+        assert truncation_sweep(uniform, dirichlet, [3], rng=rng).orbit_class_tags == (
+            "FiniteRank(3)",)
 
     def test_decaying_ratios_stay_bounded(self):
         gen0 = make_spectrum_generator({"kind": "gibbs", "ratio": 0.5})

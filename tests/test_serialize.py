@@ -244,3 +244,20 @@ def test_state_file_is_validated_once(runner, tmp_path, count_calls, args, eigva
              "g": write(tmp_path / "g.json", np.diag([2.0, 1.0]))}
     cli(runner, args(files))
     assert (count_calls["eigvalsh"], count_calls["frobenius"]) == (eigvalsh, frobenius)
+
+
+# a positive file read as a state is validated when it is decoded, then only
+# its trace is tested
+POSITIVE_CALL_COUNTS = {
+    "connect-phi": (lambda files: ["connect", "phi", files["rho"], files["rho"]], 3, 9),
+    "gns": (lambda files: ["gns", files["rho"]], 1, 3),
+}
+
+
+@pytest.mark.parametrize("args, eigvalsh, frobenius", POSITIVE_CALL_COUNTS.values(),
+                         ids=POSITIVE_CALL_COUNTS)
+def test_positive_file_is_validated_once(runner, tmp_path, count_calls, args, eigvalsh,
+                                         frobenius):
+    files = {"rho": write(tmp_path / "rho.json", np.diag([0.75, 0.25]), "positive")}
+    cli(runner, args(files))
+    assert (count_calls["eigvalsh"], count_calls["frobenius"]) == (eigvalsh, frobenius)

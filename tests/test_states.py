@@ -6,7 +6,6 @@ from stategeom.errors import NotHermitian, NotPSD, TraceError, ValidationError, 
 from stategeom.linalg import frobenius, fro_scale, inertia
 from stategeom.sampling import random_invertible, random_probability, random_state
 from stategeom.states import (
-    OrbitClass,
     classify_orbit,
     default_rank_tol,
     embed_classical,
@@ -116,12 +115,6 @@ class TestOrbitClass:
     def test_faithful_in_c4(self):
         orbit = classify_orbit(maximally_mixed(4))
         assert orbit.tag == "FiniteRank(4)" and orbit.corank == 0
-
-    def test_declared_limit_is_metadata(self):
-        orbit = classify_orbit(gibbs_family(6, 0.5))
-        assert orbit.rank == 6
-        declared = OrbitClass(orbit.rank, orbit.corank, orbit.tag, declared_limit="FullSupport")
-        assert declared.label() == "FiniteRank(6) (declared limit: FullSupport)"
 
     def test_rank_matches_inertia(self):
         rng = np.random.default_rng(11)

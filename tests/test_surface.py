@@ -7,10 +7,13 @@ does not re-export), or a registered CLI command; anything else is a helper
 that no caller needs.  Every name in ``serialize.__all__`` is used by the
 package or the benchmark, and every defaulted parameter of a public function
 (outside the test-support module ``sampling``) is passed by some call there,
-so an option that only tests set cannot stay.
+so an option that only tests set cannot stay.  Every public method, property
+and dataclass field of an exported class is read as an attribute somewhere in
+the package, the benchmark or the tests, outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import stategeom
@@ -54,10 +57,14 @@ def test_only_unexported_modules_declare_all():
     assert declaring == sorted(DECLARING_MODULES)
 
 
+def _exported(trees):
+    return {alias.name for stmt in trees["__init__.py"].body
+            if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+
+
 def test_every_public_definition_has_a_caller():
     trees = _trees()
-    exported = {alias.name for stmt in trees["__init__.py"].body
-                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+    exported = _exported(trees)
     declared = set().union(*(_declared_all(trees[name]) for name in DECLARING_MODULES))
     uses = [(stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body]
     unused = []
@@ -145,3 +152,37 @@ def test_every_defaulted_parameter_is_passed_by_some_caller():
             if not any(_passes(call, position, param) for call in calls.get(func.name, [])):
                 unpassed.append(f"{qualname}.{param}")
     assert not unpassed, f"defaulted parameters no caller passes: {unpassed}"
+
+
+def _members(cls):
+    """(name, definition) of each public method, property and dataclass field of ``cls``."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef):
+            name = stmt.name
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            name = stmt.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, stmt
+
+
+def _attribute_reads(node):
+    """How often ``node`` reads each attribute name (``x.name``, not assignments to it)."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def test_every_public_attribute_has_a_reader():
+    # the tests count as readers, since some attributes exist to be checked;
+    # this module's own reads are of syntax trees and do not
+    tests = [ast.parse(path.read_text()) for path in sorted(Path(__file__).parent.glob("*.py"))
+             if path.name != Path(__file__).name]
+    reads = sum((_attribute_reads(tree) for tree in _caller_trees() + tests), Counter())
+    trees = _trees()
+    exported = _exported(trees)
+    unread = [f"{cls.name}.{name}" for tree in trees.values() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name in exported
+              for name, stmt in _members(cls)
+              if reads[name] <= _attribute_reads(stmt)[name]]
+    assert not unread, f"public attributes nothing reads: {unread}"
