@@ -2,7 +2,9 @@
 
 Each subcommand body returns its payload; ``command`` registers it and owns
 --format and the output, ``_Main.main`` maps every error onto an exit code, and
-``serialize`` owns every encoding.  Exit codes: 0 on success, 2 when an input
+``serialize`` owns every encoding.  A body imports the compute layers it runs
+(``actions``, ``orbits``, ``tangent``, ``isotropy``, ``gns``) itself, so a call
+loads only its part of the package.  Exit codes: 0 on success, 2 when an input
 or a command line fails validation, 3 on numerical failure, including a LAPACK
 routine that does not converge or an allocation that runs out of memory;
 stderr carries one line, led by the error taxonomy name.  All
@@ -22,18 +24,8 @@ import click
 import numpy as np
 
 from . import config
-from .actions import alpha, group_element, phi
 from .errors import NumericalError, TraceError, ValidationError
-from .gns import gns_construct
-from .isotropy import isotropy_report
 from .linalg import dagger
-from .orbits import (
-    connect_alpha,
-    connect_phi,
-    convex_recombine,
-    make_spectrum_generator,
-    truncation_sweep,
-)
 from .serialize import (
     dumps_canonical,
     flow_csv,
@@ -52,7 +44,11 @@ from .states import (
     validate_positive,
     validate_state,
 )
-from .tangent import fd_tangent_check, flow, tangent_alpha, tangent_phi
+
+# The most points a flow grid can have.  np.linspace lays the grid out with
+# np.arange, which counts the points in float64 and refuses an array of more
+# than intp-max bytes: the limit is the largest float64 below (intp max + 1) / 8.
+_MAX_GRID = int(np.nextafter((np.iinfo(np.intp).max + 1) / 8, 0))
 
 
 def _fail(exc: Exception, code: int):
@@ -204,6 +200,8 @@ def validate(file):
 @click.argument("state_file", type=click.Path(exists=True, dir_okay=False))
 def act(action, g_file, state_file):
     """Apply a group element to a functional (alpha) or state (phi)."""
+    from .actions import alpha, group_element, phi
+
     element = group_element(read_matrix(g_file)[0])
     if action == "phi":
         return matrix_to_jsonable(phi(element, _load_state(state_file)).matrix, "state")
@@ -220,6 +218,8 @@ def act(action, g_file, state_file):
 @click.argument("file1", type=click.Path(exists=True, dir_okay=False))
 def connect(action, file0, file1):
     """Certificate for an explicit element mapping FILE0 onto FILE1."""
+    from .orbits import connect_alpha, connect_phi
+
     if action == "phi":
         cert = connect_phi(_load_state(file0), _load_state(file1))
     else:
@@ -239,6 +239,8 @@ def connect(action, file0, file1):
 @click.option("--action", type=click.Choice(["alpha", "phi", "both"]), default="both")
 def isotropy(file, action):
     """Isotropy dimensions and membership residuals at a base point."""
+    from .isotropy import isotropy_report
+
     functional, _ = _load_functional(file)
     report = isotropy_report(functional)
     payload = {
@@ -265,6 +267,8 @@ def isotropy(file, action):
               help="Central-difference step for the phi check.")
 def tangent(file, generator_file, action, fd_step):
     """Tangent vector along a generator, with a finite-difference report."""
+    from .tangent import fd_tangent_check, tangent_alpha, tangent_phi
+
     gen = read_matrix(generator_file)[0]
     if action == "phi":
         rho = _load_state(file)
@@ -289,8 +293,14 @@ def tangent(file, generator_file, action, fd_step):
 @click.option("--steps", type=int, required=True)
 def flow_cmd(file, generator_file, t0, t1, steps, fmt):
     """Trajectory of the normalized flow rho_t = phi(exp(t a), rho)."""
+    from .tangent import flow
+
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
+    if steps > _MAX_GRID:
+        raise ValidationError(
+            f"steps must be <= {_MAX_GRID}, the most points numpy can lay out in one "
+            f"float64 array, got {steps}")
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ValidationError(f"--t0 and --t1 must be finite, got {t0} and {t1}")
     rho = _load_state(file)
@@ -306,6 +316,8 @@ def flow_cmd(file, generator_file, t0, t1, steps, fmt):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def gns(file):
     """GNS data of a state: dimension, represented basis, cyclic vector."""
+    from .gns import gns_construct
+
     triple = gns_construct(_load_state(file))
     entries = triple.n ** 2 * triple.dim ** 2
     if entries > config.GNS_MAX_ENTRIES:
@@ -319,6 +331,8 @@ def gns(file):
 @click.argument("config_file", type=click.Path(exists=True, dir_okay=False))
 def truncate(config_file, fmt, seed):
     """Truncation sweep over a list of dimensions (CSV by default)."""
+    from .orbits import make_spectrum_generator, truncation_sweep
+
     cfg = read_json(config_file)
     if not isinstance(cfg, dict):
         raise ValidationError("truncation config must be a JSON object")
@@ -350,6 +364,9 @@ def truncate(config_file, fmt, seed):
 @click.argument("lam", type=float, metavar="LAMBDA")
 def recombine(tau_file, g1_file, g2_file, lam):
     """Square-root recombiner realizing a mixture on the tracial orbit."""
+    from .actions import phi
+    from .orbits import convex_recombine
+
     tau = _load_state(tau_file)
     recombiner, residual = convex_recombine(tau, read_matrix(g1_file)[0], read_matrix(g2_file)[0],
                                             lam)

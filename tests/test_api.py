@@ -1,6 +1,9 @@
 """The public names of ``import stategeom`` stay stable across refactors."""
 
+import importlib
 import inspect
+
+import pytest
 
 import stategeom
 
@@ -27,6 +30,26 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    names = sorted(name for name, value in vars(stategeom).items()
-                   if not name.startswith("_") and not inspect.ismodule(value))
+    names = sorted(name for name in dir(stategeom)
+                   if not name.startswith("_") and not inspect.ismodule(getattr(stategeom, name)))
     assert names == sorted(PUBLIC_NAMES)
+
+
+def test_dir_and_star_import_list_exactly_the_public_names():
+    assert dir(stategeom) == sorted(PUBLIC_NAMES)
+    namespace = {}
+    exec("from stategeom import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
+
+
+def test_each_name_is_its_owning_module_object():
+    assert stategeom.phi is stategeom.actions.phi
+    for module, names in stategeom._EXPORTS.items():
+        owner = importlib.import_module(f"stategeom.{module}")
+        for name in names:
+            assert getattr(stategeom, name) is getattr(owner, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        stategeom.nope

@@ -159,24 +159,24 @@ class TestIsotropyCommand:
         assert payload["max_residual"] <= 1e-9
 
     def test_lapack_failure_exits_3(self, runner, files, monkeypatch):
-        import stategeom.cli
+        import stategeom.isotropy
 
         def no_convergence(functional):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(stategeom.cli, "isotropy_report", no_convergence)
+        monkeypatch.setattr(stategeom.isotropy, "isotropy_report", no_convergence)
         result = runner.invoke(main, ["isotropy", files["state"]])
         assert result.exit_code == 3
         assert "NumericalError: Eigenvalues did not converge" in result.output
         assert "Traceback" not in result.output
 
     def test_memory_error_exits_3(self, runner, files, monkeypatch):
-        import stategeom.cli
+        import stategeom.isotropy
 
         def too_large(functional):
             raise MemoryError("Unable to allocate 512. MiB for an array")
 
-        monkeypatch.setattr(stategeom.cli, "isotropy_report", too_large)
+        monkeypatch.setattr(stategeom.isotropy, "isotropy_report", too_large)
         result = runner.invoke(main, ["isotropy", files["state"]])
         assert result.exit_code == 3
         assert "NumericalError: out of memory: Unable to allocate 512. MiB" in result.output
@@ -513,6 +513,28 @@ def test_bad_tolerance_exits_2(runner, files, args, env):
 def test_bad_step_or_time_exits_2(runner, files, command):
     args = [arg.format(state=files["state"], gen=files["gen"]) for arg in command]
     _exits_2_with_one_line(runner.invoke(main, args))
+
+
+# np.linspace counts its points in float64 and addresses at most 2^63 - 1
+# bytes: the largest float64 count below 2^63 / 8 is 2^60 - 128
+GRID_LIMIT = 2 ** 60 - 128
+
+
+@pytest.mark.parametrize("steps", [2 ** 60, 2 ** 63 - 1, 10 ** 20],
+                         ids=["2^60", "2^63-1", "10^20"])
+def test_unaddressable_flow_grid_exits_2_naming_the_limit(runner, files, steps):
+    result = runner.invoke(main, ["flow", files["state"], files["gen"], "--t0", "0", "--t1", "1",
+                                  "--steps", str(steps)])
+    _exits_2_with_one_line(result)
+    assert f"steps must be <= {GRID_LIMIT}," in result.stderr
+
+
+def test_addressable_flow_grid_too_large_to_allocate_exits_3(runner, files):
+    result = runner.invoke(main, ["flow", files["state"], files["gen"], "--t0", "0", "--t1", "1",
+                                  "--steps", str(GRID_LIMIT)])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("NumericalError: out of memory: ")
+    assert len(result.stderr.splitlines()) == 1
 
 
 @pytest.mark.filterwarnings("error")
