@@ -71,7 +71,7 @@ def _congruence(g: np.ndarray, m: np.ndarray) -> np.ndarray:
     """g m g†; NumericalError when the product overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = g @ m @ dagger(g)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalError("g xi g† overflows double precision")
     return out
 

@@ -364,17 +364,16 @@ def truncate(config_file, fmt, seed):
 @click.argument("lam", type=float, metavar="LAMBDA")
 def recombine(tau_file, g1_file, g2_file, lam):
     """Square-root recombiner realizing a mixture on the tracial orbit."""
-    from .actions import phi
-    from .orbits import convex_recombine
+    from .orbits import _recombine
 
     tau = _load_state(tau_file)
-    recombiner, residual = convex_recombine(tau, read_matrix(g1_file)[0], read_matrix(g2_file)[0],
-                                            lam)
+    recombiner, mixture, residual = _recombine(tau, read_matrix(g1_file)[0],
+                                               read_matrix(g2_file)[0], lam)
     return {
         "lambda": lam,
         "residual": residual,
         "recombiner": matrix_to_jsonable(recombiner.matrix, "operator"),
-        "mixture": matrix_to_jsonable(phi(recombiner, tau).matrix, "state"),
+        "mixture": matrix_to_jsonable(mixture.matrix, "state"),
     }
 
 

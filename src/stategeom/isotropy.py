@@ -47,7 +47,7 @@ import numpy as np
 
 from . import config
 from .errors import ValidationError
-from .linalg import as_operator, dagger, fro_scale, matrix_unit
+from .linalg import as_operator, dagger, fro_scale, frobenius, matrix_unit
 from .states import (
     PositiveFunctional,
     SpectralSplit,
@@ -81,11 +81,12 @@ def hermitian_components(t: np.ndarray) -> np.ndarray:
     For Hermitian t these are the diagonal entries and, per off-diagonal
     pair, twice the real and imaginary parts, all real numbers, in the same
     order as hermitian_basis.  A stack of shape (..., n, n) gives one row of
-    n^2 pairings per matrix.
+    n^2 pairings per matrix.  The strict upper triangle is read through a
+    boolean mask, which selects it in the row-major order of
+    np.triu_indices(n, 1).
     """
     n = t.shape[-1]
-    rows, cols = np.triu_indices(n, k=1)
-    off = t[..., rows, cols]
+    off = t[..., ~np.tri(n, dtype=bool)]
     out = np.empty(t.shape[:-2] + (n * n,))
     out[..., :n] = np.diagonal(t, axis1=-2, axis2=-1).real
     out[..., n::2] = 2.0 * off.real
@@ -174,7 +175,7 @@ def _blocks(split: SpectralSplit) -> tuple[_Blocks, _Blocks]:
     """
     n, k = split.ambient_dim, split.support_dim
     diag = np.arange(k)[:, None]
-    low, high = (idx[:, None] for idx in np.triu_indices(k, k=1))
+    low, high = (idx[:, None] for idx in np.nonzero(~np.tri(k, dtype=bool)))
     ratio = split.eigenvalues[low] / split.eigenvalues[high]
     norm = np.hypot(1.0, ratio)
     half = np.sqrt(0.5)
@@ -232,7 +233,7 @@ def _certify(b: _Blocks, sv: np.ndarray, identity: bool = False) -> float:
     defect = 0.0
     if identity:
         trace = np.where(b.j1 == b.l1, b.c1, 0.0) + np.where(b.j2 == b.l2, b.c2, 0.0)
-        border = float(np.linalg.norm(trace.real)) / np.sqrt(sv.size)
+        border = frobenius(trace.real) / np.sqrt(sv.size)
         spread = max(1.0 - low, high - 1.0)
         low, high = 1.0 - border - spread, 1.0 + border + spread
         defect = float(np.max(np.abs(1.0 - sv**2)))

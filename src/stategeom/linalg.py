@@ -10,6 +10,11 @@ which makes the output a pure function of the input bits.
 the dimension of the value they act on); ``require_hermitian`` adds the one
 Hermitian test and returns the scale 1 + ||a||_F.  A validated functional has
 passed both, so its holders call the solvers ``sorted_eigh`` and ``signature``.
+Every cheap call pays for the gate, so it runs at its per-call floor: one
+finiteness pass over the complex entries, and ``frobenius`` as two BLAS dots
+summed in Python floats, the arithmetic of np.linalg.norm without its Python
+wrapper or an ``np.errstate``.  The gate raises the same errors, and the
+norm has the same bits, as the numpy forms they replace.
 
 All operations are pure functions of their arguments and of the process-wide
 tolerance scale in ``config``, which every thread shares.
@@ -38,7 +43,12 @@ from .errors import NotHermitian, NotPSD, NumericalError, Singular, ValidationEr
 
 def as_operator(a, name: str = "operator", n: int | None = None) -> np.ndarray:
     """Coerce to a square complex matrix with finite entries, of dimension ``n``
-    when given (the dimension of the value the operand acts on)."""
+    when given (the dimension of the value the operand acts on).
+
+    Finiteness is one ``np.isfinite`` pass over the complex array: a complex
+    entry is finite exactly when its real and imaginary parts both are, so a
+    single non-finite part, either one, raises the same ValidationError.
+    """
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
@@ -46,7 +56,7 @@ def as_operator(a, name: str = "operator", n: int | None = None) -> np.ndarray:
         raise ValidationError(f"{name} must have positive dimension")
     if n is not None and m.shape[0] != n:
         raise ValidationError(f"{name} has dimension {m.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
@@ -59,16 +69,32 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm, finite whenever the norm itself is.
 
-    np.linalg.norm squares the entries, which overflows above about 1e154;
-    only then is the norm taken again on a copy divided by a power of two
-    above max|a| (exact in binary) and scaled back.
+    The sum of squares is np.linalg.norm's: the dot of the real view of
+    ``a.ravel(order="K")`` with itself, plus that of the imaginary view for a
+    complex array, added and square-rooted in double precision.  The dots
+    are ``np.vdot``, which raises no floating-point warning, so no
+    ``np.errstate`` is entered; the tests check the value against
+    np.linalg.norm bit for bit at n = 1 to 64 and scales 10^-160 to 10^160.
+    Squaring overflows above about 1e154; only then is the norm taken again
+    on a copy divided by a power of two above max|a| (exact in binary) and
+    scaled back.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.linalg.norm(a))
-        if math.isinf(value):
+    value = _unscaled_frobenius(a)
+    if math.isinf(value):
+        with np.errstate(over="ignore", invalid="ignore"):
             e = math.frexp(float(np.max(np.abs(a))))[1]
             value = float(np.ldexp(np.linalg.norm(a * math.ldexp(1.0, -e)), e))
     return value
+
+
+def _unscaled_frobenius(a: np.ndarray) -> float:
+    """np.linalg.norm(a) of a float or complex array, bit for bit: inf when a
+    square or the sum overflows, NaN when an entry is NaN."""
+    x = a.ravel(order="K")
+    if x.dtype.kind != "c":
+        return math.sqrt(float(np.vdot(x, x)))
+    re, im = x.real, x.imag
+    return math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
 
 
 def gamma(k: int) -> float:
@@ -275,6 +301,6 @@ def inertia(h, zero_tol: float) -> tuple[int, int, int]:
 def signature(m: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
     """``inertia`` of an operator that passed ``require_hermitian``."""
     w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
-    n_plus = int(np.sum(w > zero_tol))
-    n_minus = int(np.sum(w < -zero_tol))
+    n_plus = int(np.count_nonzero(w > zero_tol))
+    n_minus = int(np.count_nonzero(w < -zero_tol))
     return n_plus, m.shape[0] - n_plus - n_minus, n_minus

@@ -155,14 +155,22 @@ def convex_recombine(tau: StateDensity, g1, g2, lam: float) -> tuple[GroupElemen
     PSD square root of n * target; like phi it stays finite for large g.
     Returns the recombiner and the achieved Frobenius residual.
     """
+    recombiner, _, residual = _recombine(tau, g1, g2, lam)
+    return recombiner, residual
+
+
+def _recombine(tau: StateDensity, g1, g2,
+               lam: float) -> tuple[GroupElement, StateDensity, float]:
+    """``convex_recombine`` with the mixture phi(recombiner, tau) that its
+    residual is taken of: (recombiner, mixture, residual)."""
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
     require_tracial(tau)
     target = (lam * phi(group_element(g1, tau.n), tau).matrix
               + (1.0 - lam) * phi(group_element(g2, tau.n), tau).matrix)
     recombiner = group_element(matrix_sqrt_psd(tau.n * target))
-    residual = frobenius(phi(recombiner, tau).matrix - target)
-    return recombiner, residual
+    mixture = phi(recombiner, tau)
+    return recombiner, mixture, frobenius(mixture.matrix - target)
 
 
 def convex_recombine_classical(p: ProbabilityVector, w1, w2,

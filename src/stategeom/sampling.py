@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import dagger
+from .linalg import dagger, frobenius
 from .states import ProbabilityVector, StateDensity, validate_probability, validate_state
 
 __all__ = [
@@ -80,4 +80,4 @@ def random_probability(rng: np.random.Generator, m: int) -> ProbabilityVector:
 def random_direction(rng: np.random.Generator, n: int, norm: float = 1.0) -> np.ndarray:
     """Random Lie-algebra direction (general complex matrix) of given norm."""
     m = _ginibre(rng, n)
-    return m * (norm / np.linalg.norm(m))
+    return m * (norm / frobenius(m))

@@ -162,7 +162,7 @@ def spectral_split(rho) -> SpectralSplit:
     eigenvalues at or below 1e-12*(1+||rho||_F) count as kernel."""
     mat = _as_functional(rho).matrix
     dec = sorted_eigh(mat)
-    k = int(np.sum(dec.eigenvalues > default_rank_tol(mat)))
+    k = int(np.count_nonzero(dec.eigenvalues > default_rank_tol(mat)))
     if k == 0:
         raise ZeroFunctional("functional has empty support at the given tolerance")
     return SpectralSplit(

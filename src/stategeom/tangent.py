@@ -23,8 +23,8 @@ import numpy as np
 from . import config
 from .actions import _exponent_above, group_element, phi, prescaled_phi
 from .errors import NumericalError, ValidationError
-from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, matrix_exp,
-                     require_hermitian, sorted_eigh)
+from .linalg import (_unscaled_frobenius, as_operator, dagger, fro_scale, frobenius, gamma,
+                     matrix_exp, require_hermitian, sorted_eigh)
 from .states import PositiveFunctional, StateDensity, _frozen, default_rank_tol, unit_trace
 
 
@@ -172,7 +172,7 @@ def _certified_point(flow: _Flow, g: np.ndarray, x: float) -> StateDensity | Non
     multiple of 2^-1074), and the trace floor's bound stays a normal number.
     """
     n = g.shape[0]
-    g_norm = float(np.linalg.norm(g))  # inf or NaN unless every entry is finite
+    g_norm = _unscaled_frobenius(g)  # inf or NaN unless every entry is finite
     if not (math.isfinite(g_norm) and _invertible(g_norm, x, n)):
         return None
     e = _exponent_above(g_norm)
@@ -281,7 +281,7 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     |eigenvalues| of 2(diag(p) - p p^T); the other n^2 directions map to 0.
     """
     p = sorted_eigh(m).eigenvalues
-    j, l = np.triu_indices(p.shape[0], 1)
+    j, l = np.nonzero(~np.tri(p.shape[0], dtype=bool))
     pairs = np.sqrt(2.0 * (p[j] ** 2 + p[l] ** 2))
     diagonal = np.abs(np.linalg.eigvalsh(2.0 * (np.diag(p) - np.outer(p, p))))
     return np.concatenate([pairs, pairs, diagonal])

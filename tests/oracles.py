@@ -213,3 +213,25 @@ def matrix_of(obj):
     """The matrix of a matrix JSON object, read with numpy alone."""
     n = obj["n"]
     return np.array([complex(re, im) for re, im in obj["entries"]]).reshape(n, n)
+
+
+def frobenius_reference(a):
+    """||a||_F as np.linalg.norm gives it, and where that overflows, the norm
+    of a divided by a power of two above max|a| (exact), scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.linalg.norm(a))
+        if np.isinf(value):
+            e = np.frexp(np.max(np.abs(a)))[1]
+            value = float(np.ldexp(np.linalg.norm(a * np.ldexp(1.0, -e)), e))
+    return value
+
+
+def hermitian_components_reference(t):
+    """Pairings of t (or of each matrix of a stack) against the Hermitian basis,
+    read entry by entry at np.triu_indices: the real diagonal, then 2 Re and
+    2 Im of each upper entry in row-major order."""
+    n = t.shape[-1]
+    columns = [t[..., j, j].real for j in range(n)]
+    for j, k in zip(*np.triu_indices(n, k=1)):
+        columns += [2.0 * t[..., j, k].real, 2.0 * t[..., j, k].imag]
+    return np.stack(columns, axis=-1)

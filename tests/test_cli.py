@@ -678,3 +678,35 @@ def test_fd_step_lost_to_rounding_exits_3(runner, files, step):
     assert len(lines) == 1, result.stderr
     assert lines[0].startswith(f"NumericalError: finite-difference quotient at h = {float(step)} "
                                "lost to rounding: 1 + ||value||_F ")
+
+
+def test_recombine_takes_three_congruences(runner, files, tmp_path, monkeypatch):
+    # the images of g1 and g2, then the recombiner's, shared by residual and mixture
+    from stategeom import actions
+
+    calls = []
+    inner = actions.prescaled_phi
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(actions, "prescaled_phi", counted)
+    g2 = write(tmp_path / "g2.json", np.diag([1.0, 2.0]))
+    result = runner.invoke(main, ["recombine", files["state"], files["g"], g2, "0.5"])
+    assert result.exit_code == 0
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", [["validate", "{file}"], ["act", "phi", "{file}", "{state}"]],
+                         ids=["state-file", "operator-file"])
+def test_non_finite_imaginary_slot_exits_2(runner, files, tmp_path, token, command):
+    # json.loads reads these tokens as floats; the operand gate refuses them
+    kind = "state" if command[0] == "validate" else "operator"
+    path = tmp_path / "nonfinite.json"
+    path.write_text(f'{{"n":2,"kind":"{kind}","entries":'
+                    f'[[0.5,0.0],[0.0,{token}],[0.0,0.0],[0.5,0.0]]}}\n')
+    result = runner.invoke(main, [arg.format(file=path, **files) for arg in command])
+    _exits_2_with_one_line(result)
+    assert result.stderr == "ValidationError: matrix file contains non-finite entries\n"

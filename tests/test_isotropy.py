@@ -5,6 +5,7 @@ from oracles import (
     constraint_matrix_alpha,
     constraint_matrix_phi,
     dag,
+    hermitian_components_reference,
     null_space_dimension,
     real_gram_explicit,
     sweep_residual_reference,
@@ -492,3 +493,13 @@ class TestBasisSizeGuard:
             monkeypatch.setattr(config, "BASIS_MAX_ENTRIES", entries - 1)
             with pytest.raises(ValidationError, match="above the limit"):
                 build(split)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_hermitian_components_equal_the_triu_reference_exactly(n):
+    rng = np.random.default_rng(60 + n)
+    for shape in [(n, n), (2, 3, n, n)]:
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = hermitian_components(t)
+        assert out.shape == shape[:-2] + (n * n,)
+        np.testing.assert_array_equal(out, hermitian_components_reference(t))

@@ -1,9 +1,12 @@
 """The operand gate: every square operand is checked against the dimension of
 the value it acts on, and a validated state is not checked again."""
 
+import math
+
 import numpy as np
 import pytest
 
+from oracles import frobenius_reference
 import stategeom as sg
 from stategeom import linalg
 from stategeom.errors import ValidationError
@@ -89,3 +92,76 @@ NORMS = {
 def test_frobenius_calls_per_call(count_norms, call, expected):
     call()
     assert len(count_norms) == expected
+
+
+# one entry of a valid qubit state with a single non-finite part
+NON_FINITE = {
+    "real-inf": complex(np.inf, 0.0),
+    "real-nan": complex(np.nan, 0.0),
+    "imag-inf": complex(0.0, -np.inf),
+    "imag-nan": complex(0.0, np.nan),
+}
+GATES = {
+    "as_operator": lambda m: linalg.as_operator(m),
+    "require_hermitian": lambda m: linalg.require_hermitian(m),
+    "group_element": sg.group_element,
+    "validate_state": sg.validate_state,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gate", GATES.values(), ids=GATES.keys())
+@pytest.mark.parametrize("entry", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_one_non_finite_part_is_validation_error(gate, entry):
+    m = np.diag([0.75, 0.25]).astype(complex)
+    m[0, 1] = entry
+    with pytest.raises(ValidationError, match=r"^\w[\w ]* contains non-finite entries$"):
+        gate(m)
+
+
+def _frobenius_inputs(rng):
+    """Complex and real matrices, their dagger views and column slices, at
+    n = 1..64 and scales 10^-160..10^160 (log-uniform)."""
+    for _ in range(300):
+        n = int(rng.integers(1, 65))
+        scale = 10.0 ** rng.uniform(-160.0, 160.0)
+        a = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        cols = int(rng.integers(1, n + 1))
+        for x in (a, a.real, linalg.dagger(a), linalg.dagger(a.real), a[:, :cols],
+                  a.real[:, :cols]):
+            yield x
+
+
+@pytest.mark.filterwarnings("error")
+def test_frobenius_is_the_norm_bit_for_bit():
+    for x in _frobenius_inputs(np.random.default_rng(19)):
+        assert linalg.frobenius(x).hex() == frobenius_reference(x).hex()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_frobenius_rescues_entries_near_1e200(dtype):
+    rng = np.random.default_rng(200)
+    for n in (1, 3, 16):
+        a = (1e200 * rng.uniform(0.5, 2.0, (n, n))).astype(dtype)
+        if dtype is complex:
+            a.imag = -1e200
+        value = linalg.frobenius(a)
+        assert math.isfinite(value) and value.hex() == frobenius_reference(a).hex()
+
+
+@pytest.mark.parametrize("scale, entries", [(1.0, 0), (1e200, 1)], ids=["finite", "rescued"])
+def test_frobenius_enters_errstate_and_norm_only_to_rescue(monkeypatch, scale, entries):
+    calls = {"errstate": 0, "norm": 0}
+
+    def counting(name, inner):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np, "errstate", counting("errstate", np.errstate))
+    monkeypatch.setattr(np.linalg, "norm", counting("norm", np.linalg.norm))
+    a = scale * (np.arange(16.0).reshape(4, 4) + 1j)
+    assert math.isfinite(linalg.frobenius(a))
+    assert calls == {"errstate": entries, "norm": entries}
