@@ -25,7 +25,6 @@ import numpy as np
 
 from . import config
 from .errors import NumericalError, TraceError, ValidationError
-from .linalg import dagger
 from .serialize import (
     dumps_canonical,
     flow_csv,
@@ -40,6 +39,7 @@ from .states import (
     PositiveFunctional,
     StateDensity,
     classify_orbit,
+    min_eigenvalue,
     unit_trace,
     validate_positive,
     validate_state,
@@ -180,7 +180,6 @@ def validate(file):
     """Validate a matrix file as a state or positive functional."""
     functional, kind = _load_functional(file)
     orbit = classify_orbit(functional)
-    m = functional.matrix
     return {
         "valid": True,
         "kind": kind,
@@ -188,8 +187,9 @@ def validate(file):
         "rank": orbit.rank,
         "corank": orbit.corank,
         "trace": functional.trace,
-        # of the Hermitian part that validation tested, not of one triangle
-        "min_eigenvalue": float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0]),
+        # of the Hermitian part that validation tested, not of one triangle; read
+        # from the spectrum that classify_orbit decomposed
+        "min_eigenvalue": min_eigenvalue(functional),
         "orbit_class": orbit.tag,
     }
 

@@ -9,6 +9,26 @@ for truncation experiments.
 
 Values are immutable after validation (array buffers are frozen), so they
 are safe to share across threads.
+
+The spectrum of a value is decomposed once.  The first spectral question asked
+of it (``spectral_split`` and so the orbit class, ``connect_*``, the GNS
+support, purity and the isotropy blocks, or ``tangent_map_rank``) keeps
+``sorted_eigh(matrix)`` in the value's ``__dict__``, outside the dataclass
+fields, so equality and ``repr`` ignore it; every later question reads the same
+bits.  The record is kept only on a matrix that is read-only and owns its data,
+as ``_frozen`` leaves it, and it assumes that such a matrix is never written
+again.  The flags cannot prove that: numpy lets the owner of an array turn
+``writeable`` back on, and a caller may pass its own read-only, data-owning array
+to ``PositiveFunctional(matrix=a)``; writing to either after the first spectral
+question leaves a stale record.  A value built from its class on a writable
+array, or on a view of one, is decomposed on every call.
+The record carries no tolerance: each call applies the rank cut under the
+tolerance scale in force, so ``--tol`` and ``config.set_tolerance_scale`` act
+on a value that already has one.  Two threads that ask first at once may both
+decompose; both store the same read-only bits, and the first stored is kept.
+It is built on first use, not at validation, because every output of ``phi``,
+``alpha`` and ``connect_*`` is validated and most are never asked about their
+spectrum.
 """
 
 from __future__ import annotations
@@ -19,7 +39,7 @@ import numpy as np
 
 from . import config
 from .errors import NotPSD, TraceError, ValidationError, ZeroFunctional
-from .linalg import dagger, fro_scale, gamma, require_hermitian, sorted_eigh
+from .linalg import SpectralDecomposition, dagger, fro_scale, gamma, require_hermitian, sorted_eigh
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -157,19 +177,41 @@ def _as_functional(rho) -> PositiveFunctional:
     return validate_positive(rho)
 
 
+def _eigenpairs(value: PositiveFunctional) -> SpectralDecomposition:
+    """``sorted_eigh(value.matrix)``, kept on ``value`` after its first use when
+    the matrix is read-only and owns its data, as ``_frozen`` leaves it; such a
+    matrix is assumed never to be written again (see the module docstring).  A
+    writable matrix, or a view, is decomposed on every call."""
+    mat = value.matrix
+    if mat.flags.writeable or mat.base is not None:
+        return sorted_eigh(mat)
+    record = value.__dict__.get("_eigenpairs")
+    if record is None:
+        # two threads may both decompose; the first record stored is kept
+        record = value.__dict__.setdefault("_eigenpairs", sorted_eigh(mat))
+    return record
+
+
 def spectral_split(rho) -> SpectralSplit:
     """Split the ambient space into the support and kernel of ``rho``:
     eigenvalues at or below 1e-12*(1+||rho||_F) count as kernel."""
-    mat = _as_functional(rho).matrix
-    dec = sorted_eigh(mat)
-    k = int(np.count_nonzero(dec.eigenvalues > default_rank_tol(mat)))
+    value = _as_functional(rho)
+    dec = _eigenpairs(value)
+    k = int(np.count_nonzero(dec.eigenvalues > default_rank_tol(value.matrix)))
     if k == 0:
         raise ZeroFunctional("functional has empty support at the given tolerance")
+    # read-only views of the eigenpairs, which are frozen already
     return SpectralSplit(
-        eigenvalues=_frozen(dec.eigenvalues[:k]),
-        support_basis=_frozen(dec.eigenvectors[:, :k]),
-        kernel_basis=_frozen(dec.eigenvectors[:, k:]),
+        eigenvalues=dec.eigenvalues[:k],
+        support_basis=dec.eigenvectors[:, :k],
+        kernel_basis=dec.eigenvectors[:, k:],
     )
+
+
+def min_eigenvalue(value: PositiveFunctional) -> float:
+    """The smallest eigenvalue of the Hermitian part of ``value.matrix``, from
+    its eigen-record."""
+    return float(_eigenpairs(value).eigenvalues[-1])
 
 
 def classify_orbit(rho) -> OrbitClass:

@@ -24,8 +24,9 @@ from . import config
 from .actions import _exponent_above, group_element, phi, prescaled_phi
 from .errors import NumericalError, ValidationError
 from .linalg import (_unscaled_frobenius, as_operator, dagger, fro_scale, frobenius, gamma,
-                     matrix_exp, require_hermitian, sorted_eigh)
-from .states import PositiveFunctional, StateDensity, _frozen, default_rank_tol, unit_trace
+                     matrix_exp, require_hermitian)
+from .states import (PositiveFunctional, StateDensity, _as_functional, _eigenpairs, _frozen,
+                     default_rank_tol, unit_trace)
 
 
 @dataclass(frozen=True)
@@ -273,14 +274,16 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     return error
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of a -> phi_velocity(m, a) except the zeros forced by its form.
+def _singular_values(rho) -> np.ndarray:
+    """Singular values of a -> phi_velocity(m, a) except the zeros forced by its form,
+    where m is the matrix of ``rho``, a positive functional or a matrix that
+    validates as one.
 
     In the eigenbasis m = W diag(p) W†, each pair j < l of off-diagonal
     entries gives sqrt(2(p_j^2 + p_l^2)) twice, and Re a_jj gives
     |eigenvalues| of 2(diag(p) - p p^T); the other n^2 directions map to 0.
     """
-    p = sorted_eigh(m).eigenvalues
+    p = _eigenpairs(_as_functional(rho)).eigenvalues
     j, l = np.nonzero(~np.tri(p.shape[0], dtype=bool))
     pairs = np.sqrt(2.0 * (p[j] ** 2 + p[l] ** 2))
     diagonal = np.abs(np.linalg.eigvalsh(2.0 * (np.diag(p) - np.outer(p, p))))
@@ -298,6 +301,6 @@ def tangent_map_rank(rho: StateDensity) -> int:
     and O(n^2) memory; the tests check them against the SVD of the dense
     2n^2 x 2n^2 realified map.
     """
-    s = _singular_values(rho.matrix)
+    s = _singular_values(rho)
     cut = max(config.scaled(config.TANGENT_RANK_RTOL) * s.max(), default_rank_tol(rho.matrix))
     return int(np.sum(s > cut))

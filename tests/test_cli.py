@@ -93,8 +93,8 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", write(tmp_path / "two.json", 2.0 * np.eye(2))])
         assert result.exit_code == 0
         assert json.loads(result.output)["kind"] == "positive"
-        # one for validate_positive, one for min_eigenvalue
-        assert len(calls) == 2
+        # one for validate_positive; min_eigenvalue reads classify_orbit's eigh
+        assert len(calls) == 1
 
     def test_min_eigenvalue_of_the_hermitian_part(self, runner, tmp_path):
         # Hermitian part [[0.5, 1.5e-11], [1.5e-11, 0.5]], eigenvalues 0.5 -+ 1.5e-11
@@ -710,3 +710,43 @@ def test_non_finite_imaginary_slot_exits_2(runner, files, tmp_path, token, comma
     result = runner.invoke(main, [arg.format(file=path, **files) for arg in command])
     _exits_2_with_one_line(result)
     assert result.stderr == "ValidationError: matrix file contains non-finite entries\n"
+
+
+# (eigh, eigvalsh, svd) per command at n = 6, rank 3.  Validating a file is one
+# eigvalsh; the spectrum of a loaded value is one eigh, shared by every question
+# asked of it; each output state is validated (eigvalsh), each element of the
+# group takes an svd; recombine's eigh is the square root of its mixture.
+SOLVER_COUNTS = {
+    "validate": (lambda f: ["validate", f["rho"]], (1, 1, 0)),
+    "act-alpha": (lambda f: ["act", "alpha", f["g"], f["rho"]], (0, 2, 1)),
+    "act-phi": (lambda f: ["act", "phi", f["g"], f["rho"]], (0, 2, 1)),
+    "connect-alpha": (lambda f: ["connect", "alpha", f["rho"], f["rho2"]], (2, 2, 1)),
+    "connect-phi": (lambda f: ["connect", "phi", f["rho"], f["rho2"]], (2, 3, 1)),
+    "isotropy": (lambda f: ["isotropy", f["rho"]], (1, 2, 1)),
+    "gns": (lambda f: ["gns", f["rho"]], (1, 1, 0)),
+    "tangent": (lambda f: ["tangent", f["rho"], f["gen"]], (0, 2, 0)),
+    "recombine": (lambda f: ["recombine", f["tau"], f["g"], f["g2"], "0.25"], (1, 4, 3)),
+}
+
+
+@pytest.mark.parametrize("args, expected", SOLVER_COUNTS.values(), ids=SOLVER_COUNTS)
+def test_eigensolver_counts_per_command(runner, tmp_path, monkeypatch, args, expected):
+    from stategeom.sampling import random_hermitian, random_invertible, random_state
+
+    rng = np.random.default_rng(6)
+    f = {"rho": write(tmp_path / "rho.json", random_state(rng, 6, 3).matrix, "state"),
+         "rho2": write(tmp_path / "rho2.json", random_state(rng, 6, 3).matrix, "state"),
+         "g": write(tmp_path / "g.json", random_invertible(rng, 6)),
+         "g2": write(tmp_path / "g2.json", random_invertible(rng, 6)),
+         "gen": write(tmp_path / "gen.json", 0.3 * random_hermitian(rng, 6)),
+         "tau": write(tmp_path / "tau.json", np.eye(6) / 6, "state")}
+    counts = dict.fromkeys(("eigh", "eigvalsh", "svd"), 0)
+    for name in counts:
+        def counted(*a, _solve=getattr(np.linalg, name), _name=name, **k):
+            counts[_name] += 1
+            return _solve(*a, **k)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    result = runner.invoke(main, args(f))
+    assert result.exit_code == 0, result.output
+    assert tuple(counts.values()) == expected
