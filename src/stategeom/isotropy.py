@@ -31,12 +31,11 @@ costs one O(n^3) SVD of w; building a basis costs O(n^4) time and memory,
 so a basis of more than config.BASIS_MAX_ENTRIES matrix entries is refused
 (ValidationError) before it is allocated.
 
-isotropy_report never builds a basis.  It certifies the blocks and sweeps
-their membership residuals _SWEEP_ENTRIES matrix entries at a time through
-two chunk buffers allocated once: O(n^4) time, O(n^2) memory (a traced peak
-of about 1 MiB at n=32).  The velocity of each chunk is formed as whole
-matrices, so the residual costs a few passes over each chunk and no index
-gathers, and has the bits of the pairings taken one by one.
+isotropy_report never builds a basis or sweeps it.  Its max_residual is a
+certified upper bound on the membership residual of every isotropy basis
+element under both actions, as a floating-point sweep of the blocks computes
+it (_residual_bound): one O(n^3) product with w, O(n^2) memory, and at most
+21 times the swept maximum on the seeded inputs of the tests.
 """
 
 from __future__ import annotations
@@ -47,17 +46,9 @@ import numpy as np
 
 from . import config
 from .errors import ValidationError
-from .linalg import as_operator, dagger, fro_scale, frobenius, matrix_unit
-from .states import (
-    PositiveFunctional,
-    SpectralSplit,
-    StateDensity,
-    spectral_split,
-    validate_state,
-)
+from .linalg import as_operator, dagger, fro_scale, frobenius, gamma, matrix_unit
+from .states import PositiveFunctional, SpectralSplit, StateDensity, spectral_split
 from .tangent import alpha_velocity, phi_velocity
-
-_SWEEP_ENTRIES = 1 << 14  # matrix entries per chunk of the residual sweep (256 KiB)
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:
@@ -322,65 +313,65 @@ class IsotropyReport:
     max_residual: float
 
 
-def _sweep_residual(b: _Blocks, w: np.ndarray, base: np.ndarray, normalized: bool) -> float:
-    """Worst membership residual of the rotated blocks at ``base``, sweeping the
-    velocities _SWEEP_ENTRIES matrix entries at a time through two chunk
-    buffers allocated once (O(n^2) memory).
+def _residual_bound(b: _Blocks, w: np.ndarray, base: np.ndarray, p: np.ndarray,
+                    normalized: bool) -> float:
+    """Upper bound on the membership residuals that a floating-point sweep of the
+    rotated blocks computes at ``base``, p being the eigenvalues that built the
+    blocks, rescaled to base and zero on the kernel: O(n^3) for y = h w (h the
+    Hermitian part of base), then O(n^2), and O(1) per block.
 
-    For v = c w_j w_l† and y = h w, h the Hermitian part of base, the
-    congruence velocity is t + t† with t = c w_j y_l†, plus the second unit
-    of the block unless the whole chunk has c2 = 0; the normalized action
-    subtracts 2 Re Tr(t) times base.  t + t† is formed as whole matrices: its
-    diagonal is 2 Re t and its off-diagonal is exactly Hermitian, as is base
-    with its upper triangle mirrored, so with the diagonal halved the largest
-    pairing of hermitian_components is 2 max(|Re|, |Im|) over the chunk.
-    Each step is exact up to factors of two, so the residual has the bits of
-    the pairings taken one by one (unless an intermediate is subnormal).
+    The sweep (tests/oracles.py) forms this same y, then t = sum_k c_k w_jk y_lk†
+    over the block's two units and the pairings of t + t†, less 2 Re Tr(t) times
+    those of base for phi.  With F = y - w P, P = diag(p), exactly t + t† = V =
+    w D w† + X + X† where X = w B F† and D = B P + P B†.  Take u = 2^-53, gamma_k
+    = k u / (1 - k u) (Higham 2002), and a, f, ym (nu, phi, eta) the column maxima
+    (2-norms) of |w|, of F~ = |fl(y - w p)| / (1 - u) + u |w| p >= |F| and of |y|.
+
+    - D: a support pair has c1 = e/N, c2 = -e r/N, r = p_l/p_m, e = 1 or i, each
+      within two roundings and r within one, and p within one more (p / Tr); so
+      D's entries d = c1 p_l + conj(c2) p_m and conj(d) have |d| <= gamma_10 |c1|
+      p_l, and D = 0 for other blocks.  So |(w D w†)_iq| <= 2 |d| a_j1 a_l1, and
+      |X_iq| <= sum_k |c_k| a_jk f_lk.
+    - Rounding: c is real or imaginary, so c w rounds once, then the product
+      with conj(y) (Lemma 3.5) and the sum of the units: each entry of t lies
+      within gamma_5 sum_k |c_k| |w_pjk| |y_qlk| of exact.  t + t† rounds once and
+      a pairing at most doubles, so each congruence pairing is at most
+      4 (|d| a a + sum_k |c_k| a (f + gamma_5 ym)), times 1 + u.
+    - Trace: by Cauchy-Schwarz the diagonal of V sums in magnitude to at most
+      2 (|d| nu nu + sum_k |c_k| nu_jk phi_lk) and the rounding of t's diagonal to
+      gamma_5 sum_k |c_k| nu_jk eta_lk; Tr(t) sums real parts apart from imaginary
+      ones, so the computed 2 Re Tr(t) is at most tau = 2 (|d| nu nu + sum_k |c_k|
+      nu_jk (phi_lk + gamma_5 eta_lk)), times 1 + gamma_n.  It scales pairings of
+      base of largest magnitude beta, and the difference rounds once.
+
+    The last factor covers the factors 1 + u and 1 + gamma_n and this function's
+    own roundings (fewer than 2n + 32 deep, on nonnegative terms).  It assumes,
+    as Higham's model does, that no intermediate underflows.
     """
     n = w.shape[0]
     y = ((base + dagger(base)) / 2.0) @ w
-    lt, rt = w.T, np.conjugate(y.T)
-    step = max(1, min(b.dim, _SWEEP_ENTRIES // w.size))
-    t = np.empty((step, n, n), dtype=complex)
-    v = np.empty_like(t)
-    t_real, v_real = (a.view(float).reshape(step, n, n, 2) for a in (t, v))
-    t_diag, v_diag = (a.reshape(step, n * n)[:, :: n + 1] for a in (t, v))
+    aw, ay = np.abs(w), np.abs(y)
+    fb = np.abs(y - w * p) / (1.0 - gamma(1)) + gamma(1) * aw * p
+    c1, c2 = np.abs(b.c1), np.abs(b.c2)
+
+    def units(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return c1 * x[b.j1] * z[b.l1] + c2 * x[b.j2] * z[b.l2]
+
+    d = np.where(b.j1 != b.l1, gamma(10) * c1 * p[b.l1], 0.0)
+    a = aw.max(axis=0)
+    bound = 4.0 * (d * a[b.j1] * a[b.l1] + units(a, fb.max(axis=0) + gamma(5) * ay.max(axis=0)))
     if normalized:
-        mirror = np.triu(base, 1)
-        mirror += dagger(mirror)
-        np.fill_diagonal(mirror, base.diagonal().real)
-        mirror = mirror.view(float).reshape(n, n, 2)
-    single = b.c2 == 0
-    worst = 0.0
-    for start in range(0, b.dim, step):
-        stop = min(start + step, b.dim)
-        m = stop - start
-        tc, vc = t[:m], v[:m]
-        left = b.c1[start:stop, None] * lt[b.j1[start:stop]]
-        np.multiply(left[:, :, None], rt[b.l1[start:stop]][:, None, :], out=tc)
-        if not single[start:stop].all():
-            left = b.c2[start:stop, None] * lt[b.j2[start:stop]]
-            np.multiply(left[:, :, None], rt[b.l2[start:stop]][:, None, :], out=vc)
-            tc += vc
-        np.conjugate(tc.transpose(0, 2, 1), out=vc)
-        vc += tc
-        if normalized:
-            trace = t_diag[:m].sum(axis=-1).real * 2.0
-            # t is spent: it holds trace * base, one float product per entry
-            np.einsum("b,pqc->bpqc", trace, mirror, out=t_real[:m])
-            v_real[:m] -= t_real[:m]
-        v_diag[:m] *= 0.5
-        worst = max(worst, 2.0 * float(v_real[:m].max()), -2.0 * float(v_real[:m].min()))
-    return worst
+        nu, phi, eta = (np.sqrt(np.sum(m * m, axis=0)) for m in (aw, fb, ay))
+        tau = 2.0 * (d * nu[b.j1] * nu[b.l1] + units(nu, phi + gamma(5) * eta))
+        bound += float(np.max(np.abs(hermitian_components(base)))) * tau
+    return float(np.max(bound, initial=0.0)) * (1.0 + gamma(4 * n + 64))
 
 
 def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
-    """Compute both isotropy bases at xi and report dimensions and residuals.
-
-    The congruence isotropy is scale invariant, so a non-normalized
-    functional is paired with its normalized state for the phi residuals.
-    The bases are certified but never formed: the membership sweep works on
-    their blocks, one bounded chunk at a time.
+    """Certify both isotropy bases at xi, never forming them, and report the
+    dimensions and a bound on the membership residuals (``_residual_bound``),
+    those of phi at xi / Tr xi; the identity direction's residual there is
+    formed outright in O(n^2), with the bits of isotropy_membership_phi.
     """
     split = spectral_split(xi)
     isotropy, complement = _blocks(split)
@@ -389,16 +380,23 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     _certify(complement, sv)
     # the congruence Gram matrix is a principal submatrix of the bordered one
     _certify(isotropy, sv, identity=True)
-    state = validate_state(xi.matrix / np.trace(xi.matrix).real)
-    n = split.ambient_dim
+    n, k = split.ambient_dim, split.support_dim
+    p = np.zeros(n)
+    p[:k] = split.eigenvalues
+    trace = xi.trace
+    rho = xi.matrix / trace
+    # phi_velocity of I / sqrt(n) at rho: a product with the identity rounds once
+    half = rho * (1.0 / np.sqrt(n))
+    v = half + dagger(half)
+    v -= np.trace(v).real * rho
     residual = max(
-        _sweep_residual(isotropy, w, xi.matrix, normalized=False),
-        _sweep_residual(isotropy, w, state.matrix, normalized=True),
-        isotropy_membership_phi(np.eye(n) / np.sqrt(n), state)[1],
+        _residual_bound(isotropy, w, xi.matrix, p, normalized=False),
+        _residual_bound(isotropy, w, rho, p / trace, normalized=True),
+        float(np.max(np.abs(hermitian_components(v)))),
     )
     return IsotropyReport(
         ambient_dim=2 * n * n,
-        support_dim=split.support_dim,
+        support_dim=k,
         dim_alpha=isotropy.dim,
         dim_phi=isotropy.dim + 1,
         dim_complement=complement.dim,

@@ -23,7 +23,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import config
-from .actions import GroupElement, _weight_squares, classical_phi, group_element, phi
+from .actions import (GroupElement, _exponent_above, _weight_squares, classical_phi,
+                      group_element, phi, prescaled_phi)
 from .errors import NotTracial, NumericalError, RankMismatch, ValidationError
 from .linalg import dagger, frobenius, fro_scale, matrix_sqrt_psd, require_hermitian, signature
 from .states import (
@@ -104,10 +105,13 @@ def connect_phi(rho0: StateDensity, rho1: StateDensity) -> ConnectCertificate:
     """Element g realizing rho1 under the normalized action, for equal ranks,
     from their spectra matched in non-increasing order.
 
-    Unit traces make the congruence element exact without rescaling.
+    Unit traces make the congruence element exact without rescaling.  The
+    residual reads phi's matrix before its validation, which the guard makes
+    unnecessary.
     """
     element, c, bound = _connect(rho0, rho1)
-    residual = _residual_guard(phi(element, rho0).matrix, rho1.matrix)
+    image = prescaled_phi(element.matrix, _exponent_above(element.sigma_max), rho0)[0]
+    residual = _residual_guard(image, rho1.matrix)
     return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
                               achieved_residual=residual)
 

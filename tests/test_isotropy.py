@@ -344,28 +344,12 @@ def test_report_at_n32():
 
 
 def test_report_residual_pinned_at_n16():
-    # max_residual of the sweep that materialised the velocity stack t + t†;
-    # reading the pairings straight from t gives the same bits
+    # max_residual is the certified bound of _residual_bound, not the swept
+    # maximum
     rho = random_state(np.random.default_rng(1601), 16)
-    assert isotropy_report(rho).max_residual == float.fromhex("0x1.205249c088ddbp-54")
+    assert isotropy_report(rho).max_residual == float.fromhex("0x1.58eac5bc86af1p-52")
     xi = validate_positive(3.5 * random_state(np.random.default_rng(1602), 16, rank=4).matrix)
-    assert isotropy_report(xi).max_residual == float.fromhex("0x1.8000000000000p-52")
-
-
-def test_report_residual_independent_of_sweep_chunks(monkeypatch):
-    # every block's residual is computed on its own, so any chunking of the
-    # sweep gives the same bits as one chunk holding the whole basis
-    import stategeom.isotropy as iso
-
-    rng = np.random.default_rng(1603)
-    cases = [random_state(rng, n, rank=k) for n, k in ((5, 2), (9, 9), (12, 3))]
-    cases.append(validate_positive(2.5 * random_state(rng, 7, rank=4).matrix))
-    for entries in (1, 50, 1 << 30):
-        monkeypatch.setattr(iso, "_SWEEP_ENTRIES", entries)
-        got = [isotropy_report(xi).max_residual for xi in cases]
-        if entries == 1:
-            one_block = got
-        assert got == one_block
+    assert isotropy_report(xi).max_residual == float.fromhex("0x1.7cfa596160d55p-49")
 
 
 def test_report_working_memory_is_bounded():
@@ -399,41 +383,134 @@ def _sweep_cases():
     yield validate_positive(random_state(rng, 6, rank=3).matrix + noise)
 
 
-def test_sweep_residual_matches_reference_bit_for_bit(monkeypatch):
-    import stategeom.isotropy as iso
+def _bound_inputs():
+    """(split, base, p) for _residual_bound: each of _sweep_cases at itself and
+    at its normalized matrix; then splits whose basis is off by about 1e-6, so
+    that h w - w diag(p) is far above rounding, and splits whose basis has
+    nothing to do with the base diag(n, 1, ..., 1), where velocities are O(1)
+    and the normalized action's trace term decides the bound."""
+    from stategeom.sampling import random_unitary
+    from stategeom.states import SpectralSplit
+
+    def padded(split, trace=1.0):
+        p = np.zeros(split.ambient_dim)
+        p[:split.support_dim] = split.eigenvalues / trace
+        return p
 
     for xi in _sweep_cases():
+        split, trace = spectral_split(xi), np.trace(xi.matrix).real
+        yield split, xi.matrix, padded(split)
+        yield split, xi.matrix / trace, padded(split, trace)
+    rng = np.random.default_rng(1606)
+    for n, k in ((3, 1), (8, 4), (12, 12)):
+        xi = random_state(rng, n, rank=k)
         split = spectral_split(xi)
-        w = split.full_basis()
-        state = validate_state(xi.matrix / np.trace(xi.matrix).real)
-        for blocks in iso._blocks(split):
-            for base in (xi.matrix, state.matrix):
-                for normalized in (False, True):
-                    expected = sweep_residual_reference(blocks, w, base, normalized)
-                    for entries in (1, 50, 1 << 30):
-                        monkeypatch.setattr(iso, "_SWEEP_ENTRIES", entries)
-                        got = iso._sweep_residual(blocks, w, base, normalized)
-                        assert got == expected, (xi.n, split.support_dim, normalized, entries)
+        s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        near = split.full_basis() @ (np.eye(n) + 1e-6 * (s - dag(s)))
+        far = random_unitary(rng, n)
+        for w, base in ((near, xi.matrix), (far, np.diag(np.r_[float(n), np.ones(n - 1)]))):
+            moved = SpectralSplit(eigenvalues=split.eigenvalues, support_basis=w[:, :k],
+                                  kernel_basis=w[:, k:])
+            yield moved, base, padded(split)
 
 
-def test_sweep_residual_of_the_identity_matches_reference():
-    # I / sqrt(2) = w (E00 + E11) w† / sqrt(2) fixes the state under the
-    # normalized action, so its residual is pure rounding while 2 Re Tr(t) =
-    # sqrt(2) multiplies the base: reading the base's upper triangle and real
-    # diagonal, as the pairings do, shows in the bits only in such a case
+def test_residual_bound_covers_the_reference_sweep():
+    # at either base, for either action, including the near-Hermitian case
     import stategeom.isotropy as iso
 
-    rng = np.random.default_rng(1605)
-    noise = np.array([[1e-12j, 0.0], [3e-14 - 2e-14j, -2e-12j]])
-    xi = validate_positive(random_state(rng, 2).matrix + noise)
-    w = spectral_split(xi).full_basis()
-    half = np.array([np.sqrt(0.5) + 0j])
-    identity = iso._Blocks(j1=np.array([0]), l1=np.array([0]), c1=half,
-                           j2=np.array([1]), l2=np.array([1]), c2=half, singles=1)
-    for normalized in (False, True):
-        expected = sweep_residual_reference(identity, w, xi.matrix, normalized)
-        assert iso._sweep_residual(identity, w, xi.matrix, normalized) == expected
-    assert expected < 1e-13
+    for split, base, p in _bound_inputs():
+        w = split.full_basis()
+        blocks = iso._blocks(split)[0]
+        for normalized in (False, True):
+            expected = sweep_residual_reference(blocks, w, base, normalized)
+            got = iso._residual_bound(blocks, w, base, p, normalized)
+            assert got >= expected, (split.ambient_dim, split.support_dim, normalized)
+
+
+def test_report_identity_residual_has_the_bits_of_membership_phi(monkeypatch):
+    # the identity direction's velocity is formed in O(n^2) without validating
+    # xi / Tr xi; a base Hermitian only up to the tolerance shows in its bits
+    import stategeom.isotropy as iso
+
+    monkeypatch.setattr(iso, "_residual_bound", lambda *args, **kwargs: 0.0)
+    for xi in _sweep_cases():
+        rho = validate_state(xi.matrix / np.trace(xi.matrix).real)
+        identity = isotropy_membership_phi(np.eye(xi.n) / np.sqrt(xi.n), rho)[1]
+        assert isotropy_report(xi).max_residual == identity
+
+
+def _block_chunks(blocks, size):
+    """The blocks' fields in consecutive slices of at most ``size`` blocks."""
+    from types import SimpleNamespace
+
+    fields = ("j1", "l1", "c1", "j2", "l2", "c2")
+    for start in range(0, blocks.dim, size):
+        yield SimpleNamespace(**{f: getattr(blocks, f)[start:start + size] for f in fields})
+
+
+def _swept_maximum(xi):
+    """The reference sweep's largest residual over the isotropy blocks at xi
+    (congruence) and at xi / Tr xi (normalized), with the identity direction's,
+    the sweep taken 2^19 matrix entries at a time to bound its memory."""
+    import stategeom.isotropy as iso
+
+    split = spectral_split(xi)
+    w = split.full_basis()
+    rho = xi.matrix / np.trace(xi.matrix).real
+    chunks = list(_block_chunks(iso._blocks(split)[0], max(1, (1 << 19) // w.size)))
+    swept = [sweep_residual_reference(c, w, base, normalized) for c in chunks
+             for base, normalized in ((xi.matrix, False), (rho, True))]
+    identity = np.eye(xi.n) / np.sqrt(xi.n)
+    return max(swept + [isotropy_membership_phi(identity, validate_state(rho))[1]])
+
+
+def _bound_cases():
+    """Seeded inputs at n = 1-48, ranks 1, n/2 and n, scaled by 2^e, then
+    _sweep_cases.  e runs through every scale at n <= 8 and cycles above.
+
+    The scales reach 2^330 (about 2e99) and go down to 2^-26 (about 1.5e-8),
+    about the smallest that validate_positive accepts for a full-rank state at
+    n = 48: its thresholds do not scale below norm 1 (ROADMAP item 3).
+    """
+    rng = np.random.default_rng(2101)
+    exponents = (-26, -10, 0, 100, 330)
+    count = 0
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 32, 48):
+        for k in sorted({1, max(1, n // 2), n}):
+            m = random_state(rng, n, rank=k).matrix
+            for e in exponents if n <= 8 else exponents[count % 5:count % 5 + 1]:
+                yield validate_positive(m * 2.0**e)
+            count += 1
+    yield from _sweep_cases()
+
+
+def test_report_bound_covers_the_sweep_and_stays_useful():
+    # certified: the bound is at least the swept residual of every block, at
+    # both bases; useful: within 100 times it wherever the sweep is nonzero
+    # (at n = 1 every velocity is exactly zero)
+    worst = 0.0
+    for xi in _bound_cases():
+        bound, swept = isotropy_report(xi).max_residual, _swept_maximum(xi)
+        assert bound >= swept, (xi.n, bound, swept)
+        if swept > 0.0:
+            worst = max(worst, bound / swept)
+    assert 0.0 < worst <= 100.0
+
+
+def test_report_at_n256_runs_in_o_n3():
+    # a sweep of the blocks would form about 1e10 velocity entries here; the
+    # O(n^3) bound takes well under a second, so 10 s guards the order, not speed
+    import time
+
+    rho = random_state(np.random.default_rng(256), 256, rank=128)
+    start = time.perf_counter()
+    report = isotropy_report(rho)
+    elapsed = time.perf_counter() - start
+    assert report.dim_alpha == isotropy_dimension_alpha(128, 256)
+    assert report.dim_phi == report.dim_alpha + 1
+    assert report.dim_alpha + report.dim_complement == report.ambient_dim == 2 * 256 * 256
+    assert report.max_residual <= 1e-9 * frobenius(rho.matrix)
+    assert elapsed < 10.0
 
 
 def test_report_peak_memory_below_2mib():
