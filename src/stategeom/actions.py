@@ -23,6 +23,7 @@ from .states import (
     PositiveFunctional,
     ProbabilityVector,
     StateDensity,
+    _frozen,
     validate_positive,
     validate_probability,
     validate_state,
@@ -62,9 +63,7 @@ def group_element(g, n: int | None = None) -> GroupElement:
     s = np.linalg.svd(m, compute_uv=False)
     smin, smax = float(s[-1]), float(s[0])
     config.check("sigma_min", smin, config.SINGULAR_RTOL, 1.0 + smax, Singular, floor=True)
-    frozen = np.array(m)
-    frozen.flags.writeable = False
-    return GroupElement(matrix=frozen, sigma_min=smin, sigma_max=smax)
+    return GroupElement(matrix=_frozen(m), sigma_min=smin, sigma_max=smax)
 
 
 def _congruence(g: np.ndarray, m: np.ndarray) -> np.ndarray:

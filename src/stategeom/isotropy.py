@@ -11,11 +11,11 @@ dimensions.
 
 Every basis element is a unit-norm block B = c1 E[j1,l1] + c2 E[j2,l2] in
 the adapted eigenbasis w, rotated back through w E[j,l] w† = w_j w_l†, so a
-whole basis is one O(n^4) stack of outer products.  Blocks share matrix
-units only with their real/imaginary partner, so the block Gram matrix
-G = [Re Tr(B_a† B_b)] is 1x1- and 2x2-block-diagonal and its extreme
-eigenvalues cost O(dim).  Linear independence is certified without forming
-the Gram matrix of the rotated vectors:
+whole basis is one O(n^4) stack of outer products.  The block Gram matrix
+G = [Re Tr(B_a† B_b)] is diagonal by construction (see ``_certify``), so its
+extreme eigenvalues are the extreme coefficient norms |c1|^2 + |c2|^2.
+Linear independence is certified without forming the Gram matrix of the
+rotated vectors:
 
 - ||w X w†||_F >= sigma_min(w)^2 ||X||_F, so the rotated Gram matrix has
   lambda_min >= sigma_min(w)^4 lambda_min(G) and lambda_max <=
@@ -57,6 +57,8 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
     Spans the algebra over C, so sweeping it is enough for the (complex
     linear in b) isotropy constraints.
     """
+    if n < 1:
+        raise ValidationError(f"dimension must be >= 1, got {n}")
     basis = [matrix_unit(n, j, j) for j in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
@@ -126,9 +128,8 @@ class RealBasis:
 class _Blocks:
     """Unit-norm blocks c1 E[j1,l1] + c2 E[j2,l2] in the adapted eigenbasis.
 
-    The first ``singles`` blocks stand alone; the rest come in consecutive
-    real/imaginary partners on the same units.  Blocks of different groups
-    share no unit, so the block Gram matrix is 1x1- and 2x2-block-diagonal.
+    Each coefficient is real or imaginary, and c2 = 0 when the two units
+    coincide.  Only real/imaginary partners share units.
     """
 
     j1: np.ndarray
@@ -137,22 +138,20 @@ class _Blocks:
     j2: np.ndarray
     l2: np.ndarray
     c2: np.ndarray
-    singles: int
 
     @property
     def dim(self) -> int:
         return self.c1.size
 
 
-def _from_sections(singles: int, sections) -> _Blocks:
+def _from_sections(sections) -> _Blocks:
     """Blocks from sections of fields (j1, l1, c1, j2, l2, c2).
 
     The fields of a section broadcast to (count, partners); partners become
     consecutive blocks.
     """
     columns = zip(*(np.broadcast_arrays(*section) for section in sections))
-    return _Blocks(*(np.concatenate([c.ravel() for c in col]) for col in columns),
-                   singles=singles)
+    return _Blocks(*(np.concatenate([c.ravel() for c in col]) for col in columns))
 
 
 def _blocks(split: SpectralSplit) -> tuple[_Blocks, _Blocks]:
@@ -178,12 +177,12 @@ def _blocks(split: SpectralSplit) -> tuple[_Blocks, _Blocks]:
 
     free_j, free_l = grid(np.arange(n), np.arange(k, n))
     into_j, into_l = grid(np.arange(k, n), np.arange(k))
-    isotropy = _from_sections(k, [
+    isotropy = _from_sections([
         (diag, diag, 1j, diag, diag, 0j),
         (high, low, partners / norm, low, high, np.array([-1.0, 1j]) * ratio / norm),
         (free_j, free_l, partners, free_j, free_l, 0j),
     ])
-    complement = _from_sections(k, [
+    complement = _from_sections([
         (diag, diag, 1.0 + 0j, diag, diag, 0j),
         (low, high, partners * half, high, low, np.array([1.0, -1j]) * half),
         (into_j, into_l, partners, into_j, into_l, 0j),
@@ -191,36 +190,17 @@ def _blocks(split: SpectralSplit) -> tuple[_Blocks, _Blocks]:
     return isotropy, complement
 
 
-def _overlap(b: _Blocks, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re Tr(B_x† B_y) elementwise over index arrays x and y."""
-    terms = ((b.j1, b.l1, b.c1), (b.j2, b.l2, b.c2))
-    total = np.zeros(x.size, dtype=complex)
-    for jx, lx, cx in terms:
-        for jy, ly, cy in terms:
-            same = (jx[x] == jy[y]) & (lx[x] == ly[y])
-            total += np.where(same, np.conjugate(cx[x]) * cy[y], 0.0)
-    return total.real
-
-
-def _gram_range(b: _Blocks) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the block Gram matrix, group by group."""
-    solo = np.arange(b.singles)
-    first = np.arange(b.singles, b.dim, 2)
-    second = first + 1
-    single = _overlap(b, solo, solo)
-    p, s = _overlap(b, first, first), _overlap(b, second, second)
-    mean = (p + s) / 2.0
-    radius = np.hypot((p - s) / 2.0, _overlap(b, first, second))
-    return (float(np.concatenate([single, mean - radius]).min()),
-            float(np.concatenate([single, mean + radius]).max()))
-
-
 def _certify(b: _Blocks, sv: np.ndarray, identity: bool = False) -> float:
     """Certified lower bound on the smallest Gram eigenvalue of the blocks rotated
     by w (followed by I/sqrt(n) when ``identity``), from the singular values
-    ``sv`` of w in descending order; raises ValidationError when it does not
-    clear the independence threshold."""
-    low, high = _gram_range(b)
+    ``sv`` of w in descending order and the extreme coefficient norms of the
+    blocks; raises ValidationError when it does not clear the independence
+    threshold."""
+    # G is diagonal with entries |c1|^2 + |c2|^2 (c2 = 0 on a repeated unit):
+    # only partners share units, and their cross term Re(conj(c1a) c1b +
+    # conj(c2a) c2b) pairs a real coefficient with an imaginary one, exactly 0
+    norms = np.abs(b.c1) ** 2 + np.abs(b.c2) ** 2
+    low, high = float(norms.min()), float(norms.max())
     defect = 0.0
     if identity:
         trace = np.where(b.j1 == b.l1, b.c1, 0.0) + np.where(b.j2 == b.l2, b.c2, 0.0)

@@ -118,6 +118,14 @@ class TestMembership:
         assert not member
 
 
+def test_hermitian_basis_rejects_nonpositive_dimension():
+    from stategeom.errors import ValidationError
+
+    for n in (0, -2):
+        with pytest.raises(ValidationError, match=f"dimension must be >= 1, got {n}"):
+            hermitian_basis(n)
+
+
 class TestBasisDimensions:
     def test_dimension_formula_against_null_space(self):
         rng = np.random.default_rng(8)
@@ -314,6 +322,43 @@ class TestBlockCertificate:
                 smallest = np.linalg.eigvalsh(real_gram_explicit(basis.vectors))[0]
                 # forming and diagonalising the dense Gram matrix rounds by O(dim eps)
                 assert 0.0 < basis.gram_floor <= smallest + 1e-13
+
+    def test_block_gram_is_diagonal_with_the_coefficient_norms(self):
+        # the invariant _certify relies on, on the dense unrotated blocks
+        import stategeom.isotropy as iso
+
+        rng = np.random.default_rng(23)
+        u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+        p = np.array([0.35, 0.35, 0.3, 0.0, 0.0])
+        repeated = spectral_split(validate_positive((u * p) @ dag(u)))
+        for split in [*_certificate_splits(), repeated]:
+            n = split.ambient_dim
+            for b in iso._blocks(split):
+                dense = np.zeros((b.dim, n, n), dtype=complex)
+                for i in range(b.dim):
+                    dense[i, b.j1[i], b.l1[i]] += b.c1[i]
+                    dense[i, b.j2[i], b.l2[i]] += b.c2[i]
+                gram = real_gram_explicit(dense)
+                assert np.all(gram[~np.eye(b.dim, dtype=bool)] == 0.0)
+                # the dense product may fuse c1^2 + c2^2 into one rounding
+                norms = np.abs(b.c1) ** 2 + np.abs(b.c2) ** 2
+                diagonal = np.diag(gram)
+                np.testing.assert_allclose([diagonal.min(), diagonal.max()],
+                                           [norms.min(), norms.max()], rtol=2.0**-51, atol=0)
+
+    def test_gram_floor_pinned(self):
+        # bit for bit at a full-rank split, a rank-deficient one and the
+        # ill-conditioned one with a two-dimensional kernel
+        splits = list(_certificate_splits())
+        pins = {
+            9: ("0x1.fffffffffffeep-1", "0x1.ffffffffffff0p-1", "0x1.fffffffffffdep-1"),
+            18: ("0x1.fffffffffffeep-1", "0x1.ffffffffffff0p-1", "0x1.b0cb174df99a1p-2"),
+            21: ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.785d93b6f6dc1p-2"),
+        }
+        for index, floors in pins.items():
+            for build, floor in zip(
+                    (isotropy_basis_alpha, complement_basis_alpha, isotropy_basis_phi), floors):
+                assert build(splits[index]).gram_floor == float.fromhex(floor)
 
     def test_dependent_adapted_basis_rejected(self):
         from stategeom.errors import ValidationError

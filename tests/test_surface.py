@@ -9,7 +9,10 @@ package or the benchmark, and every defaulted parameter of a public function
 (outside the test-support module ``sampling``) is passed by some call there,
 so an option that only tests set cannot stay.  Every public method, property
 and dataclass field of an exported class is read as an attribute somewhere in
-the package, the benchmark or the tests, outside its own definition.
+the package, the benchmark or the tests, outside its own definition.  Private
+helpers are held to the package alone: every top-level private function or
+class (dunders aside) is used by name elsewhere in it, and every field of a
+private dataclass is read there as an attribute.
 """
 
 import ast
@@ -74,6 +77,7 @@ def test_only_unexported_modules_declare_all():
 
 
 def test_every_public_definition_has_a_caller():
+    # private helpers too: each must be used by name elsewhere in the package
     trees = _trees()
     exported = _exported(trees)
     declared = set().union(*(_declared_all(trees[name]) for name in DECLARING_MODULES))
@@ -81,7 +85,7 @@ def test_every_public_definition_has_a_caller():
     unused = []
     for module, tree in trees.items():
         for stmt in tree.body:
-            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("__"):
                 continue
             if stmt.name in exported or stmt.name in declared:
                 continue
@@ -89,7 +93,7 @@ def test_every_public_definition_has_a_caller():
                 continue
             if not any(stmt.name in names for other, names in uses if other is not stmt):
                 unused.append(f"{module}:{stmt.name}")
-    assert not unused, f"public definitions nothing exports or calls: {unused}"
+    assert not unused, f"definitions nothing exports or calls: {unused}"
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -184,6 +188,12 @@ def _attribute_reads(node):
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
 
 
+def _dataclass_decorator(node):
+    """Whether a decorator is ``dataclass`` or ``dataclass(...)``."""
+    func = node.func if isinstance(node, ast.Call) else node
+    return isinstance(func, ast.Name) and func.id == "dataclass"
+
+
 def test_every_public_attribute_has_a_reader():
     # the tests count as readers, since some attributes exist to be checked;
     # this module's own reads are of syntax trees and do not
@@ -196,4 +206,11 @@ def test_every_public_attribute_has_a_reader():
               if isinstance(cls, ast.ClassDef) and cls.name in exported
               for name, stmt in _members(cls)
               if reads[name] <= _attribute_reads(stmt)[name]]
-    assert not unread, f"public attributes nothing reads: {unread}"
+    # the fields of a private dataclass must be read by the package itself
+    package_reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    unread += [f"{cls.name}.{name}" for tree in trees.values() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+               and any(_dataclass_decorator(d) for d in cls.decorator_list)
+               for name, stmt in _members(cls)
+               if isinstance(stmt, ast.AnnAssign) and not package_reads[name]]
+    assert not unread, f"attributes nothing reads: {unread}"
