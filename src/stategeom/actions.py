@@ -111,39 +111,38 @@ def phi(g, rho: StateDensity) -> StateDensity:
 
     Preserves unit trace, positivity, rank and faithfulness; invariant under
     rescaling g -> lambda g.  That invariance keeps g rho g† finite for large
-    g: when sigma_max >= 1, g is first divided by the smallest power of two
-    above sigma_max, which is exact, and the floor test applies to the trace
-    of the unscaled product.
+    g: g is first divided by the power of two above ||g||_F, which is exact
+    and is what every ``flow`` point divides by, and the floor test applies
+    to the trace of the unscaled product.
     """
     ge = group_element(g, rho.n)
-    return validate_state(prescaled_phi(ge.matrix, _exponent_above(ge.sigma_max), rho)[0])
+    return validate_state(prescaled_phi(ge.matrix, rho)[0])
 
 
-def _exponent_above(x: float) -> int:
-    """The e >= 0 of the smallest power of two 2^e above x (0 for x < 1/2)."""
-    return max(math.frexp(x)[1], 0)
-
-
-def _scaled_down(g: np.ndarray, e: int) -> np.ndarray:
-    """2^-e g, exact while no entry underflows."""
+def _prescale(g: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """The normalized action's one prescale: (m, e, ||m||_F) for m = g / 2^e, 2^e the least
+    power of two above ||g||_F (e = 0 below 1/2), exact while no entry underflows; ||m||_F < 1,
+    >= 1/2 unless ||g||_F < 1/2.  A norm at or above 2^1024 is read off 2^-1024 g."""
+    shift, norm = 0, frobenius(g)
+    if math.isinf(norm):
+        shift, norm = 1024, frobenius(g * 2.0 ** -1024)
+    e = max(math.frexp(norm)[1] + shift, 0)
     m = np.empty(g.shape, dtype=complex)
     m.real = np.ldexp(g.real, -e)
     m.imag = np.ldexp(g.imag, -e)
-    return m
+    return m, e, math.ldexp(norm, shift - e)
 
 
-def prescaled_phi(g: np.ndarray, e: int, rho: StateDensity) -> tuple[np.ndarray, float]:
-    """``phi``'s matrix before validation and its divisor: (m rho m† / d, d) with
-    m = 2^-e g and d = Tr(m rho m†), the floor test applied to 2^2e d.
-
-    Any e gives the same bits while no product of entries underflows, since
-    scaling by a power of two is exact; ``phi`` takes the one above sigma_max.
-    """
-    m = _scaled_down(g, e)
+def prescaled_phi(g: np.ndarray, rho: StateDensity) -> tuple[np.ndarray, float]:
+    """``phi``'s matrix before validation, m rho m† / d, and ||m||_F^2 / d, for
+    m = g / 2^e from ``_prescale`` and d = Tr(m rho m†), the floor test applied
+    to 2^2e d.  So 1/d is at most 4 ||m||_F^2 / d, or where ||g||_F < 1/2
+    (e = 0) the reciprocal of the floor that d passed."""
+    m, e, m_norm = _prescale(g)
     num = m @ rho.matrix @ dagger(m)
     den = config.check("Tr(g rho g†)", float(np.trace(num).real), config.DENOMINATOR_FLOOR,
                        1.0, NumericallySingular, floor=True, exp2=2 * e)
-    return num / den, den
+    return num / den, m_norm * m_norm / den
 
 
 def unitary_phi(u, rho: StateDensity) -> StateDensity:
@@ -181,10 +180,14 @@ def classical_phi(w, p) -> ProbabilityVector:
     return validate_probability(scaled / scaled.sum())
 
 
-def mix_states(rho1: StateDensity, rho2: StateDensity, lam: float) -> StateDensity:
-    """Convex combination lam*rho1 + (1-lam)*rho2."""
+def _require_weight(lam: float) -> None:
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
+
+
+def mix_states(rho1: StateDensity, rho2: StateDensity, lam: float) -> StateDensity:
+    """Convex combination lam*rho1 + (1-lam)*rho2."""
+    _require_weight(lam)
     m2 = as_operator(rho2.matrix, "second state", rho1.n)
     return validate_state(lam * rho1.matrix + (1.0 - lam) * m2)
 

@@ -301,8 +301,8 @@ def flow_cmd(file, generator_file, t0, t1, steps, fmt):
         raise ValidationError(
             f"steps must be <= {_MAX_GRID}, the most points numpy can lay out in one "
             f"float64 array, got {steps}")
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ValidationError(f"--t0 and --t1 must be finite, got {t0} and {t1}")
+    if not np.isfinite(t1 - t0):  # np.linspace forms t1 - t0, even for one point
+        raise ValidationError(f"--t0, --t1 and t1 - t0 must be finite, got {t0} and {t1}")
     rho = _load_state(file)
     gen = read_matrix(generator_file)[0]
     grid = np.linspace(t0, t1, steps)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .actions import _exponent_above, _scaled_down, group_element
+from .actions import _prescale, group_element
 from .errors import NumericalError, NumericallySingular, ValidationError
 from .linalg import as_operator, dagger, matrix_unit
 from .states import ProbabilityVector, StateDensity, _frozen, default_rank_tol, spectral_split
@@ -80,11 +80,10 @@ def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     normalized action of g on the source state inside the same
     representation.  ``rho`` must be the state the triple was built from.
     Like ``phi`` it runs on m = g / 2^e, 2^e the power of two above
-    sigma_max, so large g stay finite.
+    ||g||_F (``actions._prescale``), so large g stay finite.
     """
     ge = group_element(g, rho.n)
-    e = _exponent_above(ge.sigma_max)
-    m = _scaled_down(ge.matrix, e)
+    m, e, _ = _prescale(ge.matrix)
     gram = dagger(m) @ m
     norm_sq = triple.expectation(gram).real
     # the vector expectation must reproduce rho(m†m); the bound 2^-2e rtol (1 + rho(g†g))

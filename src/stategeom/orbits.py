@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import config
-from .actions import (GroupElement, _exponent_above, _weight_squares, classical_phi,
+from .actions import (GroupElement, _require_weight, _weight_squares, classical_phi,
                       group_element, phi, prescaled_phi)
 from .errors import NotTracial, NumericalError, RankMismatch, ValidationError
 from .linalg import dagger, frobenius, fro_scale, matrix_sqrt_psd, require_hermitian, signature
@@ -110,7 +110,7 @@ def connect_phi(rho0: StateDensity, rho1: StateDensity) -> ConnectCertificate:
     unnecessary.
     """
     element, c, bound = _connect(rho0, rho1)
-    image = prescaled_phi(element.matrix, _exponent_above(element.sigma_max), rho0)[0]
+    image = prescaled_phi(element.matrix, rho0)[0]
     residual = _residual_guard(image, rho1.matrix)
     return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
                               achieved_residual=residual)
@@ -167,8 +167,7 @@ def _recombine(tau: StateDensity, g1, g2,
                lam: float) -> tuple[GroupElement, StateDensity, float]:
     """``convex_recombine`` with the mixture phi(recombiner, tau) that its
     residual is taken of: (recombiner, mixture, residual)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
+    _require_weight(lam)
     require_tracial(tau)
     target = (lam * phi(group_element(g1, tau.n), tau).matrix
               + (1.0 - lam) * phi(group_element(g2, tau.n), tau).matrix)
@@ -186,8 +185,7 @@ def convex_recombine_classical(p: ProbabilityVector, w1, w2,
     ``classical_phi`` it first scales each w by a power of two, so large and
     tiny weights give the bits of ordinary ones.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"mixing weight must lie in [0, 1], got {lam}")
+    _require_weight(lam)
     prob = p if isinstance(p, ProbabilityVector) else validate_probability(p)
     # the images first: classical_phi checks each weight vector's length
     target = (lam * classical_phi(w1, prob).p

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .actions import _exponent_above, group_element, phi, prescaled_phi
+from .actions import group_element, phi, prescaled_phi
 from .errors import NumericalError, ValidationError
 from .linalg import (_unscaled_frobenius, as_operator, dagger, fro_scale, frobenius, gamma,
                      matrix_exp, require_hermitian)
@@ -76,10 +76,6 @@ def covariance(rho: StateDensity, a, b) -> float:
     return quad - 2.0 * float(np.trace(m @ am).real) * float(np.trace(m @ bm).real)
 
 
-_NORMAL_MIN = 2.0 ** -1022    # smallest normal double
-_EXACT_PRODUCTS = 2.0 ** -900  # least m * m * rho component product keeping the congruence exact
-
-
 def _eig_allowance(n: int) -> float:
     """How far eigvalsh's eigenvalues of (m + m†)/2 may lie from those of m's
     Hermitian part, per unit of ||m||_F: sqrt(n) gamma_4n for its backward error
@@ -87,25 +83,18 @@ def _eig_allowance(n: int) -> float:
     return (math.sqrt(n) + 1.0) * gamma(4 * n)
 
 
-def _smallest_component(a: np.ndarray) -> float:
-    """The smallest nonzero |real part| or |imaginary part| of an entry (inf if none)."""
-    v = np.abs(np.ravel(a, order="K").view(np.float64))
-    return float(np.min(v, where=v > 0.0, initial=np.inf))
-
-
 @dataclass(frozen=True)
 class _Flow:
     """What every point of the flow of ``rho`` along ``gen`` shares: ||gen||_F,
-    ||rho||_F, the smallest nonzero component of rho, and ``rho_floor`` =
-    min(0, lambda_min - ``_eig_allowance`` ||rho||_F), a lower bound on the
-    smallest eigenvalue of rho's Hermitian part (one eigvalsh per flow)."""
+    ||rho||_F and ``rho_floor`` = min(0, lambda_min - ``_eig_allowance`` ||rho||_F),
+    a lower bound on the smallest eigenvalue of rho's Hermitian part (one
+    eigvalsh per flow)."""
 
     rho: StateDensity
     gen: np.ndarray
     gen_norm: float
     rho_norm: float
     rho_floor: float
-    rho_tiny: float
 
 
 def _flow_of(rho: StateDensity, a) -> _Flow:
@@ -114,8 +103,7 @@ def _flow_of(rho: StateDensity, a) -> _Flow:
     rho_norm = frobenius(m)
     lam = float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0])
     return _Flow(rho=rho, gen=gen, gen_norm=frobenius(gen), rho_norm=rho_norm,
-                 rho_floor=min(0.0, lam - _eig_allowance(rho.n) * rho_norm),
-                 rho_tiny=_smallest_component(m))
+                 rho_floor=min(0.0, lam - _eig_allowance(rho.n) * rho_norm))
 
 
 def _invertible(g_norm: float, x: float, n: int) -> bool:
@@ -140,22 +128,30 @@ def _invertible(g_norm: float, x: float, n: int) -> bool:
                          floor=True)
 
 
-def _positive(mat: np.ndarray, scale: float, flow: _Flow, m_norm: float, den: float) -> bool:
+def _positive(mat: np.ndarray, scale: float, flow: _Flow, ratio: float) -> bool:
     """Whether ``validate_positive``'s eigenvalue tests certainly pass on
-    mat = m rho m† / den (scale = 1 + ||mat||_F, ||m||_F = m_norm), without eigvalsh.
+    mat = m rho m† / d (scale = 1 + ||mat||_F, ratio = ||m||_F^2 / d from
+    ``prescaled_phi``), without eigvalsh.
 
     PSD: the Hermitian part of the exact m rho m† is m rho_H m†, whose smallest
     eigenvalue is at least rho_floor sigma_max(m)^2 >= rho_floor ||m||_F^2
     (Ostrowski; rho_floor <= 0).  The two complex products round by at most
-    gamma_{4n+8} ||m||_F^2 ||rho||_F, and eigvalsh by ``_eig_allowance`` ||mat||_F,
-    so -(smallest eigenvalue) <= (gamma_{4n+8} ||rho||_F - rho_floor) ||m||_F^2
-    / den + allowance, which must clear PSD_CLAMP_RTOL * scale.  Nonzero: the
-    largest eigenvalue is at least Tr(mat) / n less the same allowance and the
-    trace's rounding, which must be above that bound.
+    gamma_{4n+8} ||m||_F^2 ||rho||_F, and gradual underflow adds 2^-1075 per
+    real product, under 3 n^2 2^-1074 / d on mat as ||m||_2 < 1: below
+    n^2 2^-1070 ratio where ||m||_F >= 1/2.  Elsewhere m = g, so d passed the
+    scaled DENOMINATOR_FLOOR itself, and this test passes only at tolerance
+    scales of at least _eig_allowance(n) / PSD_CLAMP_RTOL: the term is below
+    n^2 2^-1000.  eigvalsh errs by ``_eig_allowance`` ||mat||_F, and the
+    allowance, ``_eig_allowance`` * scale, exceeds that by 2^-51 or more: room
+    for that term and the quotient's and eigvalsh's underflow, O(n^2 2^-1074).
+    So -(smallest eigenvalue) <= (gamma_{4n+8} ||rho||_F - rho_floor +
+    n^2 2^-1070) ratio + allowance, which must clear PSD_CLAMP_RTOL * scale.
+    Nonzero: the largest eigenvalue is at least Tr(mat) / n less the same
+    allowance and the trace's rounding, which must be above that bound.
     """
     n = mat.shape[0]
     allowance = _eig_allowance(n) * scale
-    deficit = (gamma(4 * n + 8) * flow.rho_norm - flow.rho_floor) * m_norm * m_norm / den
+    deficit = (gamma(4 * n + 8) * flow.rho_norm - flow.rho_floor + n * n * 2.0 ** -1070) * ratio
     top = (float(np.trace(mat).real) - math.sqrt(n) * gamma(n) * scale) / n
     return (config.clears(deficit + allowance, config.PSD_CLAMP_RTOL, scale)
             and config.clears(top - allowance, config.PSD_CLAMP_RTOL, scale, floor=True))
@@ -164,26 +160,14 @@ def _positive(mat: np.ndarray, scale: float, flow: _Flow, m_norm: float, den: fl
 def _certified_point(flow: _Flow, g: np.ndarray, x: float) -> StateDensity | None:
     """phi(group_element(g), rho) for g = matrix_exp(A), ||A||_F <= x, with
     O(n^2) certificates in place of the SVD and eigvalsh, or None where a
-    certificate cannot decide.
-
-    The prescale is the power of two above ||g||_F instead of sigma_max.  Both
-    are exact, so the bits agree while no product in the congruence rounds
-    below 2^-1022: no nonzero component of m = 2^-e g is below 2^-1022, those
-    of m, m and rho multiply to at least 2^-900 (so every exact product is a
-    multiple of 2^-1074), and the trace floor's bound stays a normal number.
+    certificate cannot decide; its congruence is phi's own, ``prescaled_phi``.
     """
-    n = g.shape[0]
     g_norm = _unscaled_frobenius(g)  # inf or NaN unless every entry is finite
-    if not (math.isfinite(g_norm) and _invertible(g_norm, x, n)):
+    if not (math.isfinite(g_norm) and _invertible(g_norm, x, g.shape[0])):
         return None
-    e = _exponent_above(g_norm)
-    tiny = math.ldexp(_smallest_component(g), -e)
-    if not (tiny >= _NORMAL_MIN and tiny * tiny * flow.rho_tiny >= _EXACT_PRODUCTS
-            and config.clears(_NORMAL_MIN, config.DENOMINATOR_FLOOR, 1.0, exp2=2 * e)):
-        return None
-    mat, den = prescaled_phi(g, e, flow.rho)
+    mat, ratio = prescaled_phi(g, flow.rho)
     mat, scale = require_hermitian(mat, "functional")
-    if not _positive(mat, scale, flow, math.ldexp(g_norm, -e), den):
+    if not _positive(mat, scale, flow, ratio):
         return None
     mat.flags.writeable = False
     return unit_trace(mat)
@@ -212,30 +196,26 @@ def _flow_point(flow: _Flow, t) -> StateDensity:
 def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     """Trajectory t -> phi(exp(ta), rho0) over the given parameter grid.
 
-    Each point costs one expm, one congruence and O(n^2) checks; the states
-    have the bits of phi(matrix_exp(t a), rho0).  Two certificates stand in
-    for the SVD of ``group_element`` and the eigvalsh of ``validate_state``
-    (see ``_invertible`` and ``_positive``):
+    Each point costs one expm, one congruence (phi's, ``prescaled_phi``) and
+    O(n^2) checks; the states have the bits of phi(matrix_exp(t a), rho0).
+    Two certificates stand in for the SVD of ``group_element`` and the
+    eigvalsh of ``validate_state`` (see ``_invertible`` and ``_positive``):
 
     - invertible: e^(-|t| ||a||_F), less expm's forward error
       gamma_8n (2 + (1 + sqrt(n)) |t| ||a||_F) e^(|t| ||a||_F) and the SVD's
       rounding sqrt(n) gamma_8n ||g||_F, exceeds SINGULAR_RTOL (1 + ||g||_F);
-    - a state: with rho_floor = min(0, lambda_min(rho0) - (sqrt(n) + 1)
-      gamma_4n ||rho0||_F) from one eigvalsh of rho0 per call and m = g / 2^e,
-      (gamma_{4n+8} ||rho0||_F - rho_floor) ||m||_F^2 / Tr(m rho0 m†) plus
-      eigvalsh's allowance (sqrt(n) + 1) gamma_4n ||rho_t||_F clears
-      PSD_CLAMP_RTOL (1 + ||rho_t||_F), and Tr(rho_t) / n less that allowance
-      exceeds it.
+    - a state: with B = PSD_CLAMP_RTOL (1 + ||rho_t||_F), ``_positive``'s lower
+      bound on the spectrum of rho_t (one eigvalsh of rho0 per call) is above
+      -B, and Tr(rho_t) / n less eigvalsh's allowance is above B.
 
     A point falls back to phi(group_element(exp(ta)), rho0), SVD and
-    eigvalsh included, where exp(ta) is not finite, a certificate fails
+    eigvalsh included, where exp(ta) is not finite or a certificate fails
     (typically |t| ||a||_F above about 10, a rank-deficient rho0 moved by a
     badly conditioned exp(ta), or every point at a tolerance scale below
     about 3e-3 at n = 64, where eigvalsh's allowance alone exceeds
-    PSD_CLAMP_RTOL's bound), or a product of entries could round below
-    2^-1022.  So every error is the one phi(group_element(exp(ta)), rho0)
-    raises: NumericalError, naming the first failing t, where exp(ta)
-    overflows or exceeds the singularity limit.
+    PSD_CLAMP_RTOL's bound).  So every error is the one
+    phi(group_element(exp(ta)), rho0) raises: NumericalError, naming the
+    first failing t, where exp(ta) overflows or exceeds the singularity limit.
     """
     f = _flow_of(rho0, a)
     ts = np.asarray(t_grid, dtype=float)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from stategeom.errors import (
     ZeroWeight,
 )
 from stategeom.linalg import frobenius, matrix_sqrt_psd
+from stategeom.orbits import convex_recombine, convex_recombine_classical
 from stategeom.sampling import (
     random_hermitian,
     random_invertible,
@@ -32,6 +35,7 @@ from stategeom.sampling import (
 )
 from stategeom.states import (
     PositiveFunctional,
+    maximally_mixed,
     spectral_split,
     validate_probability,
     validate_state,
@@ -186,8 +190,16 @@ class TestPhiExtremeScale:
             out = phi(1e200 * np.eye(n, dtype=complex), rho)
             np.testing.assert_allclose(out.matrix, rho.matrix, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e308, 1.7e308])
+    def test_norm_beyond_double_range_acts(self, scale):
+        # ||g||_F = 2 scale overflows while every entry and sigma_max are finite
+        rho = random_state(np.random.default_rng(65), 4)
+        out = phi(scale * np.eye(4, dtype=complex), rho)
+        np.testing.assert_allclose(out.matrix, rho.matrix, rtol=0.0, atol=1e-15)
+
     def test_floor_applies_to_unscaled_trace(self):
-        # sigma_max >= 1/2 is prescaled; Tr(g rho g†) = 1e-16 is still refused
+        # ||g||_F >= 1 is prescaled; Tr(g rho g†) = 1e-16 is still refused
         g = np.diag([1.0, 1e-8]).astype(complex)
         with pytest.raises(NumericallySingular, match="1.000e-16"):
             phi(group_element(g), qubit(0.0))
@@ -326,6 +338,23 @@ class TestNonconvexity:
         r1, r2 = qubit(1.0), qubit(0.0)
         mixed = mix_states(r1, r2, 0.25)
         np.testing.assert_allclose(np.diagonal(mixed.matrix).real, [0.25, 0.75])
+
+
+MIXING = {
+    "mix_states": lambda lam: mix_states(qubit(1.0), qubit(0.0), lam),
+    "convex_recombine": lambda lam: convex_recombine(
+        maximally_mixed(2), np.eye(2, dtype=complex), np.diag([1.0, 2.0]), lam),
+    "convex_recombine_classical": lambda lam: convex_recombine_classical(
+        validate_probability([0.5, 0.5]), [1.0, 1.0], [1.0, 2.0], lam),
+}
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan], ids=["negative", "above-one", "nan"])
+@pytest.mark.parametrize("call", MIXING.values(), ids=MIXING.keys())
+def test_mixing_weight_outside_the_unit_interval_is_refused(call, lam):
+    with pytest.raises(ValidationError) as caught:
+        call(lam)
+    assert str(caught.value) == f"mixing weight must lie in [0, 1], got {lam}"
 
 
 class TestCongruenceOverflow:

@@ -509,7 +509,10 @@ def test_bad_tolerance_exits_2(runner, files, args, env):
     ["flow", "{state}", "{gen}", "--t0", "nan", "--t1", "1", "--steps", "3"],
     ["flow", "{state}", "{gen}", "--t0", "0", "--t1", "inf", "--steps", "3"],
     ["flow", "{state}", "{gen}", "--t0", "0", "--t1", "1", "--steps", "0"],
-], ids=["fd-step-zero", "fd-step-nan", "t0-nan", "t1-inf", "steps-zero"])
+    ["flow", "{state}", "{gen}", "--t0", "-1e308", "--t1", "1e308", "--steps", "3"],
+    ["flow", "{state}", "{gen}", "--t0", "-1e308", "--t1", "1e308", "--steps", "1"],
+], ids=["fd-step-zero", "fd-step-nan", "t0-nan", "t1-inf", "steps-zero", "span-overflows",
+        "one-point-span-overflows"])
 def test_bad_step_or_time_exits_2(runner, files, command):
     args = [arg.format(state=files["state"], gen=files["gen"]) for arg in command]
     _exits_2_with_one_line(runner.invoke(main, args))

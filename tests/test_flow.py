@@ -155,15 +155,15 @@ def test_a_tolerance_scale_no_state_can_clear_falls_back_with_the_same_bits(svd_
     assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
 
 
-def test_underflowing_products_fall_back(svd_calls):
+def test_underflowing_products_keep_the_bits_of_phi_without_an_svd(svd_calls):
     # off-diagonal entries of 1e-200 make products in the congruence round
-    # below 2^-1022, where the two prescales need not agree
+    # below 2^-1022; flow and phi take the same prescale, so they still agree
     rng = np.random.default_rng(724)
     rho = random_state(rng, 3)
     a = np.diag([0.5, -0.2, 0.1]).astype(complex) + 1e-200 * random_direction(rng, 3)
     grid = [0.3, 1.0]
     points = flow(rho, a, grid)
-    assert len(svd_calls) == 2
+    assert svd_calls == []
     assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
 
 
@@ -182,7 +182,7 @@ def test_fd_tangent_check_keeps_its_bits_without_an_svd(n, svd_calls):
         assert len(svd_calls) == calls  # only the reference took SVDs
 
 
-def _config_call_sites(name):
+def _call_sites(name, owner="config"):
     package = Path(config.__file__).resolve().parent
     sites = set()
     for path in sorted(package.glob("*.py")):
@@ -194,7 +194,7 @@ def _config_call_sites(name):
             for node in ast.walk(func):
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and node.func.attr == name and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == "config"):
+                        and node.func.value.id == owner):
                     sites.add((path.name, func.name))
     return sites
 
@@ -202,11 +202,21 @@ def _config_call_sites(name):
 def test_clears_is_read_only_by_the_flow_certificates():
     # a failed certificate falls back to the raising checks; nothing else may
     # take a threshold decision without raising
-    assert _config_call_sites("clears") == {
+    assert _call_sites("clears") == {
         ("tangent.py", "_invertible"),
         ("tangent.py", "_positive"),
-        ("tangent.py", "_certified_point"),
     }
+
+
+def test_one_rule_picks_a_power_of_two_exponent():
+    # the normalized action's prescale is chosen in actions._prescale alone;
+    # the others are the norm's overflow rescue and the classical weights'
+    assert _call_sites("frexp", "math") == {
+        ("linalg.py", "frobenius"),
+        ("actions.py", "_weight_squares"),
+        ("actions.py", "_prescale"),
+    }
+    assert _call_sites("frexp", "np") == set()
 
 
 @pytest.mark.parametrize("floor", [False, True])

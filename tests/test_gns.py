@@ -167,7 +167,7 @@ class TestTransformExtremeScale:
                                    gns_transform(triple, g, rho).cyclic, rtol=1e-12, atol=1e-14)
 
     def test_floor_applies_to_the_unscaled_expectation(self):
-        # sigma_max >= 1/2 is prescaled; <psi|pi(g†g)|psi> = 1e-16 is still refused
+        # ||g||_F >= 1 is prescaled; <psi|pi(g†g)|psi> = 1e-16 is still refused
         from stategeom.errors import NumericallySingular
 
         rho = validate_state(np.diag([0.0, 1.0]).astype(complex))
