@@ -196,9 +196,11 @@ def nonconvexity_witness(g, rho1: StateDensity, rho2: StateDensity, lam: float) 
     """Affinity defect ||phi(g, mix) - lam phi(g,rho1) - (1-lam) phi(g,rho2)||_F.
 
     Zero on the unitary subgroup and at the endpoints lam in {0, 1};
-    generically positive otherwise.
+    generically positive otherwise.  The mixture is validated; the three
+    images are phi's matrices unvalidated, as no caller receives them.
     """
     ge = group_element(g, rho1.n)
-    mixed_image = phi(ge, mix_states(rho1, rho2, lam)).matrix
-    image_mix = lam * phi(ge, rho1).matrix + (1.0 - lam) * phi(ge, rho2).matrix
+    mixed_image = prescaled_phi(ge.matrix, mix_states(rho1, rho2, lam))[0]
+    image_mix = (lam * prescaled_phi(ge.matrix, rho1)[0]
+                 + (1.0 - lam) * prescaled_phi(ge.matrix, rho2)[0])
     return frobenius(mixed_image - image_mix)

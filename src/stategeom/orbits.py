@@ -166,11 +166,13 @@ def convex_recombine(tau: StateDensity, g1, g2, lam: float) -> tuple[GroupElemen
 def _recombine(tau: StateDensity, g1, g2,
                lam: float) -> tuple[GroupElement, StateDensity, float]:
     """``convex_recombine`` with the mixture phi(recombiner, tau) that its
-    residual is taken of: (recombiner, mixture, residual)."""
+    residual is taken of: (recombiner, mixture, residual).  The two images
+    that make the target are phi's matrices unvalidated, as no caller
+    receives them; the mixture is validated."""
     _require_weight(lam)
     require_tracial(tau)
-    target = (lam * phi(group_element(g1, tau.n), tau).matrix
-              + (1.0 - lam) * phi(group_element(g2, tau.n), tau).matrix)
+    target = (lam * prescaled_phi(group_element(g1, tau.n).matrix, tau)[0]
+              + (1.0 - lam) * prescaled_phi(group_element(g2, tau.n).matrix, tau)[0])
     recombiner = group_element(matrix_sqrt_psd(tau.n * target))
     mixture = phi(recombiner, tau)
     return recombiner, mixture, frobenius(mixture.matrix - target)

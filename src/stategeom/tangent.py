@@ -4,8 +4,10 @@ Differentiating t -> exp(ta) xi exp(ta)† at t = 0 gives the congruence
 velocity a xi + xi a†, which splits as {xi, x} - i[xi, y] for a = x + iy with
 x, y Hermitian.  The normalized action adds the trace correction
 -Tr(a rho + rho a†) rho, making the velocity traceless.  Flows evaluate
-exp(ta) exactly per grid point rather than stepping an ODE, and certify each
-point with O(n^2) bounds in place of an SVD and an eigvalsh (see ``flow``).
+exp(ta) exactly per grid point rather than stepping an ODE, with one
+congruence per point; two O(n^2) certificates stand in for the SVD of
+``group_element`` and the eigvalsh of ``validate_state``, and where one cannot
+decide, the point runs that one test (see ``flow``).
 
 The rank of a -> phi_velocity(rho, a), the orbit dimension n^2 - (n-k)^2 - 1
 at rank k, comes from the closed form of its singular values in the
@@ -21,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .actions import group_element, phi, prescaled_phi
+from .actions import group_element, prescaled_phi
 from .errors import NumericalError, ValidationError
-from .linalg import (_unscaled_frobenius, as_operator, dagger, fro_scale, frobenius, gamma,
-                     matrix_exp, require_hermitian)
+from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, matrix_exp,
+                     require_hermitian)
 from .states import (PositiveFunctional, StateDensity, _as_functional, _eigenpairs, _frozen,
-                     default_rank_tol, unit_trace)
+                     default_rank_tol, unit_trace, validate_state)
 
 
 @dataclass(frozen=True)
@@ -106,26 +108,29 @@ def _flow_of(rho: StateDensity, a) -> _Flow:
                  rho_floor=min(0.0, lam - _eig_allowance(rho.n) * rho_norm))
 
 
-def _invertible(g_norm: float, x: float, n: int) -> bool:
+def _invertible(x: float, n: int) -> bool:
     """Whether ``group_element``'s test sigma_min > SINGULAR_RTOL (1 + sigma_max)
-    certainly passes on g = matrix_exp(A) with ||A||_F <= x, without its SVD.
+    certainly passes on g = matrix_exp(A) for every A with ||A||_F <= x: decided
+    from x and n alone, before g is read.
 
-    The exact exp(A) has sigma_min >= e^-||A||_2 >= e^-x.  The computed g
-    differs from it by at most gamma_8n (2 + (1 + sqrt(n)) x) e^x: expm's
-    backward error u ||A|| carried through the exponential (at most u x e^x),
-    and the rounding of its Pade evaluation and of its s squarings, with
-    2^s <= 1 + ||A||_1 <= 1 + sqrt(n) x, each below gamma_8n e^x (Al-Mohy and
-    Higham 2009).  The SVD's own rounding moves both extreme singular values by
-    at most sqrt(n) gamma_8n ||g||_F, and sigma_max <= ||g||_F.
+    The exact exp(A) has sigma_min >= e^-||A||_2 >= e^-x and sigma_max <= e^x.
+    The computed g differs from it by at most err = gamma_8n (2 + (1 + sqrt(n)) x)
+    e^x: expm's backward error u ||A|| carried through the exponential (at most
+    u x e^x), and the rounding of its Pade evaluation and of its s squarings,
+    with 2^s <= 1 + ||A||_1 <= 1 + sqrt(n) x, each below gamma_8n e^x (Al-Mohy
+    and Higham 2009).  So g is finite and sigma_max(g) <= e^x + err.  The SVD's
+    own rounding moves both extreme singular values by at most
+    svd = sqrt(n) gamma_8n (e^x + err) (LAPACK's bound, p(n) u sigma_max), so
+    the computed sigma_max is at most e^x + err + svd; the scale takes 2 svd,
+    room for the rounding of the bound itself.
     """
     if not x < 700.0:  # e^x overflows near 709.8; the bound fails long before
         return False
     growth = math.exp(x)
-    svd = math.sqrt(n) * gamma(8 * n)
-    lower = 1.0 / growth - gamma(8 * n) * (2.0 + (1.0 + math.sqrt(n)) * x) * growth \
-        - svd * g_norm
-    return config.clears(lower, config.SINGULAR_RTOL, 1.0 + g_norm * (1.0 + 2.0 * svd),
-                         floor=True)
+    err = gamma(8 * n) * (2.0 + (1.0 + math.sqrt(n)) * x) * growth
+    svd = math.sqrt(n) * gamma(8 * n) * (growth + err)
+    return config.clears(1.0 / growth - err - svd, config.SINGULAR_RTOL,
+                         1.0 + growth + err + 2.0 * svd, floor=True)
 
 
 def _positive(mat: np.ndarray, scale: float, flow: _Flow, ratio: float) -> bool:
@@ -157,25 +162,13 @@ def _positive(mat: np.ndarray, scale: float, flow: _Flow, ratio: float) -> bool:
             and config.clears(top - allowance, config.PSD_CLAMP_RTOL, scale, floor=True))
 
 
-def _certified_point(flow: _Flow, g: np.ndarray, x: float) -> StateDensity | None:
-    """phi(group_element(g), rho) for g = matrix_exp(A), ||A||_F <= x, with
-    O(n^2) certificates in place of the SVD and eigvalsh, or None where a
-    certificate cannot decide; its congruence is phi's own, ``prescaled_phi``.
-    """
-    g_norm = _unscaled_frobenius(g)  # inf or NaN unless every entry is finite
-    if not (math.isfinite(g_norm) and _invertible(g_norm, x, g.shape[0])):
-        return None
-    mat, ratio = prescaled_phi(g, flow.rho)
-    mat, scale = require_hermitian(mat, "functional")
-    if not _positive(mat, scale, flow, ratio):
-        return None
-    mat.flags.writeable = False
-    return unit_trace(mat)
-
-
 def _flow_point(flow: _Flow, t) -> StateDensity:
-    """phi(exp(t gen), rho): ``_certified_point``, or where it cannot decide,
-    phi(group_element(exp(t gen)), rho) as it stands.
+    """phi(exp(t gen), rho) from one expm and one congruence, phi's own
+    ``prescaled_phi``.  Each certificate that cannot decide runs the one test
+    it stands in for: ``group_element``'s SVD where ``_invertible`` fails,
+    before the congruence as in phi (so Singular comes before
+    NumericallySingular), and ``validate_state``'s eigvalsh of the same matrix
+    where ``_positive`` fails.
 
     exp(t gen) is invertible for every t, so a group element or state that
     fails validation here means the exponential overflowed or became too
@@ -185,8 +178,14 @@ def _flow_point(flow: _Flow, t) -> StateDensity:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             g = matrix_exp(t * flow.gen)
-            point = _certified_point(flow, g, abs(float(t)) * flow.gen_norm)
-            return point if point is not None else phi(group_element(g), flow.rho)
+            if not _invertible(abs(float(t)) * flow.gen_norm, flow.rho.n):
+                group_element(g)
+            mat, ratio = prescaled_phi(g, flow.rho)
+            mat, scale = require_hermitian(mat, "functional")
+            if not _positive(mat, scale, flow, ratio):
+                return validate_state(mat)
+            mat.flags.writeable = False
+            return unit_trace(mat)
     except ValidationError as exc:
         raise NumericalError(
             f"exp(t a) is not numerically usable at t = {float(t)!r}: {type(exc).__name__}: {exc}"
@@ -201,21 +200,22 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     Two certificates stand in for the SVD of ``group_element`` and the
     eigvalsh of ``validate_state`` (see ``_invertible`` and ``_positive``):
 
-    - invertible: e^(-|t| ||a||_F), less expm's forward error
-      gamma_8n (2 + (1 + sqrt(n)) |t| ||a||_F) e^(|t| ||a||_F) and the SVD's
-      rounding sqrt(n) gamma_8n ||g||_F, exceeds SINGULAR_RTOL (1 + ||g||_F);
+    - invertible, from x = |t| ||a||_F and n alone: e^-x, less expm's forward
+      error err = gamma_8n (2 + (1 + sqrt(n)) x) e^x and the SVD's rounding
+      sqrt(n) gamma_8n (e^x + err), exceeds SINGULAR_RTOL (1 + e^x + err);
     - a state: with B = PSD_CLAMP_RTOL (1 + ||rho_t||_F), ``_positive``'s lower
       bound on the spectrum of rho_t (one eigvalsh of rho0 per call) is above
       -B, and Tr(rho_t) / n less eigvalsh's allowance is above B.
 
-    A point falls back to phi(group_element(exp(ta)), rho0), SVD and
-    eigvalsh included, where exp(ta) is not finite or a certificate fails
-    (typically |t| ||a||_F above about 10, a rank-deficient rho0 moved by a
-    badly conditioned exp(ta), or every point at a tolerance scale below
-    about 3e-3 at n = 64, where eigvalsh's allowance alone exceeds
-    PSD_CLAMP_RTOL's bound).  So every error is the one
-    phi(group_element(exp(ta)), rho0) raises: NumericalError, naming the
-    first failing t, where exp(ta) overflows or exceeds the singularity limit.
+    Where a certificate fails, the point runs the one test it stands in for
+    and keeps its congruence: the SVD of exp(ta) where x is above the cut-off
+    (13.80, 13.74, 13.46 and 12.77 at n = 1, 4, 16 and 64, tolerance scale 1),
+    and the eigvalsh of rho_t where a rank-deficient rho0 is moved by a badly
+    conditioned exp(ta), or at every point at a tolerance scale below about
+    3e-3 at n = 64, where eigvalsh's allowance alone exceeds PSD_CLAMP_RTOL's
+    bound.  So every error is the one phi(group_element(exp(ta)), rho0)
+    raises: NumericalError, naming the first failing t, where exp(ta)
+    overflows or exceeds the singularity limit.
     """
     f = _flow_of(rho0, a)
     ts = np.asarray(t_grid, dtype=float)

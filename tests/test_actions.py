@@ -330,9 +330,24 @@ class TestNonconvexity:
         witness = nonconvexity_witness(g, r1, r2, 0.5)
         assert witness == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-12)
 
-    def test_mix_weight_out_of_range_is_validation_error(self):
-        with pytest.raises(ValidationError):
-            mix_states(qubit(1.0), qubit(0.0), 1.5)
+    def test_validates_only_the_mixture(self, monkeypatch):
+        # the three images are phi's matrices unvalidated: one eigvalsh, the mixture's
+        rng = np.random.default_rng(16)
+        g = random_invertible(rng, 3)
+        r1, r2 = random_state(rng, 3), random_state(rng, 3)
+        lam = 0.3
+        expected = frobenius(phi(g, mix_states(r1, r2, lam)).matrix
+                             - (lam * phi(g, r1).matrix + (1.0 - lam) * phi(g, r2).matrix))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert nonconvexity_witness(g, r1, r2, lam) == expected
+        assert len(calls) == 1
 
     def test_mix_validates(self):
         r1, r2 = qubit(1.0), qubit(0.0)

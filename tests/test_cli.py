@@ -684,8 +684,9 @@ def test_fd_step_lost_to_rounding_exits_3(runner, files, step):
 
 
 def test_recombine_takes_three_congruences(runner, files, tmp_path, monkeypatch):
-    # the images of g1 and g2, then the recombiner's, shared by residual and mixture
-    from stategeom import actions
+    # the images of g1 and g2 (orbits calls prescaled_phi itself), then the
+    # recombiner's through phi, shared by residual and mixture
+    from stategeom import actions, orbits
 
     calls = []
     inner = actions.prescaled_phi
@@ -695,6 +696,7 @@ def test_recombine_takes_three_congruences(runner, files, tmp_path, monkeypatch)
         return inner(*args)
 
     monkeypatch.setattr(actions, "prescaled_phi", counted)
+    monkeypatch.setattr(orbits, "prescaled_phi", counted)
     g2 = write(tmp_path / "g2.json", np.diag([1.0, 2.0]))
     result = runner.invoke(main, ["recombine", files["state"], files["g"], g2, "0.5"])
     assert result.exit_code == 0
@@ -717,8 +719,9 @@ def test_non_finite_imaginary_slot_exits_2(runner, files, tmp_path, token, comma
 
 # (eigh, eigvalsh, svd) per command at n = 6, rank 3.  Validating a file is one
 # eigvalsh; the spectrum of a loaded value is one eigh, shared by every question
-# asked of it; each returned output state is validated (eigvalsh), each element
-# of the group takes an svd; recombine's eigh is the square root of its mixture.
+# asked of it; each returned output state is validated (eigvalsh), an image that
+# is never returned is not; each element of the group takes an svd; recombine's
+# eigh is the square root of its mixture.
 SOLVER_COUNTS = {
     "validate": (lambda f: ["validate", f["rho"]], (1, 1, 0)),
     "act-alpha": (lambda f: ["act", "alpha", f["g"], f["rho"]], (0, 2, 1)),
@@ -728,7 +731,7 @@ SOLVER_COUNTS = {
     "isotropy": (lambda f: ["isotropy", f["rho"]], (1, 1, 1)),
     "gns": (lambda f: ["gns", f["rho"]], (1, 1, 0)),
     "tangent": (lambda f: ["tangent", f["rho"], f["gen"]], (0, 2, 0)),
-    "recombine": (lambda f: ["recombine", f["tau"], f["g"], f["g2"], "0.25"], (1, 4, 3)),
+    "recombine": (lambda f: ["recombine", f["tau"], f["g"], f["g2"], "0.25"], (1, 2, 3)),
 }
 
 

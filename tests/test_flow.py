@@ -1,9 +1,11 @@
 """``flow`` and ``fd_tangent_check`` at the exponential floor.
 
-Every point keeps the bits (or the error) of phi(matrix_exp(t a), rho); the
-two O(n^2) certificates that replace the SVD of ``group_element`` and the
-eigvalsh of ``validate_state`` each accept where their bounds hold and fall
-back to that SVD elsewhere; and only they decide through ``config.clears``.
+Every point keeps the bits (or the error) of phi(matrix_exp(t a), rho) from
+one expm and one congruence.  Two O(n^2) certificates stand in for the SVD of
+``group_element`` and the eigvalsh of ``validate_state``: each accepts where
+its bound holds and elsewhere runs the one test it replaces, so a point takes
+an SVD only where ``_invertible`` fails and an eigvalsh only where
+``_positive`` fails; and only they decide through ``config.clears``.
 """
 
 import ast
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from stategeom import config, tangent
-from stategeom.actions import phi
+from stategeom.actions import group_element, phi
 from stategeom.errors import NumericalError, ValidationError
 from stategeom.linalg import frobenius, matrix_exp
 from stategeom.sampling import random_direction, random_state
@@ -41,18 +43,30 @@ def _flow_point(rho, a, t):
         return str(exc)
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Count the SVDs taken, i.e. the points that fell back to group_element."""
+def _counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records the shape of its first argument."""
     calls = []
-    svd = np.linalg.svd
+    inner = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
-        return svd(*args, **kwargs)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the SVDs taken, i.e. the points that fell back to group_element."""
+    return _counted(monkeypatch, np.linalg, "svd")
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count the eigvalsh taken: one of rho per call, and one per point that
+    fell back to validate_state."""
+    return _counted(monkeypatch, np.linalg, "eigvalsh")
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
@@ -85,15 +99,17 @@ class TestInvertibilityCertificate:
         assert svd_calls == []
         assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
 
-    def test_falls_back_past_its_bound_and_keeps_the_bits(self, svd_calls):
-        # exp(t a) is unitary, but e^-(|t| ||a||_F) = e^-60 cannot certify it
+    def test_falls_back_past_its_bound_and_keeps_the_bits(self, svd_calls, eigvalsh_calls):
+        # exp(t a) is unitary, but e^-(|t| ||a||_F) = e^-60 cannot certify it;
+        # the SVD stands in, and positivity is still certified
         rng = np.random.default_rng(722)
         rho = random_state(rng, 4)
         h = random_direction(rng, 4, 1.0)
         a = 60.0 * (h - h.conj().T) / frobenius(h - h.conj().T)
-        assert not tangent._invertible(frobenius(matrix_exp(a)), 60.0, 4)
+        assert not tangent._invertible(60.0, 4)
+        eigvalsh_calls.clear()  # validating rho took one
         point = flow(rho, a, [1.0])[0]
-        assert len(svd_calls) == 1
+        assert (len(svd_calls), len(eigvalsh_calls)) == (1, 1)  # the SVD, rho's eigvalsh
         assert point.matrix.tobytes() == _reference(rho, a, 1.0)
 
     def test_gives_up_past_its_cut_off_and_keeps_the_bits(self, svd_calls):
@@ -129,29 +145,31 @@ class TestPositivityCertificate:
         assert svd_calls == []
         assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
 
-    def test_falls_back_where_the_congruence_bound_fails(self, svd_calls):
+    def test_falls_back_where_the_congruence_bound_fails(self, svd_calls, eigvalsh_calls):
         # exp(diag(3, -3)) is well conditioned, but it shrinks the support of
         # diag(0, 1) by e^-6 against ||m||_F, so the rounding allowance times
-        # ||m||_F^2 / Tr passes PSD_CLAMP_RTOL's bound
+        # ||m||_F^2 / Tr passes PSD_CLAMP_RTOL's bound; the point's eigvalsh
+        # stands in, and invertibility is still certified
         rho = validate_state(np.diag([0.0, 1.0]).astype(complex))
         a = np.diag([3.0, -3.0]).astype(complex)
-        g = matrix_exp(a)
-        assert tangent._invertible(frobenius(g), math.sqrt(18.0), 2)
+        assert tangent._invertible(math.sqrt(18.0), 2)
+        eigvalsh_calls.clear()  # validating rho took one
         point = flow(rho, a, [1.0])[0]
-        assert len(svd_calls) == 1
+        assert (len(svd_calls), len(eigvalsh_calls)) == (0, 2)  # rho's and the point's
         assert point.matrix.tobytes() == _reference(rho, a, 1.0)
 
 
 def test_a_tolerance_scale_no_state_can_clear_falls_back_with_the_same_bits(svd_calls):
     # at n = 16 eigvalsh's allowance alone, 5 gamma_64 = 3.6e-14, exceeds the
-    # scaled PSD_CLAMP_RTOL of 1e-14, so every point's certificate fails
+    # scaled PSD_CLAMP_RTOL of 1e-14, so every point's positivity certificate
+    # fails; its invertibility certificate still holds, so no point takes an SVD
     rng = np.random.default_rng(725)
     rho = random_state(rng, 16)
     a = random_direction(rng, 16, 1.0)
     config.set_tolerance_scale(1e-4)
     grid = [0.0, 0.5]
     points = flow(rho, a, grid)
-    assert len(svd_calls) == 2
+    assert svd_calls == []
     assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
 
 
@@ -165,6 +183,64 @@ def test_underflowing_products_keep_the_bits_of_phi_without_an_svd(svd_calls):
     points = flow(rho, a, grid)
     assert svd_calls == []
     assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1e-3, 1.0, 10.0])
+def test_each_miss_runs_the_one_test_it_stands_in_for(scale, monkeypatch):
+    # one congruence per point; an SVD per point where _invertible fails and an
+    # eigvalsh per point where _positive fails, beside rho's one per call
+    decisions = {"_invertible": [], "_positive": []}
+    for name, log in decisions.items():
+        def recording(*args, _decide=getattr(tangent, name), _log=log):
+            _log.append(_decide(*args))
+            return _log[-1]
+
+        monkeypatch.setattr(tangent, name, recording)
+    rng = np.random.default_rng(740)
+    # exp(t diag(3, -3)) shrinks the support of diag(0, 1): positivity misses at t >= 1
+    cases = [(validate_state(np.diag([0.0, 1.0]).astype(complex)),
+              np.diag([3.0, -3.0]).astype(complex))]
+    for n in (1, 2, 4, 16):
+        for rank in sorted({n, 1}):
+            rho = random_state(rng, n, rank)
+            h = random_direction(rng, n, 1.0)
+            for b, norm in ((h, 1.0), (h - h.conj().T, 12.0), (h + h.conj().T, 3.0)):
+                cases.append((rho, norm * b / frobenius(b)))
+    config.set_tolerance_scale(scale)
+    congruences = _counted(monkeypatch, tangent, "prescaled_phi")
+    svds = _counted(monkeypatch, np.linalg, "svd")
+    eigvalshs = _counted(monkeypatch, np.linalg, "eigvalsh")
+    grid = np.linspace(-1.0, 2.0, 5)
+    misses = {name: 0 for name in decisions}
+    for rho, a in cases:
+        for calls in (*decisions.values(), congruences, svds, eigvalshs):
+            calls.clear()
+        assert len(flow(rho, a, grid)) == grid.size
+        assert len(congruences) == grid.size
+        assert len(svds) == decisions["_invertible"].count(False)
+        assert len(eigvalshs) == 1 + decisions["_positive"].count(False)
+        for name, log in decisions.items():
+            misses[name] += log.count(False)
+    assert all(misses.values()), misses  # both fallbacks ran
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_the_invertibility_certificate_is_sound(n):
+    # wherever _invertible(x, n) holds, exp(A) passes group_element's SVD test
+    # for unitary, Hermitian and general A with ||A||_F = x, and for
+    # diag(x, -x) / sqrt(2), whose condition number e^(sqrt(2) x) is the
+    # largest a Hermitian A of that norm reaches
+    rng = np.random.default_rng(750 + n)
+    h = random_direction(rng, n, 1.0)
+    kinds = [h - h.conj().T, h + h.conj().T, h]
+    if n > 1:
+        kinds.append(np.diag([1.0, -1.0] + [0.0] * (n - 2)).astype(complex))
+    grid = np.arange(0.0, 16.0, 0.25)
+    certified = [x for x in grid if tangent._invertible(x, n)]
+    assert 0 < len(certified) < grid.size
+    for x in certified:
+        for b in kinds:
+            group_element(matrix_exp(x * b / frobenius(b)))
 
 
 @pytest.mark.parametrize("n", [2, 4, 16])
