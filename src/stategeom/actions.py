@@ -138,7 +138,13 @@ def prescaled_phi(g: np.ndarray, rho: StateDensity) -> tuple[np.ndarray, float]:
     m = g / 2^e from ``_prescale`` and d = Tr(m rho m†), the floor test applied
     to 2^2e d.  So 1/d is at most 4 ||m||_F^2 / d, or where ||g||_F < 1/2
     (e = 0) the reciprocal of the floor that d passed."""
-    m, e, m_norm = _prescale(g)
+    return _normalized(_prescale(g), rho)
+
+
+def _normalized(prescaled: tuple[np.ndarray, int, float],
+                rho: StateDensity) -> tuple[np.ndarray, float]:
+    """``prescaled_phi`` after its ``_prescale``, so one prescale serves several rho."""
+    m, e, m_norm = prescaled
     num = m @ rho.matrix @ dagger(m)
     den = config.check("Tr(g rho g†)", float(np.trace(num).real), config.DENOMINATOR_FLOOR,
                        1.0, NumericallySingular, floor=True, exp2=2 * e)
@@ -197,10 +203,11 @@ def nonconvexity_witness(g, rho1: StateDensity, rho2: StateDensity, lam: float) 
 
     Zero on the unitary subgroup and at the endpoints lam in {0, 1};
     generically positive otherwise.  The mixture is validated; the three
-    images are phi's matrices unvalidated, as no caller receives them.
+    images are phi's matrices unvalidated, as no caller receives them, from
+    one prescale of g.
     """
-    ge = group_element(g, rho1.n)
-    mixed_image = prescaled_phi(ge.matrix, mix_states(rho1, rho2, lam))[0]
-    image_mix = (lam * prescaled_phi(ge.matrix, rho1)[0]
-                 + (1.0 - lam) * prescaled_phi(ge.matrix, rho2)[0])
+    prescaled = _prescale(group_element(g, rho1.n).matrix)
+    mixed_image = _normalized(prescaled, mix_states(rho1, rho2, lam))[0]
+    image_mix = (lam * _normalized(prescaled, rho1)[0]
+                 + (1.0 - lam) * _normalized(prescaled, rho2)[0])
     return frobenius(mixed_image - image_mix)

@@ -140,9 +140,11 @@ def main(ctx, tol, seed, out, fmt):
     source = "--tol" if tol is not None else "STATEGEOM_TOL"
     tol = tol if tol is not None else os.environ.get("STATEGEOM_TOL") or "1"
     try:
-        config.set_tolerance_scale(float(tol))
+        previous = config.set_tolerance_scale(float(tol))
     except ValueError:
         raise ValidationError(f"{source} must be a finite positive number, got {tol!r}") from None
+    # a call run in process, as under CliRunner, leaves the scale it found
+    ctx.call_on_close(lambda: config.set_tolerance_scale(previous))
     ctx.obj = {"seed": seed, "out": out, "format": fmt}
 
 

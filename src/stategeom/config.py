@@ -31,12 +31,14 @@ GNS_MAX_ENTRIES = 1 << 22     # gns payload: n^2 (nk)^2 complex entries (~40 MB 
 _scale = 1.0
 
 
-def set_tolerance_scale(value: float) -> None:
-    """Rescale all module tolerances uniformly (must be finite and positive)."""
+def set_tolerance_scale(value: float) -> float:
+    """Rescale all module tolerances uniformly (must be finite and positive) and
+    return the scale replaced, so a caller can put it back."""
     global _scale
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"tolerance scale must be finite and positive, got {value}")
-    _scale = float(value)
+    previous, _scale = _scale, float(value)
+    return previous
 
 
 def scaled(base: float) -> float:

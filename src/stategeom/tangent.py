@@ -6,8 +6,9 @@ x, y Hermitian.  The normalized action adds the trace correction
 -Tr(a rho + rho a†) rho, making the velocity traceless.  Flows evaluate
 exp(ta) exactly per grid point rather than stepping an ODE, with one
 congruence per point; two O(n^2) certificates stand in for the SVD of
-``group_element`` and the eigvalsh of ``validate_state``, and where one cannot
-decide, the point runs that one test (see ``flow``).
+``group_element`` and the eigvalsh of ``psd_gate``, the positivity tests of
+``validate_state``, and where one cannot decide, the point runs that one test
+(see ``flow``).
 
 The rank of a -> phi_velocity(rho, a), the orbit dimension n^2 - (n-k)^2 - 1
 at rank k, comes from the closed form of its singular values in the
@@ -27,8 +28,8 @@ from .actions import group_element, prescaled_phi
 from .errors import NumericalError, ValidationError
 from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, matrix_exp,
                      require_hermitian)
-from .states import (PositiveFunctional, StateDensity, _as_functional, _eigenpairs, _frozen,
-                     default_rank_tol, unit_trace, validate_state)
+from .states import (PositiveFunctional, StateDensity, _eigenpairs, _frozen, default_rank_tol,
+                     psd_gate, unit_trace)
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def _invertible(x: float, n: int) -> bool:
 
 
 def _positive(mat: np.ndarray, scale: float, flow: _Flow, ratio: float) -> bool:
-    """Whether ``validate_positive``'s eigenvalue tests certainly pass on
+    """Whether ``psd_gate``'s eigenvalue tests certainly pass on
     mat = m rho m† / d (scale = 1 + ||mat||_F, ratio = ||m||_F^2 / d from
     ``prescaled_phi``), without eigvalsh.
 
@@ -167,8 +168,8 @@ def _flow_point(flow: _Flow, t) -> StateDensity:
     ``prescaled_phi``.  Each certificate that cannot decide runs the one test
     it stands in for: ``group_element``'s SVD where ``_invertible`` fails,
     before the congruence as in phi (so Singular comes before
-    NumericallySingular), and ``validate_state``'s eigvalsh of the same matrix
-    where ``_positive`` fails.
+    NumericallySingular), and ``psd_gate``'s eigvalsh of the same matrix, whose
+    Hermitian test has run once already, where ``_positive`` fails.
 
     exp(t gen) is invertible for every t, so a group element or state that
     fails validation here means the exponential overflowed or became too
@@ -183,7 +184,7 @@ def _flow_point(flow: _Flow, t) -> StateDensity:
             mat, ratio = prescaled_phi(g, flow.rho)
             mat, scale = require_hermitian(mat, "functional")
             if not _positive(mat, scale, flow, ratio):
-                return validate_state(mat)
+                return unit_trace(psd_gate(mat, scale).matrix)
             mat.flags.writeable = False
             return unit_trace(mat)
     except ValidationError as exc:
@@ -198,7 +199,8 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     Each point costs one expm, one congruence (phi's, ``prescaled_phi``) and
     O(n^2) checks; the states have the bits of phi(matrix_exp(t a), rho0).
     Two certificates stand in for the SVD of ``group_element`` and the
-    eigvalsh of ``validate_state`` (see ``_invertible`` and ``_positive``):
+    eigvalsh of ``psd_gate``, ``validate_state``'s positivity tests (see
+    ``_invertible`` and ``_positive``):
 
     - invertible, from x = |t| ||a||_F and n alone: e^-x, less expm's forward
       error err = gamma_8n (2 + (1 + sqrt(n)) x) e^x and the SVD's rounding
@@ -210,7 +212,7 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     Where a certificate fails, the point runs the one test it stands in for
     and keeps its congruence: the SVD of exp(ta) where x is above the cut-off
     (13.80, 13.74, 13.46 and 12.77 at n = 1, 4, 16 and 64, tolerance scale 1),
-    and the eigvalsh of rho_t where a rank-deficient rho0 is moved by a badly
+    and ``psd_gate``'s eigvalsh of rho_t where a rank-deficient rho0 is moved by a badly
     conditioned exp(ta), or at every point at a tolerance scale below about
     3e-3 at n = 64, where eigvalsh's allowance alone exceeds PSD_CLAMP_RTOL's
     bound.  So every error is the one phi(group_element(exp(ta)), rho0)
@@ -254,16 +256,15 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     return error
 
 
-def _singular_values(rho) -> np.ndarray:
+def _singular_values(rho: PositiveFunctional) -> np.ndarray:
     """Singular values of a -> phi_velocity(m, a) except the zeros forced by its form,
-    where m is the matrix of ``rho``, a positive functional or a matrix that
-    validates as one.
+    where m is the matrix of the validated value ``rho``, read off its eigen-record.
 
     In the eigenbasis m = W diag(p) W†, each pair j < l of off-diagonal
     entries gives sqrt(2(p_j^2 + p_l^2)) twice, and Re a_jj gives
     |eigenvalues| of 2(diag(p) - p p^T); the other n^2 directions map to 0.
     """
-    p = _eigenpairs(_as_functional(rho)).eigenvalues
+    p = _eigenpairs(rho).eigenvalues
     j, l = np.nonzero(~np.tri(p.shape[0], dtype=bool))
     pairs = np.sqrt(2.0 * (p[j] ** 2 + p[l] ** 2))
     diagonal = np.abs(np.linalg.eigvalsh(2.0 * (np.diag(p) - np.outer(p, p))))

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import dagger, frobenius
-from .states import ProbabilityVector, StateDensity, validate_probability, validate_state
+from stategeom.errors import ValidationError
+from stategeom.linalg import dagger, frobenius
+from stategeom.states import ProbabilityVector, StateDensity, validate_probability, validate_state
 
 __all__ = [
     "random_hermitian",

@@ -19,6 +19,11 @@ from oracles import (
     null_space_dimension,
     real_gram_explicit,
 )
+from sampling import (
+    random_invertible,
+    random_probability,
+    random_state,
+)
 from stategeom.actions import alpha, classical_phi, phi
 from stategeom.gns import gns_construct, gns_transform, purity_check
 from stategeom.isotropy import (
@@ -34,11 +39,6 @@ from stategeom.orbits import (
     convex_recombine_classical,
     make_spectrum_generator,
     truncation_sweep,
-)
-from stategeom.sampling import (
-    random_invertible,
-    random_probability,
-    random_state,
 )
 from stategeom.states import (
     maximally_mixed,

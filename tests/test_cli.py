@@ -333,6 +333,23 @@ class TestGlobalFlags:
         result = runner.invoke(main, ["validate", loose], env={"STATEGEOM_TOL": "100"})
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("args, env, key, code", [
+        ([], {}, "state", 0),
+        (["--tol", "1e-3"], {}, "state", 0),
+        ([], {}, "bad", 2),
+        (["--tol", "1e-3"], {}, "bad", 2),
+        (["--tol", "nan"], {}, "state", 2),
+        ([], {"STATEGEOM_TOL": "2"}, "state", 0),
+    ], ids=["ok", "tol-ok", "not-psd", "tol-not-psd", "tol-nan", "env-ok"])
+    def test_an_in_process_call_restores_the_tolerance_scale(self, runner, files, args, env,
+                                                             key, code):
+        from stategeom import config
+
+        config.set_tolerance_scale(10.0)
+        result = runner.invoke(main, [*args, "validate", files[key]], env=env)
+        assert result.exit_code == code
+        assert config.scaled(1.0) == 10.0
+
     def test_unsupported_format_rejected(self, runner, files):
         result = runner.invoke(main, ["--format", "csv", "validate", files["state"]])
         assert result.exit_code == 2
@@ -737,7 +754,7 @@ SOLVER_COUNTS = {
 
 @pytest.mark.parametrize("args, expected", SOLVER_COUNTS.values(), ids=SOLVER_COUNTS)
 def test_eigensolver_counts_per_command(runner, tmp_path, monkeypatch, args, expected):
-    from stategeom.sampling import random_hermitian, random_invertible, random_state
+    from sampling import random_hermitian, random_invertible, random_state
 
     rng = np.random.default_rng(6)
     f = {"rho": write(tmp_path / "rho.json", random_state(rng, 6, 3).matrix, "state"),

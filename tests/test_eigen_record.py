@@ -12,6 +12,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+from sampling import random_state, random_unitary
 from stategeom import (
     PositiveFunctional,
     StateDensity,
@@ -28,7 +29,6 @@ from stategeom import (
     validate_state,
 )
 from stategeom.linalg import sorted_eigh
-from stategeom.sampling import random_state, random_unitary
 from stategeom.tangent import tangent_map_rank
 
 

@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stategeom import config, tangent
+from sampling import random_direction, random_state
+from stategeom import config, states, tangent
 from stategeom.actions import group_element, phi
 from stategeom.errors import NumericalError, ValidationError
 from stategeom.linalg import frobenius, matrix_exp
-from stategeom.sampling import random_direction, random_state
 from stategeom.states import validate_state
 from stategeom.tangent import fd_tangent_check, flow, phi_velocity
 
@@ -157,6 +157,22 @@ class TestPositivityCertificate:
         point = flow(rho, a, [1.0])[0]
         assert (len(svd_calls), len(eigvalsh_calls)) == (0, 2)  # rho's and the point's
         assert point.matrix.tobytes() == _reference(rho, a, 1.0)
+
+
+    def test_a_miss_tests_hermitian_symmetry_once(self, monkeypatch, eigvalsh_calls):
+        # the point passed require_hermitian before _positive, so its fallback
+        # runs psd_gate's eigvalsh alone; at tolerance scale 1e-5 every point misses
+        rng = np.random.default_rng(727)
+        rho = random_state(rng, 4)
+        a = random_direction(rng, 4, 1.0)
+        config.set_tolerance_scale(1e-5)
+        grid = np.linspace(-1.0, 2.0, 10)
+        eigvalsh_calls.clear()  # validating rho took one
+        tests = [_counted(monkeypatch, module, "require_hermitian") for module in (states, tangent)]
+        points = flow(rho, a, grid)
+        assert len(eigvalsh_calls) == 1 + grid.size  # rho's, then each point's
+        assert sum(map(len, tests)) == grid.size
+        assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
 
 
 def test_a_tolerance_scale_no_state_can_clear_falls_back_with_the_same_bits(svd_calls):

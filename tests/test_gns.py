@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import dag
+from sampling import random_invertible, random_state, random_unitary
 from stategeom.actions import phi
 from stategeom.gns import (
     commutant_dimension,
@@ -10,7 +11,6 @@ from stategeom.gns import (
     gns_transform,
     purity_check,
 )
-from stategeom.sampling import random_invertible, random_state, random_unitary
 from stategeom.states import (
     maximally_mixed,
     validate_probability,

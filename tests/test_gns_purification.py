@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from sampling import random_state
 from stategeom import config
 from stategeom.errors import ValidationError
 from stategeom.gns import gns_construct, gns_construct_abelian, gns_transform
-from stategeom.sampling import random_state
 from stategeom.states import maximally_mixed, validate_probability, validate_state
 
 

@@ -10,6 +10,7 @@ from oracles import (
     real_gram_explicit,
     sweep_residual_reference,
 )
+from sampling import random_direction, random_state
 from stategeom.actions import phi
 from stategeom.isotropy import (
     complement_basis_alpha,
@@ -24,7 +25,6 @@ from stategeom.isotropy import (
     orbit_dimension,
 )
 from stategeom.linalg import frobenius, fro_scale, matrix_exp
-from stategeom.sampling import random_direction, random_state
 from stategeom.states import (
     maximally_mixed,
     spectral_split,
@@ -419,7 +419,7 @@ def _bound_inputs():
     that h w - w diag(p) is far above rounding, and splits whose basis has
     nothing to do with the base diag(n, 1, ..., 1), where velocities are O(1)
     and the normalized action's trace term decides the bound."""
-    from stategeom.sampling import random_unitary
+    from sampling import random_unitary
     from stategeom.states import SpectralSplit
 
     def padded(split, trace=1.0):

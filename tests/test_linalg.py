@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import stategeom
 from oracles import dag, eig_count, expm_series, matrix_text
+from sampling import random_hermitian, random_invertible, random_unitary
 from stategeom.errors import NotHermitian, NotPSD, Singular
 from stategeom.linalg import (
     _fix_phases,
@@ -21,7 +22,6 @@ from stategeom.linalg import (
     matrix_sqrt_psd,
     polar,
 )
-from stategeom.sampling import random_hermitian, random_invertible, random_unitary
 
 
 class TestHermitianEig:

@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from oracles import dag
+from sampling import (
+    random_invertible,
+    random_probability,
+    random_state,
+    random_unitary,
+)
 from stategeom import config
 from stategeom.actions import alpha, classical_phi, phi
 from stategeom.errors import NotTracial, RankMismatch
@@ -18,12 +24,6 @@ from stategeom.orbits import (
     same_orbit_alpha,
     tracial_orbit_point,
     truncation_sweep,
-)
-from stategeom.sampling import (
-    random_invertible,
-    random_probability,
-    random_state,
-    random_unitary,
 )
 from stategeom.serialize import truncation_csv
 from stategeom.states import (

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stategeom import sampling
+import sampling
 from stategeom.errors import ValidationError, ZeroFunctional
 from stategeom.isotropy import isotropy_dimension_alpha, orbit_dimension
 from stategeom.linalg import as_operator, inertia

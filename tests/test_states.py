@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import dag, eig_count
+from sampling import random_invertible, random_probability, random_state
 from stategeom.errors import NotHermitian, NotPSD, TraceError, ValidationError, ZeroFunctional
 from stategeom.linalg import frobenius, fro_scale, inertia
-from stategeom.sampling import random_invertible, random_probability, random_state
 from stategeom.states import (
     classify_orbit,
     default_rank_tol,

@@ -1,15 +1,17 @@
 """The package's public surface is declared once, in ``__init__.py``.
 
-Every top-level function or class without a leading underscore is either
-exported by ``__init__.py``, used by name elsewhere in the package, listed in
-the ``__all__`` of ``serialize`` or ``sampling`` (the two modules the package
-does not re-export), or a registered CLI command; anything else is a helper
-that no caller needs.  Every name in ``serialize.__all__`` is used by the
-package or the benchmark, and every defaulted parameter of a public function
-(outside the test-support module ``sampling``) is passed by some call there,
-so an option that only tests set cannot stay.  Every public method, property
-and dataclass field of an exported class is read as an attribute somewhere in
-the package, the benchmark or the tests, outside its own definition.  Private
+Every module of the package is a submodule named in the export table
+``_EXPORTS``, or is ``__init__``, ``cli`` or ``serialize``, so test support
+cannot ship in it.  Every top-level function or class without a leading
+underscore is either exported by ``__init__.py``, used by name elsewhere in
+the package, listed in the ``__all__`` of ``serialize`` (the one module besides
+the CLI that the package does not re-export), or a registered CLI command;
+anything else is a helper that no caller needs.  Every name in
+``serialize.__all__`` is used by the package or the benchmark, and every
+defaulted parameter of a public function is passed by some call there, so an
+option that only tests set cannot stay.  Every public method, property and
+dataclass field of an exported class is read as an attribute somewhere in the
+package, the benchmark or the tests, outside its own definition.  Private
 helpers are held to the package alone: every top-level private function or
 class (dunders aside) is used by name elsewhere in it, and every field of a
 private dataclass is read there as an attribute.  The private names one
@@ -18,6 +20,7 @@ edit.
 """
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -25,7 +28,7 @@ import stategeom
 from test_api import PUBLIC_NAMES
 
 PACKAGE = Path(stategeom.__file__).resolve().parent
-DECLARING_MODULES = ("serialize.py", "sampling.py")
+DECLARING_MODULES = ("serialize.py",)
 
 
 def _trees():
@@ -58,15 +61,32 @@ def _is_cli_command(stmt):
                for d in stmt.decorator_list)
 
 
+def _export_table(trees):
+    """The export table ``_EXPORTS`` of ``__init__.py``: submodule -> public names."""
+    return next(ast.literal_eval(stmt.value) for stmt in trees["__init__.py"].body
+                if isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in stmt.targets))
+
+
 def _exported(trees):
-    """The names in the export table of ``__init__.py``, checked against the
-    pinned public names, so no guard here can run on an empty set."""
-    table = next(ast.literal_eval(stmt.value) for stmt in trees["__init__.py"].body
-                 if isinstance(stmt, ast.Assign)
-                 and any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in stmt.targets))
-    exported = {name for names in table.values() for name in names}
+    """The names in the export table, checked against the pinned public names,
+    so no guard here can run on an empty set."""
+    exported = {name for names in _export_table(trees).values() for name in names}
     assert exported == set(PUBLIC_NAMES)
     return exported
+
+
+def test_every_module_is_exported_or_an_entry_point():
+    # a module outside the export table ships code that no import of the
+    # package, no command and no serialization runs, such as test support
+    modules = {path.stem for path in PACKAGE.iterdir()
+               if path.suffix == ".py" or (path / "__init__.py").exists()}
+    strays = modules - set(_export_table(_trees())) - {"__init__", "cli", "serialize"}
+    assert not strays, f"modules neither exported nor an entry point: {sorted(strays)}"
+
+
+def test_test_support_is_not_importable_from_the_package():
+    assert importlib.util.find_spec("stategeom.sampling") is None
 
 
 def test_only_unexported_modules_declare_all():
@@ -106,7 +126,6 @@ PRIVATE_IMPORTS = {
     ("gns", "states", "_frozen"),
     ("orbits", "actions", "_require_weight"),
     ("orbits", "actions", "_weight_squares"),
-    ("tangent", "states", "_as_functional"),
     ("tangent", "states", "_eigenpairs"),
     ("tangent", "states", "_frozen"),
 }
@@ -149,10 +168,8 @@ def test_every_serialize_name_has_a_caller():
 
 def _public_functions(trees):
     """(qualified name, def, whether a method) of every public function and
-    public method of a public class, outside the test-support module ``sampling``."""
-    for module, tree in trees.items():
-        if module == "sampling.py":
-            continue
+    public method of a public class."""
+    for tree in trees.values():
         for stmt in tree.body:
             if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
                 yield stmt.name, stmt, False

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import central_difference, dag, tangent_singular_values_dense
+from sampling import random_direction, random_hermitian, random_state, random_unitary
 from stategeom import config
 from stategeom.actions import phi
 from stategeom.errors import NotHermitian, NumericalError, ValidationError
@@ -12,7 +13,6 @@ from stategeom.isotropy import (
     orbit_dimension,
 )
 from stategeom.linalg import frobenius, matrix_exp
-from stategeom.sampling import random_direction, random_hermitian, random_state, random_unitary
 from stategeom.states import maximally_mixed, spectral_split, validate_positive, validate_state
 from stategeom.tangent import (
     _singular_values,
@@ -249,7 +249,7 @@ class TestClosedFormAgainstDenseMap:
         for k in range(1, n + 1):
             rho = random_state(rng, n, rank=k)
             dense = tangent_singular_values_dense(rho.matrix)
-            closed = np.sort(np.concatenate([_singular_values(rho.matrix), np.zeros(n * n)]))
+            closed = np.sort(np.concatenate([_singular_values(rho), np.zeros(n * n)]))
             np.testing.assert_allclose(closed[::-1], dense, rtol=0.0, atol=1e-13)
             if n > 1:  # at n = 1 the map is zero and a relative cut only sees round-off
                 assert tangent_map_rank(rho) == _oracle_rank(dense) == n * n - (n - k) ** 2 - 1
@@ -272,7 +272,7 @@ class TestClosedFormAgainstDenseMap:
     def test_rank_at_n1_is_zero(self):
         # the entry 1.0000000000000002 leaves a round-off singular value 4.4e-16
         rho = random_state(np.random.default_rng(61), 1)
-        assert _singular_values(rho.matrix).max() > 0.0
+        assert _singular_values(rho).max() > 0.0
         assert tangent_map_rank(rho) == 0 == 1 - (1 - 1) ** 2 - 1
         assert tangent_map_rank(validate_state(np.eye(1, dtype=complex))) == 0
 
