@@ -20,6 +20,13 @@ import os
 import sys
 from collections.abc import Mapping
 
+# One BLAS thread unless the user set a count: with OpenBLAS's default threads a
+# numpy eigh, eigvalsh or matrix product at n = 32-64 stalls in steps of about
+# 16 ms.  OpenBLAS reads the variable when numpy loads, so a process that loaded
+# numpy before the CLI keeps its environment as it is.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import click
 import numpy as np
 

@@ -103,6 +103,13 @@ def gamma(k: int) -> float:
     return k * u / (1.0 - k * u)
 
 
+def eig_allowance(n: int) -> float:
+    """How far the eigenvalues of (m + m†)/2 from ``eigh`` or ``eigvalsh`` may lie from
+    those of m's Hermitian part, per unit of ||m||_F: sqrt(n) gamma_4n for either
+    solver's backward error and gamma_4n for the symmetrization and a division before it."""
+    return (math.sqrt(n) + 1.0) * gamma(4 * n)
+
+
 def fro_scale(a: np.ndarray) -> float:
     """Scale factor ``1 + ||a||_F`` used by relative tolerances."""
     return 1.0 + frobenius(a)

@@ -134,17 +134,18 @@ def validate_positive(m) -> PositiveFunctional:
 
     Raises NotHermitian, NotPSD or ZeroFunctional.
     """
-    return psd_gate(*require_hermitian(m, "functional"))
+    mat, scale = require_hermitian(m, "functional")
+    psd_gate(mat, scale)
+    return PositiveFunctional(matrix=_frozen(mat))
 
 
-def psd_gate(mat: np.ndarray, scale: float) -> PositiveFunctional:
+def psd_gate(mat: np.ndarray, scale: float) -> None:
     """``validate_positive``'s eigenvalue tests, one eigvalsh, on a matrix that
     passed ``require_hermitian`` with its scale 1 + ||mat||_F."""
     w = np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
     config.check("-(smallest eigenvalue)", -w[0], config.PSD_CLAMP_RTOL, scale, NotPSD)
     config.check("largest eigenvalue", w[-1], config.PSD_CLAMP_RTOL, scale, ZeroFunctional,
                  floor=True)
-    return PositiveFunctional(matrix=_frozen(mat))
 
 
 def validate_state(m) -> StateDensity:

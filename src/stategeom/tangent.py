@@ -26,10 +26,10 @@ import numpy as np
 from . import config
 from .actions import group_element, prescaled_phi
 from .errors import NumericalError, ValidationError
-from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, matrix_exp,
-                     require_hermitian)
+from .linalg import (as_operator, dagger, eig_allowance, fro_scale, frobenius, gamma,
+                     matrix_exp, require_hermitian)
 from .states import (PositiveFunctional, StateDensity, _eigenpairs, _frozen, default_rank_tol,
-                     psd_gate, unit_trace)
+                     min_eigenvalue, psd_gate, unit_trace)
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,12 @@ def covariance(rho: StateDensity, a, b) -> float:
     return quad - 2.0 * float(np.trace(m @ am).real) * float(np.trace(m @ bm).real)
 
 
-def _eig_allowance(n: int) -> float:
-    """How far eigvalsh's eigenvalues of (m + m†)/2 may lie from those of m's
-    Hermitian part, per unit of ||m||_F: sqrt(n) gamma_4n for its backward error
-    and gamma_4n for the symmetrization and a division before it."""
-    return (math.sqrt(n) + 1.0) * gamma(4 * n)
-
-
 @dataclass(frozen=True)
 class _Flow:
     """What every point of the flow of ``rho`` along ``gen`` shares: ||gen||_F,
-    ||rho||_F and ``rho_floor`` = min(0, lambda_min - ``_eig_allowance`` ||rho||_F),
-    a lower bound on the smallest eigenvalue of rho's Hermitian part (one
-    eigvalsh per flow)."""
+    ||rho||_F and ``rho_floor`` = min(0, lambda_min - ``eig_allowance`` ||rho||_F),
+    a lower bound on the smallest eigenvalue of rho's Hermitian part, read from
+    rho's eigen-record."""
 
     rho: StateDensity
     gen: np.ndarray
@@ -102,11 +95,9 @@ class _Flow:
 
 def _flow_of(rho: StateDensity, a) -> _Flow:
     gen = as_operator(a, "generator", rho.n)
-    m = rho.matrix
-    rho_norm = frobenius(m)
-    lam = float(np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0])
+    rho_norm = frobenius(rho.matrix)
     return _Flow(rho=rho, gen=gen, gen_norm=frobenius(gen), rho_norm=rho_norm,
-                 rho_floor=min(0.0, lam - _eig_allowance(rho.n) * rho_norm))
+                 rho_floor=min(0.0, min_eigenvalue(rho) - eig_allowance(rho.n) * rho_norm))
 
 
 def _invertible(x: float, n: int) -> bool:
@@ -146,9 +137,9 @@ def _positive(mat: np.ndarray, scale: float, flow: _Flow, ratio: float) -> bool:
     real product, under 3 n^2 2^-1074 / d on mat as ||m||_2 < 1: below
     n^2 2^-1070 ratio where ||m||_F >= 1/2.  Elsewhere m = g, so d passed the
     scaled DENOMINATOR_FLOOR itself, and this test passes only at tolerance
-    scales of at least _eig_allowance(n) / PSD_CLAMP_RTOL: the term is below
-    n^2 2^-1000.  eigvalsh errs by ``_eig_allowance`` ||mat||_F, and the
-    allowance, ``_eig_allowance`` * scale, exceeds that by 2^-51 or more: room
+    scales of at least eig_allowance(n) / PSD_CLAMP_RTOL: the term is below
+    n^2 2^-1000.  eigvalsh errs by ``eig_allowance`` ||mat||_F, and the
+    allowance, ``eig_allowance`` * scale, exceeds that by 2^-51 or more: room
     for that term and the quotient's and eigvalsh's underflow, O(n^2 2^-1074).
     So -(smallest eigenvalue) <= (gamma_{4n+8} ||rho||_F - rho_floor +
     n^2 2^-1070) ratio + allowance, which must clear PSD_CLAMP_RTOL * scale.
@@ -156,7 +147,7 @@ def _positive(mat: np.ndarray, scale: float, flow: _Flow, ratio: float) -> bool:
     allowance and the trace's rounding, which must be above that bound.
     """
     n = mat.shape[0]
-    allowance = _eig_allowance(n) * scale
+    allowance = eig_allowance(n) * scale
     deficit = (gamma(4 * n + 8) * flow.rho_norm - flow.rho_floor + n * n * 2.0 ** -1070) * ratio
     top = (float(np.trace(mat).real) - math.sqrt(n) * gamma(n) * scale) / n
     return (config.clears(deficit + allowance, config.PSD_CLAMP_RTOL, scale)
@@ -184,7 +175,7 @@ def _flow_point(flow: _Flow, t) -> StateDensity:
             mat, ratio = prescaled_phi(g, flow.rho)
             mat, scale = require_hermitian(mat, "functional")
             if not _positive(mat, scale, flow, ratio):
-                return unit_trace(psd_gate(mat, scale).matrix)
+                psd_gate(mat, scale)
             mat.flags.writeable = False
             return unit_trace(mat)
     except ValidationError as exc:
@@ -206,7 +197,7 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
       error err = gamma_8n (2 + (1 + sqrt(n)) x) e^x and the SVD's rounding
       sqrt(n) gamma_8n (e^x + err), exceeds SINGULAR_RTOL (1 + e^x + err);
     - a state: with B = PSD_CLAMP_RTOL (1 + ||rho_t||_F), ``_positive``'s lower
-      bound on the spectrum of rho_t (one eigvalsh of rho0 per call) is above
+      bound on the spectrum of rho_t (from rho0's eigen-record) is above
       -B, and Tr(rho_t) / n less eigvalsh's allowance is above B.
 
     Where a certificate fails, the point runs the one test it stands in for
@@ -232,7 +223,7 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     Returns ||fd - value||_F / (1 + ||value||_F) with the symmetric
     difference (phi(exp(ha)) - phi(exp(-ha))) / 2h; h must be finite and nonzero.
     The two points are ``flow``'s, with its certificates and fallback, so they
-    cost two expm, two congruences and one eigvalsh of rho.  A step so small
+    cost two expm and two congruences, and read rho's eigen-record.  A step so small
     that the quotient overflows raises NumericalError, and so does one whose
     quotient rounding may swallow whole: the allowance
     gamma_{4n+8} (||fwd||_F + ||bwd||_F) / 2|h| of the two points' congruences

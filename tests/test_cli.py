@@ -747,7 +747,7 @@ SOLVER_COUNTS = {
     "connect-phi": (lambda f: ["connect", "phi", f["rho"], f["rho2"]], (2, 2, 1)),
     "isotropy": (lambda f: ["isotropy", f["rho"]], (1, 1, 1)),
     "gns": (lambda f: ["gns", f["rho"]], (1, 1, 0)),
-    "tangent": (lambda f: ["tangent", f["rho"], f["gen"]], (0, 2, 0)),
+    "tangent": (lambda f: ["tangent", f["rho"], f["gen"]], (1, 1, 0)),
     "recombine": (lambda f: ["recombine", f["tau"], f["g"], f["g2"], "0.25"], (1, 2, 3)),
 }
 
@@ -773,3 +773,44 @@ def test_eigensolver_counts_per_command(runner, tmp_path, monkeypatch, args, exp
     result = runner.invoke(main, args(f))
     assert result.exit_code == 0, result.output
     assert tuple(counts.values()) == expected
+
+
+def _child_output(script, *args, threads=None):
+    """stdout of ``script`` in a fresh interpreter whose environment sets
+    OPENBLAS_NUM_THREADS to ``threads``, or leaves it unset for None."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import stategeom
+
+    src = str(Path(stategeom.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("threads, seen", [(None, "1"), ("3", "3"), ("", "")])
+def test_the_cli_defaults_to_one_blas_thread(threads, seen):
+    script = "import os, stategeom.cli; print(repr(os.environ.get('OPENBLAS_NUM_THREADS')))"
+    assert _child_output(script, threads=threads) == f"{seen!r}\n"
+
+
+def test_a_cli_call_after_numpy_loaded_leaves_the_environment_unchanged(files):
+    # OpenBLAS has read its thread count by then; the CLI sets nothing
+    script = """
+import os, sys
+import numpy
+before = dict(os.environ)
+from click.testing import CliRunner
+from stategeom.cli import main
+result = CliRunner().invoke(main, ["validate", sys.argv[1]])
+assert result.exit_code == 0, result.output
+print(dict(os.environ) == before, "OPENBLAS_NUM_THREADS" in os.environ)
+"""
+    assert _child_output(script, files["state"]) == "True False\n"

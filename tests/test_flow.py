@@ -64,8 +64,8 @@ def svd_calls(monkeypatch):
 
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
-    """Count the eigvalsh taken: one of rho per call, and one per point that
-    fell back to validate_state."""
+    """Count the eigvalsh taken: one per point that fell back to validate_state;
+    rho's floor comes from its eigen-record."""
     return _counted(monkeypatch, np.linalg, "eigvalsh")
 
 
@@ -109,7 +109,7 @@ class TestInvertibilityCertificate:
         assert not tangent._invertible(60.0, 4)
         eigvalsh_calls.clear()  # validating rho took one
         point = flow(rho, a, [1.0])[0]
-        assert (len(svd_calls), len(eigvalsh_calls)) == (1, 1)  # the SVD, rho's eigvalsh
+        assert (len(svd_calls), len(eigvalsh_calls)) == (1, 0)  # the SVD alone
         assert point.matrix.tobytes() == _reference(rho, a, 1.0)
 
     def test_gives_up_past_its_cut_off_and_keeps_the_bits(self, svd_calls):
@@ -155,7 +155,7 @@ class TestPositivityCertificate:
         assert tangent._invertible(math.sqrt(18.0), 2)
         eigvalsh_calls.clear()  # validating rho took one
         point = flow(rho, a, [1.0])[0]
-        assert (len(svd_calls), len(eigvalsh_calls)) == (0, 2)  # rho's and the point's
+        assert (len(svd_calls), len(eigvalsh_calls)) == (0, 1)  # the point's
         assert point.matrix.tobytes() == _reference(rho, a, 1.0)
 
 
@@ -170,9 +170,44 @@ class TestPositivityCertificate:
         eigvalsh_calls.clear()  # validating rho took one
         tests = [_counted(monkeypatch, module, "require_hermitian") for module in (states, tangent)]
         points = flow(rho, a, grid)
-        assert len(eigvalsh_calls) == 1 + grid.size  # rho's, then each point's
+        assert len(eigvalsh_calls) == grid.size  # each point's
         assert sum(map(len, tests)) == grid.size
         assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
+
+    def test_a_miss_copies_no_matrix(self, monkeypatch):
+        # a point that psd_gate passes is frozen in place, as a certified one is
+        rng = np.random.default_rng(727)
+        rho = random_state(rng, 4)
+        a = random_direction(rng, 4, 1.0)
+        config.set_tolerance_scale(1e-5)
+        grid = np.linspace(-1.0, 2.0, 10)
+        positive = []
+
+        def recording(*args, _decide=tangent._positive):
+            positive.append(_decide(*args))
+            return positive[-1]
+
+        monkeypatch.setattr(tangent, "_positive", recording)
+        copies = [_counted(monkeypatch, module, "_frozen") for module in (states, tangent)]
+        points = flow(rho, a, grid)
+        assert positive == [False] * grid.size
+        assert sum(map(len, copies)) == 0
+        assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
+
+
+def test_a_value_without_a_record_flows_with_the_same_bits():
+    # a writable matrix keeps no eigen-record, so rho's floor is decomposed afresh
+    rng = np.random.default_rng(728)
+    for n, rank in ((4, 2), (16, 16)):
+        rho = random_state(rng, n, rank)
+        a = random_direction(rng, n, 1.0)
+        bare = states.StateDensity(matrix=np.array(rho.matrix))
+        grid = np.linspace(-1.0, 2.0, 5)
+        assert [p.matrix.tobytes() for p in flow(bare, a, grid)] == \
+            [p.matrix.tobytes() for p in flow(rho, a, grid)]
+        assert fd_tangent_check(bare, a) == fd_tangent_check(rho, a)
+        assert "_eigenpairs" not in bare.__dict__
+        assert "_eigenpairs" in rho.__dict__
 
 
 def test_a_tolerance_scale_no_state_can_clear_falls_back_with_the_same_bits(svd_calls):
@@ -204,7 +239,7 @@ def test_underflowing_products_keep_the_bits_of_phi_without_an_svd(svd_calls):
 @pytest.mark.parametrize("scale", [1e-5, 1e-3, 1.0, 10.0])
 def test_each_miss_runs_the_one_test_it_stands_in_for(scale, monkeypatch):
     # one congruence per point; an SVD per point where _invertible fails and an
-    # eigvalsh per point where _positive fails, beside rho's one per call
+    # eigvalsh per point where _positive fails; rho's floor is its eigen-record's
     decisions = {"_invertible": [], "_positive": []}
     for name, log in decisions.items():
         def recording(*args, _decide=getattr(tangent, name), _log=log):
@@ -234,7 +269,7 @@ def test_each_miss_runs_the_one_test_it_stands_in_for(scale, monkeypatch):
         assert len(flow(rho, a, grid)) == grid.size
         assert len(congruences) == grid.size
         assert len(svds) == decisions["_invertible"].count(False)
-        assert len(eigvalshs) == 1 + decisions["_positive"].count(False)
+        assert len(eigvalshs) == decisions["_positive"].count(False)
         for name, log in decisions.items():
             misses[name] += log.count(False)
     assert all(misses.values()), misses  # both fallbacks ran

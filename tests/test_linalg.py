@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import stategeom
 from oracles import dag, eig_count, expm_series, matrix_text
-from sampling import random_hermitian, random_invertible, random_unitary
+from sampling import random_hermitian, random_invertible, random_state, random_unitary
 from stategeom.errors import NotHermitian, NotPSD, Singular
 from stategeom.linalg import (
     _fix_phases,
+    eig_allowance,
     frobenius,
     fro_scale,
     hermitian_eig,
@@ -22,6 +23,7 @@ from stategeom.linalg import (
     matrix_sqrt_psd,
     polar,
 )
+from stategeom.states import min_eigenvalue, validate_positive
 
 
 class TestHermitianEig:
@@ -240,3 +242,17 @@ assert "scipy.linalg" in sys.modules
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_the_eigenvalue_allowance_covers_eigh_and_eigvalsh(n):
+    # the record's eigh and a fresh eigvalsh of the same (m + m†)/2 agree on the
+    # smallest eigenvalue within eig_allowance(n) ||m||_F
+    rng = np.random.default_rng(760 + n)
+    for rank in sorted({1, max(1, n // 2), n}):
+        rho = random_state(rng, n, rank)
+        for scale in (1e-8, 1.0, 1e8):
+            value = validate_positive(scale * rho.matrix)
+            m = value.matrix
+            w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
+            assert abs(min_eigenvalue(value) - w) <= eig_allowance(n) * frobenius(m), (rank, scale)
