@@ -235,3 +235,19 @@ def hermitian_components_reference(t):
     for j, k in zip(*np.triu_indices(n, k=1)):
         columns += [2.0 * t[..., j, k].real, 2.0 * t[..., j, k].imag]
     return np.stack(columns, axis=-1)
+
+
+FLOAT_FIELD = "%.17g"
+
+
+def csv_reference(header, template, rows):
+    """CSV text with a row template: the header, then each row formatted by one
+    ``%`` template, entries by Python's own formatter (CSV floats are
+    ``FLOAT_FIELD``)."""
+    return "\n".join([header] + [template % tuple(row) for row in rows]) + "\n"
+
+
+def float_rows_reference(table):
+    """The rows of a float table as CSV text, each entry ``"%.17g" % x``."""
+    table = np.asarray(table, dtype=float)
+    return csv_reference("", ",".join([FLOAT_FIELD] * table.shape[1]), table.tolist())[1:]

@@ -5,22 +5,26 @@ inputs are built with exact dyadic and correctly rounded arithmetic, so
 their pins depend on the encoder alone.  The CLI pins also cover the
 numerics behind each payload (eigendecompositions, matrix exponentials), so
 a different LAPACK build may change their last digits.  Input files are
-written by a local encoder, independent of the library's.
+written by a local encoder, independent of the library's.  The CSV float
+encoder is also compared byte for byte with Python's own formatter, through
+the row-template reference in ``oracles``, on seeded families of hard values.
 """
 
 import hashlib
 import json
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from stategeom import linalg
+from oracles import FLOAT_FIELD, csv_reference, float_rows_reference
+from stategeom import linalg, serialize
 from stategeom.cli import main
 from stategeom.errors import ValidationError
-from stategeom.serialize import flow_csv
+from stategeom.serialize import flow_csv, truncation_csv
 from stategeom.states import validate_state
 
 
@@ -89,6 +93,163 @@ def test_flow_csv_refuses_states_of_mixed_dimension():
     states[1] = validate_state(exact_state(3, 1))
     with pytest.raises(ValidationError, match="dimension"):
         flow_csv(ts, states)
+
+
+def ulps(values, k):
+    """Each value and its neighbours up to k units in the last place away."""
+    bits = np.asarray(values, dtype=float)[:, None].view(np.int64)
+    return (bits + np.arange(-k, k + 1)).view(float).ravel()
+
+
+def float_families(rng):
+    """Seeded values for the CSV float encoder, with their negatives."""
+    odd = 2 ** 53 - 2 * rng.integers(0, 2 ** 40, 20000) - 1
+    families = {
+        "log10-uniform": 10.0 ** rng.uniform(-320, 308, 40000),
+        "powers-of-ten": ulps([float(f"1e{e}") for e in range(-300, 301)], 4),
+        # m/4 has 16 integer digits and ends in .25 or .75: an exact tie at 17 digits
+        "ties": odd / 4.0,
+        "integers": np.ldexp(rng.integers(2 ** 52, 2 ** 53, 10000).astype(float),
+                             rng.integers(1, 120, 10000)),
+        "switch-points": ulps([1e-5, 1e-4, 1e16, 1e17], 8),
+        # 17 nines round up to the next power of ten: 9.9999999999999999e-05 is 0.0001
+        "round-up": np.array([float(f"9.9999999999999999{d}e{e}") for e in range(-300, 301)
+                              for d in (0, 5, 9)]),
+        "signed-specials": np.array([0.0, np.inf, np.nan]),
+    }
+    return {name: np.concatenate([v, -v]) for name, v in families.items()}
+
+
+FAMILIES = float_families(np.random.default_rng(2024))
+
+
+def csv_floats(values, cols):
+    """The values as a table of ``cols`` columns, padded with ones."""
+    values = np.concatenate([values, np.ones(-len(values) % cols)])
+    table = values.reshape(-1, cols)
+    return serialize._float_text(table), float_rows_reference(table)
+
+
+def first_mismatch(got, want):
+    """None when the texts agree, else the first field that differs as
+    (index, got, want); a cheap report where a full text diff is not."""
+    if got == want:
+        return None
+    fields = zip(got.replace("\n", ",\n").split(","), want.replace("\n", ",\n").split(","))
+    return next(((i, a, b) for i, (a, b) in enumerate(fields) if a != b), ("lengths", len(got),
+                                                                         len(want)))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_csv_floats_are_pythons_text(name):
+    assert first_mismatch(*csv_floats(FAMILIES[name], 7)) is None
+
+
+@pytest.mark.parametrize("cols", [513, 10007])  # a flow row at n = 16; a row wider than a block
+def test_csv_floats_of_mixed_families_are_pythons_text(cols):
+    values = np.concatenate(list(FAMILIES.values()))
+    assert values.size >= 10 ** 5
+    np.random.default_rng(5).shuffle(values)
+    assert first_mismatch(*csv_floats(values, cols)) is None
+
+
+def test_the_round_up_family_crosses_a_power_of_ten():
+    assert "%.17g" % 9.9999999999999999e-05 == "0.0001"
+    assert csv_floats(np.array([9.9999999999999999e-05]), 1)[0] == "0.0001\n"
+
+
+def test_an_exponent_estimate_one_too_low_carries(monkeypatch):
+    """With log10 nudged one unit down, an exact power of ten gets the
+    exponent below its own, and its 17 digits round up to 10**17: the
+    carry makes that 10**16 with the exponent one up."""
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+    values = ulps([float(f"1e{e}") for e in range(-280, 281)], 1)
+    n, k, sure = serialize._significands(values)
+    assert np.count_nonzero(sure & (k == np.floor(np.log10(values)) + 1)) > 0  # carried
+    assert first_mismatch(*csv_floats(values, 3)) is None
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The values each call of the per-entry fallback formatted."""
+    values = []
+
+    def counted(x, inner=serialize._g17):
+        values.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(serialize, "_g17", counted)
+    return values
+
+
+def seeded_trajectory(seed=16, n=16, rows=200):
+    """A trajectory of seeded Hermitian states, as ``lib_large`` writes: the
+    imaginary parts of the diagonal are exact zeros."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, rows)
+    states = []
+    for _ in grid:
+        rho = random_state(rng, n, n)
+        states.append(validate_state((rho + rho.conj().T) / 2))
+    return grid, states
+
+
+def flow_reference(ts, states):
+    n = states[0].n
+    header = ",".join(["t"] + [f"{part}_{i}_{j}" for i in range(n) for j in range(n)
+                               for part in ("re", "im")])
+    rows = [[t] + np.asarray(rho.matrix, dtype=complex).ravel().view(float).tolist()
+            for t, rho in zip(ts, states)]
+    return csv_reference(header, ",".join([FLOAT_FIELD] * len(rows[0])), rows)
+
+
+def test_a_trajectory_needs_no_fallback(fallbacks):
+    ts, states = seeded_trajectory()
+    entries = np.stack([rho.matrix for rho in states])
+    assert np.count_nonzero(entries.imag == 0.0) == 16 * 200  # the diagonal's exact zeros
+    assert first_mismatch(flow_csv(ts, states), flow_reference(ts, states)) is None
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("values", [
+    FAMILIES["ties"][:2000],
+    np.concatenate([5e-324 * np.arange(1.0, 9.0), ulps([1e-310, 2.2250738585072014e-308,
+                                                             1e-300, 9e-281], 3)]),
+    np.array([np.inf, -np.inf, np.nan, np.inf, np.nan]),
+], ids=["ties", "subnormal-and-tiny", "non-finite"])
+def test_undecided_entries_fall_back_one_at_a_time(fallbacks, values):
+    assert first_mismatch(*csv_floats(values, 3)) is None
+    assert len(fallbacks) == values.size  # padding ones are certified
+    assert (np.array(fallbacks).view(np.int64) == values.view(np.int64)).all()
+
+
+def test_truncation_csv_shares_the_float_encoder(fallbacks):
+    report = SimpleNamespace(dims=(2, 3, 520), bound_constants=(0.5, 2251799813685247.75, np.inf),
+                             opnorms=(1e-5, 1.0, np.inf), residuals=(0.0, -0.0, np.inf),
+                             flags=(False, True, True))
+    want = csv_reference("n,C,opnorm,residual,flag", f"%d,{FLOAT_FIELD},{FLOAT_FIELD},"
+                         f"{FLOAT_FIELD},%s", zip(report.dims, report.bound_constants,
+                                                   report.opnorms, report.residuals,
+                                                   ("false", "true", "true")))
+    assert truncation_csv(report) == want
+    assert fallbacks == [2251799813685247.75, np.inf, np.inf, np.inf]
+
+
+def test_flow_csv_working_memory():
+    """The 200-row n = 16 trajectory is 102,600 floats and 2.0 MB of text.
+    Formatted a row at a time, the traced peak was 8.9 MiB (a list of Python
+    floats and the row strings beside the text); encoded in blocks of 8192
+    entries it is about 5.4 MiB: the table, one output buffer of 25 bytes an
+    entry, its decoded text and the text with the header."""
+    ts, states = seeded_trajectory()
+    tracemalloc.start()
+    try:
+        flow_csv(ts, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * 2 ** 20
 
 
 @pytest.fixture
