@@ -18,7 +18,7 @@ import numpy as np
 from . import config
 from .errors import NotUnitary, NumericallySingular, Singular, ValidationError, ZeroWeight
 from .errors import NumericalError
-from .linalg import as_operator, dagger, frobenius, require_hermitian
+from .linalg import as_operator, dagger, frobenius, hermitian_part, in_range, require_hermitian
 from .states import (
     PositiveFunctional,
     ProbabilityVector,
@@ -68,11 +68,7 @@ def group_element(g, n: int | None = None) -> GroupElement:
 
 def _congruence(g: np.ndarray, m: np.ndarray) -> np.ndarray:
     """g m g†; NumericalError when the product overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = g @ m @ dagger(g)
-    if not np.isfinite(out).all():
-        raise NumericalError("g xi g† overflows double precision")
-    return out
+    return in_range("g xi g†", math.inf, lambda: g @ m @ dagger(g))
 
 
 def alpha(g, xi):
@@ -86,24 +82,22 @@ def alpha(g, xi):
     if isinstance(xi, PositiveFunctional):
         return validate_positive(_congruence(group_element(g, xi.n).matrix, xi.matrix))
     ge = group_element(g)
-    out = _congruence(ge.matrix, require_hermitian(xi, "functional", ge.n)[0])
-    return (out + dagger(out)) / 2.0
+    return hermitian_part(_congruence(ge.matrix, require_hermitian(xi, "functional", ge.n)[0]))
 
 
 def denominator(g, rho: StateDensity) -> float:
-    """Normalization Tr(rho g†g), strictly positive for invertible g.
+    """Normalization Tr(g rho g†) = Tr(rho g†g), strictly positive for invertible g:
+    the number ``phi`` divides by, 2^2e Tr(m rho m†) for m = g / 2^e from ``_prescale``.
 
-    Raises NumericallySingular when the value falls at or below 1e-14; the
-    action fails loudly there instead of renormalizing noise.  Raises
-    NumericalError when the value overflows.
+    Raises NumericallySingular exactly where ``phi`` does, when the value falls at
+    or below 1e-14; the action fails loudly there instead of renormalizing noise.
+    Raises NumericalError when the value overflows.
     """
-    ge = group_element(g, rho.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.trace(rho.matrix @ dagger(ge.matrix) @ ge.matrix).real)
-    if not math.isfinite(value):
-        raise NumericalError("Tr(rho g†g) overflows double precision")
-    return config.check("Tr(rho g†g)", value, config.DENOMINATOR_FLOOR, 1.0,
-                        NumericallySingular, floor=True)
+    prescaled = _prescale(group_element(g, rho.n).matrix)
+    try:
+        return math.ldexp(_normalization(prescaled, rho)[1], 2 * prescaled[1])
+    except OverflowError:
+        raise NumericalError("Tr(rho g†g) overflows double precision") from None
 
 
 def phi(g, rho: StateDensity) -> StateDensity:
@@ -144,11 +138,20 @@ def prescaled_phi(g: np.ndarray, rho: StateDensity) -> tuple[np.ndarray, float]:
 def _normalized(prescaled: tuple[np.ndarray, int, float],
                 rho: StateDensity) -> tuple[np.ndarray, float]:
     """``prescaled_phi`` after its ``_prescale``, so one prescale serves several rho."""
-    m, e, m_norm = prescaled
+    num, den = _normalization(prescaled, rho)
+    return num / den, prescaled[2] * prescaled[2] / den
+
+
+def _normalization(prescaled: tuple[np.ndarray, int, float],
+                   rho: StateDensity) -> tuple[np.ndarray, float]:
+    """The normalized action's one normalization: m rho m† and d = Tr(m rho m†) for
+    (m, e, _) from ``_prescale``, raising NumericallySingular when 2^2e d, Tr(g rho g†),
+    is at or below the scaled DENOMINATOR_FLOOR."""
+    m, e, _ = prescaled
     num = m @ rho.matrix @ dagger(m)
-    den = config.check("Tr(g rho g†)", float(np.trace(num).real), config.DENOMINATOR_FLOOR,
-                       1.0, NumericallySingular, floor=True, exp2=2 * e)
-    return num / den, m_norm * m_norm / den
+    return num, config.check("Tr(g rho g†)", float(np.trace(num).real),
+                             config.DENOMINATOR_FLOOR, 1.0, NumericallySingular, floor=True,
+                             exp2=2 * e)
 
 
 def unitary_phi(u, rho: StateDensity) -> StateDensity:

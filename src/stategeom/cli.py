@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import os
 import sys
 from collections.abc import Mapping
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import config
 from .errors import NumericalError, TraceError, ValidationError
+from .linalg import in_range
 from .serialize import (
     dumps_canonical,
     flow_csv,
@@ -96,7 +98,8 @@ def _load_functional(path) -> tuple[PositiveFunctional, str]:
         return functional, kind
     functional = validate_positive(m)
     try:
-        return unit_trace(functional.matrix), "state"
+        with np.errstate(over="ignore"):  # a trace that overflows is not 1: TraceError
+            return unit_trace(functional.matrix), "state"
     except TraceError:
         return functional, "positive"
 
@@ -195,7 +198,7 @@ def validate(file):
         "n": functional.n,
         "rank": orbit.rank,
         "corank": orbit.corank,
-        "trace": functional.trace,
+        "trace": in_range("trace", math.inf, lambda: functional.trace),
         # of the Hermitian part that validation tested, not of one triangle; read
         # from the spectrum that classify_orbit decomposed
         "min_eigenvalue": min_eigenvalue(functional),
@@ -287,7 +290,7 @@ def tangent(file, generator_file, action, fd_step):
     payload = {
         "action": action,
         "tangent": matrix_to_jsonable(vec.value, "operator"),
-        "trace": float(np.trace(vec.value).real),
+        "trace": in_range("trace", math.inf, lambda: float(np.trace(vec.value).real)),
     }
     if action == "phi":
         payload["fd_check"] = {"h": fd_step, "relative_error": fd_tangent_check(rho, gen, fd_step)}

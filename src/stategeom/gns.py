@@ -10,7 +10,8 @@ X -> a X.  The support is that of ``spectral_split``.  The commutant of pi is
 I_n kron M_k, of dimension k^2, so pi is irreducible exactly for pure states,
 and an invertible element g transports the cyclic vector to
 pi(g)|psi> / sqrt(<psi|pi(g†g)|psi>), implementing the normalized action
-inside a fixed representation.
+inside a fixed representation.  The transport refuses the elements that
+``phi`` refuses, by phi's own normalization and floor test.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .actions import _prescale, group_element
-from .errors import NumericalError, NumericallySingular, ValidationError
+from .actions import _normalization, _prescale, group_element
+from .errors import NumericalError, ValidationError
 from .linalg import as_operator, dagger, matrix_unit
 from .states import ProbabilityVector, StateDensity, _frozen, default_rank_tol, spectral_split
 
@@ -80,20 +81,22 @@ def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     normalized action of g on the source state inside the same
     representation.  ``rho`` must be the state the triple was built from.
     Like ``phi`` it runs on m = g / 2^e, 2^e the power of two above
-    ||g||_F (``actions._prescale``), so large g stay finite.
+    ||g||_F (``actions._prescale``), so large g stay finite, and it refuses
+    exactly where ``phi`` does: its floor test is phi's, on Tr(m rho m†)
+    (``actions._normalization``), and it runs before the consistency test.
+    A triple that is not rho's fails the consistency test, for small g too:
+    its bound is relative to ||g||_F^2 where ||g||_F < 1.
     """
-    ge = group_element(g, rho.n)
-    m, e, _ = _prescale(ge.matrix)
-    gram = dagger(m) @ m
-    norm_sq = triple.expectation(gram).real
-    # the vector expectation must reproduce rho(m†m); the bound 2^-2e rtol (1 + rho(g†g))
-    # is rtol (2^-2e + rho(m†m)), both exact in binary
-    from_state = float(np.trace(rho.matrix @ gram).real)
+    prescaled = _prescale(group_element(g, rho.n).matrix)
+    m, e, m_norm = prescaled
+    from_state = _normalization(prescaled, rho)[1]
+    norm_sq = triple.expectation(dagger(m) @ m).real
+    # the vector expectation must reproduce rho(m†m) = Tr(m rho m†), up to rounding of
+    # order u ||m||_F^2; the bound 2^-2e rtol (min(1, ||g||_F^2) + rho(g†g)) is
+    # rtol (min(2^-2e, ||m||_F^2) + rho(m†m)), where ||m||_F = ||g||_F when e = 0
     config.check(f"|<psi|pi(m†m)|psi> - rho(m†m)|, m = g / 2^{e},", abs(norm_sq - from_state),
-                 config.GNS_CONSISTENCY_RTOL, math.ldexp(1.0, -2 * e) + abs(from_state),
-                 ValidationError)
-    config.check("<psi|pi(g†g)|psi>", norm_sq, config.DENOMINATOR_FLOOR, 1.0,
-                 NumericallySingular, floor=True, exp2=2 * e)
+                 config.GNS_CONSISTENCY_RTOL,
+                 min(math.ldexp(1.0, -2 * e), m_norm * m_norm) + abs(from_state), ValidationError)
     moved = triple.vector_of(m) / np.sqrt(norm_sq)
     return GnsTriple(n=triple.n, dim=triple.dim, cyclic=_frozen(moved))
 

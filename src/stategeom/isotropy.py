@@ -46,7 +46,8 @@ import numpy as np
 
 from . import config
 from .errors import ValidationError
-from .linalg import as_operator, dagger, fro_scale, frobenius, gamma, matrix_unit
+from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, hermitian_part, in_range,
+                     matrix_unit)
 from .states import PositiveFunctional, SpectralSplit, StateDensity, spectral_split
 from .tangent import alpha_velocity, phi_velocity
 
@@ -87,24 +88,28 @@ def hermitian_components(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _membership(values: np.ndarray, a: np.ndarray, base: np.ndarray) -> tuple[bool, float]:
+def _membership(velocity, a: np.ndarray, base: np.ndarray) -> tuple[bool, float]:
+    """Whether the pairings of velocity(base, a) with the Hermitian basis vanish, with
+    the largest; NumericalError when a pairing overflows.  A velocity is at most
+    2 ||a||_F ||base||_F (1 + ||base||_F) in magnitude, and a pairing twice that."""
+    base_scale, a_scale = fro_scale(base), fro_scale(a)
+    values = in_range("isotropy pairing", a_scale * base_scale * base_scale,
+                      lambda: hermitian_components(velocity(base, a)))
     residual = float(np.max(np.abs(values))) if values.size else 0.0
-    tol = config.scaled(config.MEMBERSHIP_RTOL) * fro_scale(base) * fro_scale(a)
+    tol = config.scaled(config.MEMBERSHIP_RTOL) * base_scale * a_scale
     return residual <= tol, residual
 
 
 def isotropy_membership_alpha(a, xi: PositiveFunctional) -> tuple[bool, float]:
-    """Whether xi(a†b + ba) vanishes over the Hermitian basis, with the residual."""
-    gen = as_operator(a, "generator", xi.n)
-    values = hermitian_components(alpha_velocity(xi.matrix, gen))
-    return _membership(values, gen, xi.matrix)
+    """Whether xi(a†b + ba) vanishes over the Hermitian basis, with the residual;
+    NumericalError when a pairing overflows."""
+    return _membership(alpha_velocity, as_operator(a, "generator", xi.n), xi.matrix)
 
 
 def isotropy_membership_phi(a, rho: StateDensity) -> tuple[bool, float]:
-    """Membership in the normalized-action isotropy: the covariance-corrected sweep."""
-    gen = as_operator(a, "generator", rho.n)
-    values = hermitian_components(phi_velocity(rho.matrix, gen))
-    return _membership(values, gen, rho.matrix)
+    """Membership in the normalized-action isotropy: the covariance-corrected sweep;
+    NumericalError when a pairing overflows."""
+    return _membership(phi_velocity, as_operator(a, "generator", rho.n), rho.matrix)
 
 
 @dataclass(frozen=True)
@@ -300,7 +305,9 @@ def _residual_bound(b: _Blocks, w: np.ndarray, base: np.ndarray, p: np.ndarray,
     blocks, rescaled to base and zero on the kernel: O(n^3) for y = h w (h the
     Hermitian part of base), then O(n^2), and O(1) per block.
 
-    The sweep (tests/oracles.py) forms this same y, then t = sum_k c_k w_jk y_lk†
+    The sweep (tests/oracles.py) forms y from (base + base†) / 2, which has the bits
+    of ``hermitian_part(base)`` wherever it is finite and no entry's half is
+    subnormal, so there it forms this same y; then t = sum_k c_k w_jk y_lk†
     over the block's two units and the pairings of t + t†, less 2 Re Tr(t) times
     those of base for phi.  With F = y - w P, P = diag(p), exactly t + t† = V =
     w D w† + X + X† where X = w B F† and D = B P + P B†.  Take u = 2^-53, gamma_k
@@ -329,7 +336,7 @@ def _residual_bound(b: _Blocks, w: np.ndarray, base: np.ndarray, p: np.ndarray,
     as Higham's model does, that no intermediate underflows.
     """
     n = w.shape[0]
-    y = ((base + dagger(base)) / 2.0) @ w
+    y = hermitian_part(base) @ w
     aw, ay = np.abs(w), np.abs(y)
     fb = np.abs(y - w * p) / (1.0 - gamma(1)) + gamma(1) * aw * p
     c1, c2 = np.abs(b.c1), np.abs(b.c2)

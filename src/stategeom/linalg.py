@@ -75,11 +75,15 @@ def frobenius(a: np.ndarray) -> float:
     are ``np.vdot``, which raises no floating-point warning, so no
     ``np.errstate`` is entered; the tests check the value against
     np.linalg.norm bit for bit at n = 1 to 64 and scales 10^-160 to 10^160.
-    Squaring overflows above about 1e154; only then is the norm taken again
-    on a copy divided by a power of two above max|a| (exact in binary) and
-    scaled back.
+    A NaN entry gives NaN.  Squaring overflows above about 1e154; only then is
+    the norm taken again on a copy divided by a power of two above max|a|
+    (exact in binary) and scaled back.
     """
-    value = _unscaled_frobenius(a)
+    x = a.ravel(order="K")
+    if x.dtype.kind != "c":
+        value = math.sqrt(float(np.vdot(x, x)))
+    else:
+        value = math.sqrt(float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag)))
     if math.isinf(value):
         with np.errstate(over="ignore", invalid="ignore"):
             e = math.frexp(float(np.max(np.abs(a))))[1]
@@ -87,14 +91,30 @@ def frobenius(a: np.ndarray) -> float:
     return value
 
 
-def _unscaled_frobenius(a: np.ndarray) -> float:
-    """np.linalg.norm(a) of a float or complex array, bit for bit: inf when a
-    square or the sum overflows, NaN when an entry is NaN."""
-    x = a.ravel(order="K")
-    if x.dtype.kind != "c":
-        return math.sqrt(float(np.vdot(x, x)))
-    re, im = x.real, x.imag
-    return math.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a†)/2, formed as h + h† with h = a / 2: finite for every finite a.
+
+    Halving is exact, so this has the bits of (a + a†) / 2 wherever that is
+    finite and no entry's half is subnormal.
+    """
+    h = a / 2.0
+    return h + dagger(h)
+
+
+def in_range(what: str, bound: float, compute):
+    """``compute()``, no entry of which, intermediates included, exceeds 8 ``bound``
+    in magnitude but for rounding; NumericalError naming ``what`` when an entry of the
+    result is not finite, so the value left double range.  A bound below 2^1000 rules
+    overflow out and the result is returned as computed; above it (``math.inf`` where
+    no bound is at hand), overflow warnings are silenced while it is computed, since
+    that error reports them."""
+    if bound < 2.0 ** 1000:
+        return compute()
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
+    if not np.isfinite(out).all():
+        raise NumericalError(f"{what} overflows double precision")
+    return out
 
 
 def gamma(k: int) -> float:
@@ -104,9 +124,10 @@ def gamma(k: int) -> float:
 
 
 def eig_allowance(n: int) -> float:
-    """How far the eigenvalues of (m + m†)/2 from ``eigh`` or ``eigvalsh`` may lie from
-    those of m's Hermitian part, per unit of ||m||_F: sqrt(n) gamma_4n for either
-    solver's backward error and gamma_4n for the symmetrization and a division before it."""
+    """How far the eigenvalues of ``hermitian_part(m)`` from ``eigh`` or ``eigvalsh`` may
+    lie from those of m's exact Hermitian part, per unit of ||m||_F: sqrt(n) gamma_4n for
+    either solver's backward error and gamma_4n for the symmetrization and a division
+    before it."""
     return (math.sqrt(n) + 1.0) * gamma(4 * n)
 
 
@@ -170,10 +191,10 @@ def hermitian_eig(h) -> SpectralDecomposition:
 def sorted_eigh(m: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of an operator that passed ``require_hermitian``.
 
-    The input is symmetrized (m + m†)/2 before LAPACK to keep round-off in
-    the off-Hermitian part from leaking into the spectrum.
+    The input is symmetrized, ``hermitian_part(m)``, before LAPACK to keep
+    round-off in the off-Hermitian part from leaking into the spectrum.
     """
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
+    w, v = np.linalg.eigh(hermitian_part(m))
     order = np.argsort(-w, kind="stable")
     w = np.ascontiguousarray(w[order])
     v = _fix_phases(np.ascontiguousarray(v[:, order]))
@@ -194,8 +215,7 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     config.check("-(smallest eigenvalue)", -w[-1], config.PSD_CLAMP_RTOL, scale, NotPSD)
     w = np.where(w < 0.0, 0.0, w)
     v = dec.eigenvectors
-    s = (v * np.sqrt(w)) @ dagger(v)
-    return (s + dagger(s)) / 2.0
+    return hermitian_part((v * np.sqrt(w)) @ dagger(v))
 
 
 # The scipy release whose scipy.linalg.expm tests/test_matrix_exp.py matches bit
@@ -292,9 +312,7 @@ def polar(g) -> tuple[np.ndarray, np.ndarray]:
     config.check("sigma_min", s[-1], config.SINGULAR_RTOL, 1.0 + s[0], Singular, floor=True)
     unitary = u @ vh
     v = dagger(vh)
-    psd = (v * s) @ vh
-    psd = (psd + dagger(psd)) / 2.0
-    return unitary, psd
+    return unitary, hermitian_part((v * s) @ vh)
 
 
 def inertia(h, zero_tol: float) -> tuple[int, int, int]:
@@ -307,7 +325,7 @@ def inertia(h, zero_tol: float) -> tuple[int, int, int]:
 
 def signature(m: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
     """``inertia`` of an operator that passed ``require_hermitian``."""
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
+    w = np.linalg.eigvalsh(hermitian_part(m))
     n_plus = int(np.count_nonzero(w > zero_tol))
     n_minus = int(np.count_nonzero(w < -zero_tol))
     return n_plus, m.shape[0] - n_plus - n_minus, n_minus

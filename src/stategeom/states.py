@@ -39,7 +39,8 @@ import numpy as np
 
 from . import config
 from .errors import NotPSD, TraceError, ValidationError, ZeroFunctional
-from .linalg import SpectralDecomposition, dagger, fro_scale, gamma, require_hermitian, sorted_eigh
+from .linalg import (SpectralDecomposition, dagger, fro_scale, gamma, hermitian_part,
+                     require_hermitian, sorted_eigh)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -142,7 +143,7 @@ def validate_positive(m) -> PositiveFunctional:
 def psd_gate(mat: np.ndarray, scale: float) -> None:
     """``validate_positive``'s eigenvalue tests, one eigvalsh, on a matrix that
     passed ``require_hermitian`` with its scale 1 + ||mat||_F."""
-    w = np.linalg.eigvalsh((mat + dagger(mat)) / 2.0)
+    w = np.linalg.eigvalsh(hermitian_part(mat))
     config.check("-(smallest eigenvalue)", -w[0], config.PSD_CLAMP_RTOL, scale, NotPSD)
     config.check("largest eigenvalue", w[-1], config.PSD_CLAMP_RTOL, scale, ZeroFunctional,
                  floor=True)

@@ -27,7 +27,7 @@ from . import config
 from .actions import group_element, prescaled_phi
 from .errors import NumericalError, ValidationError
 from .linalg import (as_operator, dagger, eig_allowance, fro_scale, frobenius, gamma,
-                     matrix_exp, require_hermitian)
+                     hermitian_part, in_range, matrix_exp, require_hermitian)
 from .states import (PositiveFunctional, StateDensity, _eigenpairs, _frozen, default_rank_tol,
                      min_eigenvalue, psd_gate, unit_trace)
 
@@ -44,8 +44,7 @@ class TangentVector:
 
 def alpha_velocity(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
     """d/dt exp(ta) xi exp(ta)† at t=0, i.e. a xi + xi a† (Hermitian)."""
-    v = a @ xi + xi @ dagger(a)
-    return (v + dagger(v)) / 2.0
+    return hermitian_part(a @ xi + xi @ dagger(a))
 
 
 def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -55,15 +54,19 @@ def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def tangent_alpha(xi: PositiveFunctional, a) -> TangentVector:
-    """Tangent vector of the congruence action at ``xi`` along generator ``a``."""
+    """Tangent vector of the congruence action at ``xi`` along generator ``a``;
+    NumericalError when it overflows."""
     gen = _frozen(as_operator(a, "generator", xi.n))
-    return TangentVector(value=_frozen(alpha_velocity(xi.matrix, gen)), generator=gen)
+    value = in_range("tangent vector", math.inf, lambda: alpha_velocity(xi.matrix, gen))
+    return TangentVector(value=_frozen(value), generator=gen)
 
 
 def tangent_phi(rho: StateDensity, a) -> TangentVector:
-    """Tangent vector of the normalized action at ``rho``; always traceless."""
+    """Tangent vector of the normalized action at ``rho``; always traceless.
+    NumericalError when it overflows."""
     gen = _frozen(as_operator(a, "generator", rho.n))
-    return TangentVector(value=_frozen(phi_velocity(rho.matrix, gen)), generator=gen)
+    value = in_range("tangent vector", math.inf, lambda: phi_velocity(rho.matrix, gen))
+    return TangentVector(value=_frozen(value), generator=gen)
 
 
 def covariance(rho: StateDensity, a, b) -> float:
@@ -71,12 +74,17 @@ def covariance(rho: StateDensity, a, b) -> float:
 
     Defined for Hermitian a, b; symmetric in its arguments, zero when either
     argument is a multiple of the identity, and nonnegative on the diagonal.
+    NumericalError when its evaluation overflows.
     """
     am, _ = require_hermitian(a, "a", rho.n)
     bm, _ = require_hermitian(b, "b", rho.n)
     m = rho.matrix
-    quad = float(np.trace(m @ (am @ bm + bm @ am)).real)
-    return quad - 2.0 * float(np.trace(m @ am).real) * float(np.trace(m @ bm).real)
+
+    def evaluate():
+        quad = float(np.trace(m @ (am @ bm + bm @ am)).real)
+        return quad - 2.0 * float(np.trace(m @ am).real) * float(np.trace(m @ bm).real)
+
+    return in_range("covariance", math.inf, evaluate)
 
 
 @dataclass(frozen=True)
@@ -232,7 +240,10 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     if not (math.isfinite(h) and h != 0.0):
         raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
     f = _flow_of(rho, a)
-    value = phi_velocity(rho.matrix, f.gen)
+    # every entry the velocity forms, its trace included, is at most
+    # 2 ||a||_F ||rho||_F (1 + ||rho||_F) <= 4 ||a||_F ||rho||_F in magnitude
+    value = in_range("tangent vector", f.gen_norm * f.rho_norm,
+                     lambda: phi_velocity(rho.matrix, f.gen))
     fwd = _flow_point(f, h).matrix
     bwd = _flow_point(f, -h).matrix
     with np.errstate(over="ignore", invalid="ignore"):  # a complex 0 over subnormal 2h: 0 * inf

@@ -814,3 +814,69 @@ assert result.exit_code == 0, result.output
 print(dict(os.environ) == before, "OPENBLAS_NUM_THREADS" in os.environ)
 """
     assert _child_output(script, files["state"]) == "True False\n"
+
+
+def _finite_numbers(payload):
+    """Whether every number in a parsed JSON payload is finite."""
+    if isinstance(payload, dict):
+        return all(_finite_numbers(v) for v in payload.values())
+    if isinstance(payload, list):
+        return all(_finite_numbers(v) for v in payload)
+    return not isinstance(payload, float) or np.isfinite(payload)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["validate", "{huge}"],
+    ["isotropy", "{huge}"],
+    ["connect", "alpha", "{huge}", "{huge}"],
+], ids=["validate", "isotropy", "connect-alpha"])
+def test_a_functional_above_half_the_largest_double_is_served(runner, tmp_path, command):
+    # entries of 9e307 and 3e307: their sum with the adjoint would overflow
+    huge = write(tmp_path / "huge.json", 1.2e308 * np.diag([0.75, 0.25]))
+    result = runner.invoke(main, [arg.format(huge=huge) for arg in command])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert _finite_numbers(payload)
+    if command[0] == "validate":
+        assert payload["rank"] == 2 and payload["kind"] == "positive"
+
+
+@pytest.mark.filterwarnings("error")
+def test_tangent_alpha_above_half_the_largest_double_exits_0(runner, files, tmp_path):
+    gen = write(tmp_path / "gen.json", 1e308 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    result = runner.invoke(main, ["tangent", "--action", "alpha", files["target"], gen])
+    assert result.exit_code == 0, result.output
+    assert _finite_numbers(json.loads(result.output))
+
+
+@pytest.mark.parametrize("command, matrix, message", [
+    # entries of 1.08e308, trace 2.16e308
+    (["validate"], 1.2e308 * np.diag([0.9, 0.9]), "trace"),
+    # velocity diag(1.35e308, 4.5e307), trace 1.8e308
+    (["tangent", "--action", "alpha"], 1.2e308 * np.diag([0.75, 0.25]), "trace"),
+], ids=["validate", "tangent-alpha"])
+def test_a_reported_trace_that_overflows_exits_3_with_one_line(tmp_path, command, matrix,
+                                                                message):
+    functional = write(tmp_path / "huge.json", matrix)
+    args = [*command, functional]
+    if command[0] == "tangent":
+        args.append(write(tmp_path / "gen.json", 0.75 * np.eye(2)))
+    done = _cli_process(*args)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == f"NumericalError: {message} overflows double precision\n"
+
+
+@pytest.mark.parametrize("action, scale", [("phi", 1e308), ("alpha", 1e300)])
+def test_tangent_that_overflows_exits_3_with_one_line(tmp_path, action, scale):
+    # phi: exp(h a) overflows in the finite-difference check; alpha: the
+    # velocity itself, 1e600, leaves double range
+    base = 1.0 if action == "phi" else 1e300
+    state = write(tmp_path / "base.json", base * np.diag([0.75, 0.25]))
+    gen = write(tmp_path / "gen.json", scale * np.array([[0.0, 1.0], [1.0, 0.0]]))
+    done = _cli_process("tangent", "--action", action, state, gen)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("NumericalError: "), done.stderr

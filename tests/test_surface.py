@@ -122,6 +122,7 @@ def test_every_public_definition_has_a_caller():
 PRIVATE_IMPORTS = {
     ("actions", "states", "_frozen"),
     ("cli", "orbits", "_recombine"),
+    ("gns", "actions", "_normalization"),
     ("gns", "actions", "_prescale"),
     ("gns", "states", "_frozen"),
     ("orbits", "actions", "_require_weight"),
