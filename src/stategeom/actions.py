@@ -17,7 +17,6 @@ import numpy as np
 
 from . import config
 from .errors import NotUnitary, NumericallySingular, Singular, ValidationError, ZeroWeight
-from .errors import NumericalError
 from .linalg import as_operator, dagger, frobenius, hermitian_part, in_range, require_hermitian
 from .states import (
     PositiveFunctional,
@@ -94,10 +93,8 @@ def denominator(g, rho: StateDensity) -> float:
     Raises NumericalError when the value overflows.
     """
     prescaled = _prescale(group_element(g, rho.n).matrix)
-    try:
-        return math.ldexp(_normalization(prescaled, rho)[1], 2 * prescaled[1])
-    except OverflowError:
-        raise NumericalError("Tr(rho g†g) overflows double precision") from None
+    d = _normalization(prescaled, rho)[1]
+    return float(in_range("Tr(rho g†g)", math.inf, lambda: np.ldexp(d, 2 * prescaled[1])))
 
 
 def phi(g, rho: StateDensity) -> StateDensity:
@@ -157,8 +154,12 @@ def _normalization(prescaled: tuple[np.ndarray, int, float],
 def unitary_phi(u, rho: StateDensity) -> StateDensity:
     """Coadjoint action u rho u† of the unitary subgroup (spectrum preserving)."""
     m = as_operator(u, "unitary", rho.n)
-    config.check("||u†u - I||_F", frobenius(dagger(m) @ m - np.eye(m.shape[0])),
-                 config.UNITARY_ATOL, 1.0, NotUnitary)
+    norm = frobenius(m)
+    # ||u||_F^2, which is n for a unitary, bounds each entry of u†u: where it leaves
+    # double range the product may overflow, and the defect is taken as inf
+    defect = (frobenius(dagger(m) @ m - np.eye(m.shape[0])) if norm * norm < 2.0 ** 1023
+              else math.inf)
+    config.check("||u†u - I||_F", defect, config.UNITARY_ATOL, 1.0, NotUnitary)
     return validate_state(m @ rho.matrix @ dagger(m))
 
 

@@ -14,6 +14,7 @@ randomness is requested), using canonical JSON and 17-significant-digit CSV.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import inspect
 import math
@@ -98,8 +99,7 @@ def _load_functional(path) -> tuple[PositiveFunctional, str]:
         return functional, kind
     functional = validate_positive(m)
     try:
-        with np.errstate(over="ignore"):  # a trace that overflows is not 1: TraceError
-            return unit_trace(functional.matrix), "state"
+        return unit_trace(functional.matrix), "state"
     except TraceError:
         return functional, "positive"
 
@@ -255,15 +255,7 @@ def isotropy(file, action):
 
     functional, _ = _load_functional(file)
     report = isotropy_report(functional)
-    payload = {
-        "action": action,
-        "ambient_dim": report.ambient_dim,
-        "support_dim": report.support_dim,
-        "dim_alpha": report.dim_alpha,
-        "dim_phi": report.dim_phi,
-        "dim_complement": report.dim_complement,
-        "max_residual": report.max_residual,
-    }
+    payload = {"action": action, **dataclasses.asdict(report)}
     if action in ("alpha", "both"):
         payload["orbit_dim_alpha"] = report.ambient_dim - report.dim_alpha
     if action in ("phi", "both"):
@@ -360,12 +352,9 @@ def truncate(config_file, fmt, seed):
         if seed < 0:
             raise ValidationError(f"--seed must be a non-negative integer, got {seed}")
         rng = np.random.default_rng(seed)
-    report = truncation_sweep(
-        gen0, gen1, cfg["dims"],
-        ceiling=cfg.get("ceiling", 1e6),
-        action=cfg.get("action", "phi"),
-        rng=rng,
-    )
+    # the sweep's own defaults stand for the keys the config leaves out
+    report = truncation_sweep(gen0, gen1, cfg["dims"], rng=rng,
+                              **{key: cfg[key] for key in ("ceiling", "action") if key in cfg})
     return (truncation_csv if fmt == "csv" else truncation_json)(report)
 
 

@@ -370,15 +370,20 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     n, k = split.ambient_dim, split.support_dim
     p = np.zeros(n)
     p[:k] = split.eigenvalues
-    trace = xi.trace
-    rho = xi.matrix / trace
+    # rho = xi / Tr xi from xi / 2^b, 2^b > n, whose trace is finite for every validated
+    # xi (at most sqrt(n) ||xi||_F / 2^b): the same quotients wherever Tr xi is finite
+    # and no entry of xi / 2^b is subnormal
+    down = 2.0 ** -n.bit_length()
+    scaled = xi.matrix * down
+    trace = float(np.trace(scaled).real)
+    rho = scaled / trace
     # phi_velocity of I / sqrt(n) at rho: a product with the identity rounds once
     half = rho * (1.0 / np.sqrt(n))
     v = half + dagger(half)
     v -= np.trace(v).real * rho
     residual = max(
         _residual_bound(isotropy, w, xi.matrix, p, normalized=False),
-        _residual_bound(isotropy, w, rho, p / trace, normalized=True),
+        _residual_bound(isotropy, w, rho, p * down / trace, normalized=True),
         float(np.max(np.abs(hermitian_components(v)))),
     )
     return IsotropyReport(

@@ -77,7 +77,8 @@ def frobenius(a: np.ndarray) -> float:
     np.linalg.norm bit for bit at n = 1 to 64 and scales 10^-160 to 10^160.
     A NaN entry gives NaN.  Squaring overflows above about 1e154; only then is
     the norm taken again on a copy divided by a power of two above max|a|
-    (exact in binary) and scaled back.
+    (exact in binary) and scaled back, or is inf where max|a| is: an infinite
+    entry, or a complex one whose modulus overflows.
     """
     x = a.ravel(order="K")
     if x.dtype.kind != "c":
@@ -86,7 +87,10 @@ def frobenius(a: np.ndarray) -> float:
         value = math.sqrt(float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag)))
     if math.isinf(value):
         with np.errstate(over="ignore", invalid="ignore"):
-            e = math.frexp(float(np.max(np.abs(a))))[1]
+            big = float(np.max(np.abs(a)))
+            if math.isinf(big):  # the norm is at least max|a|; inf * 2^-e would be complex NaN
+                return big
+            e = math.frexp(big)[1]
             value = float(np.ldexp(np.linalg.norm(a * math.ldexp(1.0, -e)), e))
     return value
 
@@ -139,11 +143,21 @@ def fro_scale(a: np.ndarray) -> float:
 def require_hermitian(a, name: str = "operator",
                       n: int | None = None) -> tuple[np.ndarray, float]:
     """``a`` through ``as_operator`` with its scale 1 + ||a||_F; raises
-    NotHermitian when ||a - a†||_F exceeds HERMITIAN_RTOL times that scale."""
+    NotHermitian when ||a - a†||_F exceeds HERMITIAN_RTOL times that scale.
+
+    From a scale of 2^1023 up, where a - a† can overflow and the scale itself may
+    be inf, the same test is made on h = a / 2^k with 2^k > 2n, so ||h||_F < 2^1023:
+    ||h - h†||_F against HERMITIAN_RTOL (2^-k + ||h||_F), both finite."""
     m = as_operator(a, name, n)
     scale = fro_scale(m)
-    config.check("Hermitian defect", frobenius(m - dagger(m)), config.HERMITIAN_RTOL, scale,
-                 NotHermitian)
+    if scale < 2.0 ** 1023:
+        config.check("Hermitian defect", frobenius(m - dagger(m)), config.HERMITIAN_RTOL,
+                     scale, NotHermitian)
+        return m, scale
+    k = m.shape[0].bit_length() + 1
+    h = m * 2.0 ** -k
+    config.check(f"Hermitian defect of {name} / 2^{k},", frobenius(h - dagger(h)),
+                 config.HERMITIAN_RTOL, 2.0 ** -k + frobenius(h), NotHermitian)
     return m, scale
 
 

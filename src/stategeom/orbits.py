@@ -26,7 +26,8 @@ from . import config
 from .actions import (GroupElement, _require_weight, _weight_squares, classical_phi,
                       group_element, phi, prescaled_phi)
 from .errors import NotTracial, NumericalError, RankMismatch, ValidationError
-from .linalg import dagger, frobenius, fro_scale, matrix_sqrt_psd, require_hermitian, signature
+from .linalg import (dagger, frobenius, fro_scale, in_range, matrix_sqrt_psd, require_hermitian,
+                     signature)
 from .states import (
     PositiveFunctional,
     ProbabilityVector,
@@ -55,7 +56,10 @@ class ConnectCertificate:
     achieved_residual: float
 
 
-def _matched_splits(rho0, rho1) -> tuple[SpectralSplit, SpectralSplit]:
+def _matched_splits(rho0, rho1) -> tuple[SpectralSplit, SpectralSplit, np.ndarray]:
+    """The two splits, of equal rank and dimension (RankMismatch otherwise), and the
+    ratios p1_j / p0_j of their spectra, each at most max p1 / min p0; NumericalError
+    when a ratio overflows."""
     split0 = spectral_split(rho0)
     split1 = spectral_split(rho1)
     if split0.support_dim != split1.support_dim or split0.ambient_dim != split1.ambient_dim:
@@ -63,19 +67,20 @@ def _matched_splits(rho0, rho1) -> tuple[SpectralSplit, SpectralSplit]:
             f"rank {split0.support_dim} (dim {split0.ambient_dim}) vs "
             f"rank {split1.support_dim} (dim {split1.ambient_dim})"
         )
-    return split0, split1
+    p0, p1 = split0.eigenvalues, split1.eigenvalues
+    return split0, split1, in_range("eigenvalue ratio", float(p1[0]) / float(p0[-1]),
+                                    lambda: p1 / p0)
 
 
 def bound_constant(rho0, rho1) -> float:
     """Largest eigenvalue ratio C = max_j p1_j / p0_j over the spectra matched
-    in non-increasing order.  Raises RankMismatch."""
-    split0, split1 = _matched_splits(rho0, rho1)
-    return float(np.max(split1.eigenvalues / split0.eigenvalues))
+    in non-increasing order.  Raises RankMismatch, and NumericalError when a
+    ratio overflows."""
+    return float(np.max(_matched_splits(rho0, rho1)[2]))
 
 
 def _connect(rho0, rho1):
-    split0, split1 = _matched_splits(rho0, rho1)
-    ratios = split1.eigenvalues / split0.eigenvalues
+    split0, split1, ratios = _matched_splits(rho0, rho1)
     e0, e1 = split0.support_basis, split1.support_basis
     g = (e1 * np.sqrt(ratios)) @ dagger(e0) + split1.kernel_basis @ dagger(split0.kernel_basis)
     c = float(np.max(ratios))

@@ -33,6 +33,7 @@ spectrum.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +158,9 @@ def validate_state(m) -> StateDensity:
 def unit_trace(frozen: np.ndarray) -> StateDensity:
     """``validate_state``'s trace test on a frozen matrix that passed (or is
     certified to pass) ``validate_positive``."""
-    trace = float(np.trace(frozen).real)
-    # the slack is the rounding of the tested sum of n terms, gamma_(n+1)
+    # summed in Python floats, where a sum that overflows is inf without a warning; the
+    # slack is the rounding of a sum of n terms in any order, gamma_(n+1)
+    trace = sum(frozen.diagonal().real.tolist())
     config.check("|trace - 1|", abs(trace - 1.0), config.TRACE_ATOL, 1.0, TraceError,
                  slack=gamma(frozen.shape[0] + 1))
     return StateDensity(matrix=frozen)
@@ -171,9 +173,12 @@ def validate_probability(p) -> ProbabilityVector:
         raise ValidationError(f"probability vector must be 1-d and nonempty, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValidationError("probability vector contains non-finite entries")
-    if np.any(v < 0.0):
+    if v.min() < 0.0:
         raise NotPSD(f"probability vector has negative entry {v.min():.3e}")
-    config.check("|sum - 1|", abs(v.sum() - 1.0), config.PROBABILITY_ATOL, 1.0, TraceError,
+    # a sum that may overflow, with an entry above DBL_MAX / m, is summed in Python
+    # floats, where overflow is inf without a warning
+    total = v.sum() if v.max() <= sys.float_info.max / v.shape[0] else sum(v.tolist())
+    config.check("|sum - 1|", abs(total - 1.0), config.PROBABILITY_ATOL, 1.0, TraceError,
                  slack=gamma(v.shape[0] + 1))
     return ProbabilityVector(p=_frozen(v))
 

@@ -274,12 +274,15 @@ def _singular_values(rho: PositiveFunctional) -> np.ndarray:
 
 
 def tangent_map_rank(rho: StateDensity) -> int:
-    """Rank of the real-linear map a -> phi_velocity(rho, a).
+    """Numerical rank of the real-linear map a -> phi_velocity(rho, a): singular
+    values at or below the scaled TANGENT_RANK_RTOL times the largest, or at or
+    below the rank cut of rho (binding only for a zero map, n = 1), count as zero.
 
-    Equals the orbit dimension of the normalized action at rho,
-    n^2 - (n-k)^2 - 1 at rank k: singular values at or below the scaled
-    TANGENT_RANK_RTOL times the largest, or at or below the rank cut of rho
-    (binding only for a zero map, n = 1), count as zero.  They come in
+    It equals the orbit dimension of the normalized action at rho,
+    n^2 - (n-k)^2 - 1 at rank k, when no singular value of the map falls below
+    that cut.  Eigenvalues far below the largest can put some there: at
+    rho = diag(1 - 2e, e, e) the rank is 4 for e = 1e-9, where the orbit
+    dimension is 8 (as at e = 1e-8).  The singular values come in
     closed form from the spectrum of rho (``_singular_values``) in O(n^3) time
     and O(n^2) memory; the tests check them against the SVD of the dense
     2n^2 x 2n^2 realified map.

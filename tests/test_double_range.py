@@ -1,0 +1,197 @@
+"""Inputs at the top of double range are served or refused with one error and no
+numpy warning.
+
+The trace and sum tests take an overflowing total as inf and refuse it
+themselves, so the CLI holds no overflow logic of its own; the Hermitian gate
+decides on a power-of-two rescale where a - a† or the scale overflows; and
+every command, run on such files with warnings as errors, exits 0, 2 or 3 with
+one stderr line.
+"""
+
+import ast
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from oracles import matrix_text
+from stategeom import config, errors
+from stategeom.actions import alpha, unitary_phi
+from stategeom.cli import main
+from stategeom.errors import NotHermitian, NotUnitary, NumericalError, TraceError
+from stategeom.isotropy import isotropy_report
+from stategeom.linalg import (frobenius, hermitian_eig, inertia, matrix_sqrt_psd,
+                              require_hermitian)
+from stategeom.orbits import bound_constant, connect_alpha
+from stategeom.states import (maximally_mixed, validate_positive, validate_probability,
+                              validate_state)
+
+PACKAGE = Path(config.__file__).resolve().parent
+# positive, with a finite norm (1.6e308) and a trace (2.28e308) that overflows
+OVERFLOW = np.diag([1.2e308, 1.08e308]).astype(complex)
+# anti-Hermitian with a finite norm of 1.27e308: m - m† overflows
+ANTI = np.array([[0.0, 0.9e308], [-0.9e308, 0.0]], dtype=complex)
+# not Hermitian, with a norm of 2e308 that overflows
+WIDE = np.array([[1e308, 1e308], [-1e308, 1e308]], dtype=complex)
+
+
+def _functions(module):
+    return [func for func in ast.walk(ast.parse((PACKAGE / module).read_text()))
+            if isinstance(func, ast.FunctionDef)]
+
+
+def test_the_cli_enters_no_errstate():
+    # overflow is decided by the library functions the commands call
+    entered = {func.name for func in _functions("cli.py") for node in ast.walk(func)
+               if isinstance(node, ast.Attribute) and node.attr == "errstate"}
+    assert entered == set()
+
+
+def test_only_entry_parsing_catches_overflow_error():
+    # a value that leaves double range is refused through linalg.in_range
+    catchers = {(path.name, func.name) for path in sorted(PACKAGE.glob("*.py"))
+                for func in _functions(path.name) for node in ast.walk(func)
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "OverflowError" in {sub.id for sub in ast.walk(node.type)
+                                        if isinstance(sub, ast.Name)}}
+    assert catchers == {("serialize.py", "_decode_matrix")}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    lambda: validate_state(OVERFLOW),
+    lambda: validate_probability([1e308, 1e308]),
+    lambda: validate_probability(np.full(5, 0.5e308)),
+], ids=["trace", "sum-of-two", "sum-of-five"])
+def test_a_total_that_overflows_is_a_trace_error(call):
+    with pytest.raises(TraceError, match=r"^\|(trace|sum) - 1\| inf exceeds "):
+        call()
+
+
+def test_a_huge_probability_vector_that_sums_finitely_reports_its_sum():
+    with pytest.raises(TraceError, match=r"^\|sum - 1\| 1\.000e\+308 exceeds "):
+        validate_probability([1e308, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix", [ANTI, WIDE], ids=["anti-hermitian", "norm-overflows"])
+@pytest.mark.parametrize("call", [
+    require_hermitian,
+    validate_positive,
+    validate_state,
+    hermitian_eig,
+    matrix_sqrt_psd,
+    lambda m: inertia(m, 0.0),
+    lambda m: alpha(np.eye(2), m),
+], ids=["require_hermitian", "validate_positive", "validate_state", "hermitian_eig",
+        "matrix_sqrt_psd", "inertia", "alpha"])
+def test_a_non_hermitian_matrix_is_refused_at_every_scale(call, matrix):
+    with pytest.raises(NotHermitian, match=r"^Hermitian defect of [a-z ]+ / 2\^3, "):
+        call(matrix)
+
+
+@pytest.mark.parametrize("entry", [np.inf, complex(np.inf, 0.0), complex(-np.inf, 1.0),
+                                   complex(0.0, np.inf), complex(np.inf, -np.inf)])
+def test_frobenius_of_an_infinite_entry_is_inf(entry):
+    assert frobenius(np.array([[entry, 1.0]])) == np.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_unitary_candidate_whose_square_overflows_is_not_unitary():
+    with pytest.raises(NotUnitary, match=r"^\|\|u†u - I\|\|_F inf exceeds 1\.000e-10$"):
+        unitary_phi(1e200 * np.eye(2), maximally_mixed(2))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix", [OVERFLOW, np.diag(np.full(9, 5.9e307)).astype(complex)],
+                         ids=["n2", "n9-half-trace-overflows"])
+def test_isotropy_report_normalizes_a_trace_that_overflows(matrix):
+    n = matrix.shape[0]
+    report = isotropy_report(validate_positive(matrix))
+    scaled = isotropy_report(validate_positive(matrix / 2.0 ** 600))
+    assert (report.support_dim, report.dim_alpha, report.dim_phi) == (n, n * n, n * n + 1)
+    # rho = xi / Tr xi is the same state at both scales; only the raw bound scales
+    assert np.isfinite(report.max_residual)
+    assert report.max_residual >= scaled.max_residual
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [connect_alpha, bound_constant],
+                         ids=["connect_alpha", "bound_constant"])
+def test_an_eigenvalue_ratio_that_overflows_is_a_numerical_error(call):
+    small, huge = validate_positive(np.diag([0.75, 0.25])), validate_positive(OVERFLOW)
+    with pytest.raises(NumericalError, match="^eigenvalue ratio overflows double precision$"):
+        call(small, huge)
+
+
+@pytest.fixture
+def sweep_files(tmp_path):
+    def write(name, matrix, kind="operator"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(matrix_text(matrix, kind))
+        return str(path)
+
+    return {
+        "overflow": write("overflow", OVERFLOW),
+        "overflow-positive": write("overflow-positive", OVERFLOW, "positive"),
+        "anti-hermitian": write("anti", ANTI),
+        "norm-overflows": write("wide", WIDE),
+        "g": write("g", np.diag([1.5, 0.5])),
+        "identity": write("identity", np.eye(2)),
+        "state": write("state", np.diag([0.75, 0.25]), "state"),
+        "gen": write("gen", np.array([[0.2, 0.1 + 0.3j], [0.4 - 0.1j, -0.2]])),
+    }
+
+
+COMMANDS = {
+    "validate": ["validate", "{x}"],
+    "act-alpha": ["act", "alpha", "{g}", "{x}"],
+    "act-phi": ["act", "phi", "{g}", "{x}"],
+    "connect-alpha": ["connect", "alpha", "{x}", "{state}"],
+    "connect-alpha-to": ["connect", "alpha", "{state}", "{x}"],
+    "connect-phi": ["connect", "phi", "{x}", "{state}"],
+    "connect-phi-to": ["connect", "phi", "{state}", "{x}"],
+    "isotropy": ["isotropy", "{x}"],
+    "tangent-alpha": ["tangent", "--action", "alpha", "{x}", "{gen}"],
+    "tangent-phi": ["tangent", "--action", "phi", "{x}", "{gen}"],
+    "flow": ["flow", "{x}", "{gen}", "--t0", "0", "--t1", "1", "--steps", "3"],
+    "gns": ["gns", "{x}"],
+    "recombine": ["recombine", "{x}", "{identity}", "{g}", "0.5"],
+}
+FILES = ["overflow", "overflow-positive", "anti-hermitian", "norm-overflows"]
+TAXONOMY = {name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, Exception)}
+
+
+def _invoke(args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return CliRunner().invoke(main, args)
+
+
+@pytest.mark.parametrize("file", FILES)
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+def test_every_command_serves_or_refuses_with_one_line(sweep_files, command, file):
+    files = {**sweep_files, "x": sweep_files[file]}
+    result = _invoke([arg.format(**files) for arg in command])
+    assert result.exit_code in (0, 2, 3), (result.exception, result.output)
+    if result.exit_code == 0:
+        assert result.stdout and result.stderr == ""
+        return
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].split(":")[0] in TAXONOMY, result.stderr
+    if file in ("anti-hermitian", "norm-overflows"):
+        assert lines[0].startswith("NotHermitian: "), lines
+
+
+@pytest.mark.parametrize("command", ["act-phi", "connect-phi", "gns", "flow", "tangent-phi",
+                                     "recombine"])
+def test_a_state_whose_trace_overflows_exits_2_with_one_trace_error(sweep_files, command):
+    files = {**sweep_files, "x": sweep_files["overflow"]}
+    result = _invoke([arg.format(**files) for arg in COMMANDS[command]])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "TraceError: |trace - 1| inf exceeds 1.000e-10\n"

@@ -10,6 +10,7 @@ from stategeom.isotropy import (
     complement_basis_alpha,
     isotropy_basis_phi,
     isotropy_membership_phi,
+    isotropy_report,
     orbit_dimension,
 )
 from stategeom.linalg import frobenius, matrix_exp
@@ -264,6 +265,16 @@ class TestClosedFormAgainstDenseMap:
         ratios = dense / (config.TANGENT_RANK_RTOL * dense[0])
         assert np.any(np.abs(ratios - 2.0) < 0.01) and np.any(np.abs(ratios - 0.5) < 0.01)
         assert tangent_map_rank(rho) == _oracle_rank(dense)
+
+    @pytest.mark.parametrize("eps, rank", [(1e-8, 8), (1e-9, 4)])
+    def test_rank_is_numerical_below_the_cut(self, eps, rank):
+        # four singular values of 2e to 6e against a cut of 1e-8 sigma_max = 1.41e-8:
+        # all above it at e = 1e-8, all below at e = 1e-9
+        rho = validate_state(np.diag([1.0 - 2.0 * eps, eps, eps]).astype(complex))
+        assert orbit_dimension(spectral_split(rho), "phi") == 8
+        report = isotropy_report(rho)
+        assert report.ambient_dim - report.dim_phi == 8
+        assert tangent_map_rank(rho) == rank
 
     def test_rank_at_n64(self):
         rho = random_state(np.random.default_rng(67), 64, rank=16)
