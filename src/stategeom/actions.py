@@ -146,7 +146,7 @@ def _normalization(prescaled: tuple[np.ndarray, int, float],
     is at or below the scaled DENOMINATOR_FLOOR."""
     m, e, _ = prescaled
     num = m @ rho.matrix @ dagger(m)
-    return num, config.check("Tr(g rho g†)", float(np.trace(num).real),
+    return num, config.check("Tr(g rho g†)", float(num.trace().real),
                              config.DENOMINATOR_FLOOR, 1.0, NumericallySingular, floor=True,
                              exp2=2 * e)
 

@@ -285,7 +285,7 @@ def tangent(file, generator_file, action, fd_step):
         "trace": in_range("trace", math.inf, lambda: float(np.trace(vec.value).real)),
     }
     if action == "phi":
-        payload["fd_check"] = {"h": fd_step, "relative_error": fd_tangent_check(rho, gen, fd_step)}
+        payload["fd_check"] = {"h": fd_step, "relative_error": fd_tangent_check(rho, vec, fd_step)}
     return payload
 
 

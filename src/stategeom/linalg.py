@@ -19,20 +19,13 @@ norm has the same bits, as the numpy forms they replace.
 All operations are pure functions of their arguments and of the process-wide
 tolerance scale in ``config``, which every thread shares.
 
-Everything here is numpy except ``matrix_exp``, which calls scipy's compiled
-scaling-and-squaring kernel, loaded by file path on first need without
-importing ``scipy`` or ``scipy.linalg``; only a triangular input, or a scipy
-whose kernel cannot be used, imports ``scipy.linalg``.
+Everything here is numpy.  ``matrix_exp`` is the package's own scaling and
+squaring (``_Exponential``), whose powers a flow shares across its points.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,88 +225,163 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     return hermitian_part((v * np.sqrt(w)) @ dagger(v))
 
 
-# The scipy release whose scipy.linalg.expm tests/test_matrix_exp.py matches bit
-# for bit; older wrappers around the same kernel differ, so they are used instead.
-_KERNEL_SCIPY = (1, 17, 1)
+# Al-Mohy and Higham (2009), Algorithm 5.1 with exact 1-norms.  Per Pade order m:
+# theta_m (their Table 3.1), b_0 .. b_m of r_m = p_m / q_m, and c_m = 1 / |c_(2m+1)| of
+# Higham (2005), (2.2), by which their ell(A, m) is 0 once ||A||_1^(2m) <= c_m u.
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068e0, 13: 4.25}
+_F = math.factorial
+_B = {m: [float(_F(2 * m - j) // (_F(j) * _F(m - j))) for j in range(m + 1)] for m in _THETA}
+_C = {m: _F(2 * m) * _F(2 * m + 1) / _F(m) ** 2 for m in _THETA}
+# log2 ||A||_1 below which ell(A, m) is 0, and m is taken alone (less 2^-30 for rounding)
+_ELL_FREE = {m: (math.log2(_C[m]) - 53.0) / (2 * m) - 2.0 ** -30 for m in _C}
+_ALONE = {m: min(math.log2(_THETA[m]), _ELL_FREE[m]) - 2.0 ** -30 for m in _C}
+# Coefficients over the stack I, b, b^2, ... and the powers of c they take.  With B = c b,
+# r_m(B) = I + 2 q_m(B)^-1 u_m(B), u_m the odd part of p_m, keeps a small B's digits.  Rows:
+# 2 u_m(B) and q_m(B) = p_m(-B) for m <= 9; for m = 13, u_13(B) = B^7 X + O and q_13(B) =
+# B^6 Y + E - u_13(B), X and Y the terms b_j B^(j-7) and b_j B^(j-6) of odd and even
+# j > 7, E and O those b_j B^j of even and odd j <= 7.
+_TABLE = {m: (np.array([[2.0 * x * (j % 2) for j, x in enumerate(b)],
+                        [(-1) ** j * x for j, x in enumerate(b)]]),
+              np.array([range(m + 1)] * 2, dtype=float)) for m, b in _B.items() if m < 13}
+_TABLE[13] = (np.array([[0, 0, _B[13][9], 0, _B[13][11], 0, _B[13][13], 0],
+                        [0, 0, _B[13][8], 0, _B[13][10], 0, _B[13][12], 0],
+                        [_B[13][0], 0, _B[13][2], 0, _B[13][4], 0, _B[13][6], 0],
+                        [0, _B[13][1], 0, _B[13][3], 0, _B[13][5], 0, _B[13][7]]]),
+              np.array([[0, 0, 9, 0, 11, 0, 13, 0], [0, 0, 8, 0, 10, 0, 12, 0],
+                        range(8), range(8)], dtype=float))
 
 
-@functools.cache
-def _expm_kernel():
-    """``pick_pade_structure`` and ``pade_UV_calc`` from scipy's compiled
-    ``_matfuncs_expm``, loaded once by file path so that neither ``scipy``'s
-    nor ``scipy.linalg``'s ``__init__`` runs; None when scipy predates
-    ``_KERNEL_SCIPY`` or the kernel cannot be found or loaded."""
-    try:
-        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-        with open(os.path.join(root, "version.py"), encoding="utf-8") as file:
-            release = re.search(r'^version\s*=\s*["\'](\d+)\.(\d+)\.(\d+)', file.read(), re.M)
-        if release is None or tuple(map(int, release.groups())) < _KERNEL_SCIPY:
-            return None
-        spec = importlib.machinery.PathFinder.find_spec(
-            "scipy.linalg._matfuncs_expm", [os.path.join(root, "linalg")])
-        kernel = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(kernel)
-        return kernel.pick_pade_structure, kernel.pade_UV_calc
-    except (AttributeError, ImportError, OSError, TypeError, ValueError):
-        return None
+def _onenorm(m: np.ndarray) -> float:
+    return float(np.abs(m).sum(axis=0).max())
 
 
-def _off_diagonal(m: np.ndarray) -> tuple[bool, bool]:
-    """Whether m has a nonzero entry below its diagonal, and whether above:
-    the structure test by which scipy.linalg.expm picks its branch.
+class _Exponential:
+    """exp(t a) for any real t, from the powers of one scaled copy of a.
 
-    Two nonzero corners settle a general matrix, and a diagonal one is read
-    through one strided view of the flat buffer that holds exactly the
-    off-diagonal entries (row r: (r, r+1..n-1), then (r+1, 0..r)); only the
-    remaining cases locate their nonzero entries.
+    The Al-Mohy and Higham (2009) scaling and squaring: a Pade order m and a
+    scaling s from exact 1-norms, r_m(2^-s t a) from one solve, s squarings.
+    With b = a / 2^e, 2^(e-1) <= ||a||_1 < 2^e, and c = t 2^(e-s), a point folds
+    c^j into ``_TABLE``'s coefficients: one product of that table with the
+    stack I, b, ..., b^m (and two n x n products for m = 13), one solve, s
+    squarings; the stack and the norms that pick m and s serve every t.  Where
+    |Tr b^2| >= n 2^-50, b's spectral radius is at least 2^-25, so no power to
+    b^10 is below 2^-250 and c below 2^28 at any accepted order.  Else each
+    power is scaled to largest part in [1/2, 1) and each c^j to match, so
+    neither leaves double range where (c b)^j does not.
+
+    The order is theirs, from d_p = ||(t a)^p||_1^(1/p), except where
+    ||t a||_1 alone settles it: d_p <= ||t a||_1 and ||abs(t a)^(2m+1)||_1 <=
+    ||t a||_1^(2m+1), so the least m with ||t a||_1 below theta_m and below the
+    bound that zeroes ell(t a, m) passes their test, at or above their m.
     """
-    n = m.shape[0]
-    if n > 1 and m.item(n - 1, 0) != 0 and m.item(0, n - 1) != 0:
-        return True, True
-    if not m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
-        return False, False
-    i, j = np.nonzero(m)
-    return bool(np.any(i > j)), bool(np.any(i < j))
+
+    def __init__(self, a: np.ndarray):
+        n = a.shape[0]
+        with np.errstate(over="ignore"):
+            norm = _onenorm(a)
+        shift = 2 + n.bit_length() if math.isinf(norm) else 0  # a column sum overflowed
+        if shift:
+            norm = _onenorm(a * 2.0 ** -shift)
+        m, e = math.frexp(norm)
+        self.e = max(e + shift, -1000)
+        self.norm = math.ldexp(m, e + shift - self.e)  # ||b||_1, in [1/2, 1) but for tiny a
+        self._stack = np.zeros((15, n, n), dtype=complex)  # I, b, ..., b^10, 4 polynomials
+        self._stack[0].flat[::n + 1] = 1.0
+        b = np.multiply(a, 2.0 ** -self.e, out=self._stack[1])
+        self._flat = self._stack.view(float).reshape(15, 2 * n * n)
+        np.matmul(b, b, out=self._stack[2])
+        self._count = 3  # powers formed: I, b, ..., b^(count - 1)
+        self._exps = None  # the E_j, where the powers are scaled
+        if abs(sum(self._stack[2].diagonal().tolist())) < n * 2.0 ** -50:  # rho(b) below 2^-25?
+            self._exps, self._count = [0, 0], 2
+            self._powers(2)
+        self._d = None  # d_4, d_6, d_8 and d_10 of b
+        self._alpha = {}
+
+    def _powers(self, k: int) -> np.ndarray:
+        """I, b, ..., b^k (k <= 10); b^j times b, ..., b^j gives b^(j+1), ..., b^2j."""
+        stack = self._stack
+        while self._count <= k:
+            j = self._count - 1
+            m = min(j, 10 - j)
+            new = stack[j + 1:j + m + 1]
+            np.matmul(stack[j], stack[1:m + 1], out=new)
+            self._count += m
+            if self._exps is not None:
+                tops = np.abs(new.view(float)).max(axis=(1, 2)).tolist()
+                shifts = np.array([math.frexp(x)[1] for x in tops])
+                np.ldexp(new.view(float), -shifts[:, None, None], out=new.view(float))
+                self._exps += [self._exps[j] + self._exps[i] + f if x else -2 ** 20
+                               for i, (x, f) in enumerate(zip(tops, shifts.tolist()), 1)]
+        return stack[:k + 1]
+
+    def _ell(self, m: int, lc: float) -> int:
+        """Their ell(c b, m), log2 |c| = lc, from ||c b||_1 or ||abs(b)^(2m+1)||_1."""
+        if lc + math.log2(self.norm) <= _ELL_FREE[m]:
+            return 0
+        if m not in self._alpha:
+            v = np.ones(self._stack.shape[1])
+            at = np.abs(self._stack[1]).T
+            for _ in range(2 * m + 1):
+                v = at @ v
+            top = float(v.max())
+            self._alpha[m] = math.log2(top / (self.norm * _C[m])) if top else -math.inf
+        alpha = self._alpha[m]
+        return 0 if alpha == -math.inf else max(math.ceil(lc + (alpha + 53.0) / (2 * m)), 0)
+
+    def _order(self, lc: float) -> tuple[int, int]:
+        """The Pade order m and the scaling s for c b, log2 |c| = lc."""
+        la = lc + math.log2(self.norm)  # log2 ||t a||_1
+        for m in _ALONE:
+            if la < _ALONE[m]:
+                return m, 0
+        if self._d is None:
+            powers, exps = self._powers(10), self._exps or [0] * 11
+            self._d = [_onenorm(powers[p]) ** (1 / p) * 2.0 ** (exps[p] / p) for p in (4, 6, 8, 10)]
+        d4, d6, d8, d10 = self._d
+        for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
+            if eta < _THETA[m] * 2.0 ** -lc and self._ell(m, lc) == 0:  # untrimmed: lc > 2
+                return m, 0
+        eta = min(max(d6, d8), max(d8, d10))
+        s = max(math.ceil(lc + math.log2(eta / _THETA[13])), 0) if eta > 0.0 else 0
+        return 13, s + self._ell(13, lc - s)
+
+    def __call__(self, t: float) -> np.ndarray:
+        if t == 0.0 or self.norm == 0.0:
+            return self._stack[0].copy()
+        m, s = self._order(math.log2(abs(t)) + self.e)
+        c = math.ldexp(t, self.e - s)  # 2^-s t a = c b
+        table, power = _TABLE[m]
+        k = table.shape[1]
+        self._powers(k - 1)
+        if self._exps is None:
+            weights = table * c ** power
+        else:
+            mantissa, exponent = math.frexp(c)
+            scale = np.add.outer([self._exps[7], self._exps[6], 0, 0] if m == 13 else [0, 0],
+                                 self._exps[:k])
+            weights = np.ldexp(table * mantissa ** power, exponent * power.astype(int) + scale)
+        np.matmul(weights, self._flat[:k], out=self._flat[11:11 + len(table)])
+        u2, q = self._stack[11:13]  # for m = 13, X and Y
+        if m == 13:
+            odd = self._stack[7] @ u2 + self._stack[14]
+            q = self._stack[6] @ q + self._stack[13] - odd
+            u2 = odd + odd
+        try:
+            x = np.linalg.solve(q, u2)
+        except np.linalg.LinAlgError as exc:  # a singular or non-finite Pade denominator
+            raise NumericalError(f"exp(t a) is not numerically usable at t = {t!r}") from exc
+        x += self._stack[0]
+        for _ in range(s):
+            x = x @ x
+        return x
 
 
 def matrix_exp(a) -> np.ndarray:
-    """Matrix exponential, with the bits of ``scipy.linalg.expm``.
-
-    The Al-Mohy and Higham (2009) scaling and squaring of scipy's compiled
-    kernel, run as scipy's generic branch runs it: ``pick_pade_structure``
-    picks the Pade order m and the scaling s, ``pade_UV_calc`` evaluates the
-    approximant, and s squarings follow.  A diagonal input (1 x 1 and the zero
-    matrix included) is ``np.exp`` of its diagonal, as in scipy.  A triangular
-    one goes to ``scipy.linalg.expm`` itself, for its Code Fragment 2.1, as
-    does every input when the kernel is unavailable (``_expm_kernel``).  The
-    kernel's allocation failures raise MemoryError; any other error code it
-    returns raises NumericalError.
-    """
-    m = as_operator(a)
-    below, above = _off_diagonal(m)
-    if not (below or above):
-        return np.diag(np.exp(np.diag(m)))
-    kernel = _expm_kernel() if below and above else None
-    if kernel is None:
-        import scipy.linalg
-
-        return scipy.linalg.expm(m)
-    pick_pade_structure, pade_uv_calc = kernel
-    n = m.shape[0]
-    work = np.empty((5, n, n), dtype=complex)
-    work[0] = m
-    order, s = pick_pade_structure(work)
-    if order < 0:
-        raise MemoryError(f"expm could not allocate its Pade structure (error code {order})")
-    info = pade_uv_calc(work, order)
-    if info <= -11:
-        raise MemoryError(f"expm could not allocate its Pade evaluation (error code {info})")
-    if info != 0:
-        raise NumericalError(f"expm's Pade evaluation failed in LAPACK (error code {info})")
-    e = work[0]
-    for _ in range(s):
-        e = e @ e
-    return e if s else e.copy()
+    """Matrix exponential, ``_Exponential`` at t = 1: within a small multiple of
+    gamma_8n (2 + (1 + sqrt(n)) ||a||_F) e^||a||_F of ``scipy.linalg.expm``."""
+    return _Exponential(as_operator(a))(1.0)
 
 
 def polar(g) -> tuple[np.ndarray, np.ndarray]:

@@ -148,33 +148,8 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, k, sure) for non-negative doubles a: where ``sure``, a rounded to 17
-    significant digits is N * 10**(k - 16) with 10**16 <= N < 10**17, the
-    digits and exponent of ``"%.17g" % a``.  Elsewhere N and k mean nothing.
-
-    Proof.  Let u = 2^-53, k = floor(log10 a) as computed, p = 16 - k and
-    v = a 10**p.  ``_pow10`` gives 10**p = H + L + e with
-    |L| <= u (1 + u) 10**p and |e| <= u^2 10**p.  On [1e-280, 1e280], p lies
-    in [-264, 297], so H, L, the split halves and every product below are
-    normal and finite, and Dekker's product gives a H = ph + pl exactly with
-    |pl| <= u ph.  Then r = fl(pl + fl(a L)) differs from v - ph by at most
-    u^2 v (from e), u^2 (1 + u) v (the product a L) and 2 u^2 (1 + u)^2 v
-    (the sum): under 2^-103.99 v.  Below 2^52, t = ph + floor(r) < 10**16
-    fails the window 10**16 <= t < 10**17; above, ph is an integer and
-    t = floor(ph + r).  A t in the window so has v < 10**17 + 1, where r errs
-    by under 2^-47.  f = r - floor(r) is exact for r >= 0 and rounds by at
-    most 2^-54 near 1/2 for r < 0, so |f - 1/2| > 2^-46 puts v - ph on the
-    same side of floor(r) + 1/2 as r, within 1/2 of it: round(v) =
-    t + (f > 1/2) = N, and no exact tie passes.  Inside [10**16, 10**17),
-    10**k <= a < 10**(k+1), so N is a's 17-digit significand.  The window
-    leaves v at most 2^-47 outside that range; there a is within 10^-30
-    relative of 10**k or 10**(k+1), its 17 digits round to that power, and N
-    is 10**16 or 10**17 (the carry: 10**16 with k + 1).
-    """
-    fast = (a >= 1e-280) & (a <= 1e280)
-    a = np.where(fast, a, 1.0)
-    k = np.floor(np.log10(a)).astype(np.int64)
+def _scaled(a: np.ndarray, k: np.ndarray, tens: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``_significands``' (t, f) for a at exponents k, with 10**p from ``tens`` or added to it."""
     p = 16 - k
     first = int(p.min())
     at = p - first
@@ -182,7 +157,7 @@ def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     present[at] = True
     hs, ls = np.zeros((2, present.size))
     for i in np.flatnonzero(present).tolist():
-        hs[i], ls[i] = _pow10(first + i)
+        hs[i], ls[i] = tens[first + i] = tens.get(first + i) or _pow10(first + i)
     h = hs[at]
     ph = a * h
     ah, al = _split(a)
@@ -190,10 +165,46 @@ def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pl = ((ah * hh - ph) + ah * hl + al * hh) + al * hl
     r = pl + a * ls[at]
     whole = np.floor(r)
-    f = r - whole
-    t = ph.astype(np.int64) + whole.astype(np.int64)
-    sure = fast & (np.abs(f - 0.5) > _SLACK) & (t >= 10 ** 16) & (t < 10 ** 17)
-    n = t + (f > 0.5)
+    return ph.astype(np.int64) + whole.astype(np.int64), r - whole
+
+
+def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, k, sure) for non-negative doubles a: where ``sure``, a rounded to 17
+    significant digits is N * 10**(k - 16) with 10**16 <= N < 10**17, the
+    digits and exponent of ``"%.17g" % a``.  Elsewhere N and k mean nothing.
+
+    Proof.  Let u = 2^-53, k = floor(log10 a) as computed (less one where
+    that gives t < 10**16: np.log10 rounds up), p = 16 - k and v = a 10**p.
+    ``_pow10`` gives 10**p = H + L + e with
+    |L| <= u (1 + u) 10**p and |e| <= u^2 10**p.  On [1e-280, 1e280], p lies
+    in [-264, 297], so H, L, the split halves and every product below are
+    normal and finite, and Dekker's product gives a H = ph + pl exactly with
+    |pl| <= u ph.  Then r = fl(pl + fl(a L)) differs from v - ph by at most
+    u^2 v (from e), u^2 (1 + u) v (the product a L) and 2 u^2 (1 + u)^2 v
+    (the sum): under 2^-103.99 v.  Below 2^52, t = ph + floor(r) < 10**16
+    fails the window 10**16 <= t <= 10**17; above, ph is an integer and
+    t = floor(ph + r).  A t in the window so has v < 10**17 + 2, where r errs
+    by under 2^-47.  f = r - floor(r) is exact for r >= 0 and rounds by at
+    most 2^-54 near 1/2 for r < 0, so |f - 1/2| > 2^-46 puts v - ph on the
+    same side of floor(r) + 1/2 as r, within 1/2 of it: round(v) =
+    t + (f > 1/2) = N, and no exact tie passes.  Inside [10**16, 10**17),
+    10**k <= a < 10**(k+1), so N is a's 17-digit significand.  The window
+    leaves v at most 2^-47 outside that range; there a is within 10^-30
+    relative of 10**k or 10**(k+1), its 17 digits round to that power, and N
+    is 10**16 or 10**17 (the carry: 10**16 with k + 1).  At t = 10**17, a's
+    17 digits round to 10**(k+1) on either side of it, and N is 10**17.
+    """
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    tens = {}
+    t, f = _scaled(a, k, tens)
+    low = np.flatnonzero(t < 10 ** 16)
+    if low.size:
+        k[low] -= 1
+        t[low], f[low] = _scaled(a[low], k[low], tens)
+    sure = fast & (np.abs(f - 0.5) > _SLACK) & (t >= 10 ** 16) & (t <= 10 ** 17)
+    n = np.minimum(t + (f > 0.5), 10 ** 17)
     carry = n == 10 ** 17
     return n - carry * (9 * 10 ** 16), k + carry, sure
 

@@ -4,11 +4,11 @@ Differentiating t -> exp(ta) xi exp(ta)† at t = 0 gives the congruence
 velocity a xi + xi a†, which splits as {xi, x} - i[xi, y] for a = x + iy with
 x, y Hermitian.  The normalized action adds the trace correction
 -Tr(a rho + rho a†) rho, making the velocity traceless.  Flows evaluate
-exp(ta) exactly per grid point rather than stepping an ODE, with one
-congruence per point; two O(n^2) certificates stand in for the SVD of
-``group_element`` and the eigvalsh of ``psd_gate``, the positivity tests of
-``validate_state``, and where one cannot decide, the point runs that one test
-(see ``flow``).
+exp(ta) exactly per grid point rather than stepping an ODE, from powers of a
+that every point shares, with one congruence per point; two O(n^2)
+certificates stand in for the SVD of ``group_element`` and the eigvalsh of
+``psd_gate``, the positivity tests of ``validate_state``, and where one cannot
+decide, the point runs that one test (see ``flow``).
 
 The rank of a -> phi_velocity(rho, a), the orbit dimension n^2 - (n-k)^2 - 1
 at rank k, comes from the closed form of its singular values in the
@@ -26,8 +26,8 @@ import numpy as np
 from . import config
 from .actions import group_element, prescaled_phi
 from .errors import NumericalError, ValidationError
-from .linalg import (as_operator, dagger, eig_allowance, fro_scale, frobenius, gamma,
-                     hermitian_part, in_range, matrix_exp, require_hermitian)
+from .linalg import (_Exponential, as_operator, dagger, eig_allowance, fro_scale, frobenius,
+                     gamma, hermitian_part, in_range, require_hermitian)
 from .states import (PositiveFunctional, StateDensity, _eigenpairs, _frozen, default_rank_tol,
                      min_eigenvalue, psd_gate, unit_trace)
 
@@ -89,13 +89,14 @@ def covariance(rho: StateDensity, a, b) -> float:
 
 @dataclass(frozen=True)
 class _Flow:
-    """What every point of the flow of ``rho`` along ``gen`` shares: ||gen||_F,
-    ||rho||_F and ``rho_floor`` = min(0, lambda_min - ``eig_allowance`` ||rho||_F),
-    a lower bound on the smallest eigenvalue of rho's Hermitian part, read from
-    rho's eigen-record."""
+    """What every point of the flow of ``rho`` along ``gen`` shares: ``exp``, the
+    evaluator of t -> exp(t gen), ||gen||_F, ||rho||_F and ``rho_floor`` =
+    min(0, lambda_min - ``eig_allowance`` ||rho||_F), a lower bound on the
+    smallest eigenvalue of rho's Hermitian part, read from rho's eigen-record."""
 
     rho: StateDensity
     gen: np.ndarray
+    exp: _Exponential
     gen_norm: float
     rho_norm: float
     rho_floor: float
@@ -104,25 +105,28 @@ class _Flow:
 def _flow_of(rho: StateDensity, a) -> _Flow:
     gen = as_operator(a, "generator", rho.n)
     rho_norm = frobenius(rho.matrix)
-    return _Flow(rho=rho, gen=gen, gen_norm=frobenius(gen), rho_norm=rho_norm,
-                 rho_floor=min(0.0, min_eigenvalue(rho) - eig_allowance(rho.n) * rho_norm))
+    floor = min(0.0, min_eigenvalue(rho) - eig_allowance(rho.n) * rho_norm)
+    return _Flow(rho=rho, gen=gen, exp=_Exponential(gen), gen_norm=frobenius(gen),
+                 rho_norm=rho_norm, rho_floor=floor)
 
 
 def _invertible(x: float, n: int) -> bool:
     """Whether ``group_element``'s test sigma_min > SINGULAR_RTOL (1 + sigma_max)
-    certainly passes on g = matrix_exp(A) for every A with ||A||_F <= x: decided
-    from x and n alone, before g is read.
+    certainly passes on g = exp(A) from ``linalg._Exponential``, for every
+    A = t a with ||A||_F <= x: decided from x and n alone, before g is read.
 
     The exact exp(A) has sigma_min >= e^-||A||_2 >= e^-x and sigma_max <= e^x.
     The computed g differs from it by at most err = gamma_8n (2 + (1 + sqrt(n)) x)
-    e^x: expm's backward error u ||A|| carried through the exponential (at most
+    e^x: the backward error u ||A|| carried through the exponential (at most
     u x e^x), and the rounding of its Pade evaluation and of its s squarings,
     with 2^s <= 1 + ||A||_1 <= 1 + sqrt(n) x, each below gamma_8n e^x (Al-Mohy
-    and Higham 2009).  So g is finite and sigma_max(g) <= e^x + err.  The SVD's
-    own rounding moves both extreme singular values by at most
-    svd = sqrt(n) gamma_8n (e^x + err) (LAPACK's bound, p(n) u sigma_max), so
-    the computed sigma_max is at most e^x + err + svd; the scale takes 2 svd,
-    room for the rounding of the bound itself.
+    and Higham 2009).  Shared powers keep that: a term b_j c^j b^j rounds c^j
+    and its coefficient by a few u and b^j as A^j would, and I + 2 q_m^-1 u_m
+    is q_m^-1 p_m; the cut-offs did not move.  So sigma_max(g) <= e^x + err.  The SVD's own rounding moves both
+    extreme singular values by at most svd = sqrt(n) gamma_8n (e^x + err)
+    (LAPACK's bound, p(n) u sigma_max), so the computed sigma_max is at most
+    e^x + err + svd; the scale takes 2 svd, room for the rounding of the bound
+    itself.
     """
     if not x < 700.0:  # e^x overflows near 709.8; the bound fails long before
         return False
@@ -157,14 +161,14 @@ def _positive(mat: np.ndarray, scale: float, flow: _Flow, ratio: float) -> bool:
     n = mat.shape[0]
     allowance = eig_allowance(n) * scale
     deficit = (gamma(4 * n + 8) * flow.rho_norm - flow.rho_floor + n * n * 2.0 ** -1070) * ratio
-    top = (float(np.trace(mat).real) - math.sqrt(n) * gamma(n) * scale) / n
+    top = (float(mat.trace().real) - math.sqrt(n) * gamma(n) * scale) / n
     return (config.clears(deficit + allowance, config.PSD_CLAMP_RTOL, scale)
             and config.clears(top - allowance, config.PSD_CLAMP_RTOL, scale, floor=True))
 
 
 def _flow_point(flow: _Flow, t) -> StateDensity:
-    """phi(exp(t gen), rho) from one expm and one congruence, phi's own
-    ``prescaled_phi``.  Each certificate that cannot decide runs the one test
+    """phi(exp(t gen), rho) from the flow's shared exponential ``flow.exp`` and
+    one congruence, phi's own ``prescaled_phi``.  Each certificate that cannot decide runs the one test
     it stands in for: ``group_element``'s SVD where ``_invertible`` fails,
     before the congruence as in phi (so Singular comes before
     NumericallySingular), and ``psd_gate``'s eigvalsh of the same matrix, whose
@@ -177,7 +181,7 @@ def _flow_point(flow: _Flow, t) -> StateDensity:
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            g = matrix_exp(t * flow.gen)
+            g = flow.exp(float(t))
             if not _invertible(abs(float(t)) * flow.gen_norm, flow.rho.n):
                 group_element(g)
             mat, ratio = prescaled_phi(g, flow.rho)
@@ -195,14 +199,15 @@ def _flow_point(flow: _Flow, t) -> StateDensity:
 def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     """Trajectory t -> phi(exp(ta), rho0) over the given parameter grid.
 
-    Each point costs one expm, one congruence (phi's, ``prescaled_phi``) and
-    O(n^2) checks; the states have the bits of phi(matrix_exp(t a), rho0).
-    Two certificates stand in for the SVD of ``group_element`` and the
-    eigvalsh of ``psd_gate``, ``validate_state``'s positivity tests (see
-    ``_invertible`` and ``_positive``):
+    One evaluator E of t -> exp(t a) (``linalg._Exponential``) forms a's powers
+    once, so a point costs its Pade evaluation, one solve, s squarings, one
+    congruence (phi's, ``prescaled_phi``) and O(n^2) checks; the states have
+    the bits of phi(E(t), rho0).  Two certificates stand in for the SVD of
+    ``group_element`` and the eigvalsh of ``psd_gate``, ``validate_state``'s
+    positivity tests (see ``_invertible`` and ``_positive``):
 
-    - invertible, from x = |t| ||a||_F and n alone: e^-x, less expm's forward
-      error err = gamma_8n (2 + (1 + sqrt(n)) x) e^x and the SVD's rounding
+    - invertible, from x = |t| ||a||_F and n alone: e^-x, less the exponential's
+      forward error err = gamma_8n (2 + (1 + sqrt(n)) x) e^x and the SVD's rounding
       sqrt(n) gamma_8n (e^x + err), exceeds SINGULAR_RTOL (1 + e^x + err);
     - a state: with B = PSD_CLAMP_RTOL (1 + ||rho_t||_F), ``_positive``'s lower
       bound on the spectrum of rho_t (from rho0's eigen-record) is above
@@ -230,20 +235,23 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
 
     Returns ||fd - value||_F / (1 + ||value||_F) with the symmetric
     difference (phi(exp(ha)) - phi(exp(-ha))) / 2h; h must be finite and nonzero.
-    The two points are ``flow``'s, with its certificates and fallback, so they
-    cost two expm and two congruences, and read rho's eigen-record.  A step so small
-    that the quotient overflows raises NumericalError, and so does one whose
-    quotient rounding may swallow whole: the allowance
-    gamma_{4n+8} (||fwd||_F + ||bwd||_F) / 2|h| of the two points' congruences
-    (as in ``_positive``) is not below 1 + ||value||_F.
+    ``a`` is a generator, or the TangentVector ``tangent_phi`` gave at rho, whose
+    value is then the velocity.  The two points are ``flow``'s, with its
+    certificates and fallback, so they share one exponential, cost two
+    congruences, and read rho's eigen-record.  A step so small that the quotient
+    overflows raises NumericalError, and so does one whose quotient rounding
+    may swallow whole: the allowance gamma_{4n+8} (||fwd||_F + ||bwd||_F) / 2|h|
+    of the two points' congruences (as in ``_positive``) is not below
+    1 + ||value||_F.
     """
     if not (math.isfinite(h) and h != 0.0):
         raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
-    f = _flow_of(rho, a)
+    vec = a if isinstance(a, TangentVector) else None
+    f = _flow_of(rho, a if vec is None else vec.generator)
     # every entry the velocity forms, its trace included, is at most
     # 2 ||a||_F ||rho||_F (1 + ||rho||_F) <= 4 ||a||_F ||rho||_F in magnitude
-    value = in_range("tangent vector", f.gen_norm * f.rho_norm,
-                     lambda: phi_velocity(rho.matrix, f.gen))
+    value = vec.value if vec is not None else in_range(
+        "tangent vector", f.gen_norm * f.rho_norm, lambda: phi_velocity(rho.matrix, f.gen))
     fwd = _flow_point(f, h).matrix
     bwd = _flow_point(f, -h).matrix
     with np.errstate(over="ignore", invalid="ignore"):  # a complex 0 over subnormal 2h: 0 * inf

@@ -1,7 +1,8 @@
 """``flow`` and ``fd_tangent_check`` at the exponential floor.
 
-Every point keeps the bits (or the error) of phi(matrix_exp(t a), rho) from
-one expm and one congruence.  Two O(n^2) certificates stand in for the SVD of
+Every point keeps the bits (or the error) of phi(E(t), rho) from one
+exponential and one congruence, where E is the evaluator of t -> exp(t a) that
+the flow holds (``linalg._Exponential``).  Two O(n^2) certificates stand in for the SVD of
 ``group_element`` and the eigvalsh of ``validate_state``: each accepts where
 its bound holds and elsewhere runs the one test it replaces, so a point takes
 an SVD only where ``_invertible`` fails and an eigvalsh only where
@@ -19,16 +20,16 @@ from sampling import random_direction, random_state
 from stategeom import config, states, tangent
 from stategeom.actions import group_element, phi
 from stategeom.errors import NumericalError, ValidationError
-from stategeom.linalg import frobenius, matrix_exp
+from stategeom.linalg import _Exponential, as_operator, frobenius, matrix_exp
 from stategeom.states import validate_state
 from stategeom.tangent import fd_tangent_check, flow, phi_velocity
 
 
 def _reference(rho, a, t):
-    """phi(matrix_exp(t a), rho) as bytes, or the message flow gives its error."""
+    """phi(E(t), rho) as bytes, or the message flow gives its error."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            return phi(matrix_exp(t * a), rho).matrix.tobytes()
+            return phi(_Exponential(as_operator(a))(float(t)), rho).matrix.tobytes()
     except ValidationError as exc:
         return (f"exp(t a) is not numerically usable at t = {float(t)!r}: "
                 f"{type(exc).__name__}: {exc}")
@@ -302,7 +303,8 @@ def test_fd_tangent_check_keeps_its_bits_without_an_svd(n, svd_calls):
         rho = random_state(rng, n, rank)
         a = random_direction(rng, n, 1.0)
         value = phi_velocity(rho.matrix, a)
-        fd = (phi(matrix_exp(h * a), rho).matrix - phi(matrix_exp(-h * a), rho).matrix) / (2 * h)
+        exp = _Exponential(a)
+        fd = (phi(exp(h), rho).matrix - phi(exp(-h), rho).matrix) / (2 * h)
         expected = frobenius(fd - value) / (1.0 + frobenius(value))
         calls = len(svd_calls)
         assert fd_tangent_check(rho, a) == expected
@@ -337,9 +339,14 @@ def test_clears_is_read_only_by_the_flow_certificates():
 
 def test_one_rule_picks_a_power_of_two_exponent():
     # the normalized action's prescale is chosen in actions._prescale alone;
-    # the others are the norm's overflow rescue and the classical weights'
+    # the others are the norm's overflow rescue, the exponential's (a / 2^e,
+    # the scaled powers of a far-from-normal a and their coefficients) and the
+    # classical weights'
     assert _call_sites("frexp", "math") == {
         ("linalg.py", "frobenius"),
+        ("linalg.py", "__init__"),
+        ("linalg.py", "_powers"),
+        ("linalg.py", "__call__"),
         ("actions.py", "_weight_squares"),
         ("actions.py", "_prescale"),
     }

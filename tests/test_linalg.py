@@ -1,15 +1,9 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stategeom
-from oracles import dag, eig_count, expm_series, matrix_text
+from oracles import dag, eig_count, expm_series
 from sampling import random_hermitian, random_invertible, random_state, random_unitary
 from stategeom.errors import NotHermitian, NotPSD, Singular
 from stategeom.linalg import (
@@ -209,39 +203,6 @@ class TestFixPhases:
         out = _fix_phases(v)
         assert out.tobytes() == _fix_phases_loop(v).tobytes()
         np.testing.assert_array_equal(out[:, 0], 0.0)
-
-
-def test_scipy_loaded_only_by_matrix_exp(tmp_path):
-    """Importing the package and running a non-flow command leaves scipy
-    unimported; matrix_exp on a diagonal or a general input leaves
-    scipy.linalg unimported, and only a triangular input loads it."""
-    state = tmp_path / "state.json"
-    state.write_text(matrix_text(np.diag([0.5, 0.5]), "state"))
-    script = f"""
-import sys
-import numpy as np
-import stategeom
-import stategeom.cli
-from click.testing import CliRunner
-result = CliRunner().invoke(stategeom.cli.main, ["validate", {str(state)!r}])
-assert result.exit_code == 0, result.output
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-assert not loaded, loaded
-e = stategeom.linalg.matrix_exp(np.diag([np.log(2.0), 0.0]))
-assert np.allclose(e, np.diag([2.0, 1.0]), atol=1e-12), e
-e = stategeom.linalg.matrix_exp(np.array([[0.0, -np.pi / 2], [np.pi / 2, 0.0]]))
-assert np.allclose(e, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12), e
-assert "scipy.linalg" not in sys.modules
-e = stategeom.linalg.matrix_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
-assert np.allclose(e, [[1.0, 1.0], [0.0, 1.0]], atol=1e-12), e
-assert "scipy.linalg" in sys.modules
-"""
-    src = str(Path(stategeom.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -212,6 +213,26 @@ def test_a_trajectory_needs_no_fallback(fallbacks):
     assert fallbacks == []
 
 
+def is_decimal_tie(x):
+    """Whether x lies exactly halfway between two 17-digit decimals."""
+    d = Decimal(x)
+    return d.scaleb(16 - d.adjusted()) % 1 == Decimal("0.5")
+
+
+def test_powers_of_ten_and_their_neighbours_need_no_fallback(fallbacks):
+    # np.log10 rounds most doubles just below a power of ten up to it; the
+    # encoder takes those again one exponent down instead of falling back.
+    # Only the entries it leaves by design fall back: those outside
+    # [1e-280, 1e280] and exact decimal ties (here the double below 1e15)
+    table = ulps([float(f"1e{e}") for e in range(-280, 281)], 1).reshape(-1, 3)
+    assert table.shape == (561, 3)
+    text = serialize._float_text(table)
+    assert text == "".join(",".join("%.17g" % x for x in row) + "\n" for row in table.tolist())
+    assert fallbacks == [x for x in table.ravel().tolist()
+                         if not 1e-280 <= x <= 1e280 or is_decimal_tie(x)]
+    assert len(fallbacks) == 3
+
+
 @pytest.mark.parametrize("values", [
     FAMILIES["ties"][:2000],
     np.concatenate([5e-324 * np.arange(1.0, 9.0), ulps([1e-310, 2.2250738585072014e-308,
@@ -272,12 +293,12 @@ def flow_files(tmp_path, n):
 
 FLOW_ARGS = ["--t0", "-0.5", "--t1", "1.25", "--steps", "7"]
 FLOW_PINS = {
-    ("csv", 2): "5c8625f0f6b462000835bccf48f80a1a5138adde7f004f6d59183ec73bbc9fb5",
-    ("csv", 3): "e7f1f894edaff7378c7308f03237bc528c5da682ea8193d63c5d17c7a1113960",
-    ("csv", 4): "cb27e18920635d0dabbd6e511f4badb09a97a2986704a84a8d3f8e0bdc50e876",
-    ("json", 2): "7a7503078ed591f5dbdaf8ac52defe91a1669f0a0937356e9f2fbc87c8e0427b",
-    ("json", 3): "52e8da1eed08f4b0c2bae153d3a7a34170d001025164722c5cabf16842cf57d3",
-    ("json", 4): "30e0d10c51519a2d57ed5cc21bdb34c54f4273568b29b209d76159a92ef4f945",
+    ("csv", 2): "307b7a8a14739210896cd5be8770f9aadb25477c7d870aa814f087cbdbc77b2b",
+    ("csv", 3): "cd27ac91326a3bad42f553e7b4748aa26b80314aa6b063074d7dfff23a931476",
+    ("csv", 4): "5821637d9927a9c3bcb6e1c7e02dc8b95b71fd4d683f58df0d29ba3a47cc73fe",
+    ("json", 2): "e47ce304045fc11f44527fafd2f17bb4c35d3b0c181bc9587bf372de438aa0f8",
+    ("json", 3): "9cacb550de40f8df359abe07553255ec9955b8546190f1118265d470e7031d26",
+    ("json", 4): "b737b27429026bc27110744fb7f31639dea7a3c66f9d81fbe52d0b4bf8ea7319",
 }
 
 

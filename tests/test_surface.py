@@ -127,6 +127,7 @@ PRIVATE_IMPORTS = {
     ("gns", "states", "_frozen"),
     ("orbits", "actions", "_require_weight"),
     ("orbits", "actions", "_weight_squares"),
+    ("tangent", "linalg", "_Exponential"),
     ("tangent", "states", "_eigenpairs"),
     ("tangent", "states", "_frozen"),
 }
