@@ -274,6 +274,7 @@ class _Exponential:
     ||t a||_1 alone settles it: d_p <= ||t a||_1 and ||abs(t a)^(2m+1)||_1 <=
     ||t a||_1^(2m+1), so the least m with ||t a||_1 below theta_m and below the
     bound that zeroes ell(t a, m) passes their test, at or above their m.
+    A diagonal a is exponentiated entrywise, as ``scipy.linalg.expm`` does.
     """
 
     def __init__(self, a: np.ndarray):
@@ -298,6 +299,8 @@ class _Exponential:
             self._powers(2)
         self._d = None  # d_4, d_6, d_8 and d_10 of b
         self._alpha = {}
+        diagonal = a.diagonal()
+        self._diagonal = diagonal.copy() if np.count_nonzero(a) == np.count_nonzero(diagonal) else None
 
     def _powers(self, k: int) -> np.ndarray:
         """I, b, ..., b^k (k <= 10); b^j times b, ..., b^j gives b^(j+1), ..., b^2j."""
@@ -350,6 +353,9 @@ class _Exponential:
     def __call__(self, t: float) -> np.ndarray:
         if t == 0.0 or self.norm == 0.0:
             return self._stack[0].copy()
+        if self._diagonal is not None:  # exact up to exp's rounding, as scipy's expm does
+            with np.errstate(over="ignore"):
+                return np.diag(np.exp((t * self._diagonal.view(float)).view(complex)))
         m, s = self._order(math.log2(abs(t)) + self.e)
         c = math.ldexp(t, self.e - s)  # 2^-s t a = c b
         table, power = _TABLE[m]
@@ -380,7 +386,8 @@ class _Exponential:
 
 def matrix_exp(a) -> np.ndarray:
     """Matrix exponential, ``_Exponential`` at t = 1: within a small multiple of
-    gamma_8n (2 + (1 + sqrt(n)) ||a||_F) e^||a||_F of ``scipy.linalg.expm``."""
+    gamma_8n (2 + (1 + sqrt(n)) ||a||_F) e^||a||_F of ``scipy.linalg.expm``, and
+    with its bits where a is diagonal."""
     return _Exponential(as_operator(a))(1.0)
 
 

@@ -1,5 +1,6 @@
-"""``matrix_exp`` and a flow's exponential against ``scipy.linalg.expm``, within
-a small multiple of the forward bound that ``tangent._invertible`` assumes, and
+"""``matrix_exp`` and a flow's exponential against ``scipy.linalg.expm``: bit for
+bit on diagonal input, which both exponentiate entrywise, and elsewhere within a
+small multiple of the forward bound that ``tangent._invertible`` assumes; and
 the package's independence of scipy.
 
 The bound is gamma_8n (2 + (1 + sqrt(n)) x) e^x with x = |t| ||a||_F: expm's
@@ -74,9 +75,17 @@ def _cases():
 
 
 _CASES = dict(_cases())
+_DIAGONAL = ["zero", "diagonal", "diagonal-negative-zeros", "1x1", "1x1-zero", "1x1-large"]
 
 
-@pytest.mark.parametrize("name", list(_CASES))
+@pytest.mark.parametrize("name", _DIAGONAL)
+def test_same_bits_as_scipy(name):
+    ours, theirs = matrix_exp(_CASES[name]), _scipy_expm(_CASES[name])
+    assert ours.dtype == theirs.dtype == complex and ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("name", [name for name in _CASES if name not in _DIAGONAL])
 def test_within_bound_of_scipy(name):
     assert _ratio(matrix_exp(_CASES[name]), _CASES[name]) <= MULTIPLE
 
@@ -170,7 +179,8 @@ def test_no_package_module_imports_scipy():
     ["flow", "{state}", "{gen}", "--t0", "0", "--t1", "1", "--steps", "5"],
     ["tangent", "{state}", "{gen}"],
 ])
-def test_exponentiating_commands_load_no_scipy(tmp_path, command):
+def test_exponentiating_commands_do_not_import_scipy_linalg(tmp_path, command):
+    """flow and tangent load no scipy module, scipy.linalg included."""
     state = tmp_path / "state.json"
     state.write_text(matrix_text(np.diag([0.75, 0.25]), "state"))
     gen = tmp_path / "gen.json"
