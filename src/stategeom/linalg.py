@@ -26,6 +26,7 @@ squaring (``_Exponential``), whose powers a flow shares across its points.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,20 +237,11 @@ _C = {m: _F(2 * m) * _F(2 * m + 1) / _F(m) ** 2 for m in _THETA}
 # log2 ||A||_1 below which ell(A, m) is 0, and m is taken alone (less 2^-30 for rounding)
 _ELL_FREE = {m: (math.log2(_C[m]) - 53.0) / (2 * m) - 2.0 ** -30 for m in _C}
 _ALONE = {m: min(math.log2(_THETA[m]), _ELL_FREE[m]) - 2.0 ** -30 for m in _C}
-# Coefficients over the stack I, b, b^2, ... and the powers of c they take.  With B = c b,
-# r_m(B) = I + 2 q_m(B)^-1 u_m(B), u_m the odd part of p_m, keeps a small B's digits.  Rows:
-# 2 u_m(B) and q_m(B) = p_m(-B) for m <= 9; for m = 13, u_13(B) = B^7 X + O and q_13(B) =
-# B^6 Y + E - u_13(B), X and Y the terms b_j B^(j-7) and b_j B^(j-6) of odd and even
-# j > 7, E and O those b_j B^j of even and odd j <= 7.
+# Rows 2 u_m(B) and q_m(B) = p_m(-B) over the stack I, b, ..., b^m, B = c b, and the powers of c
+# they take; r_m(B) = I + 2 q_m(B)^-1 u_m(B), u_m the odd part of p_m, keeps a small B's digits.
 _TABLE = {m: (np.array([[2.0 * x * (j % 2) for j, x in enumerate(b)],
-                        [(-1) ** j * x for j, x in enumerate(b)]]),
-              np.array([range(m + 1)] * 2, dtype=float)) for m, b in _B.items() if m < 13}
-_TABLE[13] = (np.array([[0, 0, _B[13][9], 0, _B[13][11], 0, _B[13][13], 0],
-                        [0, 0, _B[13][8], 0, _B[13][10], 0, _B[13][12], 0],
-                        [_B[13][0], 0, _B[13][2], 0, _B[13][4], 0, _B[13][6], 0],
-                        [0, _B[13][1], 0, _B[13][3], 0, _B[13][5], 0, _B[13][7]]]),
-              np.array([[0, 0, 9, 0, 11, 0, 13, 0], [0, 0, 8, 0, 10, 0, 12, 0],
-                        range(8), range(8)], dtype=float))
+                        [(-1) ** j * x for j, x in enumerate(b)]]), np.arange(m + 1))
+          for m, b in _B.items()}
 
 
 def _onenorm(m: np.ndarray) -> float:
@@ -262,11 +254,11 @@ class _Exponential:
     The Al-Mohy and Higham (2009) scaling and squaring: a Pade order m and a
     scaling s from exact 1-norms, r_m(2^-s t a) from one solve, s squarings.
     With b = a / 2^e, 2^(e-1) <= ||a||_1 < 2^e, and c = t 2^(e-s), a point folds
-    c^j into ``_TABLE``'s coefficients: one product of that table with the
-    stack I, b, ..., b^m (and two n x n products for m = 13), one solve, s
-    squarings; the stack and the norms that pick m and s serve every t.  Where
-    |Tr b^2| >= n 2^-50, b's spectral radius is at least 2^-25, so no power to
-    b^10 is below 2^-250 and c below 2^28 at any accepted order.  Else each
+    c^j into ``_TABLE``'s coefficients: at every order, one product of that
+    table with the stack I, b, ..., b^m, one solve, s squarings; the stack and
+    the norms that pick m and s serve every t.  Where |Tr b^2| >= n 2^-50, b's
+    spectral radius is at least 2^-25, so no power to b^13 is below 2^-325 and
+    c is below 2^28 at any accepted order, c^13 below 2^364.  Else each
     power is scaled to largest part in [1/2, 1) and each c^j to match, so
     neither leaves double range where (c b)^j does not.
 
@@ -287,10 +279,10 @@ class _Exponential:
         m, e = math.frexp(norm)
         self.e = max(e + shift, -1000)
         self.norm = math.ldexp(m, e + shift - self.e)  # ||b||_1, in [1/2, 1) but for tiny a
-        self._stack = np.zeros((15, n, n), dtype=complex)  # I, b, ..., b^10, 4 polynomials
+        self._stack = np.zeros((16, n, n), dtype=complex)  # I, b, ..., b^13, 2 polynomials
         self._stack[0].flat[::n + 1] = 1.0
         b = np.multiply(a, 2.0 ** -self.e, out=self._stack[1])
-        self._flat = self._stack.view(float).reshape(15, 2 * n * n)
+        self._flat = self._stack.view(float).reshape(16, 2 * n * n)
         np.matmul(b, b, out=self._stack[2])
         self._count = 3  # powers formed: I, b, ..., b^(count - 1)
         self._exps = None  # the E_j, where the powers are scaled
@@ -303,11 +295,11 @@ class _Exponential:
         self._diagonal = diagonal.copy() if np.count_nonzero(a) == np.count_nonzero(diagonal) else None
 
     def _powers(self, k: int) -> np.ndarray:
-        """I, b, ..., b^k (k <= 10); b^j times b, ..., b^j gives b^(j+1), ..., b^2j."""
+        """I, b, ..., b^k (k <= 13); b^j times b, ..., b^i gives b^(j+1), ..., b^(j+i)."""
         stack = self._stack
         while self._count <= k:
             j = self._count - 1
-            m = min(j, 10 - j)
+            m = min(j, max(k, 10) - j)
             new = stack[j + 1:j + m + 1]
             np.matmul(stack[j], stack[1:m + 1], out=new)
             self._count += m
@@ -359,23 +351,15 @@ class _Exponential:
         m, s = self._order(math.log2(abs(t)) + self.e)
         c = math.ldexp(t, self.e - s)  # 2^-s t a = c b
         table, power = _TABLE[m]
-        k = table.shape[1]
-        self._powers(k - 1)
+        self._powers(m)
         if self._exps is None:
             weights = table * c ** power
         else:
             mantissa, exponent = math.frexp(c)
-            scale = np.add.outer([self._exps[7], self._exps[6], 0, 0] if m == 13 else [0, 0],
-                                 self._exps[:k])
-            weights = np.ldexp(table * mantissa ** power, exponent * power.astype(int) + scale)
-        np.matmul(weights, self._flat[:k], out=self._flat[11:11 + len(table)])
-        u2, q = self._stack[11:13]  # for m = 13, X and Y
-        if m == 13:
-            odd = self._stack[7] @ u2 + self._stack[14]
-            q = self._stack[6] @ q + self._stack[13] - odd
-            u2 = odd + odd
+            weights = np.ldexp(table * mantissa ** power, exponent * power + self._exps[:m + 1])
+        np.matmul(weights, self._flat[:m + 1], out=self._flat[14:])
         try:
-            x = np.linalg.solve(q, u2)
+            x = np.linalg.solve(self._stack[15], self._stack[14])  # q_m and 2 u_m
         except np.linalg.LinAlgError as exc:  # a singular or non-finite Pade denominator
             raise NumericalError(f"exp(t a) is not numerically usable at t = {t!r}") from exc
         x += self._stack[0]
@@ -405,16 +389,20 @@ def polar(g) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inertia(h, zero_tol: float) -> tuple[int, int, int]:
-    """Signature counts (n_plus, n_zero, n_minus) wrt the given threshold."""
-    m, _ = require_hermitian(h)
+    """Signature counts (n_plus, n_zero, n_minus) about the cuts +-zero_tol (``signature``)."""
+    m, scale = require_hermitian(h)
     if zero_tol < 0.0:
         raise ValidationError("zero_tol must be non-negative")
-    return signature(m, zero_tol)
+    return signature(m, zero_tol, zero_tol, scale)
 
 
-def signature(m: np.ndarray, zero_tol: float) -> tuple[int, int, int]:
-    """``inertia`` of an operator that passed ``require_hermitian``."""
-    w = np.linalg.eigvalsh(hermitian_part(m))
-    n_plus = int(np.count_nonzero(w > zero_tol))
-    n_minus = int(np.count_nonzero(w < -zero_tol))
-    return n_plus, m.shape[0] - n_plus - n_minus, n_minus
+def signature(m: np.ndarray, below: float, above: float, scale: float) -> tuple[int, int, int]:
+    """Counts of m's eigenvalues above ``above``, in [-below, above] and below -below
+    (m passed ``require_hermitian`` with scale 1 + ||m||_F): eigvalsh's, as ``psd_gate``
+    reads them, but the eigen-record's where one is near ``above``, so n_plus is its rank."""
+    w = np.linalg.eigvalsh(hermitian_part(m)).tolist()  # ascending
+    margin = 2.0 * eig_allowance(len(w)) * scale  # eigh's and eigvalsh's differ by less
+    if bisect_left(w, above - margin) != bisect_left(w, above + margin):
+        w = sorted_eigh(m).eigenvalues[::-1].tolist()
+    n_plus, n_minus = len(w) - bisect_right(w, above), bisect_left(w, -below)
+    return n_plus, len(w) - n_plus - n_minus, n_minus

@@ -5,11 +5,12 @@ g = sum_j sqrt(p1_j/p0_j) |e1_j><e0_j| + sum_k |f1_k><f0_k| built from their
 matched spectral decompositions; its operator norm is bounded by sqrt(C+1)
 where C is the largest eigenvalue ratio.  For unit-trace inputs the same
 element realizes the normalized action without rescaling.  At finite
-dimension congruence orbits are decided completely by Sylvester inertia.
-The tracial orbit is in bijection with positive invertible unit-trace
-elements and is convex, with an explicit square-root recombiner; the
-truncation sweep tracks how the bound constant behaves as the dimension
-grows, from the closed form of the connection between two diagonal states.
+dimension congruence orbits are decided completely by Sylvester inertia, the
+eigenvalues from the PSD clamp to the rank cut counting as zero.  The tracial
+orbit is in bijection with positive invertible unit-trace elements and is
+convex, with an explicit square-root recombiner; the truncation sweep tracks
+how the bound constant behaves as the dimension grows, from the closed form
+of the connection between two diagonal states.
 """
 
 from __future__ import annotations
@@ -125,13 +126,17 @@ def same_orbit_alpha(xi0, xi1) -> bool:
     """Complete finite-dimensional congruence-orbit decision via inertia.
 
     Two Hermitian matrices are congruent iff their signatures agree
-    (Sylvester); for positive functionals this reduces to equal rank.
+    (Sylvester); for positive functionals this reduces to equal rank.  Zero is
+    [-PSD_CLAMP_RTOL, RANK_RTOL] (1 + ||xi||_F), the band that validation and
+    ``classify_orbit`` count as zero.
     """
-    m0, _ = require_hermitian(xi0, "first functional")
-    m1, _ = require_hermitian(xi1, "second functional")
+    m0, s0 = require_hermitian(xi0, "first functional")
+    m1, s1 = require_hermitian(xi1, "second functional")
     if m0.shape != m1.shape:
         return False
-    return signature(m0, default_rank_tol(m0)) == signature(m1, default_rank_tol(m1))
+    clamp = config.scaled(config.PSD_CLAMP_RTOL)
+    return (signature(m0, clamp * s0, default_rank_tol(m0), s0)
+            == signature(m1, clamp * s1, default_rank_tol(m1), s1))
 
 
 def tracial_orbit_point(g, n: int) -> StateDensity:

@@ -120,13 +120,13 @@ def _invertible(x: float, n: int) -> bool:
     e^x: the backward error u ||A|| carried through the exponential (at most
     u x e^x), and the rounding of its Pade evaluation and of its s squarings,
     with 2^s <= 1 + ||A||_1 <= 1 + sqrt(n) x, each below gamma_8n e^x (Al-Mohy
-    and Higham 2009).  Shared powers keep that: a term b_j c^j b^j rounds c^j
-    and its coefficient by a few u and b^j as A^j would, and I + 2 q_m^-1 u_m
-    is q_m^-1 p_m; the cut-offs did not move.  So sigma_max(g) <= e^x + err.  The SVD's own rounding moves both
-    extreme singular values by at most svd = sqrt(n) gamma_8n (e^x + err)
-    (LAPACK's bound, p(n) u sigma_max), so the computed sigma_max is at most
-    e^x + err + svd; the scale takes 2 svd, room for the rounding of the bound
-    itself.
+    and Higham 2009).  Shared powers keep that: at every order u_m and q_m sum
+    terms b_j c^j b^j, each rounding c^j and its coefficient by a few u and b^j
+    as A^j would, and I + 2 q_m^-1 u_m is q_m^-1 p_m.  So sigma_max(g) <= e^x +
+    err.  The SVD's own rounding moves both extreme singular values by at most
+    svd = sqrt(n) gamma_8n (e^x + err) (LAPACK's bound, p(n) u sigma_max), so
+    the computed sigma_max is at most e^x + err + svd; the scale takes 2 svd,
+    room for the rounding of the bound itself.
     """
     if not x < 700.0:  # e^x overflows near 709.8; the bound fails long before
         return False

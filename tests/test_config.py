@@ -31,6 +31,7 @@ COUNTING_DECISIONS = {
     ("states.py", "default_rank_tol"),    # the rank cut, also the abelian support
     ("isotropy.py", "_membership"),       # isotropy membership
     ("tangent.py", "tangent_map_rank"),   # the tangent rank
+    ("orbits.py", "same_orbit_alpha"),    # the PSD clamp as a zero band in the signature
 }
 
 

@@ -11,7 +11,7 @@ from sampling import (
 from stategeom import config
 from stategeom.actions import alpha, classical_phi, phi
 from stategeom.errors import NotTracial, RankMismatch
-from stategeom.linalg import frobenius, fro_scale, matrix_sqrt_psd
+from stategeom.linalg import frobenius, fro_scale, inertia, matrix_sqrt_psd
 from stategeom.orbits import (
     SpectrumGenerator,
     bound_constant,
@@ -27,6 +27,8 @@ from stategeom.orbits import (
 )
 from stategeom.serialize import truncation_csv
 from stategeom.states import (
+    classify_orbit,
+    default_rank_tol,
     gibbs_spectrum,
     maximally_mixed,
     validate_positive,
@@ -125,6 +127,61 @@ class TestSameOrbit:
         assert same_orbit_alpha(xi0, xi1)
         witness = np.diag([np.sqrt(2.0), np.sqrt(3.0)]).astype(complex)
         np.testing.assert_allclose(witness @ xi0 @ dag(witness), xi1, atol=1e-12)
+
+    @staticmethod
+    def _functional(rng, big, extra, n):
+        """U diag(big, extra, 0, ...) U† for a Haar U, Hermitian to the last bit."""
+        u = random_unitary(rng, n)
+        w = np.concatenate([big, [extra], np.zeros(n - big.size - 1)])
+        m = (u * w) @ dag(u)
+        return (m + dag(m)) / 2.0
+
+    @staticmethod
+    def _decisions_agree(m, k, refs):
+        """``classify_orbit``'s rank of m is k or k + 1, and ``inertia``, ``same_orbit_alpha``
+        and ``connect_alpha`` (success or RankMismatch) agree with it against each ref."""
+        value = validate_positive(m)
+        rank = classify_orbit(value).rank
+        assert rank in (k, k + 1)
+        assert inertia(m, default_rank_tol(m))[0] == rank
+        for ref in refs:
+            ref_rank = classify_orbit(ref).rank
+            assert same_orbit_alpha(m, ref.matrix) == (rank == ref_rank)
+            if rank == ref_rank:
+                connect_alpha(value, ref)
+            else:
+                with pytest.raises(RankMismatch):
+                    connect_alpha(value, ref)
+
+    def test_one_rank_near_the_rank_cut(self):
+        """An eigenvalue within 2e-4 relative of the rank cut 1e-12 (1 + ||m||_F), where
+        eigvalsh and eigh can fall on opposite sides of it: every decision reads the
+        eigen-record's rank."""
+        rng = np.random.default_rng(77)
+        for _ in range(1200):
+            n = int(rng.integers(2, 9))
+            big = rng.uniform(0.1, 1.0, size=int(rng.integers(1, n)))
+            cut = config.scaled(config.RANK_RTOL) * (1.0 + np.linalg.norm(big))
+            m = self._functional(rng, big, cut * (1.0 + rng.uniform(-2e-4, 2e-4)), n)
+            k = big.size
+            refs = [validate_positive(np.diag(np.concatenate([big, z, np.zeros(n - k - 1)])))
+                    for z in ([0.0], [10.0 * cut])]
+            self._decisions_agree(m, k, refs)
+
+    def test_the_psd_clamp_band_counts_as_zero(self):
+        """Eigenvalues in [-PSD_CLAMP_RTOL (1 + ||xi||_F), 0) pass validation and count as
+        kernel in ``classify_orbit``, so the signature counts them as zero too."""
+        assert same_orbit_alpha(np.diag([1.0, -5e-11, -1.0]), np.diag([1.0, 0.0, -1.0]))
+        assert not same_orbit_alpha(np.diag([1.0, -1.0]), np.diag([1.0, 0.0]))
+        rng = np.random.default_rng(78)
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            big = rng.uniform(0.1, 1.0, size=int(rng.integers(1, n)))
+            scale = 1.0 + np.linalg.norm(big)
+            m = self._functional(rng, big, -scale * 10.0 ** rng.uniform(-11.9, -10.1), n)
+            ref = validate_positive(np.diag(np.concatenate([big, np.zeros(n - big.size)])))
+            self._decisions_agree(m, big.size, [ref])
+            assert classify_orbit(m).rank == big.size
 
 
 class TestTracialOrbit:

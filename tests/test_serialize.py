@@ -15,6 +15,7 @@ import json
 import os
 import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import FLOAT_FIELD, csv_reference, float_rows_reference
+from test_matrix_exp import MULTIPLE, _bound, _scipy_expm
 from stategeom import linalg, serialize
 from stategeom.cli import main
 from stategeom.errors import ValidationError
@@ -293,12 +295,12 @@ def flow_files(tmp_path, n):
 
 FLOW_ARGS = ["--t0", "-0.5", "--t1", "1.25", "--steps", "7"]
 FLOW_PINS = {
-    ("csv", 2): "307b7a8a14739210896cd5be8770f9aadb25477c7d870aa814f087cbdbc77b2b",
-    ("csv", 3): "cd27ac91326a3bad42f553e7b4748aa26b80314aa6b063074d7dfff23a931476",
-    ("csv", 4): "5821637d9927a9c3bcb6e1c7e02dc8b95b71fd4d683f58df0d29ba3a47cc73fe",
-    ("json", 2): "e47ce304045fc11f44527fafd2f17bb4c35d3b0c181bc9587bf372de438aa0f8",
-    ("json", 3): "9cacb550de40f8df359abe07553255ec9955b8546190f1118265d470e7031d26",
-    ("json", 4): "b737b27429026bc27110744fb7f31639dea7a3c66f9d81fbe52d0b4bf8ea7319",
+    ("csv", 2): "adf311f3cc9b1b1e2ad0dba2e127c3fd948cb50bd1eb2247f3be7b3b972df730",
+    ("csv", 3): "dc828763dd1005e68c9af10223ae15ebc563ca24cfd3416a25814190c23ea507",
+    ("csv", 4): "d5b5406dc43d06a17c8e59b0be294de1e2ac27fd8e1df70bc9f17912ed847740",
+    ("json", 2): "d307d021ca51ab336a8690a8cede0b69dab52a708f1d61c1c01c24e89e070c72",
+    ("json", 3): "969cb8e5ac1aa4dddea4bca5296948e760d52efa69f138af0d18b4a0a7ee983b",
+    ("json", 4): "214ad3ad6ca469f3381ebcdf85bead926cc22a7669636b5f0f850c324306593e",
 }
 
 
@@ -307,6 +309,35 @@ def test_cli_flow_bytes(runner, tmp_path, fmt, n):
     state, gen = flow_files(tmp_path, n)
     out = cli(runner, ["--format", fmt, "flow", state, gen, *FLOW_ARGS])
     assert sha256(out) == FLOW_PINS[fmt, n]
+
+
+def _flow_points(out: bytes, fmt: str, n: int):
+    """(t, state) pairs decoded from a ``flow`` payload, with Python's own parsers."""
+    if fmt == "json":
+        payload = json.loads(out)
+        states = [np.array([complex(*z) for z in s["entries"]]).reshape(n, n)
+                  for s in payload["states"]]
+        return list(zip(payload["t"], states))
+    rows = out.decode().splitlines()[1:]
+    values = [[float(x) for x in row.split(",")] for row in rows]
+    return [(v[0], (np.array(v[1::2]) + 1j * np.array(v[2::2])).reshape(n, n)) for v in values]
+
+
+@pytest.mark.parametrize("fmt, n", FLOW_PINS, ids=[f"{f}-n{n}" for f, n in FLOW_PINS])
+def test_cli_flow_points_match_scipy(runner, tmp_path, fmt, n):
+    """Each pinned flow point is phi(expm(t a), rho) within the exponential's bound,
+    so a re-pin of ``FLOW_PINS`` cannot hide a wrong point."""
+    state, gen = flow_files(tmp_path, n)
+    rho, a = (np.array([complex(*z) for z in json.loads(Path(path).read_text())["entries"]])
+              .reshape(n, n) for path in (state, gen))
+    points = _flow_points(cli(runner, ["--format", fmt, "flow", state, gen, *FLOW_ARGS]), fmt, n)
+    assert len(points) == 7
+    for t, out in points:
+        g = _scipy_expm(t * a)
+        image = g @ rho @ g.conj().T
+        expected = image / np.trace(image).real
+        bound = _bound(n, abs(t) * np.linalg.norm(a))
+        assert np.linalg.norm(out - expected) <= MULTIPLE * bound, t
 
 
 def gns_file(tmp_path, n, rank):
