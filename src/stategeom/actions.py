@@ -129,12 +129,7 @@ def prescaled_phi(g: np.ndarray, rho: StateDensity) -> tuple[np.ndarray, float]:
     m = g / 2^e from ``_prescale`` and d = Tr(m rho m†), the floor test applied
     to 2^2e d.  So 1/d is at most 4 ||m||_F^2 / d, or where ||g||_F < 1/2
     (e = 0) the reciprocal of the floor that d passed."""
-    return _normalized(_prescale(g), rho)
-
-
-def _normalized(prescaled: tuple[np.ndarray, int, float],
-                rho: StateDensity) -> tuple[np.ndarray, float]:
-    """``prescaled_phi`` after its ``_prescale``, so one prescale serves several rho."""
+    prescaled = _prescale(g)
     num, den = _normalization(prescaled, rho)
     return num / den, prescaled[2] * prescaled[2] / den
 
@@ -207,11 +202,10 @@ def nonconvexity_witness(g, rho1: StateDensity, rho2: StateDensity, lam: float) 
 
     Zero on the unitary subgroup and at the endpoints lam in {0, 1};
     generically positive otherwise.  The mixture is validated; the three
-    images are phi's matrices unvalidated, as no caller receives them, from
-    one prescale of g.
+    images are phi's matrices unvalidated, as no caller receives them, each
+    from ``prescaled_phi`` on g's matrix.
     """
-    prescaled = _prescale(group_element(g, rho1.n).matrix)
-    mixed_image = _normalized(prescaled, mix_states(rho1, rho2, lam))[0]
-    image_mix = (lam * _normalized(prescaled, rho1)[0]
-                 + (1.0 - lam) * _normalized(prescaled, rho2)[0])
+    m = group_element(g, rho1.n).matrix
+    mixed_image = prescaled_phi(m, mix_states(rho1, rho2, lam))[0]
+    image_mix = lam * prescaled_phi(m, rho1)[0] + (1.0 - lam) * prescaled_phi(m, rho2)[0]
     return frobenius(mixed_image - image_mix)

@@ -14,6 +14,7 @@ randomness is requested), using canonical JSON and 17-significant-digit CSV.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import inspect
@@ -114,9 +115,11 @@ class _Main(click.Group):
         line, as does the error taxonomy's ValidationError; NumericalError, a
         LAPACK routine that does not converge and an allocation that runs out
         of memory exit 3 with one NumericalError line.  A bare invocation
-        prints the help."""
+        prints the help.  The call runs in a copy of the caller's context, so
+        its --tol leaves the caller's tolerance scale as it was."""
         try:
-            return super().main(*args, **{**extra, "standalone_mode": False})
+            return contextvars.copy_context().run(
+                super().main, *args, **{**extra, "standalone_mode": False})
         except click.exceptions.NoArgsIsHelpError as exc:
             exc.show()
             sys.exit(exc.exit_code)
@@ -150,11 +153,9 @@ def main(ctx, tol, seed, out, fmt):
     source = "--tol" if tol is not None else "STATEGEOM_TOL"
     tol = tol if tol is not None else os.environ.get("STATEGEOM_TOL") or "1"
     try:
-        previous = config.set_tolerance_scale(float(tol))
+        config.set_tolerance_scale(float(tol))
     except ValueError:
         raise ValidationError(f"{source} must be a finite positive number, got {tol!r}") from None
-    # a call run in process, as under CliRunner, leaves the scale it found
-    ctx.call_on_close(lambda: config.set_tolerance_scale(previous))
     ctx.obj = {"seed": seed, "out": out, "format": fmt}
 
 

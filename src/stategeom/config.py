@@ -1,12 +1,16 @@
-"""Baseline tolerances, the process-wide rescale behind the CLI --tol flag,
-``check``, the one threshold decision that raises, its non-raising form
-``clears``, and the size limits of the explicit isotropy bases and the gns
-payload.
+"""Baseline tolerances, the rescale behind the CLI --tol flag, ``check``, the
+one threshold decision that raises, its non-raising form ``clears``, and the
+size limits of the explicit isotropy bases and the gns payload.
 
 Bounds are BASE * scale * a per-decision factor, usually ``1 + Frobenius norm``
-of the relevant matrix; the counting decisions read ``scaled``.
+of the relevant matrix; the counting decisions read ``scaled``.  The scale is a
+context variable (PEP 567): ``set_tolerance_scale`` sets it for the calling
+context only, so a thread starts at 1.0 and never sees another thread's scale,
+and a call run in a copied context (``contextvars.copy_context().run``, as the
+CLI runs each invocation) leaves its caller's scale as it found it.
 """
 
+import contextvars
 import math
 
 HERMITIAN_RTOL = 1e-10        # |h - h†| allowance, relative
@@ -28,22 +32,23 @@ FD_STEP = 1e-5                # central-difference step
 BASIS_MAX_ENTRIES = 1 << 26   # explicit isotropy bases: dim * n^2 complex entries (1 GiB)
 GNS_MAX_ENTRIES = 1 << 22     # gns payload: n^2 (nk)^2 complex entries (~40 MB of text)
 
-_scale = 1.0
+_scale = contextvars.ContextVar("tolerance_scale", default=1.0)
 
 
 def set_tolerance_scale(value: float) -> float:
-    """Rescale all module tolerances uniformly (must be finite and positive) and
-    return the scale replaced, so a caller can put it back."""
-    global _scale
+    """Rescale all module tolerances uniformly in the calling context (the value
+    must be finite and positive) and return the scale replaced, so a caller can
+    put it back."""
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"tolerance scale must be finite and positive, got {value}")
-    previous, _scale = _scale, float(value)
+    previous = _scale.get()
+    _scale.set(float(value))
     return previous
 
 
 def scaled(base: float) -> float:
-    """A base tolerance after the global rescale."""
-    return base * _scale
+    """A base tolerance after the calling context's rescale."""
+    return base * _scale.get()
 
 
 def clears(value: float, base: float, scale: float, *, floor: bool = False,
@@ -52,7 +57,7 @@ def clears(value: float, base: float, scale: float, *, floor: bool = False,
     ``scaled(base) * scale + slack`` (above it for a ``floor``), and NaN passes.
     The flow certificates decide with it where a failure means a fallback, not
     an error."""
-    bound = math.ldexp(base * _scale * scale + slack, -exp2)
+    bound = math.ldexp(base * _scale.get() * scale + slack, -exp2)
     return not (value <= bound if floor else value > bound)
 
 
@@ -64,7 +69,7 @@ def check(what: str, value: float, base: float, scale: float, exc: type,
     prescaled by 2**-exp2: the bound is rescaled alike and both are reported unscaled."""
     if clears(value, base, scale, floor=floor, exp2=exp2, slack=slack):
         return value
-    bound = math.ldexp(base * _scale * scale + slack, -exp2)
+    bound = math.ldexp(base * _scale.get() * scale + slack, -exp2)
     relation = "at or below" if floor else "exceeds"
     raise exc(f"{what} {math.ldexp(value, exp2):.3e} {relation} "
               f"{math.ldexp(bound, exp2):.3e}")

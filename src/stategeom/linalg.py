@@ -16,8 +16,8 @@ summed in Python floats, the arithmetic of np.linalg.norm without its Python
 wrapper or an ``np.errstate``.  The gate raises the same errors, and the
 norm has the same bits, as the numpy forms they replace.
 
-All operations are pure functions of their arguments and of the process-wide
-tolerance scale in ``config``, which every thread shares.
+All operations are pure functions of their arguments and of the calling
+context's tolerance scale in ``config``.
 
 Everything here is numpy.  ``matrix_exp`` is the package's own scaling and
 squaring (``_Exponential``), whose powers a flow shares across its points.
@@ -33,6 +33,8 @@ import numpy as np
 
 from . import config
 from .errors import NotHermitian, NotPSD, NumericalError, Singular, ValidationError
+
+_LARGEST = float(np.finfo(float).max)
 
 
 def as_operator(a, name: str = "operator", n: int | None = None) -> np.ndarray:
@@ -130,8 +132,11 @@ def eig_allowance(n: int) -> float:
 
 
 def fro_scale(a: np.ndarray) -> float:
-    """Scale factor ``1 + ||a||_F`` used by relative tolerances."""
-    return 1.0 + frobenius(a)
+    """Scale factor ``1 + ||a||_F`` used by relative tolerances, saturated at the
+    largest double: a finite n x n matrix has ||a||_F at most sqrt(2) n times that,
+    so a bound on a matrix whose norm overflows stays finite and is at most that
+    much stricter."""
+    return min(1.0 + frobenius(a), _LARGEST)
 
 
 def require_hermitian(a, name: str = "operator",
@@ -139,8 +144,8 @@ def require_hermitian(a, name: str = "operator",
     """``a`` through ``as_operator`` with its scale 1 + ||a||_F; raises
     NotHermitian when ||a - a†||_F exceeds HERMITIAN_RTOL times that scale.
 
-    From a scale of 2^1023 up, where a - a† can overflow and the scale itself may
-    be inf, the same test is made on h = a / 2^k with 2^k > 2n, so ||h||_F < 2^1023:
+    From a scale of 2^1023 up, where a - a† can overflow and the norm itself may be
+    inf, the same test is made on h = a / 2^k with 2^k > 2n, so ||h||_F < 2^1023:
     ||h - h†||_F against HERMITIAN_RTOL (2^-k + ||h||_F), both finite."""
     m = as_operator(a, name, n)
     scale = fro_scale(m)

@@ -23,8 +23,9 @@ to ``PositiveFunctional(matrix=a)``; writing to either after the first spectral
 question leaves a stale record.  A value built from its class on a writable
 array, or on a view of one, is decomposed on every call.
 The record carries no tolerance: each call applies the rank cut under the
-tolerance scale in force, so ``--tol`` and ``config.set_tolerance_scale`` act
-on a value that already has one.  Two threads that ask first at once may both
+calling context's tolerance scale, so ``--tol`` and ``config.set_tolerance_scale``
+act on a value that already has one, and threads at different scales share one
+record, each cutting at its own scale.  Two threads that ask first at once may both
 decompose; both store the same read-only bits, and the first stored is kept.
 It is built on first use, not at validation, because every output of ``phi``,
 ``alpha`` and ``connect_*`` is validated and most are never asked about their

@@ -13,7 +13,6 @@ from sampling import (
     random_state,
     random_unitary,
 )
-from stategeom import actions
 from stategeom.actions import (
     GroupElement,
     alpha,
@@ -348,22 +347,6 @@ class TestNonconvexity:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         assert nonconvexity_witness(g, r1, r2, lam) == expected
-        assert len(calls) == 1
-
-    def test_prescales_g_once(self, monkeypatch):
-        # the three images share one m = g / 2^e
-        rng = np.random.default_rng(17)
-        g = random_invertible(rng, 3)
-        r1, r2 = random_state(rng, 3), random_state(rng, 3)
-        calls = []
-        prescale = actions._prescale
-
-        def counted(m):
-            calls.append(1)
-            return prescale(m)
-
-        monkeypatch.setattr(actions, "_prescale", counted)
-        nonconvexity_witness(g, r1, r2, 0.3)
         assert len(calls) == 1
 
     def test_mix_validates(self):

@@ -1,10 +1,12 @@
 """The tolerance policy: every knob in ``stategeom.config`` is read somewhere,
-every raising threshold goes through ``config.check``, and ``--tol`` moves
-each module's decisions."""
+every raising threshold goes through ``config.check``, ``--tol`` moves each
+module's decisions, and the scale belongs to the calling context, not the
+process."""
 
 import ast
 import math
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from stategeom import config
 from stategeom.errors import NotTracial, NumericallySingular, Singular, TraceError
 from stategeom.errors import ValidationError
+from stategeom.states import StateDensity, validate_state
 
 
 def test_every_config_constant_is_read_outside_config():
@@ -89,6 +92,48 @@ class TestCheck:
     def test_nan_passes_like_the_comparisons_it_replaces(self):
         assert math.isnan(config.check("x", math.nan, 1.0, 1.0, ValueError))
         assert math.isnan(config.check("x", math.nan, 1.0, 1.0, ValueError, floor=True))
+
+
+def test_no_function_keeps_process_global_state():
+    package = Path(config.__file__).resolve().parent
+    writers = {(path.name, func.name) for path in sorted(package.glob("*.py"))
+               for func in ast.walk(ast.parse(path.read_text()))
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func) if isinstance(node, ast.Global)}
+    assert writers == set()
+
+
+def test_each_thread_decides_at_its_own_scale():
+    # |trace - 1| = 1.5e-10 fails the trace test at scale 1 and passes at scale 2
+    near = np.diag([0.5, 0.5 + 1.5e-10]).astype(complex)
+    both_set = threading.Barrier(2, timeout=30)
+    outcomes = {}
+
+    def decide(scale):
+        config.set_tolerance_scale(scale)
+        both_set.wait()
+        try:
+            outcomes[scale] = validate_state(near)
+        except TraceError as exc:
+            outcomes[scale] = exc
+
+    threads = [threading.Thread(target=decide, args=(scale,)) for scale in (1.0, 2.0)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    assert isinstance(outcomes[1.0], TraceError)
+    assert isinstance(outcomes[2.0], StateDensity)
+
+
+def test_a_new_thread_starts_at_scale_one():
+    config.set_tolerance_scale(5.0)
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(config.scaled(1.0)))
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive() and seen == [1.0] and config.scaled(1.0) == 5.0
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])

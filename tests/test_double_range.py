@@ -20,11 +20,11 @@ from oracles import matrix_text
 from stategeom import config, errors
 from stategeom.actions import alpha, unitary_phi
 from stategeom.cli import main
-from stategeom.errors import NotHermitian, NotUnitary, NumericalError, TraceError
+from stategeom.errors import NotHermitian, NotPSD, NotUnitary, NumericalError, TraceError
 from stategeom.isotropy import isotropy_report
 from stategeom.linalg import (frobenius, hermitian_eig, inertia, matrix_sqrt_psd,
                               require_hermitian)
-from stategeom.orbits import bound_constant, connect_alpha
+from stategeom.orbits import bound_constant, connect_alpha, same_orbit_alpha
 from stategeom.states import (maximally_mixed, validate_positive, validate_probability,
                               validate_state)
 
@@ -35,6 +35,9 @@ OVERFLOW = np.diag([1.2e308, 1.08e308]).astype(complex)
 ANTI = np.array([[0.0, 0.9e308], [-0.9e308, 0.0]], dtype=complex)
 # not Hermitian, with a norm of 2e308 that overflows
 WIDE = np.array([[1e308, 1e308], [-1e308, 1e308]], dtype=complex)
+# positive and indefinite, each with a norm of 2.1e308 that overflows
+HUGE_PSD = np.diag([1.5e308, 1.5e308]).astype(complex)
+HUGE_INDEFINITE = np.diag([1.5e308, -1.5e308]).astype(complex)
 
 
 def _functions(module):
@@ -92,6 +95,29 @@ def test_a_non_hermitian_matrix_is_refused_at_every_scale(call, matrix):
         call(matrix)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_positive_functional_whose_norm_overflows_validates():
+    assert np.array_equal(validate_positive(HUGE_PSD).matrix, HUGE_PSD)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [validate_positive, matrix_sqrt_psd],
+                         ids=["validate_positive", "matrix_sqrt_psd"])
+def test_an_indefinite_matrix_whose_norm_overflows_is_not_psd(call):
+    with pytest.raises(NotPSD, match=r"^-\(smallest eigenvalue\) 1\.500e\+308 exceeds "
+                                     r"1\.798e\+298$"):
+        call(HUGE_INDEFINITE)
+
+
+@pytest.mark.filterwarnings("error")
+def test_congruence_orbits_whose_norms_overflow_follow_inertia():
+    partial = np.diag([1.5e308, 1.5e308, 0.0]).astype(complex)
+    full = np.diag([1.5e308, 1.5e308, 1.5e308]).astype(complex)
+    assert (inertia(partial, 0.0), inertia(full, 0.0)) == ((2, 1, 0), (3, 0, 0))
+    assert not same_orbit_alpha(partial, full)
+    assert same_orbit_alpha(full, full)
+
+
 @pytest.mark.parametrize("entry", [np.inf, complex(np.inf, 0.0), complex(-np.inf, 1.0),
                                    complex(0.0, np.inf), complex(np.inf, -np.inf)])
 def test_frobenius_of_an_infinite_entry_is_inf(entry):
@@ -138,6 +164,8 @@ def sweep_files(tmp_path):
         "overflow-positive": write("overflow-positive", OVERFLOW, "positive"),
         "anti-hermitian": write("anti", ANTI),
         "norm-overflows": write("wide", WIDE),
+        "psd-norm-overflows": write("huge-psd", HUGE_PSD),
+        "indefinite-norm-overflows": write("huge-indefinite", HUGE_INDEFINITE),
         "g": write("g", np.diag([1.5, 0.5])),
         "identity": write("identity", np.eye(2)),
         "state": write("state", np.diag([0.75, 0.25]), "state"),
@@ -160,7 +188,8 @@ COMMANDS = {
     "gns": ["gns", "{x}"],
     "recombine": ["recombine", "{x}", "{identity}", "{g}", "0.5"],
 }
-FILES = ["overflow", "overflow-positive", "anti-hermitian", "norm-overflows"]
+FILES = ["overflow", "overflow-positive", "anti-hermitian", "norm-overflows",
+         "psd-norm-overflows", "indefinite-norm-overflows"]
 TAXONOMY = {name for name, value in vars(errors).items()
             if isinstance(value, type) and issubclass(value, Exception)}
 
