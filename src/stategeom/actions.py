@@ -169,15 +169,18 @@ def _weight_squares(w) -> np.ndarray:
 def classical_phi(w, p) -> ProbabilityVector:
     """Classical action q_j = |w_j|^2 p_j / sum_k |w_k|^2 p_k.
 
-    Weights must all be nonzero (ZeroWeight otherwise, also for a square that
-    underflows).  Invariant under w -> lambda w: w is first scaled by the power
-    of two that brings max|w| into [1/2, 1), which is exact, so large and tiny
-    weights alike act as in ordinary range.  Dirac vectors are exact fixed points.
+    Weights must all be finite (ValidationError otherwise) and nonzero (ZeroWeight
+    otherwise, also for a square that underflows).  Invariant under w -> lambda w:
+    w is first scaled by the power of two that brings max|w| into [1/2, 1), which
+    is exact, so large and tiny weights alike act as in ordinary range.  Dirac
+    vectors are exact fixed points.
     """
-    prob = p if isinstance(p, ProbabilityVector) else validate_probability(p)
+    prob = validate_probability(p)
     weights = np.asarray(w, dtype=complex)
     if weights.shape != (prob.m,):
         raise ValidationError(f"expected {prob.m} weights, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValidationError("weight vector contains non-finite entries")
     mags = _weight_squares(weights)
     if np.any(mags == 0.0):
         raise ZeroWeight("weight vector has a zero entry")

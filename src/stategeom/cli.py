@@ -51,7 +51,6 @@ from .states import (
     StateDensity,
     classify_orbit,
     min_eigenvalue,
-    unit_trace,
     validate_positive,
     validate_state,
 )
@@ -88,8 +87,9 @@ def _emit(out, chunks) -> None:
 
 def _load_state(path) -> StateDensity:
     m, _, functional = read_matrix(path)
-    # a state or positive file was validated as it was read: only the trace is left
-    return validate_state(m) if functional is None else unit_trace(functional.matrix)
+    # a state or positive file was validated as it was read: a positive one takes
+    # only the trace test, a state none
+    return validate_state(m if functional is None else functional)
 
 
 def _load_functional(path) -> tuple[PositiveFunctional, str]:
@@ -100,7 +100,7 @@ def _load_functional(path) -> tuple[PositiveFunctional, str]:
         return functional, kind
     functional = validate_positive(m)
     try:
-        return unit_trace(functional.matrix), "state"
+        return validate_state(functional), "state"
     except TraceError:
         return functional, "positive"
 

@@ -26,7 +26,8 @@ from . import config
 from .actions import _normalization, _prescale, group_element
 from .errors import NumericalError, ValidationError
 from .linalg import as_operator, dagger, matrix_unit
-from .states import ProbabilityVector, StateDensity, _frozen, default_rank_tol, spectral_split
+from .states import (ProbabilityVector, StateDensity, _frozen, default_rank_tol, spectral_split,
+                     validate_probability, validate_state)
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,10 @@ class GnsTriple:
 
 
 def gns_construct(rho: StateDensity) -> GnsTriple:
-    """Build the GNS triple of a state; its support is that of ``spectral_split``."""
-    split = spectral_split(rho)
+    """Build the GNS triple of a state; its support is that of ``spectral_split``.
+    ``rho`` passes ``validate_state`` first, so a functional that is not a state
+    raises TraceError."""
+    split = spectral_split(validate_state(rho))
     n = split.ambient_dim
     cyclic = (split.support_basis * np.sqrt(split.eigenvalues)).ravel()
     return GnsTriple(n=n, dim=n * split.support_dim, cyclic=_frozen(cyclic))
@@ -112,8 +115,10 @@ def purity_check(rho: StateDensity) -> bool:
     The purification is certified in O(n k^2): the Schmidt coefficients of psi
     (squared singular values of its coefficient matrix) must number k under
     the rank rule and match the eigenvalues within the scaled
-    GNS_CONSISTENCY_RTOL * (1 + p_max), else NumericalError.
+    GNS_CONSISTENCY_RTOL * (1 + p_max), else NumericalError.  ``rho`` passes
+    ``validate_state`` first, so a functional that is not a state raises TraceError.
     """
+    rho = validate_state(rho)
     split = spectral_split(rho)
     k = split.support_dim
     p = split.eigenvalues
@@ -151,8 +156,9 @@ class AbelianGnsTriple:
 
 
 def gns_construct_abelian(p: ProbabilityVector) -> AbelianGnsTriple:
-    """GNS construction restricted to the diagonal (classical) subalgebra."""
-    weights = p.p
+    """GNS construction restricted to the diagonal (classical) subalgebra; ``p``
+    passes ``validate_probability`` first."""
+    weights = validate_probability(p).p
     # the rank rule of spectral_split(embed_classical(p)): ||diag(p)||_F = ||p||_2
     support = np.flatnonzero(weights > default_rank_tol(weights))
     return AbelianGnsTriple(

@@ -220,12 +220,16 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     """Hermitian PSD square root.
 
     Eigenvalues in [-clamp, 0) with clamp = 1e-10*(1+||p||_F) are clamped to
-    zero; anything below raises NotPSD.
+    zero; anything below raises NotPSD.  Where eigh's smallest eigenvalue lies
+    near -clamp, the verdict is eigvalsh's, as ``validate_positive`` reads it.
     """
     m, scale = require_hermitian(p)
     dec = sorted_eigh(m)
     w = dec.eigenvalues
-    config.check("-(smallest eigenvalue)", -w[-1], config.PSD_CLAMP_RTOL, scale, NotPSD)
+    margin = 2.0 * eig_allowance(len(w)) * scale  # eigh's and eigvalsh's differ by less
+    near = abs(w[-1] + config.scaled(config.PSD_CLAMP_RTOL) * scale) <= margin
+    low = np.linalg.eigvalsh(hermitian_part(m))[0] if near else w[-1]
+    config.check("-(smallest eigenvalue)", -low, config.PSD_CLAMP_RTOL, scale, NotPSD)
     w = np.where(w < 0.0, 0.0, w)
     v = dec.eigenvectors
     return hermitian_part((v * np.sqrt(w)) @ dagger(v))
@@ -396,7 +400,7 @@ def polar(g) -> tuple[np.ndarray, np.ndarray]:
 def inertia(h, zero_tol: float) -> tuple[int, int, int]:
     """Signature counts (n_plus, n_zero, n_minus) about the cuts +-zero_tol (``signature``)."""
     m, scale = require_hermitian(h)
-    if zero_tol < 0.0:
+    if not zero_tol >= 0.0:
         raise ValidationError("zero_tol must be non-negative")
     return signature(m, zero_tol, zero_tol, scale)
 
@@ -404,10 +408,13 @@ def inertia(h, zero_tol: float) -> tuple[int, int, int]:
 def signature(m: np.ndarray, below: float, above: float, scale: float) -> tuple[int, int, int]:
     """Counts of m's eigenvalues above ``above``, in [-below, above] and below -below
     (m passed ``require_hermitian`` with scale 1 + ||m||_F): eigvalsh's, as ``psd_gate``
-    reads them, but the eigen-record's where one is near ``above``, so n_plus is its rank."""
+    reads them, so n_minus > 0 exactly where it raises NotPSD at ``below``; but where one
+    is near ``above`` n_plus is recounted on the eigen-record's, so it is its rank, and
+    an eigenvalue already counted in n_minus is not counted again."""
     w = np.linalg.eigvalsh(hermitian_part(m)).tolist()  # ascending
+    n_minus = bisect_left(w, -below)
     margin = 2.0 * eig_allowance(len(w)) * scale  # eigh's and eigvalsh's differ by less
     if bisect_left(w, above - margin) != bisect_left(w, above + margin):
         w = sorted_eigh(m).eigenvalues[::-1].tolist()
-    n_plus, n_minus = len(w) - bisect_right(w, above), bisect_left(w, -below)
+    n_plus = len(w) - max(bisect_right(w, above), n_minus)
     return n_plus, len(w) - n_plus - n_minus, n_minus

@@ -198,7 +198,7 @@ def convex_recombine_classical(p: ProbabilityVector, w1, w2,
     tiny weights give the bits of ordinary ones.
     """
     _require_weight(lam)
-    prob = p if isinstance(p, ProbabilityVector) else validate_probability(p)
+    prob = validate_probability(p)
     # the images first: classical_phi checks each weight vector's length
     target = (lam * classical_phi(w1, prob).p
               + (1.0 - lam) * classical_phi(w2, prob).p)

@@ -8,7 +8,11 @@ split into support and kernel, orbit-class labels and spectrum generators
 for truncation experiments.
 
 Values are immutable after validation (array buffers are frozen), so they
-are safe to share across threads.
+are safe to share across threads.  A validated value is its own certificate:
+each validator returns a value of its own kind unchanged, and ``validate_state``
+gives a positive functional that is not yet a state only the trace test, so a
+caller passes whatever it holds and never asks whether it is validated already.
+A value built directly from its class is trusted as built.
 
 The spectrum of a value is decomposed once.  The first spectral question asked
 of it (``spectral_split`` and so the orbit class, ``connect_*``, the GNS
@@ -135,8 +139,12 @@ def default_rank_tol(m: np.ndarray) -> float:
 def validate_positive(m) -> PositiveFunctional:
     """Validate a matrix as a nonzero positive functional.
 
-    Raises NotHermitian, NotPSD or ZeroFunctional.
+    Raises NotHermitian, NotPSD or ZeroFunctional.  A PositiveFunctional, so a
+    StateDensity too, is its own certificate and is returned as it is (see
+    ``validate_state``).
     """
+    if isinstance(m, PositiveFunctional):
+        return m
     mat, scale = require_hermitian(m, "functional")
     psd_gate(mat, scale)
     return PositiveFunctional(matrix=_frozen(mat))
@@ -152,8 +160,15 @@ def psd_gate(mat: np.ndarray, scale: float) -> None:
 
 
 def validate_state(m) -> StateDensity:
-    """Validate a matrix as a density matrix (positive, unit trace)."""
-    return unit_trace(validate_positive(m).matrix)
+    """Validate a matrix as a density matrix (positive, unit trace).
+
+    A StateDensity is its own certificate and is returned as it is; any other
+    PositiveFunctional takes only the trace test (``unit_trace``).  A value is
+    trusted as its class constructor built it: ``StateDensity(matrix=a)`` on an
+    array that is not a state is not caught here, as a ``GroupElement`` built on
+    a singular matrix is not caught by ``group_element``.
+    """
+    return m if isinstance(m, StateDensity) else unit_trace(validate_positive(m).matrix)
 
 
 def unit_trace(frozen: np.ndarray) -> StateDensity:
@@ -168,7 +183,10 @@ def unit_trace(frozen: np.ndarray) -> StateDensity:
 
 
 def validate_probability(p) -> ProbabilityVector:
-    """Validate a real vector as a point of the probability simplex."""
+    """Validate a real vector as a point of the probability simplex.  A
+    ProbabilityVector is its own certificate and is returned as it is."""
+    if isinstance(p, ProbabilityVector):
+        return p
     v = np.asarray(p, dtype=float)
     if v.ndim != 1 or v.shape[0] == 0:
         raise ValidationError(f"probability vector must be 1-d and nonempty, got shape {v.shape}")
@@ -182,12 +200,6 @@ def validate_probability(p) -> ProbabilityVector:
     config.check("|sum - 1|", abs(total - 1.0), config.PROBABILITY_ATOL, 1.0, TraceError,
                  slack=gamma(v.shape[0] + 1))
     return ProbabilityVector(p=_frozen(v))
-
-
-def _as_functional(rho) -> PositiveFunctional:
-    if isinstance(rho, PositiveFunctional):
-        return rho
-    return validate_positive(rho)
 
 
 def _eigenpairs(value: PositiveFunctional) -> SpectralDecomposition:
@@ -208,7 +220,7 @@ def _eigenpairs(value: PositiveFunctional) -> SpectralDecomposition:
 def spectral_split(rho) -> SpectralSplit:
     """Split the ambient space into the support and kernel of ``rho``:
     eigenvalues at or below 1e-12*(1+||rho||_F) count as kernel."""
-    value = _as_functional(rho)
+    value = validate_positive(rho)
     dec = _eigenpairs(value)
     k = int(np.count_nonzero(dec.eigenvalues > default_rank_tol(value.matrix)))
     if k == 0:
@@ -236,8 +248,7 @@ def classify_orbit(rho) -> OrbitClass:
 
 def embed_classical(p) -> StateDensity:
     """Diagonal embedding of a probability vector as a density matrix."""
-    prob = p if isinstance(p, ProbabilityVector) else validate_probability(p)
-    return validate_state(np.diag(prob.p.astype(complex)))
+    return validate_state(np.diag(validate_probability(p).p.astype(complex)))
 
 
 def gibbs_spectrum(n: int, ratio: float) -> np.ndarray:

@@ -268,6 +268,17 @@ class TestClassicalPhi:
             classical_phi(np.ones(3), validate_probability([0.5, 0.5]))
         assert type(info.value) is ValidationError
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_non_finite_weights_are_refused_by_name(self, bad):
+        p = validate_probability([0.5, 0.5])
+        w = np.array([bad, 1.0])
+        message = "^weight vector contains non-finite entries$"
+        with pytest.raises(ValidationError, match=message):
+            classical_phi(w, p)
+        with pytest.raises(ValidationError, match=message):
+            convex_recombine_classical(p, np.ones(2), w, 0.5)
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
     def test_output_is_normalized(self, seed, m):

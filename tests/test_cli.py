@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import matrix_of, matrix_text
-from stategeom.cli import main
+from stategeom import config
+from stategeom.cli import _load_state, main
 from stategeom.serialize import dumps_canonical, load_matrix_file, matrix_to_jsonable
 
 
@@ -95,6 +96,20 @@ class TestValidateCommand:
         assert json.loads(result.output)["kind"] == "positive"
         # one for validate_positive; min_eigenvalue reads classify_orbit's eigh
         assert len(calls) == 1
+
+    def test_a_loaded_state_takes_one_trace_test(self, tmp_path, monkeypatch):
+        whats = []
+        check = config.check
+
+        def counting(what, *args, **kwargs):
+            whats.append(what)
+            return check(what, *args, **kwargs)
+
+        monkeypatch.setattr(config, "check", counting)
+        for kind in ("state", "positive", "operator"):
+            whats.clear()
+            _load_state(write(tmp_path / f"{kind}.json", np.diag([0.5, 0.5]), kind))
+            assert whats.count("|trace - 1|") == 1, kind
 
     def test_min_eigenvalue_of_the_hermitian_part(self, runner, tmp_path):
         # Hermitian part [[0.5, 1.5e-11], [1.5e-11, 0.5]], eigenvalues 0.5 -+ 1.5e-11

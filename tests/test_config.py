@@ -35,6 +35,7 @@ COUNTING_DECISIONS = {
     ("isotropy.py", "_membership"),       # isotropy membership
     ("tangent.py", "tangent_map_rank"),   # the tangent rank
     ("orbits.py", "same_orbit_alpha"),    # the PSD clamp as a zero band in the signature
+    ("linalg.py", "matrix_sqrt_psd"),     # the PSD clamp's near-bound test, which picks the solver
 }
 
 

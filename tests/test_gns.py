@@ -4,6 +4,7 @@ import pytest
 from oracles import dag
 from sampling import random_invertible, random_state, random_unitary
 from stategeom.actions import phi
+from stategeom.errors import TraceError
 from stategeom.gns import (
     commutant_dimension,
     gns_construct,
@@ -13,6 +14,7 @@ from stategeom.gns import (
 )
 from stategeom.states import (
     maximally_mixed,
+    validate_positive,
     validate_probability,
     validate_state,
 )
@@ -200,6 +202,21 @@ class TestPurity:
             assert purity_check(phi(g, pure))
 
 
+class TestStateGate:
+    def test_a_functional_that_is_not_a_state_is_refused(self):
+        xi = validate_positive(np.eye(2, dtype=complex))
+        with pytest.raises(TraceError):
+            gns_construct(xi)
+        with pytest.raises(TraceError):
+            purity_check(xi)
+
+    def test_a_matrix_is_validated_as_a_state(self):
+        m = np.diag([0.75, 0.25]).astype(complex)
+        rho = validate_state(m)
+        assert gns_construct(m).cyclic.tobytes() == gns_construct(rho).cyclic.tobytes()
+        assert purity_check(m) is purity_check(rho) is False
+
+
 class TestAbelian:
     def test_dirac_is_one_dimensional(self):
         triple = gns_construct_abelian(validate_probability([0.0, 1.0, 0.0]))
@@ -215,6 +232,13 @@ class TestAbelian:
         triple = gns_construct_abelian(p)
         f = np.array([1.0, -2.0, 4.0])
         assert triple.expectation(f) == pytest.approx(float(f @ p.p))
+
+    def test_a_plain_sequence_is_validated(self):
+        plain = gns_construct_abelian([0.5, 0.5])
+        validated = gns_construct_abelian(validate_probability([0.5, 0.5]))
+        assert (plain.m, plain.dim) == (validated.m, validated.dim)
+        assert plain.support.tobytes() == validated.support.tobytes()
+        assert plain.cyclic.tobytes() == validated.cyclic.tobytes()
 
 
 def test_triples_are_immutable():

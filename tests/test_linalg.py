@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import dag, eig_count, expm_series
 from sampling import random_hermitian, random_invertible, random_state, random_unitary
+from stategeom import config
 from stategeom.errors import NotHermitian, NotPSD, Singular
 from stategeom.linalg import (
     _fix_phases,
@@ -16,8 +17,33 @@ from stategeom.linalg import (
     matrix_exp,
     matrix_sqrt_psd,
     polar,
+    require_hermitian,
+    signature,
 )
-from stategeom.states import min_eigenvalue, validate_positive
+from stategeom.states import default_rank_tol, min_eigenvalue, validate_positive
+
+
+def _near_the_clamp(rng, n, rank_rtol=None):
+    """A Hermitian matrix whose smallest eigenvalue lies within 2e-6 relative of the
+    PSD clamp bound -PSD_CLAMP_RTOL (1 + ||m||_F), where eigh and eigvalsh may give
+    different verdicts; with ``rank_rtol``, a second eigenvalue lies that close,
+    relatively, to the rank cut RANK_RTOL (1 + ||m||_F)."""
+    w = rng.uniform(0.1, 1.0, n)
+    w[:2 if rank_rtol else 1] = 0.0
+    scale = 1.0 + np.linalg.norm(w)
+    w[0] = -config.PSD_CLAMP_RTOL * scale * (1.0 + rng.uniform(-2e-6, 2e-6))
+    if rank_rtol:
+        w[1] = config.RANK_RTOL * scale * (1.0 + rng.uniform(-rank_rtol, rank_rtol))
+    u = random_unitary(rng, n)
+    return (u * w) @ dag(u)
+
+
+def _refused(call, m):
+    try:
+        call(m)
+    except NotPSD:
+        return True
+    return False
 
 
 class TestHermitianEig:
@@ -94,6 +120,16 @@ class TestSqrt:
         s = matrix_sqrt_psd(np.diag([1.0, -1e-12]).astype(complex))
         np.testing.assert_allclose(s, np.diag([1.0, 0.0]), atol=1e-10)
 
+    def test_the_clamp_verdict_is_validate_positives(self):
+        # near the bound eigh's smallest eigenvalue may fall on the other side of it
+        # from eigvalsh's, which validate_positive reads
+        rng = np.random.default_rng(7)
+        disagree = 0
+        for _ in range(5000):
+            m = _near_the_clamp(rng, int(rng.integers(2, 9)))
+            disagree += _refused(matrix_sqrt_psd, m) != _refused(validate_positive, m)
+        assert disagree == 0
+
 
 class TestExp:
     def test_zero(self):
@@ -166,6 +202,29 @@ class TestInertia:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             inertia(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1e-12)
+
+    def test_negatives_are_counted_as_validate_positive_refuses(self):
+        # same_orbit_alpha's signature: a second eigenvalue at the rank cut makes it
+        # recount on eigh, whose smallest eigenvalue may cross the clamp bound
+        rng = np.random.default_rng(11)
+        disagree = 0
+        for _ in range(6000):
+            m, scale = require_hermitian(_near_the_clamp(rng, int(rng.integers(3, 9)), 4e-4))
+            n_minus = signature(m, config.PSD_CLAMP_RTOL * scale, default_rank_tol(m), scale)[2]
+            disagree += (n_minus > 0) != _refused(validate_positive, m)
+        assert disagree == 0
+
+    def test_an_eigenvalue_is_counted_once_at_a_zero_cut(self):
+        # at zero_tol = 0 eigvalsh may put an exact zero eigenvalue below the cut
+        # and the recount's eigh above it, in about one draw of eight
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            n = int(rng.integers(2, 9))
+            w = rng.uniform(0.1, 1.0, n)
+            w[0] = 0.0
+            u = random_unitary(rng, n)
+            counts = inertia((u * w) @ dag(u), 0.0)
+            assert min(counts) >= 0 and sum(counts) == n, counts
 
 
 def _fix_phases_loop(v):

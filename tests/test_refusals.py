@@ -25,6 +25,9 @@ REFUSALS = {
     "inertia-negative-zero-tol": (
         lambda: inertia(np.eye(2), -1.0),
         ValidationError, "zero_tol must be non-negative"),
+    "inertia-nan-zero-tol": (
+        lambda: inertia(np.diag([1.0, 0.0, -1.0]), float("nan")),
+        ValidationError, "zero_tol must be non-negative"),
     "isotropy_dimension_alpha-empty-support": (
         lambda: isotropy_dimension_alpha(0, 3),
         ValidationError, "support dimension must lie in [1, 3], got 0"),

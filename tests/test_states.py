@@ -6,6 +6,7 @@ from sampling import random_invertible, random_probability, random_state
 from stategeom.errors import NotHermitian, NotPSD, TraceError, ValidationError, ZeroFunctional
 from stategeom.linalg import frobenius, fro_scale, inertia
 from stategeom.states import (
+    StateDensity,
     classify_orbit,
     default_rank_tol,
     embed_classical,
@@ -69,6 +70,24 @@ class TestValidation:
         rho = validate_state(np.diag([0.5, 0.5]).astype(complex))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
+
+    def test_each_validator_returns_its_own_output(self):
+        # a validated value is its own certificate
+        xi = validate_positive(np.eye(2, dtype=complex))
+        rho = validate_state(np.eye(2, dtype=complex) / 2.0)
+        p = validate_probability([0.25, 0.75])
+        assert validate_positive(xi) is xi
+        assert validate_positive(rho) is rho
+        assert validate_state(rho) is rho
+        assert validate_probability(p) is p
+
+    def test_a_functional_takes_only_the_trace_test(self):
+        xi = validate_positive(np.eye(2, dtype=complex) / 2.0)
+        rho = validate_state(xi)
+        # the same frozen matrix: validate_positive would have copied it
+        assert type(rho) is StateDensity and rho.matrix is xi.matrix
+        with pytest.raises(TraceError):
+            validate_state(validate_positive(np.eye(2, dtype=complex)))
 
 
 class TestSpectralSplit:

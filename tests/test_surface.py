@@ -16,7 +16,9 @@ helpers are held to the package alone: every top-level private function or
 class (dunders aside) is used by name elsewhere in it, and every field of a
 private dataclass is read there as an attribute.  The private names one
 module imports from another are an explicit list, so a new one is a reviewed
-edit.
+edit.  Whether a value is already validated is asked by its validator alone:
+only the validators, ``group_element`` and ``alpha`` (whose return type depends
+on it) test an argument against a validated type.
 """
 
 import ast
@@ -259,3 +261,36 @@ def test_every_public_attribute_has_a_reader():
                for name, stmt in _members(cls)
                if isinstance(stmt, ast.AnnAssign) and not package_reads[name]]
     assert not unread, f"attributes nothing reads: {unread}"
+
+
+VALIDATED_TYPES = {"PositiveFunctional", "StateDensity", "ProbabilityVector", "GroupElement"}
+TYPE_TESTERS = {
+    ("states.py", "validate_positive"),
+    ("states.py", "validate_state"),
+    ("states.py", "validate_probability"),
+    ("actions.py", "group_element"),
+    ("actions.py", "alpha"),
+}
+
+
+def _validated_type_tests(node, func=None):
+    """The innermost enclosing function (None at module level) of each
+    ``isinstance`` call under ``node`` against a validated type."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _validated_type_tests(child, child.name)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance" and len(child.args) == 2
+                and VALIDATED_TYPES & _references(child.args[1])):
+            yield func
+        yield from _validated_type_tests(child, func)
+
+
+def test_only_the_validators_ask_whether_a_value_is_validated():
+    # a validated value is its own certificate: a caller passes whatever it has
+    # to the validator, which returns its own output unchanged
+    found = {(module, func) for module, tree in _trees().items()
+             for func in _validated_type_tests(tree)}
+    assert ("actions.py", "group_element") in found  # the walk sees a type test
+    assert found <= TYPE_TESTERS, f"type tests outside the validators: {found - TYPE_TESTERS}"
