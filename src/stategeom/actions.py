@@ -41,6 +41,10 @@ class GroupElement:
     sigma_min: float
     sigma_max: float
 
+    def __array__(self, dtype=None, copy=None):
+        """The frozen matrix, so the value is an operand wherever an array is."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
@@ -54,10 +58,8 @@ def group_element(g, n: int | None = None) -> GroupElement:
     """Certify invertibility, sigma_min > 1e-12*(1+opnorm) (Singular otherwise), and
     the dimension ``n`` of the value g acts on when given.  A GroupElement is its
     own certificate."""
-    if isinstance(g, GroupElement):
-        if n is None or g.n == n:
-            return g
-        g = g.matrix  # the gate below reports the mismatch
+    if isinstance(g, GroupElement) and (n is None or g.n == n):
+        return g
     m = as_operator(g, "group element", n)
     s = np.linalg.svd(m, compute_uv=False)
     smin, smax = float(s[-1]), float(s[0])
@@ -92,6 +94,7 @@ def denominator(g, rho: StateDensity) -> float:
     or below 1e-14; the action fails loudly there instead of renormalizing noise.
     Raises NumericalError when the value overflows.
     """
+    rho = validate_state(rho)
     prescaled = _prescale(group_element(g, rho.n).matrix)
     d = _normalization(prescaled, rho)[1]
     return float(in_range("Tr(rho g†g)", math.inf, lambda: np.ldexp(d, 2 * prescaled[1])))
@@ -106,6 +109,7 @@ def phi(g, rho: StateDensity) -> StateDensity:
     and is what every ``flow`` point divides by, and the floor test applies
     to the trace of the unscaled product.
     """
+    rho = validate_state(rho)
     ge = group_element(g, rho.n)
     return validate_state(prescaled_phi(ge.matrix, rho)[0])
 
@@ -148,6 +152,7 @@ def _normalization(prescaled: tuple[np.ndarray, int, float],
 
 def unitary_phi(u, rho: StateDensity) -> StateDensity:
     """Coadjoint action u rho u† of the unitary subgroup (spectrum preserving)."""
+    rho = validate_state(rho)
     m = as_operator(u, "unitary", rho.n)
     norm = frobenius(m)
     # ||u||_F^2, which is n for a unitary, bounds each entry of u†u: where it leaves
@@ -196,6 +201,7 @@ def _require_weight(lam: float) -> None:
 def mix_states(rho1: StateDensity, rho2: StateDensity, lam: float) -> StateDensity:
     """Convex combination lam*rho1 + (1-lam)*rho2."""
     _require_weight(lam)
+    rho1, rho2 = validate_state(rho1), validate_state(rho2)
     m2 = as_operator(rho2.matrix, "second state", rho1.n)
     return validate_state(lam * rho1.matrix + (1.0 - lam) * m2)
 
@@ -208,6 +214,7 @@ def nonconvexity_witness(g, rho1: StateDensity, rho2: StateDensity, lam: float) 
     images are phi's matrices unvalidated, as no caller receives them, each
     from ``prescaled_phi`` on g's matrix.
     """
+    rho1, rho2 = validate_state(rho1), validate_state(rho2)
     m = group_element(g, rho1.n).matrix
     mixed_image = prescaled_phi(m, mix_states(rho1, rho2, lam))[0]
     image_mix = lam * prescaled_phi(m, rho1)[0] + (1.0 - lam) * prescaled_phi(m, rho2)[0]

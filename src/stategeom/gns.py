@@ -25,7 +25,7 @@ import numpy as np
 from . import config
 from .actions import _normalization, _prescale, group_element
 from .errors import NumericalError, ValidationError
-from .linalg import as_operator, dagger, matrix_unit
+from .linalg import as_operator, frobenius, matrix_unit
 from .states import (ProbabilityVector, StateDensity, _frozen, default_rank_tol, spectral_split,
                      validate_probability, validate_state)
 
@@ -80,28 +80,31 @@ def gns_construct(rho: StateDensity) -> GnsTriple:
 def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     """Transport the cyclic vector by an invertible element.
 
-    The new vector pi(g)|psi> / sqrt(<psi|pi(g†g)|psi>) represents the
-    normalized action of g on the source state inside the same
-    representation.  ``rho`` must be the state the triple was built from.
-    Like ``phi`` it runs on m = g / 2^e, 2^e the power of two above
-    ||g||_F (``actions._prescale``), so large g stay finite, and it refuses
-    exactly where ``phi`` does: its floor test is phi's, on Tr(m rho m†)
-    (``actions._normalization``), and it runs before the consistency test.
-    A triple that is not rho's fails the consistency test, for small g too:
-    its bound is relative to ||g||_F^2 where ||g||_F < 1.
+    The new vector pi(g)|psi> / ||pi(g)|psi>|| represents the normalized action
+    of g on the source state inside the same representation.  ``rho`` must be
+    the state the triple was built from.  Like ``phi`` it runs on m = g / 2^e,
+    2^e the power of two above ||g||_F (``actions._prescale``), so large g stay
+    finite, and it refuses exactly where ``phi`` does: its floor test is phi's,
+    on Tr(m rho m†) (``actions._normalization``), and it runs before the
+    consistency test.  That test checks the vector it moves: its squared norm
+    ||pi(m)|psi>||^2 = <psi|pi(m†m)|psi> must reproduce rho(m†m) = Tr(m rho m†).
+    A triple that is not rho's fails it, for small g too: its bound is relative
+    to ||g||_F^2 where ||g||_F < 1.  A triple of another dimension is refused
+    by ``vector_of``'s operand gate.
     """
+    rho = validate_state(rho)
     prescaled = _prescale(group_element(g, rho.n).matrix)
     m, e, m_norm = prescaled
     from_state = _normalization(prescaled, rho)[1]
-    norm_sq = triple.expectation(dagger(m) @ m).real
-    # the vector expectation must reproduce rho(m†m) = Tr(m rho m†), up to rounding of
-    # order u ||m||_F^2; the bound 2^-2e rtol (min(1, ||g||_F^2) + rho(g†g)) is
+    moved = triple.vector_of(m)
+    norm = frobenius(moved)
+    # ||pi(m)|psi>||^2 must reproduce rho(m†m) = Tr(m rho m†), up to rounding of order
+    # u ||m||_F^2; the bound 2^-2e rtol (min(1, ||g||_F^2) + rho(g†g)) is
     # rtol (min(2^-2e, ||m||_F^2) + rho(m†m)), where ||m||_F = ||g||_F when e = 0
-    config.check(f"|<psi|pi(m†m)|psi> - rho(m†m)|, m = g / 2^{e},", abs(norm_sq - from_state),
-                 config.GNS_CONSISTENCY_RTOL,
+    config.check(f"|<psi|pi(m†m)|psi> - rho(m†m)|, m = g / 2^{e},",
+                 abs(norm * norm - from_state), config.GNS_CONSISTENCY_RTOL,
                  min(math.ldexp(1.0, -2 * e), m_norm * m_norm) + abs(from_state), ValidationError)
-    moved = triple.vector_of(m) / np.sqrt(norm_sq)
-    return GnsTriple(n=triple.n, dim=triple.dim, cyclic=_frozen(moved))
+    return GnsTriple(n=triple.n, dim=triple.dim, cyclic=_frozen(moved / norm))
 
 
 def commutant_dimension(triple: GnsTriple) -> int:

@@ -48,7 +48,8 @@ from . import config
 from .errors import ValidationError
 from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, hermitian_part, in_range,
                      matrix_unit)
-from .states import PositiveFunctional, SpectralSplit, StateDensity, spectral_split
+from .states import (PositiveFunctional, SpectralSplit, StateDensity, spectral_split,
+                     validate_positive, validate_state)
 from .tangent import alpha_velocity, phi_velocity
 
 
@@ -88,10 +89,13 @@ def hermitian_components(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _membership(velocity, a: np.ndarray, base: np.ndarray) -> tuple[bool, float]:
+def _membership(velocity, validate, a, value) -> tuple[bool, float]:
     """Whether the pairings of velocity(base, a) with the Hermitian basis vanish, with
-    the largest; NumericalError when a pairing overflows.  A velocity is at most
-    2 ||a||_F ||base||_F (1 + ||base||_F) in magnitude, and a pairing twice that."""
+    the largest, base the matrix of ``validate(value)``; NumericalError when a pairing
+    overflows.  A velocity is at most 2 ||a||_F ||base||_F (1 + ||base||_F) in
+    magnitude, and a pairing twice that."""
+    value = validate(value)
+    a, base = as_operator(a, "generator", value.n), value.matrix
     base_scale, a_scale = fro_scale(base), fro_scale(a)
     values = in_range("isotropy pairing", a_scale * base_scale * base_scale,
                       lambda: hermitian_components(velocity(base, a)))
@@ -103,13 +107,13 @@ def _membership(velocity, a: np.ndarray, base: np.ndarray) -> tuple[bool, float]
 def isotropy_membership_alpha(a, xi: PositiveFunctional) -> tuple[bool, float]:
     """Whether xi(a†b + ba) vanishes over the Hermitian basis, with the residual;
     NumericalError when a pairing overflows."""
-    return _membership(alpha_velocity, as_operator(a, "generator", xi.n), xi.matrix)
+    return _membership(alpha_velocity, validate_positive, a, xi)
 
 
 def isotropy_membership_phi(a, rho: StateDensity) -> tuple[bool, float]:
     """Membership in the normalized-action isotropy: the covariance-corrected sweep;
     NumericalError when a pairing overflows."""
-    return _membership(phi_velocity, as_operator(a, "generator", rho.n), rho.matrix)
+    return _membership(phi_velocity, validate_state, a, rho)
 
 
 @dataclass(frozen=True)
@@ -360,6 +364,7 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     those of phi at xi / Tr xi; the identity direction's residual there is
     formed outright in O(n^2), with the bits of isotropy_membership_phi.
     """
+    xi = validate_positive(xi)
     split = spectral_split(xi)
     isotropy, complement = _blocks(split)
     w = split.full_basis()

@@ -188,10 +188,8 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     complex scalar, so the result matches a per-column loop bit for bit.
     """
     pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    mag = np.hypot(pivot.real, pivot.imag)
-    nonzero = mag > 0.0
-    factor = np.ones_like(pivot)
-    factor[nonzero] = np.conjugate(pivot[nonzero]) / mag[nonzero]
+    mag = np.hypot(pivot.real, pivot.imag)  # nonzero: a unitary column has an entry >= 1/sqrt(n)
+    factor = np.conjugate(pivot) / mag
     return np.ascontiguousarray((v.T * factor[:, None]).T)
 
 
@@ -209,7 +207,7 @@ def sorted_eigh(m: np.ndarray) -> SpectralDecomposition:
     """
     w, v = np.linalg.eigh(hermitian_part(m))
     order = np.argsort(-w, kind="stable")
-    w = np.ascontiguousarray(w[order])
+    w = w[order]
     v = _fix_phases(np.ascontiguousarray(v[:, order]))
     w.flags.writeable = False
     v.flags.writeable = False
@@ -355,8 +353,7 @@ class _Exponential:
         if t == 0.0 or self.norm == 0.0:
             return self._stack[0].copy()
         if self._diagonal is not None:  # exact up to exp's rounding, as scipy's expm does
-            with np.errstate(over="ignore"):
-                return np.diag(np.exp((t * self._diagonal.view(float)).view(complex)))
+            return np.diag(np.exp((t * self._diagonal.view(float)).view(complex)))
         m, s = self._order(math.log2(abs(t)) + self.e)
         c = math.ldexp(t, self.e - s)  # 2^-s t a = c b
         table, power = _TABLE[m]
@@ -380,8 +377,15 @@ class _Exponential:
 def matrix_exp(a) -> np.ndarray:
     """Matrix exponential, ``_Exponential`` at t = 1: within a small multiple of
     gamma_8n (2 + (1 + sqrt(n)) ||a||_F) e^||a||_F of ``scipy.linalg.expm``, and
-    with its bits where a is diagonal."""
-    return _Exponential(as_operator(a))(1.0)
+    with its bits where a is diagonal.  NumericalError when an entry leaves
+    double range (``in_range``)."""
+    exp = _Exponential(as_operator(a))
+    # ||exp(a)||_1 <= e^x for x = ||a||_1, and no entry formed on the way exceeds 2^57 e^x
+    # but for rounding: a Pade sum is at most twice its leading coefficient, below 2^56,
+    # times e^x, and the quotient and its squares approximate exp(2^-k a).  Below x = 650
+    # that is under 2^1000, so an ordinary call runs on ``in_range``'s unguarded path.
+    x = min(math.ldexp(exp.norm, min(exp.e, 11)), 700.0)  # ||a||_1, capped where e^x overflows
+    return in_range("matrix exponential", 2.0 ** 57 * math.exp(x), lambda: exp(1.0))
 
 
 def polar(g) -> tuple[np.ndarray, np.ndarray]:

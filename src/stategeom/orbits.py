@@ -38,7 +38,9 @@ from .states import (
     gibbs_spectrum,
     maximally_mixed,
     spectral_split,
+    validate_positive,
     validate_probability,
+    validate_state,
 )
 
 
@@ -80,7 +82,11 @@ def bound_constant(rho0, rho1) -> float:
     return float(np.max(_matched_splits(rho0, rho1)[2]))
 
 
-def _connect(rho0, rho1):
+def _connect(validate, rho0, rho1, image) -> ConnectCertificate:
+    """The certificate of the element g connecting ``validate(rho0)`` to
+    ``validate(rho1)``: ||g||_op checked against sqrt(C+1), and ``image(g, rho0)``,
+    the action's image of rho0, checked against rho1 (``_residual_guard``)."""
+    rho0, rho1 = validate(rho0), validate(rho1)
     split0, split1, ratios = _matched_splits(rho0, rho1)
     e0, e1 = split0.support_basis, split1.support_basis
     g = (e1 * np.sqrt(ratios)) @ dagger(e0) + split1.kernel_basis @ dagger(split0.kernel_basis)
@@ -89,7 +95,9 @@ def _connect(rho0, rho1):
     bound = float(np.sqrt(c + 1.0))
     config.check("connecting element norm above sqrt(C+1)", element.sigma_max - bound,
                  config.NORM_BOUND_SLACK, bound, NumericalError)
-    return element, c, bound
+    residual = _residual_guard(image(element.matrix, rho0), rho1.matrix)
+    return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
+                              achieved_residual=residual)
 
 
 def _residual_guard(image: np.ndarray, target: np.ndarray) -> float:
@@ -100,11 +108,7 @@ def _residual_guard(image: np.ndarray, target: np.ndarray) -> float:
 def connect_alpha(rho0: PositiveFunctional, rho1: PositiveFunctional) -> ConnectCertificate:
     """Element g with g rho0 g† = rho1, for equal-rank positive functionals,
     from their spectra matched in non-increasing order."""
-    element, c, bound = _connect(rho0, rho1)
-    residual = _residual_guard(element.matrix @ rho0.matrix @ dagger(element.matrix),
-                               rho1.matrix)
-    return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
-                              achieved_residual=residual)
+    return _connect(validate_positive, rho0, rho1, lambda g, rho: g @ rho.matrix @ dagger(g))
 
 
 def connect_phi(rho0: StateDensity, rho1: StateDensity) -> ConnectCertificate:
@@ -115,11 +119,7 @@ def connect_phi(rho0: StateDensity, rho1: StateDensity) -> ConnectCertificate:
     residual reads phi's matrix before its validation, which the guard makes
     unnecessary.
     """
-    element, c, bound = _connect(rho0, rho1)
-    image = prescaled_phi(element.matrix, rho0)[0]
-    residual = _residual_guard(image, rho1.matrix)
-    return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
-                              achieved_residual=residual)
+    return _connect(validate_state, rho0, rho1, lambda g, rho: prescaled_phi(g, rho)[0])
 
 
 def same_orbit_alpha(xi0, xi1) -> bool:
@@ -180,6 +180,7 @@ def _recombine(tau: StateDensity, g1, g2,
     that make the target are phi's matrices unvalidated, as no caller
     receives them; the mixture is validated."""
     _require_weight(lam)
+    tau = validate_state(tau)
     require_tracial(tau)
     target = (lam * prescaled_phi(group_element(g1, tau.n).matrix, tau)[0]
               + (1.0 - lam) * prescaled_phi(group_element(g2, tau.n).matrix, tau)[0])
@@ -239,6 +240,8 @@ class SpectrumGenerator:
         return float(value)
 
     def spectrum(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
+        if n < 1:
+            raise ValidationError(f"dimension must be >= 1, got {n}")
         if self.kind == "gibbs":
             return gibbs_spectrum(n, self._number("ratio"))
         if self.kind == "uniform":

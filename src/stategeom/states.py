@@ -61,6 +61,10 @@ class PositiveFunctional:
 
     matrix: np.ndarray
 
+    def __array__(self, dtype=None, copy=None):
+        """The frozen matrix, so the value is an operand wherever an array is."""
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0]

@@ -29,7 +29,7 @@ from .errors import NumericalError, ValidationError
 from .linalg import (_Exponential, as_operator, dagger, eig_allowance, fro_scale, frobenius,
                      gamma, hermitian_part, in_range, require_hermitian)
 from .states import (PositiveFunctional, StateDensity, _eigenpairs, _frozen, default_rank_tol,
-                     min_eigenvalue, psd_gate, unit_trace)
+                     min_eigenvalue, psd_gate, unit_trace, validate_positive, validate_state)
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,7 @@ def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
 def tangent_alpha(xi: PositiveFunctional, a) -> TangentVector:
     """Tangent vector of the congruence action at ``xi`` along generator ``a``;
     NumericalError when it overflows."""
+    xi = validate_positive(xi)
     gen = _frozen(as_operator(a, "generator", xi.n))
     value = in_range("tangent vector", math.inf, lambda: alpha_velocity(xi.matrix, gen))
     return TangentVector(value=_frozen(value), generator=gen)
@@ -64,6 +65,7 @@ def tangent_alpha(xi: PositiveFunctional, a) -> TangentVector:
 def tangent_phi(rho: StateDensity, a) -> TangentVector:
     """Tangent vector of the normalized action at ``rho``; always traceless.
     NumericalError when it overflows."""
+    rho = validate_state(rho)
     gen = _frozen(as_operator(a, "generator", rho.n))
     value = in_range("tangent vector", math.inf, lambda: phi_velocity(rho.matrix, gen))
     return TangentVector(value=_frozen(value), generator=gen)
@@ -76,6 +78,7 @@ def covariance(rho: StateDensity, a, b) -> float:
     argument is a multiple of the identity, and nonnegative on the diagonal.
     NumericalError when its evaluation overflows.
     """
+    rho = validate_state(rho)
     am, _ = require_hermitian(a, "a", rho.n)
     bm, _ = require_hermitian(b, "b", rho.n)
     m = rho.matrix
@@ -103,6 +106,7 @@ class _Flow:
 
 
 def _flow_of(rho: StateDensity, a) -> _Flow:
+    rho = validate_state(rho)
     gen = as_operator(a, "generator", rho.n)
     rho_norm = frobenius(rho.matrix)
     floor = min(0.0, min_eigenvalue(rho) - eig_allowance(rho.n) * rho_norm)
@@ -251,7 +255,7 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     # every entry the velocity forms, its trace included, is at most
     # 2 ||a||_F ||rho||_F (1 + ||rho||_F) <= 4 ||a||_F ||rho||_F in magnitude
     value = vec.value if vec is not None else in_range(
-        "tangent vector", f.gen_norm * f.rho_norm, lambda: phi_velocity(rho.matrix, f.gen))
+        "tangent vector", f.gen_norm * f.rho_norm, lambda: phi_velocity(f.rho.matrix, f.gen))
     fwd = _flow_point(f, h).matrix
     bwd = _flow_point(f, -h).matrix
     with np.errstate(over="ignore", invalid="ignore"):  # a complex 0 over subnormal 2h: 0 * inf
@@ -260,7 +264,7 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     error = frobenius(fd - value) / scale
     if not math.isfinite(error):
         raise NumericalError(f"finite-difference quotient overflows double precision at h = {h}")
-    allowance = gamma(4 * rho.n + 8) * (frobenius(fwd) + frobenius(bwd)) / (2.0 * abs(h))
+    allowance = gamma(4 * f.rho.n + 8) * (frobenius(fwd) + frobenius(bwd)) / (2.0 * abs(h))
     config.check(f"finite-difference quotient at h = {h} lost to rounding: 1 + ||value||_F",
                  scale, 0.0, 1.0, NumericalError, floor=True, slack=allowance)
     return error
@@ -295,6 +299,7 @@ def tangent_map_rank(rho: StateDensity) -> int:
     and O(n^2) memory; the tests check them against the SVD of the dense
     2n^2 x 2n^2 realified map.
     """
+    rho = validate_state(rho)
     s = _singular_values(rho)
     cut = max(config.scaled(config.TANGENT_RANK_RTOL) * s.max(), default_rank_tol(rho.matrix))
     return int(np.sum(s > cut))

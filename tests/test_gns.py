@@ -137,6 +137,20 @@ class TestTransform:
         with pytest.raises(ValidationError):
             gns_transform(triple, random_invertible(rng, 3), other)
 
+    @pytest.mark.parametrize("n_triple, n_state", [(2, 3), (3, 2)])
+    def test_triple_of_another_dimension_is_refused_by_the_operand_gate(self, n_triple,
+                                                                        n_state):
+        # the vector is moved through vector_of, whose operand gate checks the
+        # element's dimension against the triple's before any product is formed
+        from stategeom.errors import ValidationError
+
+        rng = np.random.default_rng(36)
+        triple = gns_construct(random_state(rng, n_triple))
+        rho = random_state(rng, n_state)
+        with pytest.raises(ValidationError, match=f"^algebra element has dimension {n_state}, "
+                                                  f"expected {n_triple}$"):
+            gns_transform(triple, random_invertible(rng, n_state), rho)
+
     def test_random_transform_matches_phi(self):
         rng = np.random.default_rng(29)
         for _ in range(5):

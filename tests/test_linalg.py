@@ -257,11 +257,18 @@ class TestFixPhases:
             assert _fix_phases(v).tobytes() == _fix_phases_loop(v).tobytes()
         assert _fix_phases(tie)[0, 0] == 0.6
 
-    def test_zero_column_left_alone(self):
-        v = np.array([[0.0, 1j], [0.0, 0.5]], dtype=complex)
-        out = _fix_phases(v)
-        assert out.tobytes() == _fix_phases_loop(v).tobytes()
-        np.testing.assert_array_equal(out[:, 0], 0.0)
+    @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+    def test_every_eigh_column_has_a_nonzero_pivot(self, n):
+        # _fix_phases runs on eigh's unitary columns only: a unit column has an
+        # entry of modulus at least 1/sqrt(n), so no pivot is zero, on all-equal,
+        # paired and generic spectra alike
+        rng = np.random.default_rng(240 + n)
+        q = random_unitary(rng, n)
+        spectra = [np.ones(n), np.repeat(rng.standard_normal((n + 1) // 2), 2)[:n],
+                   rng.standard_normal(n)]
+        for w in spectra:
+            v = np.linalg.eigh((q * w) @ q.conj().T)[1]
+            assert np.abs(v).max(axis=0).min() >= (1.0 - 1e-12) / np.sqrt(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 64])

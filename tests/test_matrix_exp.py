@@ -23,6 +23,7 @@ import pytest
 import stategeom
 from oracles import matrix_text
 from sampling import random_state
+from stategeom.errors import NumericalError
 from stategeom.linalg import _Exponential, gamma, matrix_exp
 from stategeom.tangent import _flow_of
 
@@ -122,11 +123,17 @@ def test_nilpotent_input_is_exact_at_any_scale():
 @pytest.mark.parametrize("shift", [700.0, 709.0, 709.5, 710.0, 720.0, 1e5, 1e150])
 def test_near_overflow_is_non_finite_in_the_same_places(shift):
     # exp overflows above about 709.78: at 710 some entries of e^710 e^b are finite;
-    # the finite ones agree to the bound without its e^x, relative to the largest
+    # the finite ones agree to the bound without its e^x, relative to the largest.
+    # A flow's evaluator returns them, and matrix_exp refuses where any is not finite
     b = _complex(np.random.default_rng(0), 4) / 4.0
     a = shift * np.eye(4) + b
     with np.errstate(all="ignore"):
-        ours, theirs = matrix_exp(a), _scipy_expm(a)
+        ours, theirs = _Exponential(a)(1.0), _scipy_expm(a)
+    if shift < 710.0:
+        assert matrix_exp(a).tobytes() == ours.tobytes()
+    else:
+        with pytest.raises(NumericalError, match="matrix exponential overflows"):
+            matrix_exp(a)
     tol = MULTIPLE * gamma(32) * (2.0 + 3.0 * np.linalg.norm(a))
     for part in (np.real, np.imag):
         finite = np.isfinite(part(ours))
@@ -203,3 +210,57 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")), file=sys.stderr)
     assert done.returncode == 0, done.stderr
     assert done.stdout
     assert done.stderr == "[]\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [np.diag([800.0, 0.0]), [[800.0, 1.0], [0.0, 0.0]],
+                               [[1e308, 0.0], [1e308, 0.0]]],
+                         ids=["diagonal", "triangular", "column-sum-overflows"])
+def test_an_exponential_that_overflows_is_refused_by_name(a):
+    # one contract on every path: no warning and no inf, but the error in_range raises
+    with pytest.raises(NumericalError, match="^matrix exponential overflows double precision$"):
+        matrix_exp(a)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_overflowing_column_sums_are_rescaled_exactly(seed):
+    # entries near 1.5e308 overflow a column sum of |a|, so the 1-norm is taken of a
+    # scaled copy; that is exact, so a point has the bits of the evaluator of a / 2^k
+    # at t 2^k, whose 1-norm is finite
+    rng = np.random.default_rng([287, seed])
+    n = int(rng.integers(2, 7))
+    a = 1.5e308 * rng.uniform(0.9, 1.0, (n, n)) * np.exp(2j * np.pi * rng.uniform(size=(n, n)))
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.abs(a).sum(axis=0).max())
+    k = int(rng.integers(3, 12))
+    t = math.ldexp(float(rng.uniform(0.5, 20.0)) / n, -1024)
+    ours = _Exponential(a)(t)
+    assert np.all(np.isfinite(ours))
+    assert ours.tobytes() == _Exponential(a / 2.0 ** k)(t * 2.0 ** k).tobytes()
+
+
+def _singular_solve(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def test_a_singular_pade_denominator_is_a_numerical_error_naming_t(monkeypatch, tmp_path):
+    from click.testing import CliRunner
+
+    from stategeom.cli import main
+    from stategeom.states import validate_state
+    from stategeom.tangent import flow
+
+    rho = validate_state(np.diag([0.75, 0.25]))
+    gen = np.array([[0.2, 0.1 + 0.3j], [0.4 - 0.1j, -0.2]])
+    monkeypatch.setattr(np.linalg, "solve", _singular_solve)
+    # t = 0 needs no solve; the Pade solve of the next point fails
+    with pytest.raises(NumericalError, match=r"^exp\(t a\) is not numerically usable at t = 0\.5$"):
+        flow(rho, gen, [0.0, 0.5])
+    state, generator = tmp_path / "state.json", tmp_path / "gen.json"
+    state.write_text(matrix_text(rho.matrix, "state"))
+    generator.write_text(matrix_text(gen, "operator"))
+    result = CliRunner().invoke(main, ["flow", str(state), str(generator), "--t0", "0",
+                                       "--t1", "1", "--steps", "3"])
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr == "NumericalError: exp(t a) is not numerically usable at t = 0.5\n"

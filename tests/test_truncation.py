@@ -206,3 +206,13 @@ def test_rank_tol_is_no_longer_an_option():
 if __name__ == "__main__":
     rows = [f"{json.dumps(case[0])}: {json.dumps(_hex(_sweep(*case[1:])))}" for case in CASES]
     sys.stdout.write("{\n" + ",\n".join(rows) + "\n}\n")
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("config", [_GIBBS_HALF, _UNIFORM, _POWER["power1"],
+                                    {"kind": "dirichlet", "alpha": 1.0}],
+                         ids=["gibbs", "uniform", "power", "dirichlet"])
+def test_a_spectrum_of_dimension_below_one_is_refused_alike(config, n):
+    gen = make_spectrum_generator(config)
+    with pytest.raises(ValidationError, match=f"^dimension must be >= 1, got {n}$"):
+        gen.spectrum(n, np.random.default_rng(0))
