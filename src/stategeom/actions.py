@@ -76,12 +76,14 @@ def alpha(g, xi):
     """Congruence action xi -> g xi g† on self-adjoint functionals.
 
     Accepts a PositiveFunctional (returned as PositiveFunctional) or a bare
-    Hermitian matrix (returned as a matrix).  The action is linear and sends
-    PSD inputs to PSD outputs of the same rank.  Raises NumericalError when
-    g xi g† overflows.
+    Hermitian matrix (returned as a matrix); either way the image is the
+    Hermitian part of g xi g†, with the same bits.  The action is linear and
+    sends PSD inputs to PSD outputs of the same rank.  Raises NumericalError
+    when g xi g† overflows.
     """
     if isinstance(xi, PositiveFunctional):
-        return validate_positive(_congruence(group_element(g, xi.n).matrix, xi.matrix))
+        return validate_positive(hermitian_part(_congruence(group_element(g, xi.n).matrix,
+                                                            xi.matrix)))
     ge = group_element(g)
     return hermitian_part(_congruence(ge.matrix, require_hermitian(xi, "functional", ge.n)[0]))
 

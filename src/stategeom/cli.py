@@ -40,20 +40,13 @@ from .serialize import (
     dumps_canonical,
     flow_csv,
     gns_chunks,
+    load_matrix_file,
     matrix_to_jsonable,
     read_json,
-    read_matrix,
     truncation_csv,
     truncation_json,
 )
-from .states import (
-    PositiveFunctional,
-    StateDensity,
-    classify_orbit,
-    min_eigenvalue,
-    validate_positive,
-    validate_state,
-)
+from .states import classify_orbit, min_eigenvalue, validate_positive, validate_state
 
 # The most points a flow grid can have.  np.linspace lays the grid out with
 # np.arange, which counts the points in float64 and refuses an array of more
@@ -83,26 +76,6 @@ def _emit(out, chunks) -> None:
     except OSError as exc:
         target = "stdout" if out is None else f"--out {out}"
         raise ValidationError(f"cannot write {target}: {exc.strerror or exc}") from None
-
-
-def _load_state(path) -> StateDensity:
-    m, _, functional = read_matrix(path)
-    # a state or positive file was validated as it was read: a positive one takes
-    # only the trace test, a state none
-    return validate_state(m if functional is None else functional)
-
-
-def _load_functional(path) -> tuple[PositiveFunctional, str]:
-    """Load as a state when possible, falling back to a positive functional;
-    either way the matrix is validated once."""
-    m, kind, functional = read_matrix(path)
-    if functional is not None:
-        return functional, kind
-    functional = validate_positive(m)
-    try:
-        return validate_state(functional), "state"
-    except TraceError:
-        return functional, "positive"
 
 
 class _Main(click.Group):
@@ -191,7 +164,13 @@ def command(*formats: str, **settings):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def validate(file):
     """Validate a matrix file as a state or positive functional."""
-    functional, kind = _load_functional(file)
+    value, kind = load_matrix_file(file)
+    functional = validate_positive(value)
+    if kind == "operator":  # a state when its trace is one
+        try:
+            functional, kind = validate_state(functional), "state"
+        except TraceError:
+            kind = "positive"
     orbit = classify_orbit(functional)
     return {
         "valid": True,
@@ -215,14 +194,13 @@ def act(action, g_file, state_file):
     """Apply a group element to a functional (alpha) or state (phi)."""
     from .actions import alpha, group_element, phi
 
-    element = group_element(read_matrix(g_file)[0])
+    element = group_element(load_matrix_file(g_file)[0])
+    value, kind = load_matrix_file(state_file)
     if action == "phi":
-        return matrix_to_jsonable(phi(element, _load_state(state_file)).matrix, "state")
-    m, kind, functional = read_matrix(state_file)
-    if functional is None:
-        # alpha acts on all self-adjoint functionals, positive or not
-        return matrix_to_jsonable(alpha(element, m), "operator")
-    return matrix_to_jsonable(alpha(element, functional).matrix, "positive")
+        return matrix_to_jsonable(phi(element, value), "state")
+    # alpha acts on all self-adjoint functionals, positive or not
+    return matrix_to_jsonable(alpha(element, value),
+                              "operator" if kind == "operator" else "positive")
 
 
 @command("json")
@@ -233,10 +211,10 @@ def connect(action, file0, file1):
     """Certificate for an explicit element mapping FILE0 onto FILE1."""
     from .orbits import connect_alpha, connect_phi
 
-    if action == "phi":
-        cert = connect_phi(_load_state(file0), _load_state(file1))
-    else:
-        cert = connect_alpha(_load_functional(file0)[0], _load_functional(file1)[0])
+    validate, connect_ = ((validate_state, connect_phi) if action == "phi"
+                          else (validate_positive, connect_alpha))
+    # FILE0 is validated before FILE1 is read, so a bad FILE0 is the one named
+    cert = connect_(validate(load_matrix_file(file0)[0]), load_matrix_file(file1)[0])
     return {
         "action": action,
         "C": cert.bound_constant,
@@ -254,8 +232,7 @@ def isotropy(file, action):
     """Isotropy dimensions and membership residuals at a base point."""
     from .isotropy import isotropy_report
 
-    functional, _ = _load_functional(file)
-    report = isotropy_report(functional)
+    report = isotropy_report(load_matrix_file(file)[0])
     payload = {"action": action, **dataclasses.asdict(report)}
     if action in ("alpha", "both"):
         payload["orbit_dim_alpha"] = report.ambient_dim - report.dim_alpha
@@ -274,12 +251,11 @@ def tangent(file, generator_file, action, fd_step):
     """Tangent vector along a generator, with a finite-difference report."""
     from .tangent import fd_tangent_check, tangent_alpha, tangent_phi
 
-    gen = read_matrix(generator_file)[0]
+    gen = load_matrix_file(generator_file)[0]
+    rho = load_matrix_file(file)[0]
     if action == "phi":
-        rho = _load_state(file)
-        vec = tangent_phi(rho, gen)
-    else:
-        vec = tangent_alpha(_load_functional(file)[0], gen)
+        rho = validate_state(rho)  # once, for tangent_phi and fd_tangent_check
+    vec = (tangent_phi if action == "phi" else tangent_alpha)(rho, gen)
     payload = {
         "action": action,
         "tangent": matrix_to_jsonable(vec.value, "operator"),
@@ -308,8 +284,8 @@ def flow_cmd(file, generator_file, t0, t1, steps, fmt):
             f"float64 array, got {steps}")
     if not np.isfinite(t1 - t0):  # np.linspace forms t1 - t0, even for one point
         raise ValidationError(f"--t0, --t1 and t1 - t0 must be finite, got {t0} and {t1}")
-    rho = _load_state(file)
-    gen = read_matrix(generator_file)[0]
+    rho = validate_state(load_matrix_file(file)[0])
+    gen = load_matrix_file(generator_file)[0]
     grid = np.linspace(t0, t1, steps)
     states = flow(rho, gen, grid)
     if fmt == "csv":
@@ -323,7 +299,7 @@ def gns(file):
     """GNS data of a state: dimension, represented basis, cyclic vector."""
     from .gns import gns_construct
 
-    triple = gns_construct(_load_state(file))
+    triple = gns_construct(load_matrix_file(file)[0])
     entries = triple.n ** 2 * triple.dim ** 2
     if entries > config.GNS_MAX_ENTRIES:
         raise ValidationError(
@@ -368,9 +344,9 @@ def recombine(tau_file, g1_file, g2_file, lam):
     """Square-root recombiner realizing a mixture on the tracial orbit."""
     from .orbits import _recombine
 
-    tau = _load_state(tau_file)
-    recombiner, mixture, residual = _recombine(tau, read_matrix(g1_file)[0],
-                                               read_matrix(g2_file)[0], lam)
+    tau = validate_state(load_matrix_file(tau_file)[0])
+    recombiner, mixture, residual = _recombine(tau, load_matrix_file(g1_file)[0],
+                                               load_matrix_file(g2_file)[0], lam)
     return {
         "lambda": lam,
         "residual": residual,

@@ -152,6 +152,8 @@ class AbelianGnsTriple:
         values = np.asarray(f, dtype=complex)
         if values.shape != (self.m,):
             raise ValidationError(f"expected a length-{self.m} diagonal element")
+        if not np.isfinite(values).all():
+            raise ValidationError("diagonal element contains non-finite entries")
         return np.diag(values[self.support])
 
     def expectation(self, f) -> complex:

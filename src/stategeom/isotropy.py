@@ -47,7 +47,7 @@ import numpy as np
 from . import config
 from .errors import ValidationError
 from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, hermitian_part, in_range,
-                     matrix_unit)
+                     matrix_unit, require_dimension)
 from .states import (PositiveFunctional, SpectralSplit, StateDensity, spectral_split,
                      validate_positive, validate_state)
 from .tangent import alpha_velocity, phi_velocity
@@ -57,10 +57,11 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
     """Canonical Hermitian basis: diagonal units, symmetric and antisymmetric pairs.
 
     Spans the algebra over C, so sweeping it is enough for the (complex
-    linear in b) isotropy constraints.
+    linear in b) isotropy constraints.  Refused, as the rotated bases are,
+    above config.BASIS_MAX_ENTRIES entries.
     """
-    if n < 1:
-        raise ValidationError(f"dimension must be >= 1, got {n}")
+    n = require_dimension(n)
+    _within_basis_limit(n * n, n)
     basis = [matrix_unit(n, j, j) for j in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
@@ -231,13 +232,19 @@ def _outer_stack(b: _Blocks, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotated_basis(split: SpectralSplit, b: _Blocks, identity: bool = False) -> RealBasis:
-    n = split.ambient_dim
-    if b.dim * n * n > config.BASIS_MAX_ENTRIES:
+def _within_basis_limit(dim: int, n: int) -> None:
+    """ValidationError, before anything is allocated, for an explicit basis of
+    ``dim`` matrices of dimension n with more than BASIS_MAX_ENTRIES entries."""
+    if dim * n * n > config.BASIS_MAX_ENTRIES:
         raise ValidationError(
-            f"explicit basis of {b.dim} matrices of dimension {n} has {b.dim * n * n} "
+            f"explicit basis of {dim} matrices of dimension {n} has {dim * n * n} "
             f"entries, above the limit of {config.BASIS_MAX_ENTRIES} (isotropy_report "
             "needs no basis)")
+
+
+def _rotated_basis(split: SpectralSplit, b: _Blocks, identity: bool = False) -> RealBasis:
+    n = split.ambient_dim
+    _within_basis_limit(b.dim, n)
     w = split.full_basis()
     floor = _certify(b, np.linalg.svd(w, compute_uv=False), identity)
     stack = _outer_stack(b, w)
@@ -273,9 +280,12 @@ def isotropy_basis_phi(split: SpectralSplit) -> RealBasis:
 
 
 def isotropy_dimension_alpha(k: int, n: int) -> int:
-    """Real dimension k^2 + 2(n-k)^2 + 2k(n-k) of the congruence isotropy."""
+    """Real dimension k^2 + 2(n-k)^2 + 2k(n-k) of the congruence isotropy; k and n
+    are integers."""
+    n = require_dimension(n)
     if not 1 <= k <= n:
         raise ValidationError(f"support dimension must lie in [1, {n}], got {k}")
+    k = require_dimension(k)  # an integer too
     return k * k + 2 * (n - k) ** 2 + 2 * k * (n - k)
 
 

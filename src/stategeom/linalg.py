@@ -26,6 +26,7 @@ squaring (``_Exponential``), whose powers a flow shares across its points.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -55,6 +56,16 @@ def as_operator(a, name: str = "operator", n: int | None = None) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
+
+
+def require_dimension(n) -> int:
+    """``n`` as an int: an integer of at least 1, a numpy one too but not a bool;
+    ValidationError otherwise."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValidationError(f"dimension must be an integer, got {n!r}")
+    if n < 1:
+        raise ValidationError(f"dimension must be >= 1, got {n}")
+    return int(n)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

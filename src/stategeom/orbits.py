@@ -28,7 +28,7 @@ from .actions import (GroupElement, _require_weight, _weight_squares, classical_
                       group_element, phi, prescaled_phi)
 from .errors import NotTracial, NumericalError, RankMismatch, ValidationError
 from .linalg import (dagger, frobenius, fro_scale, in_range, matrix_sqrt_psd, require_hermitian,
-                     signature)
+                     require_dimension, signature)
 from .states import (
     PositiveFunctional,
     ProbabilityVector,
@@ -240,8 +240,7 @@ class SpectrumGenerator:
         return float(value)
 
     def spectrum(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        if n < 1:
-            raise ValidationError(f"dimension must be >= 1, got {n}")
+        n = require_dimension(n)
         if self.kind == "gibbs":
             return gibbs_spectrum(n, self._number("ratio"))
         if self.kind == "uniform":

@@ -37,7 +37,6 @@ __all__ = [
     "matrix_to_jsonable",
     "dumps_canonical",
     "read_json",
-    "read_matrix",
     "load_matrix_file",
     "flow_csv",
     "truncation_csv",
@@ -65,12 +64,10 @@ def matrix_to_jsonable(m: np.ndarray, kind: str = "operator") -> dict:
     return {"n": np.shape(m)[0], "kind": kind, "entries": complex_pairs(m)}
 
 
-def _decode_matrix(obj) -> tuple[np.ndarray, str, PositiveFunctional | None]:
-    """Decode a matrix object into (matrix, kind, functional).
-
-    A ``state`` or ``positive`` object is validated here, once, and the
-    validated value is the third item; it is None for an ``operator``.
-    """
+def _decode_matrix(obj) -> tuple[np.ndarray | PositiveFunctional, str]:
+    """Decode a matrix object into (value, kind): the matrix of an ``operator``,
+    the validated functional of a ``state`` or ``positive`` object, validated
+    here, once."""
     if not isinstance(obj, dict):
         raise ValidationError("matrix file must contain a JSON object")
     n, entries = obj.get("n"), obj.get("entries")
@@ -91,7 +88,7 @@ def _decode_matrix(obj) -> tuple[np.ndarray, str, PositiveFunctional | None]:
         raise ValidationError("matrix entries must be [re, im] pairs of numbers")
     m = as_operator(pairs.view(complex).reshape(n, n), "matrix file")
     check = {"state": validate_state, "positive": validate_positive}.get(kind)
-    return m, kind, None if check is None else check(m)
+    return m if check is None else check(m), kind
 
 
 def dumps_canonical(obj) -> str:
@@ -108,15 +105,11 @@ def read_json(path):
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
 
 
-def read_matrix(path) -> tuple[np.ndarray, str, PositiveFunctional | None]:
-    """(matrix, kind, functional) of a matrix JSON file; a state or positive
-    file comes with its validated functional, so it is validated once."""
+def load_matrix_file(path) -> tuple[np.ndarray | PositiveFunctional, str]:
+    """(value, kind) of a matrix JSON file: an ``operator`` file's matrix, or
+    the functional of a ``state`` or ``positive`` file, validated once, as it
+    is read, and passed on as it is."""
     return _decode_matrix(read_json(path))
-
-
-def load_matrix_file(path) -> tuple[np.ndarray, str]:
-    """Load and validate a matrix JSON file."""
-    return read_matrix(path)[:2]
 
 
 def _g17(x: float) -> str:

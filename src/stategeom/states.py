@@ -46,7 +46,7 @@ import numpy as np
 from . import config
 from .errors import NotPSD, TraceError, ValidationError, ZeroFunctional
 from .linalg import (SpectralDecomposition, dagger, fro_scale, gamma, hermitian_part,
-                     require_hermitian, sorted_eigh)
+                     require_dimension, require_hermitian, sorted_eigh)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -261,8 +261,7 @@ def gibbs_spectrum(n: int, ratio: float) -> np.ndarray:
     Built by cumulative products so successive entry ratios reproduce ``r``
     exactly when r is exactly representable (for example r = 0.5).
     """
-    if n < 1:
-        raise ValidationError(f"dimension must be >= 1, got {n}")
+    n = require_dimension(n)
     if not 0.0 < ratio < 1.0:
         raise ValidationError(f"ratio must lie in (0, 1), got {ratio}")
     raw = np.concatenate([[1.0], np.full(n - 1, ratio)]).cumprod()
@@ -276,6 +275,5 @@ def gibbs_family(n: int, ratio: float) -> StateDensity:
 
 def maximally_mixed(n: int) -> StateDensity:
     """The tracial state I/n on the full matrix algebra."""
-    if n < 1:
-        raise ValidationError(f"dimension must be >= 1, got {n}")
+    n = require_dimension(n)
     return validate_state(np.eye(n, dtype=complex) / n)

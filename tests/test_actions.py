@@ -37,9 +37,21 @@ from stategeom.states import (
     PositiveFunctional,
     maximally_mixed,
     spectral_split,
+    validate_positive,
     validate_probability,
     validate_state,
 )
+
+
+def test_alpha_gives_a_bare_and_a_validated_functional_the_same_bits():
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        xi = 2.0 * random_state(rng, 4).matrix
+        g = random_invertible(rng, 4)
+        bare = alpha(g, xi)
+        assert np.asarray(alpha(g, validate_positive(xi))).tobytes() == bare.tobytes()
+        assert np.array_equal(bare, bare.conj().T)
+
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 

@@ -7,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from oracles import matrix_of, matrix_text
-from stategeom import config
-from stategeom.cli import _load_state, main
+from stategeom import config, validate_state
+from stategeom.cli import main
 from stategeom.serialize import dumps_canonical, load_matrix_file, matrix_to_jsonable
 
 
@@ -108,7 +108,8 @@ class TestValidateCommand:
         monkeypatch.setattr(config, "check", counting)
         for kind in ("state", "positive", "operator"):
             whats.clear()
-            _load_state(write(tmp_path / f"{kind}.json", np.diag([0.5, 0.5]), kind))
+            validate_state(load_matrix_file(write(tmp_path / f"{kind}.json",
+                                                  np.diag([0.5, 0.5]), kind))[0])
             assert whats.count("|trace - 1|") == 1, kind
 
     def test_min_eigenvalue_of_the_hermitian_part(self, runner, tmp_path):
@@ -589,6 +590,34 @@ def test_operand_of_another_dimension_exits_2(runner, files, command):
     result = runner.invoke(main, args)
     _exits_2_with_one_line(result)
     assert "has dimension" in result.stderr
+
+
+@pytest.mark.parametrize("command, error", [
+    (["connect", "alpha", "{bad}", "{broken}"], "NotPSD"),
+    (["connect", "phi", "{bad}", "{broken}"], "NotPSD"),
+    (["act", "alpha", "{singular}", "{broken}"], "Singular"),
+    (["act", "phi", "{singular}", "{broken}"], "Singular"),
+    # the generator is read first
+    (["tangent", "--action", "alpha", "{broken}", "{bad_positive}"], "NotPSD"),
+    (["tangent", "--action", "phi", "{broken}", "{bad_positive}"], "NotPSD"),
+    (["flow", "{bad}", "{broken}", "--t0", "0", "--t1", "1", "--steps", "2"], "NotPSD"),
+    (["recombine", "{bad}", "{broken}", "{identity}", "0.5"], "NotPSD"),
+], ids=["connect-alpha", "connect-phi", "act-alpha", "act-phi", "tangent-alpha", "tangent-phi",
+        "flow", "recombine"])
+def test_the_first_bad_file_read_is_the_one_named(runner, files, command, error):
+    # the first file fails only on validation and the next is not JSON at all: the
+    # first is validated before the next is read
+    broken = files["tmp"] / "broken.json"
+    broken.write_text("{")
+    paths = {"broken": str(broken),
+             "singular": write(files["tmp"] / "singular.json", np.diag([1.0, 0.0])),
+             "bad_positive": write(files["tmp"] / "bad_positive.json", np.diag([1.0, -1.0]),
+                                   "positive")}
+    result = runner.invoke(main, [arg.format(**paths, **files) for arg in command])
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{error}: "), result.stderr
 
 
 def _cli_to_dev_full(*args):

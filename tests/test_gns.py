@@ -4,7 +4,7 @@ import pytest
 from oracles import dag
 from sampling import random_invertible, random_state, random_unitary
 from stategeom.actions import phi
-from stategeom.errors import TraceError
+from stategeom.errors import TraceError, ValidationError
 from stategeom.gns import (
     commutant_dimension,
     gns_construct,
@@ -253,6 +253,13 @@ class TestAbelian:
         assert (plain.m, plain.dim) == (validated.m, validated.dim)
         assert plain.support.tobytes() == validated.support.tobytes()
         assert plain.cyclic.tobytes() == validated.cyclic.tobytes()
+
+    def test_non_finite_entries_are_refused(self):
+        triple = gns_construct_abelian([0.5, 0.5])
+        for call, f in ((triple.expectation, [np.nan, 1.0]), (triple.rep, [np.inf, 1.0]),
+                        (triple.rep, [1.0, complex(0.0, -np.inf)])):
+            with pytest.raises(ValidationError, match="non-finite entries"):
+                call(f)
 
 
 def test_triples_are_immutable():

@@ -586,6 +586,23 @@ class TestBasisSizeGuard:
                 tracemalloc.stop()
             assert peak < 4 * 2**20
 
+    def test_hermitian_basis_refused_before_it_is_built(self, monkeypatch):
+        import stategeom.isotropy as iso
+        from stategeom import config
+        from stategeom.errors import ValidationError
+
+        # n^2 matrices of n^2 entries each; at the limit the basis is built
+        monkeypatch.setattr(config, "BASIS_MAX_ENTRIES", 3 ** 4)
+        assert len(hermitian_basis(3)) == 9
+
+        def unreachable(*args):
+            raise AssertionError("the basis was allocated")
+
+        monkeypatch.setattr(iso, "matrix_unit", unreachable)
+        monkeypatch.setattr(config, "BASIS_MAX_ENTRIES", 3 ** 4 - 1)
+        with pytest.raises(ValidationError, match="81 entries, above the limit of 80"):
+            hermitian_basis(3)
+
     def test_limit_is_inclusive(self, monkeypatch):
         from stategeom import config
         from stategeom.errors import ValidationError

@@ -5,13 +5,13 @@ import pytest
 
 import sampling
 from stategeom.errors import ValidationError, ZeroFunctional
-from stategeom.isotropy import isotropy_dimension_alpha, orbit_dimension
+from stategeom.isotropy import hermitian_basis, isotropy_dimension_alpha, orbit_dimension
 from stategeom.linalg import as_operator, inertia
 from stategeom.orbits import (SpectrumGenerator, make_spectrum_generator, same_orbit_alpha,
-                              truncation_sweep)
+                              tracial_orbit_point, truncation_sweep)
 from stategeom.serialize import flow_csv, matrix_to_jsonable
-from stategeom.states import (PositiveFunctional, maximally_mixed, spectral_split,
-                              validate_probability)
+from stategeom.states import (PositiveFunctional, gibbs_spectrum, maximally_mixed,
+                              spectral_split, validate_probability)
 
 UNIFORM = SpectrumGenerator("uniform")
 
@@ -68,6 +68,29 @@ REFUSALS = {
         lambda: sampling.random_state(np.random.default_rng(0), 3, 4),
         ValidationError, "rank must lie in [1, 3], got 4"),
 }
+
+
+DIMENSION_TAKERS = {
+    "maximally_mixed": maximally_mixed,
+    "tracial_orbit_point": lambda n: tracial_orbit_point(np.eye(3), n),
+    "gibbs_spectrum": lambda n: gibbs_spectrum(n, 0.5),
+    "hermitian_basis": hermitian_basis,
+    "uniform-spectrum": UNIFORM.spectrum,
+    "power-spectrum": SpectrumGenerator("power", {"exponent": 1}).spectrum,
+    "isotropy_dimension_alpha-n": lambda n: isotropy_dimension_alpha(1, n),
+    "isotropy_dimension_alpha-k": lambda k: isotropy_dimension_alpha(k, 3),
+}
+
+
+@pytest.mark.parametrize("name", DIMENSION_TAKERS)
+def test_a_dimension_is_a_positive_integer(name):
+    take = DIMENSION_TAKERS[name]
+    for n in (0, -1, 2.5, True):
+        with pytest.raises(ValidationError) as caught:
+            take(n)
+        assert type(caught.value) is ValidationError, n
+    # a numpy integer is taken as the int it equals
+    assert np.array_equal(np.asarray(take(np.int64(3))), np.asarray(take(3)))
 
 
 @pytest.mark.parametrize("call, exc, message", REFUSALS.values(), ids=REFUSALS)

@@ -384,7 +384,7 @@ PAYLOAD_PINS = {
     "connect-phi": "f85e4e1d34b020d99cf7a4c7889669b7cb6003a72aa080548eee1a552ad5b9ba",
     "connect-alpha": "169d6a645a6044bd025ab86b76562a5595cbcb6066fb2584211c74f7a89223d9",
     "act-phi": "e849f803b13705d425044ac8b20029bd98dfc9aa8b19b359f1df7b2475ce53c1",
-    "act-alpha": "c190474fdee2b3f61d50a864b0c2bdb304719bb40323b6c9be3bcbf9dc72214c",
+    "act-alpha": "48afc6a7bac0844275cbd5435dced5b39125d8418f7f8d72ca3ef645cb792bfc",
 }
 
 
