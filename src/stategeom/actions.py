@@ -90,16 +90,15 @@ def alpha(g, xi):
 
 def denominator(g, rho: StateDensity) -> float:
     """Normalization Tr(g rho g†) = Tr(rho g†g), strictly positive for invertible g:
-    the number ``phi`` divides by, 2^2e Tr(m rho m†) for m = g / 2^e from ``_prescale``.
+    the number ``phi`` divides by, 2^2e d for d from ``_normalization``.
 
     Raises NumericallySingular exactly where ``phi`` does, when the value falls at
     or below 1e-14; the action fails loudly there instead of renormalizing noise.
     Raises NumericalError when the value overflows.
     """
     rho = validate_state(rho)
-    prescaled = _prescale(group_element(g, rho.n).matrix)
-    d = _normalization(prescaled, rho)[1]
-    return float(in_range("Tr(rho g†g)", math.inf, lambda: np.ldexp(d, 2 * prescaled[1])))
+    _, e, _, _, d = _normalization(group_element(g, rho.n).matrix, rho)
+    return float(in_range("Tr(rho g†g)", math.inf, lambda: np.ldexp(d, 2 * e)))
 
 
 def phi(g, rho: StateDensity) -> StateDensity:
@@ -116,10 +115,22 @@ def phi(g, rho: StateDensity) -> StateDensity:
     return validate_state(prescaled_phi(ge.matrix, rho)[0])
 
 
-def _prescale(g: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """The normalized action's one prescale: (m, e, ||m||_F) for m = g / 2^e, 2^e the least
-    power of two above ||g||_F (e = 0 below 1/2), exact while no entry underflows; ||m||_F < 1,
-    >= 1/2 unless ||g||_F < 1/2.  A norm at or above 2^1024 is read off 2^-1024 g."""
+def prescaled_phi(g: np.ndarray, rho: StateDensity) -> tuple[np.ndarray, float]:
+    """``phi``'s matrix before validation, m rho m† / d, and ||m||_F^2 / d, for
+    m = g / 2^e and d = Tr(m rho m†) from ``_normalization``, the floor test applied
+    to 2^2e d.  So 1/d is at most 4 ||m||_F^2 / d, or where ||g||_F < 1/2
+    (e = 0) the reciprocal of the floor that d passed."""
+    _, _, m_norm, num, d = _normalization(g, rho)
+    return num / d, m_norm * m_norm / d
+
+
+def _normalization(g: np.ndarray,
+                   rho: StateDensity) -> tuple[np.ndarray, int, float, np.ndarray, float]:
+    """The normalized action's one step: (m, e, ||m||_F, m rho m†, d) for m = g / 2^e, 2^e
+    the least power of two above ||g||_F (e = 0 below 1/2), and d = Tr(m rho m†).  m is
+    exact while no entry underflows; ||m||_F < 1, >= 1/2 unless ||g||_F < 1/2.  A norm
+    at or above 2^1024 is read off 2^-1024 g.  Raises NumericallySingular when 2^2e d,
+    Tr(g rho g†), is at or below the scaled DENOMINATOR_FLOOR."""
     shift, norm = 0, frobenius(g)
     if math.isinf(norm):
         shift, norm = 1024, frobenius(g * 2.0 ** -1024)
@@ -127,29 +138,10 @@ def _prescale(g: np.ndarray) -> tuple[np.ndarray, int, float]:
     m = np.empty(g.shape, dtype=complex)
     m.real = np.ldexp(g.real, -e)
     m.imag = np.ldexp(g.imag, -e)
-    return m, e, math.ldexp(norm, shift - e)
-
-
-def prescaled_phi(g: np.ndarray, rho: StateDensity) -> tuple[np.ndarray, float]:
-    """``phi``'s matrix before validation, m rho m† / d, and ||m||_F^2 / d, for
-    m = g / 2^e from ``_prescale`` and d = Tr(m rho m†), the floor test applied
-    to 2^2e d.  So 1/d is at most 4 ||m||_F^2 / d, or where ||g||_F < 1/2
-    (e = 0) the reciprocal of the floor that d passed."""
-    prescaled = _prescale(g)
-    num, den = _normalization(prescaled, rho)
-    return num / den, prescaled[2] * prescaled[2] / den
-
-
-def _normalization(prescaled: tuple[np.ndarray, int, float],
-                   rho: StateDensity) -> tuple[np.ndarray, float]:
-    """The normalized action's one normalization: m rho m† and d = Tr(m rho m†) for
-    (m, e, _) from ``_prescale``, raising NumericallySingular when 2^2e d, Tr(g rho g†),
-    is at or below the scaled DENOMINATOR_FLOOR."""
-    m, e, _ = prescaled
     num = m @ rho.matrix @ dagger(m)
-    return num, config.check("Tr(g rho g†)", float(num.trace().real),
-                             config.DENOMINATOR_FLOOR, 1.0, NumericallySingular, floor=True,
-                             exp2=2 * e)
+    d = config.check("Tr(g rho g†)", float(num.trace().real), config.DENOMINATOR_FLOOR, 1.0,
+                     NumericallySingular, floor=True, exp2=2 * e)
+    return m, e, math.ldexp(norm, shift - e), num, d
 
 
 def unitary_phi(u, rho: StateDensity) -> StateDensity:

@@ -48,11 +48,6 @@ from .serialize import (
 )
 from .states import classify_orbit, min_eigenvalue, validate_positive, validate_state
 
-# The most points a flow grid can have.  np.linspace lays the grid out with
-# np.arange, which counts the points in float64 and refuses an array of more
-# than intp-max bytes: the limit is the largest float64 below (intp max + 1) / 8.
-_MAX_GRID = int(np.nextafter((np.iinfo(np.intp).max + 1) / 8, 0))
-
 
 def _fail(exc: Exception, code: int):
     click.echo(f"{type(exc).__name__}: {exc}", err=True)
@@ -278,9 +273,9 @@ def flow_cmd(file, generator_file, t0, t1, steps, fmt):
 
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    if steps > _MAX_GRID:
+    if steps > config.MAX_FLOAT64S:  # np.linspace lays the grid out with np.arange
         raise ValidationError(
-            f"steps must be <= {_MAX_GRID}, the most points numpy can lay out in one "
+            f"steps must be <= {config.MAX_FLOAT64S}, the most points numpy can lay out in one "
             f"float64 array, got {steps}")
     if not np.isfinite(t1 - t0):  # np.linspace forms t1 - t0, even for one point
         raise ValidationError(f"--t0, --t1 and t1 - t0 must be finite, got {t0} and {t1}")

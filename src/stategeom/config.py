@@ -1,6 +1,6 @@
 """Baseline tolerances, the rescale behind the CLI --tol flag, ``check``, the
 one threshold decision that raises, its non-raising form ``clears``, and the
-size limits of the explicit isotropy bases and the gns payload.
+size limits of the explicit isotropy bases, the gns payload and one float64 array.
 
 Bounds are BASE * scale * a per-decision factor, usually ``1 + Frobenius norm``
 of the relevant matrix; the counting decisions read ``scaled``.  The scale is a
@@ -12,6 +12,7 @@ CLI runs each invocation) leaves its caller's scale as it found it.
 
 import contextvars
 import math
+import sys
 
 HERMITIAN_RTOL = 1e-10        # |h - h†| allowance, relative
 PSD_CLAMP_RTOL = 1e-10        # eigenvalues in [-clamp, 0) are treated as 0
@@ -31,6 +32,9 @@ TANGENT_RANK_RTOL = 1e-8      # tangent-map rank cut, relative to sigma_max
 FD_STEP = 1e-5                # central-difference step
 BASIS_MAX_ENTRIES = 1 << 26   # explicit isotropy bases: dim * n^2 complex entries (1 GiB)
 GNS_MAX_ENTRIES = 1 << 22     # gns payload: n^2 (nk)^2 complex entries (~40 MB of text)
+# numpy counts an array's entries in float64 and refuses one of more than intp-max
+# bytes: the most entries of one float64 array is the largest float64 below that / 8
+MAX_FLOAT64S = int(math.nextafter((sys.maxsize + 1) / 8, 0))
 
 _scale = contextvars.ContextVar("tolerance_scale", default=1.0)
 

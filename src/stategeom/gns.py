@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .actions import _normalization, _prescale, group_element
+from .actions import _normalization, group_element
 from .errors import NumericalError, ValidationError
 from .linalg import as_operator, frobenius, matrix_unit
 from .states import (ProbabilityVector, StateDensity, _frozen, default_rank_tol, spectral_split,
@@ -83,9 +83,9 @@ def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     The new vector pi(g)|psi> / ||pi(g)|psi>|| represents the normalized action
     of g on the source state inside the same representation.  ``rho`` must be
     the state the triple was built from.  Like ``phi`` it runs on m = g / 2^e,
-    2^e the power of two above ||g||_F (``actions._prescale``), so large g stay
-    finite, and it refuses exactly where ``phi`` does: its floor test is phi's,
-    on Tr(m rho m†) (``actions._normalization``), and it runs before the
+    2^e the power of two above ||g||_F, so large g stay finite, and it refuses
+    exactly where ``phi`` does: m and the floor test on Tr(m rho m†) are phi's
+    (``actions._normalization``), and the floor test runs before the
     consistency test.  That test checks the vector it moves: its squared norm
     ||pi(m)|psi>||^2 = <psi|pi(m†m)|psi> must reproduce rho(m†m) = Tr(m rho m†).
     A triple that is not rho's fails it, for small g too: its bound is relative
@@ -93,9 +93,7 @@ def gns_transform(triple: GnsTriple, g, rho: StateDensity) -> GnsTriple:
     by ``vector_of``'s operand gate.
     """
     rho = validate_state(rho)
-    prescaled = _prescale(group_element(g, rho.n).matrix)
-    m, e, m_norm = prescaled
-    from_state = _normalization(prescaled, rho)[1]
+    m, e, m_norm, _, from_state = _normalization(group_element(g, rho.n).matrix, rho)
     moved = triple.vector_of(m)
     norm = frobenius(moved)
     # ||pi(m)|psi>||^2 must reproduce rho(m†m) = Tr(m rho m†), up to rounding of order

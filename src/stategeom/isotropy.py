@@ -242,8 +242,11 @@ def _within_basis_limit(dim: int, n: int) -> None:
             "needs no basis)")
 
 
-def _rotated_basis(split: SpectralSplit, b: _Blocks, identity: bool = False) -> RealBasis:
-    n = split.ambient_dim
+def _rotated_basis(split: SpectralSplit, which: int, identity: bool = False) -> RealBasis:
+    """The isotropy (``which`` 0) or complement (1) blocks of ``_blocks`` rotated back;
+    a functional given for ``split`` is split by ``spectral_split``."""
+    split = split if isinstance(split, SpectralSplit) else spectral_split(split)
+    b, n = _blocks(split)[which], split.ambient_dim
     _within_basis_limit(b.dim, n)
     w = split.full_basis()
     floor = _certify(b, np.linalg.svd(w, compute_uv=False), identity)
@@ -263,20 +266,21 @@ def isotropy_basis_alpha(split: SpectralSplit) -> RealBasis:
     Built blockwise in the adapted eigenbasis and rotated back; dimension is
     k^2 + 2k(n-k) + 2(n-k)^2 for support dimension k.  The support-block
     pairing uses the actual eigenvalue ratios, which degenerates continuously
-    to the skew-Hermitian rule on subspaces with equal eigenvalues.
+    to the skew-Hermitian rule on subspaces with equal eigenvalues.  A functional
+    given for ``split`` is split by ``spectral_split``, as in the two below.
     """
-    return _rotated_basis(split, _blocks(split)[0])
+    return _rotated_basis(split, 0)
 
 
 def complement_basis_alpha(split: SpectralSplit) -> RealBasis:
     """Algebraic complement of the isotropy algebra: support-block Hermitian
     plus arbitrary kernel-to-support entries; dimension k^2 + 2k(n-k)."""
-    return _rotated_basis(split, _blocks(split)[1])
+    return _rotated_basis(split, 1)
 
 
 def isotropy_basis_phi(split: SpectralSplit) -> RealBasis:
     """Isotropy basis of the normalized action: the congruence one plus the identity."""
-    return _rotated_basis(split, _blocks(split)[0], identity=True)
+    return _rotated_basis(split, 0, identity=True)
 
 
 def isotropy_dimension_alpha(k: int, n: int) -> int:
@@ -290,7 +294,9 @@ def isotropy_dimension_alpha(k: int, n: int) -> int:
 
 
 def orbit_dimension(split: SpectralSplit, action: str) -> int:
-    """Orbit dimension 2n^2 - dim(isotropy) for the requested action."""
+    """Orbit dimension 2n^2 - dim(isotropy) for the requested action; a functional
+    given for ``split`` is split by ``spectral_split``."""
+    split = split if isinstance(split, SpectralSplit) else spectral_split(split)
     n = split.ambient_dim
     dim_alpha = isotropy_dimension_alpha(split.support_dim, n)
     if action == "alpha":

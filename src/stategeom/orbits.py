@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -211,9 +212,10 @@ def convex_recombine_classical(p: ProbabilityVector, w1, w2,
     return weights, residual
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    """Whether a config value is a number of the given kind; bools are not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _is_number(value, kind=numbers.Real, top: float = sys.float_info.max) -> bool:
+    """Whether a config value is a number of the given kind and of magnitude at most
+    ``top``, by default the largest double, so neither NaN nor inf is; bools are not."""
+    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= top
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,8 @@ class SpectrumGenerator:
     def _number(self, key: str, default=None) -> float:
         value = self.params.get(key, default)
         if not _is_number(value):
-            raise ValidationError(f"{self.kind} spectrum needs a number {key!r}, got {value!r}")
+            raise ValidationError(
+                f"{self.kind} spectrum needs a finite number {key!r}, got {value!r}")
         return float(value)
 
     def spectrum(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -319,11 +322,13 @@ def truncation_sweep(gen0: SpectrumGenerator, gen1: SpectrumGenerator, dims,
     if action not in ("alpha", "phi"):
         raise ValidationError(f"unknown action {action!r}, expected 'alpha' or 'phi'")
     # an infinite ceiling would flag no row, not even one whose C overflows
-    if not (_is_number(ceiling) and 0.0 < ceiling < math.inf):
+    if not (_is_number(ceiling) and ceiling > 0.0):
         raise ValidationError(f"ceiling must be a finite positive number, got {ceiling!r}")
     dims = list(dims) if isinstance(dims, Iterable) else []
-    if not dims or not all(_is_number(n, numbers.Integral) and n >= 1 for n in dims):
-        raise ValidationError("dims must be a nonempty list of positive integers")
+    if not dims or not all(_is_number(n, numbers.Integral, config.MAX_FLOAT64S) and n >= 1
+                           for n in dims):
+        raise ValidationError("dims must be a nonempty list of integers from 1 to "
+                              f"{config.MAX_FLOAT64S}, the most entries of one float64 array")
     dims = [int(n) for n in dims]
 
     cs, residuals = [], []

@@ -53,22 +53,25 @@ def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
     return v - np.trace(v).real * rho
 
 
+def _tangent(velocity, validate, value, a) -> TangentVector:
+    """The TangentVector velocity(base, a) at base, the matrix of ``validate(value)``,
+    along generator ``a``; NumericalError when it overflows."""
+    value = validate(value)
+    gen = _frozen(as_operator(a, "generator", value.n))
+    vector = in_range("tangent vector", math.inf, lambda: velocity(value.matrix, gen))
+    return TangentVector(value=_frozen(vector), generator=gen)
+
+
 def tangent_alpha(xi: PositiveFunctional, a) -> TangentVector:
     """Tangent vector of the congruence action at ``xi`` along generator ``a``;
     NumericalError when it overflows."""
-    xi = validate_positive(xi)
-    gen = _frozen(as_operator(a, "generator", xi.n))
-    value = in_range("tangent vector", math.inf, lambda: alpha_velocity(xi.matrix, gen))
-    return TangentVector(value=_frozen(value), generator=gen)
+    return _tangent(alpha_velocity, validate_positive, xi, a)
 
 
 def tangent_phi(rho: StateDensity, a) -> TangentVector:
     """Tangent vector of the normalized action at ``rho``; always traceless.
     NumericalError when it overflows."""
-    rho = validate_state(rho)
-    gen = _frozen(as_operator(a, "generator", rho.n))
-    value = in_range("tangent vector", math.inf, lambda: phi_velocity(rho.matrix, gen))
-    return TangentVector(value=_frozen(value), generator=gen)
+    return _tangent(phi_velocity, validate_state, rho, a)
 
 
 def covariance(rho: StateDensity, a, b) -> float:
@@ -92,13 +95,12 @@ def covariance(rho: StateDensity, a, b) -> float:
 
 @dataclass(frozen=True)
 class _Flow:
-    """What every point of the flow of ``rho`` along ``gen`` shares: ``exp``, the
-    evaluator of t -> exp(t gen), ||gen||_F, ||rho||_F and ``rho_floor`` =
+    """What every point of the flow of ``rho`` along a generator shares: ``exp``, the
+    evaluator of t -> exp(t a), ||a||_F, ||rho||_F and ``rho_floor`` =
     min(0, lambda_min - ``eig_allowance`` ||rho||_F), a lower bound on the
     smallest eigenvalue of rho's Hermitian part, read from rho's eigen-record."""
 
     rho: StateDensity
-    gen: np.ndarray
     exp: _Exponential
     gen_norm: float
     rho_norm: float
@@ -110,7 +112,7 @@ def _flow_of(rho: StateDensity, a) -> _Flow:
     gen = as_operator(a, "generator", rho.n)
     rho_norm = frobenius(rho.matrix)
     floor = min(0.0, min_eigenvalue(rho) - eig_allowance(rho.n) * rho_norm)
-    return _Flow(rho=rho, gen=gen, exp=_Exponential(gen), gen_norm=frobenius(gen),
+    return _Flow(rho=rho, exp=_Exponential(gen), gen_norm=frobenius(gen),
                  rho_norm=rho_norm, rho_floor=floor)
 
 
@@ -171,14 +173,14 @@ def _positive(mat: np.ndarray, scale: float, flow: _Flow, ratio: float) -> bool:
 
 
 def _flow_point(flow: _Flow, t) -> StateDensity:
-    """phi(exp(t gen), rho) from the flow's shared exponential ``flow.exp`` and
+    """phi(exp(t a), rho) from the flow's shared exponential ``flow.exp`` and
     one congruence, phi's own ``prescaled_phi``.  Each certificate that cannot decide runs the one test
     it stands in for: ``group_element``'s SVD where ``_invertible`` fails,
     before the congruence as in phi (so Singular comes before
     NumericallySingular), and ``psd_gate``'s eigvalsh of the same matrix, whose
     Hermitian test has run once already, where ``_positive`` fails.
 
-    exp(t gen) is invertible for every t, so a group element or state that
+    exp(t a) is invertible for every t, so a group element or state that
     fails validation here means the exponential overflowed or became too
     ill-conditioned to use: a NumericalError that names t.  Overflow
     warnings are silenced, since that error reports them.
@@ -239,9 +241,9 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
 
     Returns ||fd - value||_F / (1 + ||value||_F) with the symmetric
     difference (phi(exp(ha)) - phi(exp(-ha))) / 2h; h must be finite and nonzero.
-    ``a`` is a generator, or the TangentVector ``tangent_phi`` gave at rho, whose
-    value is then the velocity.  The two points are ``flow``'s, with its
-    certificates and fallback, so they share one exponential, cost two
+    ``a`` is a generator, whose velocity is then ``tangent_phi``'s, or the
+    TangentVector ``tangent_phi`` gave at rho.  The two points are ``flow``'s,
+    with its certificates and fallback, so they share one exponential, cost two
     congruences, and read rho's eigen-record.  A step so small that the quotient
     overflows raises NumericalError, and so does one whose quotient rounding
     may swallow whole: the allowance gamma_{4n+8} (||fwd||_F + ||bwd||_F) / 2|h|
@@ -250,18 +252,15 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     """
     if not (math.isfinite(h) and h != 0.0):
         raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
-    vec = a if isinstance(a, TangentVector) else None
-    f = _flow_of(rho, a if vec is None else vec.generator)
-    # every entry the velocity forms, its trace included, is at most
-    # 2 ||a||_F ||rho||_F (1 + ||rho||_F) <= 4 ||a||_F ||rho||_F in magnitude
-    value = vec.value if vec is not None else in_range(
-        "tangent vector", f.gen_norm * f.rho_norm, lambda: phi_velocity(f.rho.matrix, f.gen))
+    rho = validate_state(rho)  # once, for tangent_phi and the flow
+    vec = a if isinstance(a, TangentVector) else tangent_phi(rho, a)
+    f = _flow_of(rho, vec.generator)
     fwd = _flow_point(f, h).matrix
     bwd = _flow_point(f, -h).matrix
     with np.errstate(over="ignore", invalid="ignore"):  # a complex 0 over subnormal 2h: 0 * inf
         fd = (fwd - bwd) / (2.0 * h)
-    scale = fro_scale(value)
-    error = frobenius(fd - value) / scale
+    scale = fro_scale(vec.value)
+    error = frobenius(fd - vec.value) / scale
     if not math.isfinite(error):
         raise NumericalError(f"finite-difference quotient overflows double precision at h = {h}")
     allowance = gamma(4 * f.rho.n + 8) * (frobenius(fwd) + frobenius(bwd)) / (2.0 * abs(h))

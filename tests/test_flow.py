@@ -338,7 +338,7 @@ def test_clears_is_read_only_by_the_flow_certificates():
 
 
 def test_one_rule_picks_a_power_of_two_exponent():
-    # the normalized action's prescale is chosen in actions._prescale alone;
+    # the normalized action's prescale is chosen in actions._normalization alone;
     # the others are the norm's overflow rescue, the exponential's (a / 2^e,
     # the scaled powers of a far-from-normal a and their coefficients) and the
     # classical weights'
@@ -348,7 +348,7 @@ def test_one_rule_picks_a_power_of_two_exponent():
         ("linalg.py", "_powers"),
         ("linalg.py", "__call__"),
         ("actions.py", "_weight_squares"),
-        ("actions.py", "_prescale"),
+        ("actions.py", "_normalization"),
     }
     assert _call_sites("frexp", "np") == set()
 

@@ -628,3 +628,18 @@ def test_hermitian_components_equal_the_triu_reference_exactly(n):
         out = hermitian_components(t)
         assert out.shape == shape[:-2] + (n * n,)
         np.testing.assert_array_equal(out, hermitian_components_reference(t))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (4, 4)])
+def test_a_state_its_matrix_and_its_split_give_the_same_bases(n, k):
+    # each of these splits a functional itself, so a state or its bare matrix
+    # is taken where a SpectralSplit is expected
+    rng = np.random.default_rng(7300 + n)
+    rho = random_state(rng, n, rank=k)
+    forms = (rho, rho.matrix, spectral_split(rho))
+    for action in ("alpha", "phi"):
+        assert len({orbit_dimension(form, action) for form in forms}) == 1
+    for basis in (isotropy_basis_alpha, complement_basis_alpha, isotropy_basis_phi):
+        bits = {(basis(form).gram_floor.hex(), tuple(v.tobytes() for v in basis(form).vectors))
+                for form in forms}
+        assert len(bits) == 1, basis.__name__

@@ -1,10 +1,12 @@
-"""The two formulas everything is built from each have one implementation.
+"""The formulas everything is built from each have one implementation.
 
 ``linalg.hermitian_part`` forms the Hermitian part (a + a†)/2 whose spectrum
 decides positivity and rank, so a finite functional cannot overflow its own
 validation.  ``actions._normalization`` forms Tr(g rho g†) and applies the
 one DENOMINATOR_FLOOR test, so ``phi``, ``denominator`` and ``gns_transform``
-refuse the same elements.  Tangent values, isotropy pairings and the
+refuse the same elements.  ``tangent._tangent`` makes every tangent vector
+from a velocity formula handed to it, so ``fd_tangent_check`` compares with
+the value ``tangent_phi`` gives.  Tangent values, isotropy pairings and the
 covariance that leave double range raise NumericalError without a numpy
 warning.
 """
@@ -18,7 +20,7 @@ import pytest
 
 from sampling import random_invertible, random_state
 from stategeom import config
-from stategeom.actions import _prescale, denominator, phi
+from stategeom.actions import _normalization, denominator, phi
 from stategeom.errors import NumericalError, NumericallySingular, ValidationError
 from stategeom.gns import GnsTriple, gns_construct, gns_transform
 from stategeom.isotropy import isotropy_membership_alpha, isotropy_membership_phi
@@ -67,6 +69,20 @@ def test_the_denominator_floor_is_read_by_one_function():
                if isinstance(node, ast.Name) and node.id == "NumericallySingular"}
     assert readers == {("actions.py", "_normalization")}
     assert raisers == {("actions.py", "_normalization")}
+
+
+def test_one_body_makes_every_tangent_vector():
+    # phi_velocity is alpha_velocity less its trace; otherwise tangent.py only
+    # names the two formulas to hand them to its one tangent body, _tangent
+    velocities = ("alpha_velocity", "phi_velocity")
+    tangent = [func for module, func in _functions() if module == "tangent.py"]
+    named = {func.name for func in tangent for node in ast.walk(func)
+             if isinstance(node, ast.Name) and node.id in velocities}
+    calls = {func.name for func in tangent for node in ast.walk(func)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in velocities}
+    assert named == {"phi_velocity", "tangent_alpha", "tangent_phi"}
+    assert calls == {"phi_velocity"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
@@ -128,7 +144,7 @@ def test_denominator_is_the_number_phi_divides_by():
         rho = random_state(rng, n)
         g = random_invertible(rng, n)
         for scale in (2.0 ** -8, 1.0, 2.0 ** 40):
-            m, e, _ = _prescale(scale * g)
+            m, e = _normalization(scale * g, rho)[:2]
             num = m @ rho.matrix @ dagger(m)
             d = denominator(scale * g, rho)
             assert d == math.ldexp(float(np.trace(num).real), 2 * e)

@@ -125,7 +125,6 @@ PRIVATE_IMPORTS = {
     ("actions", "states", "_frozen"),
     ("cli", "orbits", "_recombine"),
     ("gns", "actions", "_normalization"),
-    ("gns", "actions", "_prescale"),
     ("gns", "states", "_frozen"),
     ("orbits", "actions", "_require_weight"),
     ("orbits", "actions", "_weight_squares"),

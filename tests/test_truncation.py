@@ -169,6 +169,32 @@ def test_an_infinite_ceiling_is_refused_by_the_library():
         truncation_sweep(gen, gen, [2], ceiling=math.inf)
 
 
+_HUGE = 10 ** 400  # an integer beyond double range, written out in the JSON
+
+
+@pytest.mark.parametrize("cfg, named", [
+    ({"spec0": {"kind": "gibbs", "ratio": _HUGE}}, "'ratio'"),
+    ({"spec0": {"kind": "power", "exponent": _HUGE}}, "'exponent'"),
+    ({"spec0": {"kind": "dirichlet", "alpha": _HUGE}}, "'alpha'"),
+    ({"spec0": {"kind": "power", "exponent": math.nan}}, "'exponent'"),
+    ({"spec0": {"kind": "power", "exponent": math.inf}}, "'exponent'"),
+    ({"spec0": {"kind": "dirichlet", "alpha": math.inf}}, "'alpha'"),
+    ({"ceiling": _HUGE}, "ceiling"),
+    ({"dims": [2 ** 60]}, "dims"),
+    ({"dims": [_HUGE]}, "dims"),
+], ids=["ratio-huge", "exponent-huge", "alpha-huge", "exponent-nan", "exponent-inf",
+        "alpha-inf", "ceiling-huge", "dims-2^60", "dims-huge"])
+def test_config_numbers_outside_double_range_exit_2_naming_them(run_config, cfg, named):
+    # each used to end in a traceback, or in a NaN spectrum that the sweep
+    # blamed on the generator; a dims entry must fit one float64 array
+    result = run_config({"dims": [3], "spec0": _UNIFORM, "spec1": _UNIFORM, **cfg},
+                        "--seed", "1")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("ValidationError: ") and named in result.stderr
+
+
 @_ACTIONS
 def test_dimensions_up_to_a_million(action):
     dims = [10, 100, 1000, 10**4, 10**5, 10**6]
