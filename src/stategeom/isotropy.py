@@ -31,11 +31,12 @@ costs one O(n^3) SVD of w; building a basis costs O(n^4) time and memory,
 so a basis of more than config.BASIS_MAX_ENTRIES matrix entries is refused
 (ValidationError) before it is allocated.
 
-isotropy_report never builds a basis or sweeps it.  Its max_residual is a
-certified upper bound on the membership residual of every isotropy basis
-element under both actions, as a floating-point sweep of the blocks computes
-it (_residual_bound): one O(n^3) product with w, O(n^2) memory, and at most
-21 times the swept maximum on the seeded inputs of the tests.
+isotropy_report never builds a basis or sweeps it, nor any per-block array: it
+reduces the block layout of ``_sections`` section by section in closed form.
+Its max_residual is a certified upper bound on the membership residual of every
+isotropy basis element under both actions, as a floating-point sweep of the
+blocks computes it (_residual_bound): one O(n^3) product with w, O(n^2) memory,
+and at most 21 times the swept maximum on the seeded inputs of the tests.
 """
 
 from __future__ import annotations
@@ -88,6 +89,14 @@ def hermitian_components(t: np.ndarray) -> np.ndarray:
     out[..., n::2] = 2.0 * off.real
     out[..., n + 1::2] = 2.0 * off.imag
     return out
+
+
+def _largest_pairing(t: np.ndarray) -> float:
+    """The largest magnitude among ``hermitian_components(t)`` of one matrix t, read
+    off its diagonal and strict upper triangle without forming them: doubling is
+    exact."""
+    upper = np.abs(t[~np.tri(t.shape[0], dtype=bool)].view(float))
+    return float(np.maximum(np.abs(np.diagonal(t).real).max(), 2.0 * upper.max(initial=0.0)))
 
 
 def _membership(velocity, validate, a, value) -> tuple[bool, float]:
@@ -157,15 +166,17 @@ class _Blocks:
 def _from_sections(sections) -> _Blocks:
     """Blocks from sections of fields (j1, l1, c1, j2, l2, c2).
 
-    The fields of a section broadcast to (count, partners); partners become
+    The fields of a section broadcast to (count..., partners); partners become
     consecutive blocks.
     """
     columns = zip(*(np.broadcast_arrays(*section) for section in sections))
     return _Blocks(*(np.concatenate([c.ravel() for c in col]) for col in columns))
 
 
-def _blocks(split: SpectralSplit) -> tuple[_Blocks, _Blocks]:
-    """Blocks of the congruence isotropy algebra and of its complement.
+def _sections(split: SpectralSplit) -> tuple[list, list]:
+    """The block layout of the congruence isotropy algebra and of its complement,
+    as sections for ``_from_sections``; isotropy_report reduces them without
+    building the blocks.
 
     Isotropy: i E[j,j] on the support; per support pair l < m the partners
     E[m,l] - r E[l,m] and i E[m,l] + i r E[l,m] with r = p_l/p_m; then E, iE
@@ -180,44 +191,44 @@ def _blocks(split: SpectralSplit) -> tuple[_Blocks, _Blocks]:
     norm = np.hypot(1.0, ratio)
     half = np.sqrt(0.5)
     partners = np.array([1.0, 1j])
-
-    def grid(rows, cols):
-        j, l = np.meshgrid(rows, cols, indexing="ij")
-        return j.reshape(-1, 1), l.reshape(-1, 1)
-
-    free_j, free_l = grid(np.arange(n), np.arange(k, n))
-    into_j, into_l = grid(np.arange(k, n), np.arange(k))
-    isotropy = _from_sections([
+    # the product grids: rows (count, 1, 1) against columns (count, 1)
+    rows, kernel = np.arange(n)[:, None, None], np.arange(k, n)[:, None]
+    into, support = np.arange(k, n)[:, None, None], diag
+    isotropy = [
         (diag, diag, 1j, diag, diag, 0j),
         (high, low, partners / norm, low, high, np.array([-1.0, 1j]) * ratio / norm),
-        (free_j, free_l, partners, free_j, free_l, 0j),
-    ])
-    complement = _from_sections([
+        (rows, kernel, partners, rows, kernel, 0j),
+    ]
+    complement = [
         (diag, diag, 1.0 + 0j, diag, diag, 0j),
         (low, high, partners * half, high, low, np.array([1.0, -1j]) * half),
-        (into_j, into_l, partners, into_j, into_l, 0j),
-    ])
+        (into, support, partners, into, support, 0j),
+    ]
     return isotropy, complement
 
 
-def _certify(b: _Blocks, sv: np.ndarray, identity: bool = False) -> float:
-    """Certified lower bound on the smallest Gram eigenvalue of the blocks rotated
-    by w (followed by I/sqrt(n) when ``identity``), from the singular values
-    ``sv`` of w in descending order and the extreme coefficient norms of the
-    blocks; raises ValidationError when it does not clear the independence
-    threshold."""
+def _blocks(split: SpectralSplit) -> tuple[_Blocks, _Blocks]:
+    """Blocks of the congruence isotropy algebra and of its complement (``_sections``)."""
+    isotropy, complement = _sections(split)
+    return _from_sections(isotropy), _from_sections(complement)
+
+
+def _certify(low: float, high: float, sv: np.ndarray, border: float | None = None) -> float:
+    """Certified lower bound on the smallest Gram eigenvalue of blocks rotated by w
+    (followed by I/sqrt(n) when ``border``, the norm ||Re Tr B||_F over the blocks,
+    is given), from the singular values ``sv`` of w in descending order and the
+    least and greatest coefficient norms ``low`` and ``high`` of the blocks; raises
+    ValidationError when it does not clear the independence threshold."""
     # G is diagonal with entries |c1|^2 + |c2|^2 (c2 = 0 on a repeated unit):
     # only partners share units, and their cross term Re(conj(c1a) c1b +
     # conj(c2a) c2b) pairs a real coefficient with an imaginary one, exactly 0
-    norms = np.abs(b.c1) ** 2 + np.abs(b.c2) ** 2
-    low, high = float(norms.min()), float(norms.max())
     defect = 0.0
-    if identity:
-        trace = np.where(b.j1 == b.l1, b.c1, 0.0) + np.where(b.j2 == b.l2, b.c2, 0.0)
-        border = frobenius(trace.real) / np.sqrt(sv.size)
+    if border is not None:
+        border /= np.sqrt(sv.size)
         spread = max(1.0 - low, high - 1.0)
         low, high = 1.0 - border - spread, 1.0 + border + spread
-        defect = float(np.max(np.abs(1.0 - sv**2)))
+        # 1 - s^2 rounds monotonically in s, so its extremes lie at the ends of sv
+        defect = float(max(abs(1.0 - sv[0] ** 2), abs(1.0 - sv[-1] ** 2)))
     lower = max(sv[-1] ** 2 * np.sqrt(max(low, 0.0)) - defect, 0.0) ** 2
     upper = (sv[0] ** 2 * np.sqrt(high) + defect) ** 2
     return config.check("basis is not linearly independent: Gram eigenvalue bound", lower,
@@ -249,7 +260,13 @@ def _rotated_basis(split: SpectralSplit, which: int, identity: bool = False) -> 
     b, n = _blocks(split)[which], split.ambient_dim
     _within_basis_limit(b.dim, n)
     w = split.full_basis()
-    floor = _certify(b, np.linalg.svd(w, compute_uv=False), identity)
+    norms = np.abs(b.c1) ** 2 + np.abs(b.c2) ** 2
+    border = None
+    if identity:
+        trace = np.where(b.j1 == b.l1, b.c1, 0.0) + np.where(b.j2 == b.l2, b.c2, 0.0)
+        border = frobenius(trace.real)
+    floor = _certify(float(norms.min()), float(norms.max()),
+                     np.linalg.svd(w, compute_uv=False), border)
     stack = _outer_stack(b, w)
     stack.flags.writeable = False
     vectors = tuple(stack)
@@ -318,12 +335,13 @@ class IsotropyReport:
     max_residual: float
 
 
-def _residual_bound(b: _Blocks, w: np.ndarray, base: np.ndarray, p: np.ndarray,
+def _residual_bound(sections, w: np.ndarray, base: np.ndarray, p: np.ndarray,
                     normalized: bool) -> float:
     """Upper bound on the membership residuals that a floating-point sweep of the
-    rotated blocks computes at ``base``, p being the eigenvalues that built the
-    blocks, rescaled to base and zero on the kernel: O(n^3) for y = h w (h the
-    Hermitian part of base), then O(n^2), and O(1) per block.
+    rotated isotropy blocks computes at ``base``, p being the eigenvalues that built
+    the blocks, rescaled to base and zero on the kernel: O(n^3) for y = h w (h the
+    Hermitian part of base), then O(n^2).  The bound of every block is formed from
+    the isotropy ``sections`` of ``_sections`` without building the blocks.
 
     The sweep (tests/oracles.py) forms y from (base + base†) / 2, which has the bits
     of ``hermitian_part(base)`` wherever it is finite and no entry's half is
@@ -354,24 +372,40 @@ def _residual_bound(b: _Blocks, w: np.ndarray, base: np.ndarray, p: np.ndarray,
     The last factor covers the factors 1 + u and 1 + gamma_n and this function's
     own roundings (fewer than 2n + 32 deep, on nonnegative terms).  It assumes,
     as Higham's model does, that no intermediate underflows.
+
+    Per section, each block's bound has the bits of the per-block formula
+    (tests/oracles.py).  On the support diagonal and the free grid c1 is 1 or i
+    and c2 = 0, so |c1| = 1, d = 0 and the block's sum is fl(x_j z_l) exactly:
+    its zero terms add nothing but a NaN where z_l is not finite, carried apart.
+    The partners of a support pair share |c1| and |c2|: numpy divides by the
+    real norm N by scaling both parts of the numerator by fl(1/N), so 1/N and i/N,
+    -r/N and i r/N have the same moduli, and one sum is formed per pair.
     """
     n = w.shape[0]
     y = hermitian_part(base) @ w
     aw, ay = np.abs(w), np.abs(y)
     fb = np.abs(y - w * p) / (1.0 - gamma(1)) + gamma(1) * aw * p
-    c1, c2 = np.abs(b.c1), np.abs(b.c2)
+    (diag, *_), (high, low, c1, _, _, c2), (rows, kernel, *_) = sections
+    diag, high, low, rows, kernel = (i.ravel() for i in (diag, high, low, rows, kernel))
+    c1, c2 = np.abs(c1[:, 0]), np.abs(c2[:, 0])
+    d = gamma(10) * c1 * p[low]
 
-    def units(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return c1 * x[b.j1] * z[b.l1] + c2 * x[b.j2] * z[b.l2]
+    def units(x: np.ndarray, z: np.ndarray) -> list:
+        xh, xl = x[high], x[low]
+        return [x[diag] * z[diag], d * xh * xl + (c1 * xh * z[low] + c2 * xl * z[high]),
+                np.multiply.outer(x[rows], z[kernel])]
 
-    d = np.where(b.j1 != b.l1, gamma(10) * c1 * p[b.l1], 0.0)
-    a = aw.max(axis=0)
-    bound = 4.0 * (d * a[b.j1] * a[b.l1] + units(a, fb.max(axis=0) + gamma(5) * ay.max(axis=0)))
+    z = fb.max(axis=0) + gamma(5) * ay.max(axis=0)
+    bound = [4.0 * u for u in units(aw.max(axis=0), z)]
+    carried = 0.0 * float(z.max())  # the zero terms' NaN, if any
     if normalized:
         nu, phi, eta = (np.sqrt(np.sum(m * m, axis=0)) for m in (aw, fb, ay))
-        tau = 2.0 * (d * nu[b.j1] * nu[b.l1] + units(nu, phi + gamma(5) * eta))
-        bound += float(np.max(np.abs(hermitian_components(base)))) * tau
-    return float(np.max(bound, initial=0.0)) * (1.0 + gamma(4 * n + 64))
+        zeta = phi + gamma(5) * eta
+        beta = _largest_pairing(base)
+        bound = [b + beta * (2.0 * u) for b, u in zip(bound, units(nu, zeta))]
+        carried += 0.0 * float(zeta.max())
+    peak = max(float(b.max(initial=0.0)) for b in bound) + carried
+    return peak * (1.0 + gamma(4 * n + 64))
 
 
 def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
@@ -382,13 +416,17 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     """
     xi = validate_positive(xi)
     split = spectral_split(xi)
-    isotropy, complement = _blocks(split)
+    isotropy, complement = _sections(split)
     w = split.full_basis()
     sv = np.linalg.svd(w, compute_uv=False)
-    _certify(complement, sv)
-    # the congruence Gram matrix is a principal submatrix of the bordered one
-    _certify(isotropy, sv, identity=True)
     n, k = split.ambient_dim, split.support_dim
+    # Every block off the support pairs has |c1| = 1 and c2 = 0, and a pair's partners
+    # share their moduli.  Re Tr B is 1 on the real partner of each kernel unit E[j,j]
+    # and 0 on every other isotropy block, so ||Re Tr B||_F = sqrt(n - k) exactly.  The
+    # congruence Gram matrix is a principal submatrix of the bordered one
+    for (j1, _, c1, _, _, c2), border in ((complement[1], None), (isotropy[1], np.sqrt(n - k))):
+        norms = np.abs(c1[..., :1]) ** 2 + np.abs(c2[..., :1]) ** 2 if j1.size else np.ones(1)
+        _certify(float(norms.min(initial=1.0)), float(norms.max(initial=1.0)), sv, border)
     p = np.zeros(n)
     p[:k] = split.eigenvalues
     # rho = xi / Tr xi from xi / 2^b, 2^b > n, whose trace is finite for every validated
@@ -405,13 +443,14 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     residual = max(
         _residual_bound(isotropy, w, xi.matrix, p, normalized=False),
         _residual_bound(isotropy, w, rho, p * down / trace, normalized=True),
-        float(np.max(np.abs(hermitian_components(v)))),
+        _largest_pairing(v),
     )
+    dim_alpha = isotropy_dimension_alpha(k, n)
     return IsotropyReport(
         ambient_dim=2 * n * n,
         support_dim=k,
-        dim_alpha=isotropy.dim,
-        dim_phi=isotropy.dim + 1,
-        dim_complement=complement.dim,
+        dim_alpha=dim_alpha,
+        dim_phi=dim_alpha + 1,
+        dim_complement=2 * n * n - dim_alpha,
         max_residual=residual,
     )

@@ -218,6 +218,16 @@ def _is_number(value, kind=numbers.Real, top: float = sys.float_info.max) -> boo
     return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= top
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal message; an integer or fraction beyond double
+    range, whose repr may hold more digits than Python turns into text, is named in
+    words."""
+    if (isinstance(value, numbers.Rational) and not isinstance(value, bool)
+            and abs(value) > sys.float_info.max):
+        return "a value outside double range"
+    return repr(value)
+
+
 @dataclass(frozen=True)
 class SpectrumGenerator:
     """Produces a strictly positive spectrum for each truncation dimension;
@@ -239,7 +249,7 @@ class SpectrumGenerator:
         value = self.params.get(key, default)
         if not _is_number(value):
             raise ValidationError(
-                f"{self.kind} spectrum needs a finite number {key!r}, got {value!r}")
+                f"{self.kind} spectrum needs a finite number {key!r}, got {_shown(value)}")
         return float(value)
 
     def spectrum(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -323,7 +333,7 @@ def truncation_sweep(gen0: SpectrumGenerator, gen1: SpectrumGenerator, dims,
         raise ValidationError(f"unknown action {action!r}, expected 'alpha' or 'phi'")
     # an infinite ceiling would flag no row, not even one whose C overflows
     if not (_is_number(ceiling) and ceiling > 0.0):
-        raise ValidationError(f"ceiling must be a finite positive number, got {ceiling!r}")
+        raise ValidationError(f"ceiling must be a finite positive number, got {_shown(ceiling)}")
     dims = list(dims) if isinstance(dims, Iterable) else []
     if not dims or not all(_is_number(n, numbers.Integral, config.MAX_FLOAT64S) and n >= 1
                            for n in dims):

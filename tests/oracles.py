@@ -150,6 +150,47 @@ def sweep_residual_reference(blocks, w, base, normalized):
     return float(np.abs(values).max())
 
 
+def residual_bound_reference(blocks, w, base, p, normalized):
+    """The certified bound on the membership residuals of the rotated blocks at
+    ``base``, formed block by block from the blocks' fields.
+
+    With y = h w (h = b + b†, b = base / 2), F~ = |y - w p| / (1 - u) + u |w| p and
+    per column a, f, ym (nu, phi, eta) the maxima (2-norms) of |w|, F~ and |y|,
+    each block's bound is 4 (d a_j1 a_l1 + |c1| a_j1 z_l1 + |c2| a_j2 z_l2), z =
+    f + gamma_5 ym, with d = gamma_10 |c1| p_l1 off the diagonal and 0 on it; the
+    normalized action adds beta tau, tau the same sum over (nu, phi + gamma_5 eta)
+    doubled, and beta the largest pairing of base (its diagonal, then 2 Re and 2 Im
+    of each upper entry).  The largest bound, at least 0, times 1 + gamma_(4n+64).
+    """
+
+    def gamma(k):
+        u = 2.0 ** -53
+        return k * u / (1.0 - k * u)
+
+    n = w.shape[0]
+    half = base / 2.0
+    y = (half + dag(half)) @ w
+    aw, ay = np.abs(w), np.abs(y)
+    fb = np.abs(y - w * p) / (1.0 - gamma(1)) + gamma(1) * aw * p
+    c1, c2 = np.abs(blocks.c1), np.abs(blocks.c2)
+
+    def units(x, z):
+        return c1 * x[blocks.j1] * z[blocks.l1] + c2 * x[blocks.j2] * z[blocks.l2]
+
+    d = np.where(blocks.j1 != blocks.l1, gamma(10) * c1 * p[blocks.l1], 0.0)
+    a = aw.max(axis=0)
+    z = fb.max(axis=0) + gamma(5) * ay.max(axis=0)
+    bound = 4.0 * (d * a[blocks.j1] * a[blocks.l1] + units(a, z))
+    if normalized:
+        nu, phi, eta = (np.sqrt(np.sum(m * m, axis=0)) for m in (aw, fb, ay))
+        tau = 2.0 * (d * nu[blocks.j1] * nu[blocks.l1] + units(nu, phi + gamma(5) * eta))
+        rows, cols = np.triu_indices(n, k=1)
+        upper = base[rows, cols]
+        pairings = np.concatenate([np.diagonal(base).real, 2.0 * upper.real, 2.0 * upper.imag])
+        bound += float(np.max(np.abs(pairings))) * tau
+    return float(np.max(bound, initial=0.0)) * (1.0 + gamma(4 * n + 64))
+
+
 def null_space_dimension(m, rel_tol=1e-8):
     """Number of singular values below rel_tol times max(largest, 1).
 

@@ -8,6 +8,7 @@ from oracles import (
     hermitian_components_reference,
     null_space_dimension,
     real_gram_explicit,
+    residual_bound_reference,
     sweep_residual_reference,
 )
 from sampling import random_direction, random_state
@@ -453,8 +454,84 @@ def test_residual_bound_covers_the_reference_sweep():
         blocks = iso._blocks(split)[0]
         for normalized in (False, True):
             expected = sweep_residual_reference(blocks, w, base, normalized)
-            got = iso._residual_bound(blocks, w, base, p, normalized)
+            got = iso._residual_bound(iso._sections(split)[0], w, base, p, normalized)
             assert got >= expected, (split.ambient_dim, split.support_dim, normalized)
+
+
+def test_residual_bound_is_the_per_block_formula_bit_for_bit():
+    # the sections reduced in closed form against the bound formed block by block
+    import stategeom.isotropy as iso
+
+    for split, base, p in _bound_inputs():
+        w = split.full_basis()
+        sections, blocks = iso._sections(split)[0], iso._blocks(split)[0]
+        for normalized in (False, True):
+            expected = residual_bound_reference(blocks, w, base, p, normalized)
+            got = iso._residual_bound(sections, w, base, p, normalized)
+            assert got == expected, (split.ambient_dim, split.support_dim, normalized)
+
+
+def test_report_certifies_the_coefficient_range_and_border_of_the_blocks(monkeypatch):
+    # the report's closed forms against the min and max of |c1|^2 + |c2|^2 and the
+    # norm of Re Tr B over the blocks, complement first
+    import stategeom.isotropy as iso
+
+    calls, certify = [], iso._certify
+    monkeypatch.setattr(iso, "_certify", lambda *args: calls.append(args) or certify(*args))
+    for xi in _sweep_cases():
+        calls.clear()
+        isotropy_report(xi)
+        expected = []
+        for b, identity in zip(reversed(iso._blocks(spectral_split(xi))), (False, True)):
+            norms = np.abs(b.c1) ** 2 + np.abs(b.c2) ** 2
+            trace = np.where(b.j1 == b.l1, b.c1, 0.0) + np.where(b.j2 == b.l2, b.c2, 0.0)
+            expected.append((norms.min(), norms.max(),
+                             np.linalg.norm(trace.real) if identity else None))
+        assert [(low, high, border) for low, high, _, border in calls] == expected, xi.n
+
+
+def _report_pin_cases():
+    rng = np.random.default_rng(3801)
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            yield random_state(rng, n, rank=k)
+
+
+# max_residual of isotropy_report at _report_pin_cases, as the report computed it
+# when it built the blocks
+_REPORT_PINS = [
+    "0x1.2000000000028p-48", "0x1.18ac5a5c42b32p-48", "0x1.75e871057dd23p-49",
+    "0x1.181c2fc3f88f0p-48", "0x1.0670db70a6fa7p-48", "0x1.cac08ccd56ce0p-49",
+    "0x1.e2c7b8b12ca5fp-49", "0x1.5c987e2365aecp-48", "0x1.8ad8e48faf8d9p-49",
+    "0x1.a66574cde24a2p-50", "0x1.33db3ec2f8987p-49", "0x1.77780cf06d06ap-49",
+    "0x1.22c84c228c124p-49", "0x1.cd48ef0c7f087p-50", "0x1.851a1295b2857p-50",
+    "0x1.df6163b16978ep-50", "0x1.76f5df1e43579p-49", "0x1.bff3a13629cd0p-50",
+    "0x1.aaa32bebc03f3p-50", "0x1.6ec9bf930a693p-50", "0x1.27c2cd15b16f7p-50",
+    "0x1.0076475ac57cep-49", "0x1.6ae09358c68d3p-49", "0x1.089ceb76dd400p-49",
+    "0x1.52035478b3c85p-50", "0x1.458d96b1d8ee0p-50", "0x1.d68cb55555b5cp-51",
+    "0x1.b0d0e9e09066fp-51", "0x1.ce28085b8a9dbp-50", "0x1.6c6e95d783bf2p-49",
+    "0x1.c484d28cefbb8p-50", "0x1.5aab8ea4ecffep-50", "0x1.16ac460d26f16p-50",
+    "0x1.2c9062b027c94p-50", "0x1.144004351d90ep-50", "0x1.ee1b5e0ac9144p-51",
+]
+
+
+def test_report_builds_no_blocks(monkeypatch):
+    # n = 1-8 at every rank, and the n = 16 pins, with no per-block arrays
+    import stategeom.isotropy as iso
+
+    def unreachable(*args):
+        raise AssertionError("the report built per-block arrays")
+
+    monkeypatch.setattr(iso, "_from_sections", unreachable)
+    cases = list(_report_pin_cases())
+    assert len(cases) == len(_REPORT_PINS)
+    for rho, pin in zip(cases, _REPORT_PINS):
+        report = isotropy_report(rho)
+        n, k = report.ambient_dim, report.support_dim
+        assert report.max_residual == float.fromhex(pin), (rho.n, k)
+        assert (report.dim_alpha, report.dim_complement) == (
+            isotropy_dimension_alpha(k, rho.n), n - isotropy_dimension_alpha(k, rho.n))
+    test_report_residual_pinned_at_n16()
 
 
 def test_report_identity_residual_has_the_bits_of_membership_phi(monkeypatch):

@@ -195,6 +195,25 @@ def test_config_numbers_outside_double_range_exit_2_naming_them(run_config, cfg,
     assert result.stderr.startswith("ValidationError: ") and named in result.stderr
 
 
+_DIGITS = 10 ** 5000  # more digits than Python turns into decimal text
+
+
+@pytest.mark.parametrize("refused, named", [
+    (lambda: make_spectrum_generator({"kind": "power", "exponent": _DIGITS}).spectrum(3),
+     "'exponent'"),
+    (lambda: make_spectrum_generator({"kind": "gibbs", "ratio": _DIGITS}).spectrum(3), "'ratio'"),
+    (lambda: make_spectrum_generator({"kind": "dirichlet", "alpha": -_DIGITS})
+     .spectrum(3, np.random.default_rng(1)), "'alpha'"),
+    (lambda: truncation_sweep(*[make_spectrum_generator(_UNIFORM)] * 2, [2], ceiling=_DIGITS),
+     "ceiling"),
+], ids=["exponent", "ratio", "alpha", "ceiling"])
+def test_an_integer_too_long_to_print_is_refused_in_words(refused, named):
+    # formatting it with repr raised a bare ValueError about the 4300-digit limit
+    with pytest.raises(ValidationError, match="got a value outside double range$") as caught:
+        refused()
+    assert named in str(caught.value)
+
+
 @_ACTIONS
 def test_dimensions_up_to_a_million(action):
     dims = [10, 100, 1000, 10**4, 10**5, 10**6]
