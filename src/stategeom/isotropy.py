@@ -47,8 +47,8 @@ import numpy as np
 
 from . import config
 from .errors import ValidationError
-from .linalg import (as_operator, dagger, fro_scale, frobenius, gamma, hermitian_part, in_range,
-                     matrix_unit, require_dimension)
+from .linalg import (as_operator, dagger, fro_scale, gamma, hermitian_part, in_range, matrix_unit,
+                     require_dimension)
 from .states import (PositiveFunctional, SpectralSplit, StateDensity, spectral_split,
                      validate_positive, validate_state)
 from .tangent import alpha_velocity, phi_velocity
@@ -89,14 +89,6 @@ def hermitian_components(t: np.ndarray) -> np.ndarray:
     out[..., n::2] = 2.0 * off.real
     out[..., n + 1::2] = 2.0 * off.imag
     return out
-
-
-def _largest_pairing(t: np.ndarray) -> float:
-    """The largest magnitude among ``hermitian_components(t)`` of one matrix t, read
-    off its diagonal and strict upper triangle without forming them: doubling is
-    exact."""
-    upper = np.abs(t[~np.tri(t.shape[0], dtype=bool)].view(float))
-    return float(np.maximum(np.abs(np.diagonal(t).real).max(), 2.0 * upper.max(initial=0.0)))
 
 
 def _membership(velocity, validate, a, value) -> tuple[bool, float]:
@@ -213,12 +205,32 @@ def _blocks(split: SpectralSplit) -> tuple[_Blocks, _Blocks]:
     return _from_sections(isotropy), _from_sections(complement)
 
 
-def _certify(low: float, high: float, sv: np.ndarray, border: float | None = None) -> float:
+def _coefficient_range(sections, n: int, k: int,
+                       identity: bool) -> tuple[float, float, float | None]:
+    """The least and greatest coefficient norms |c1|^2 + |c2|^2 over the blocks of
+    one side of ``_sections`` (support dimension k of n), and, when ``identity``,
+    the norm ||Re Tr B||_F over the isotropy blocks, else None; no block is built.
+
+    Every block off the support pairs has |c1| = 1 and c2 = 0, and the support
+    diagonal is never empty, so the pairs' norms and 1 give the range.  The
+    complement's pair coefficients carry no pair axis, so they count only when
+    there is a pair (a broadcast to that axis cost a report about 5% at n = 32).
+    Re Tr B is 1 on the real partner of each kernel unit E[j,j] and 0 on every
+    other isotropy block: the squares sum exactly, so the norm is sqrt(n - k).
+    """
+    _, (j1, _, c1, _, _, c2), _ = sections
+    norms = np.abs(c1) ** 2 + np.abs(c2) ** 2 if j1.size else np.ones(1)
+    return (float(norms.min(initial=1.0)), float(norms.max(initial=1.0)),
+            float(np.sqrt(n - k)) if identity else None)
+
+
+def _certify(sv: np.ndarray, low: float, high: float, border: float | None) -> float:
     """Certified lower bound on the smallest Gram eigenvalue of blocks rotated by w
     (followed by I/sqrt(n) when ``border``, the norm ||Re Tr B||_F over the blocks,
-    is given), from the singular values ``sv`` of w in descending order and the
-    least and greatest coefficient norms ``low`` and ``high`` of the blocks; raises
-    ValidationError when it does not clear the independence threshold."""
+    is not None), from the singular values ``sv`` of w in descending order and the
+    least and greatest coefficient norms ``low`` and ``high`` of the blocks
+    (``_coefficient_range``); raises ValidationError when it does not clear the
+    independence threshold."""
     # G is diagonal with entries |c1|^2 + |c2|^2 (c2 = 0 on a repeated unit):
     # only partners share units, and their cross term Re(conj(c1a) c1b +
     # conj(c2a) c2b) pairs a real coefficient with an imaginary one, exactly 0
@@ -227,8 +239,7 @@ def _certify(low: float, high: float, sv: np.ndarray, border: float | None = Non
         border /= np.sqrt(sv.size)
         spread = max(1.0 - low, high - 1.0)
         low, high = 1.0 - border - spread, 1.0 + border + spread
-        # 1 - s^2 rounds monotonically in s, so its extremes lie at the ends of sv
-        defect = float(max(abs(1.0 - sv[0] ** 2), abs(1.0 - sv[-1] ** 2)))
+        defect = float(np.max(np.abs(1.0 - sv**2)))
     lower = max(sv[-1] ** 2 * np.sqrt(max(low, 0.0)) - defect, 0.0) ** 2
     upper = (sv[0] ** 2 * np.sqrt(high) + defect) ** 2
     return config.check("basis is not linearly independent: Gram eigenvalue bound", lower,
@@ -257,16 +268,12 @@ def _rotated_basis(split: SpectralSplit, which: int, identity: bool = False) -> 
     """The isotropy (``which`` 0) or complement (1) blocks of ``_blocks`` rotated back;
     a functional given for ``split`` is split by ``spectral_split``."""
     split = split if isinstance(split, SpectralSplit) else spectral_split(split)
-    b, n = _blocks(split)[which], split.ambient_dim
+    n, k = split.ambient_dim, split.support_dim
+    b = _blocks(split)[which]
     _within_basis_limit(b.dim, n)
     w = split.full_basis()
-    norms = np.abs(b.c1) ** 2 + np.abs(b.c2) ** 2
-    border = None
-    if identity:
-        trace = np.where(b.j1 == b.l1, b.c1, 0.0) + np.where(b.j2 == b.l2, b.c2, 0.0)
-        border = frobenius(trace.real)
-    floor = _certify(float(norms.min()), float(norms.max()),
-                     np.linalg.svd(w, compute_uv=False), border)
+    floor = _certify(np.linalg.svd(w, compute_uv=False),
+                     *_coefficient_range(_sections(split)[which], n, k, identity))
     stack = _outer_stack(b, w)
     stack.flags.writeable = False
     vectors = tuple(stack)
@@ -401,7 +408,7 @@ def _residual_bound(sections, w: np.ndarray, base: np.ndarray, p: np.ndarray,
     if normalized:
         nu, phi, eta = (np.sqrt(np.sum(m * m, axis=0)) for m in (aw, fb, ay))
         zeta = phi + gamma(5) * eta
-        beta = _largest_pairing(base)
+        beta = float(np.max(np.abs(hermitian_components(base))))
         bound = [b + beta * (2.0 * u) for b, u in zip(bound, units(nu, zeta))]
         carried += 0.0 * float(zeta.max())
     peak = max(float(b.max(initial=0.0)) for b in bound) + carried
@@ -420,13 +427,9 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     w = split.full_basis()
     sv = np.linalg.svd(w, compute_uv=False)
     n, k = split.ambient_dim, split.support_dim
-    # Every block off the support pairs has |c1| = 1 and c2 = 0, and a pair's partners
-    # share their moduli.  Re Tr B is 1 on the real partner of each kernel unit E[j,j]
-    # and 0 on every other isotropy block, so ||Re Tr B||_F = sqrt(n - k) exactly.  The
-    # congruence Gram matrix is a principal submatrix of the bordered one
-    for (j1, _, c1, _, _, c2), border in ((complement[1], None), (isotropy[1], np.sqrt(n - k))):
-        norms = np.abs(c1[..., :1]) ** 2 + np.abs(c2[..., :1]) ** 2 if j1.size else np.ones(1)
-        _certify(float(norms.min(initial=1.0)), float(norms.max(initial=1.0)), sv, border)
+    _certify(sv, *_coefficient_range(complement, n, k, identity=False))
+    # the congruence Gram matrix is a principal submatrix of the bordered one
+    _certify(sv, *_coefficient_range(isotropy, n, k, identity=True))
     p = np.zeros(n)
     p[:k] = split.eigenvalues
     # rho = xi / Tr xi from xi / 2^b, 2^b > n, whose trace is finite for every validated
@@ -443,7 +446,7 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     residual = max(
         _residual_bound(isotropy, w, xi.matrix, p, normalized=False),
         _residual_bound(isotropy, w, rho, p * down / trace, normalized=True),
-        _largest_pairing(v),
+        float(np.max(np.abs(hermitian_components(v)))),
     )
     dim_alpha = isotropy_dimension_alpha(k, n)
     return IsotropyReport(

@@ -219,13 +219,16 @@ def _is_number(value, kind=numbers.Real, top: float = sys.float_info.max) -> boo
 
 
 def _shown(value) -> str:
-    """``repr(value)`` for a refusal message; an integer or fraction beyond double
-    range, whose repr may hold more digits than Python turns into text, is named in
-    words."""
+    """``repr(value)`` for a refusal message, or words: for an integer or fraction
+    beyond double range, and for a value whose repr would hold more digits than
+    Python turns into text (a fraction of huge terms may lie within range)."""
     if (isinstance(value, numbers.Rational) and not isinstance(value, bool)
             and abs(value) > sys.float_info.max):
         return "a value outside double range"
-    return repr(value)
+    try:
+        return repr(value)
+    except ValueError:  # Python's limit on the digits of an integer as text
+        return "a number of more digits than can be printed"
 
 
 @dataclass(frozen=True)

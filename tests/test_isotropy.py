@@ -471,23 +471,20 @@ def test_residual_bound_is_the_per_block_formula_bit_for_bit():
             assert got == expected, (split.ambient_dim, split.support_dim, normalized)
 
 
-def test_report_certifies_the_coefficient_range_and_border_of_the_blocks(monkeypatch):
-    # the report's closed forms against the min and max of |c1|^2 + |c2|^2 and the
-    # norm of Re Tr B over the blocks, complement first
+def test_coefficient_range_is_that_of_the_blocks():
+    # the closed forms that both certificates read, against the min and max of
+    # |c1|^2 + |c2|^2 over the blocks of either side and, on the isotropy side,
+    # the norm of Re Tr B
     import stategeom.isotropy as iso
 
-    calls, certify = [], iso._certify
-    monkeypatch.setattr(iso, "_certify", lambda *args: calls.append(args) or certify(*args))
-    for xi in _sweep_cases():
-        calls.clear()
-        isotropy_report(xi)
-        expected = []
-        for b, identity in zip(reversed(iso._blocks(spectral_split(xi))), (False, True)):
+    for split in [*(spectral_split(xi) for xi in _sweep_cases()), *_certificate_splits()]:
+        n, k = split.ambient_dim, split.support_dim
+        for sections, b, identity in zip(iso._sections(split), iso._blocks(split), (True, False)):
             norms = np.abs(b.c1) ** 2 + np.abs(b.c2) ** 2
             trace = np.where(b.j1 == b.l1, b.c1, 0.0) + np.where(b.j2 == b.l2, b.c2, 0.0)
-            expected.append((norms.min(), norms.max(),
-                             np.linalg.norm(trace.real) if identity else None))
-        assert [(low, high, border) for low, high, _, border in calls] == expected, xi.n
+            border = np.linalg.norm(trace.real) if identity else None
+            assert iso._coefficient_range(sections, n, k, identity) == (
+                norms.min(), norms.max(), border), (n, k, identity)
 
 
 def _report_pin_cases():

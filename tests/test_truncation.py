@@ -11,6 +11,7 @@ overflows, and dimensions up to 10^6.
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -196,20 +197,26 @@ def test_config_numbers_outside_double_range_exit_2_naming_them(run_config, cfg,
 
 
 _DIGITS = 10 ** 5000  # more digits than Python turns into decimal text
+_OUTSIDE = "a value outside double range"
+_UNPRINTABLE = "a number of more digits than can be printed"
 
 
-@pytest.mark.parametrize("refused, named", [
+@pytest.mark.parametrize("refused, named, words", [
     (lambda: make_spectrum_generator({"kind": "power", "exponent": _DIGITS}).spectrum(3),
-     "'exponent'"),
-    (lambda: make_spectrum_generator({"kind": "gibbs", "ratio": _DIGITS}).spectrum(3), "'ratio'"),
+     "'exponent'", _OUTSIDE),
+    (lambda: make_spectrum_generator({"kind": "gibbs", "ratio": _DIGITS}).spectrum(3), "'ratio'",
+     _OUTSIDE),
     (lambda: make_spectrum_generator({"kind": "dirichlet", "alpha": -_DIGITS})
-     .spectrum(3, np.random.default_rng(1)), "'alpha'"),
+     .spectrum(3, np.random.default_rng(1)), "'alpha'", _OUTSIDE),
     (lambda: truncation_sweep(*[make_spectrum_generator(_UNIFORM)] * 2, [2], ceiling=_DIGITS),
-     "ceiling"),
-], ids=["exponent", "ratio", "alpha", "ceiling"])
-def test_an_integer_too_long_to_print_is_refused_in_words(refused, named):
+     "ceiling", _OUTSIDE),
+    # within double range, about -1, but its terms have too many digits to print
+    (lambda: truncation_sweep(*[make_spectrum_generator(_UNIFORM)] * 2, [2],
+                              ceiling=Fraction(-_DIGITS, _DIGITS + 1)), "ceiling", _UNPRINTABLE),
+], ids=["exponent", "ratio", "alpha", "ceiling", "fraction-ceiling"])
+def test_a_number_too_long_to_print_is_refused_in_words(refused, named, words):
     # formatting it with repr raised a bare ValueError about the 4300-digit limit
-    with pytest.raises(ValidationError, match="got a value outside double range$") as caught:
+    with pytest.raises(ValidationError, match=f"got {words}$") as caught:
         refused()
     assert named in str(caught.value)
 
