@@ -17,7 +17,6 @@ inside a fixed representation.  The transport refuses the elements that
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from . import config
 from .actions import _normalization, group_element
 from .errors import NumericalError, ValidationError
-from .linalg import as_operator, frobenius, matrix_unit
+from .linalg import as_operator, frobenius
 from .states import (ProbabilityVector, StateDensity, _frozen, default_rank_tol, spectral_split,
                      validate_probability, validate_state)
 
@@ -59,12 +58,6 @@ class GnsTriple:
         """Vector expectation <psi| rep(a) |psi>; equals rho(a) for the source state."""
         x = self._coefficients()
         return complex(np.vdot(x, as_operator(a, "algebra element", self.n) @ x))
-
-    def rep_matrices(self) -> Iterator[np.ndarray]:
-        """Images of the n^2 matrix units, in row-major order, one at a time."""
-        for i in range(self.n):
-            for j in range(self.n):
-                yield self.rep(matrix_unit(self.n, i, j))
 
 
 def gns_construct(rho: StateDensity) -> GnsTriple:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .linalg import (as_operator, dagger, fro_scale, gamma, hermitian_part, in_range, matrix_unit,
                      require_dimension)
 from .states import (PositiveFunctional, SpectralSplit, StateDensity, spectral_split,
@@ -175,11 +175,14 @@ def _sections(split: SpectralSplit) -> tuple[list, list]:
     on every unit (j, l) with l in the kernel, row-major.  Complement: E[j,j]
     on the support; the Hermitian pairs E[l,m] + E[m,l], i E[l,m] - i E[m,l];
     then E, iE on the kernel-to-support units (j in kernel, l in support).
+    NumericalError when a ratio r is not finite: an eigenvalue overflowed.
     """
     n, k = split.ambient_dim, split.support_dim
     diag = np.arange(k)[:, None]
     low, high = (idx[:, None] for idx in np.nonzero(~np.tri(k, dtype=bool)))
     ratio = split.eigenvalues[low] / split.eigenvalues[high]
+    if not np.isfinite(ratio).all():
+        raise NumericalError("eigenvalue overflows double precision")
     norm = np.hypot(1.0, ratio)
     half = np.sqrt(0.5)
     partners = np.array([1.0, 1j])
@@ -197,12 +200,6 @@ def _sections(split: SpectralSplit) -> tuple[list, list]:
         (into, support, partners, into, support, 0j),
     ]
     return isotropy, complement
-
-
-def _blocks(split: SpectralSplit) -> tuple[_Blocks, _Blocks]:
-    """Blocks of the congruence isotropy algebra and of its complement (``_sections``)."""
-    isotropy, complement = _sections(split)
-    return _from_sections(isotropy), _from_sections(complement)
 
 
 def _coefficient_range(sections, n: int, k: int,
@@ -265,15 +262,17 @@ def _within_basis_limit(dim: int, n: int) -> None:
 
 
 def _rotated_basis(split: SpectralSplit, which: int, identity: bool = False) -> RealBasis:
-    """The isotropy (``which`` 0) or complement (1) blocks of ``_blocks`` rotated back;
-    a functional given for ``split`` is split by ``spectral_split``."""
+    """The isotropy (``which`` 0) or complement (1) side of ``_sections``, expanded
+    into blocks and rotated back; a functional given for ``split`` is split by
+    ``spectral_split``."""
     split = split if isinstance(split, SpectralSplit) else spectral_split(split)
     n, k = split.ambient_dim, split.support_dim
-    b = _blocks(split)[which]
+    sections = _sections(split)[which]
+    b = _from_sections(sections)
     _within_basis_limit(b.dim, n)
     w = split.full_basis()
     floor = _certify(np.linalg.svd(w, compute_uv=False),
-                     *_coefficient_range(_sections(split)[which], n, k, identity))
+                     *_coefficient_range(sections, n, k, identity))
     stack = _outer_stack(b, w)
     stack.flags.writeable = False
     vectors = tuple(stack)
@@ -420,9 +419,12 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     dimensions and a bound on the membership residuals (``_residual_bound``),
     those of phi at xi / Tr xi; the identity direction's residual there is
     formed outright in O(n^2), with the bits of isotropy_membership_phi.
+    NumericalError when the largest eigenvalue of xi overflows.
     """
     xi = validate_positive(xi)
     split = spectral_split(xi)
+    if not np.isfinite(split.eigenvalues[0]):
+        raise NumericalError("eigenvalue overflows double precision")
     isotropy, complement = _sections(split)
     w = split.full_basis()
     sv = np.linalg.svd(w, compute_uv=False)

@@ -231,6 +231,7 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     Eigenvalues in [-clamp, 0) with clamp = 1e-10*(1+||p||_F) are clamped to
     zero; anything below raises NotPSD.  Where eigh's smallest eigenvalue lies
     near -clamp, the verdict is eigvalsh's, as ``validate_positive`` reads it.
+    After that verdict, a largest eigenvalue that overflows raises NumericalError.
     """
     m, scale = require_hermitian(p)
     dec = sorted_eigh(m)
@@ -239,6 +240,8 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     near = abs(w[-1] + config.scaled(config.PSD_CLAMP_RTOL) * scale) <= margin
     low = np.linalg.eigvalsh(hermitian_part(m))[0] if near else w[-1]
     config.check("-(smallest eigenvalue)", -low, config.PSD_CLAMP_RTOL, scale, NotPSD)
+    if not np.isfinite(w[0]):
+        raise NumericalError("eigenvalue overflows double precision")
     w = np.where(w < 0.0, 0.0, w)
     v = dec.eigenvectors
     return hermitian_part((v * np.sqrt(w)) @ dagger(v))

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_operator
+from .linalg import as_operator, matrix_unit
 from .states import PositiveFunctional, validate_positive, validate_state
 
 __all__ = [
@@ -345,12 +345,13 @@ def truncation_json(report) -> str:
 
 def gns_chunks(triple):
     """The gns payload {"n", "dim", "cyclic", "rep": [...]} as text chunks: the
-    header, then one {"unit", "entries"} object per matrix unit, each encoded
-    and dropped before the next is built."""
+    header, then one {"unit": [i, j], "entries": pi(E_ij)} object per matrix unit
+    in row-major order, each encoded and dropped before the next is built."""
     head = dumps_canonical({"n": triple.n, "dim": triple.dim,
                             "cyclic": complex_pairs(triple.cyclic)})
     yield head[:-2] + ',"rep":['  # reopen the object closed by "}\n"
-    for k, mat in enumerate(triple.rep_matrices()):
-        unit = {"unit": list(divmod(k, triple.n)), "entries": complex_pairs(mat)}
-        yield ("," if k else "") + dumps_canonical(unit)[:-1]
+    n = triple.n
+    for i, j in np.ndindex(n, n):
+        unit = {"unit": [i, j], "entries": complex_pairs(triple.rep(matrix_unit(n, i, j)))}
+        yield ("," if i or j else "") + dumps_canonical(unit)[:-1]
     yield "]}\n"

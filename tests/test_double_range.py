@@ -9,6 +9,7 @@ one stderr line.
 """
 
 import ast
+import hashlib
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from stategeom import config, errors
 from stategeom.actions import alpha, unitary_phi
 from stategeom.cli import main
 from stategeom.errors import NotHermitian, NotPSD, NotUnitary, NumericalError, TraceError
-from stategeom.isotropy import isotropy_report
+from stategeom.isotropy import (complement_basis_alpha, isotropy_basis_alpha, isotropy_basis_phi,
+                                isotropy_report)
 from stategeom.linalg import (frobenius, hermitian_eig, inertia, matrix_sqrt_psd,
                               require_hermitian)
 from stategeom.orbits import bound_constant, connect_alpha, same_orbit_alpha
@@ -38,6 +40,8 @@ WIDE = np.array([[1e308, 1e308], [-1e308, 1e308]], dtype=complex)
 # positive and indefinite, each with a norm of 2.1e308 that overflows
 HUGE_PSD = np.diag([1.5e308, 1.5e308]).astype(complex)
 HUGE_INDEFINITE = np.diag([1.5e308, -1.5e308]).astype(complex)
+# finite entries whose largest eigenvalue (2e308) overflows: rank 1, spectrum [inf]
+HUGE_SPECTRUM = 1e308 * np.ones((2, 2), dtype=complex)
 
 
 def _functions(module):
@@ -152,6 +156,54 @@ def test_an_eigenvalue_ratio_that_overflows_is_a_numerical_error(call):
         call(small, huge)
 
 
+# rank 1 with spectrum [inf], and rank 2 with spectrum [inf, 1e307]
+OVERFLOWING_SPECTRA = {
+    **{f"{c:g}-ones-n{n}": c * np.ones((n, n)) for c in (1e308, 1.7e308) for n in (2, 3, 4)},
+    "5e+307-ones-n4": 5e307 * np.ones((4, 4)),
+    "rank-2": np.array([[1e308, 0.9e308], [0.9e308, 1e308]]),
+}
+BASES = [isotropy_basis_alpha, complement_basis_alpha, isotropy_basis_phi]
+
+
+def _overflowing_spectrum_calls():
+    for name, matrix in OVERFLOWING_SPECTRA.items():
+        # a rank-1 basis reads no eigenvalue, so only the rank-2 one overflows
+        calls = [isotropy_report, matrix_sqrt_psd] + (BASES if name == "rank-2" else [])
+        yield from (pytest.param(call, matrix, id=f"{call.__name__}-{name}") for call in calls)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, matrix", _overflowing_spectrum_calls())
+def test_an_eigenvalue_that_overflows_is_a_numerical_error(call, matrix):
+    xi = validate_positive(matrix)
+    assert not np.isfinite(hermitian_eig(xi.matrix).eigenvalues).all()
+    with pytest.raises(NumericalError, match="^eigenvalue overflows double precision$"):
+        call(xi)
+
+
+# sha256 of the bases of the rank-1 OVERFLOWING_SPECTRA, then of the bases, the square
+# root and the report's max_residual of the SERVED inputs, pinned from the code without
+# the eigenvalue-overflow refusal, which must change none of them (a different LAPACK
+# build may change the bits)
+SERVED = [5e307 * np.ones((2, 2)), np.diag([1.5e308, 1.5e308])]
+SERVED_PIN = "ec50c626b23f6d285992cff846a0711f532327987bf8752c9726a769c966f051"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_finite_spectrum_and_a_rank_1_basis_keep_their_bits():
+    rank_1 = [m for name, m in OVERFLOWING_SPECTRA.items() if name != "rank-2"]
+    digest = hashlib.sha256()
+    for matrix in rank_1 + SERVED:
+        for basis in (build(validate_positive(matrix)) for build in BASES):
+            digest.update(np.array(basis.vectors).tobytes())
+            digest.update(np.float64(basis.gram_floor).tobytes())
+    for matrix in SERVED:
+        xi = validate_positive(matrix)
+        digest.update(matrix_sqrt_psd(xi).tobytes())
+        digest.update(np.float64(isotropy_report(xi).max_residual).tobytes())
+    assert digest.hexdigest() == SERVED_PIN
+
+
 @pytest.fixture
 def sweep_files(tmp_path):
     def write(name, matrix, kind="operator"):
@@ -166,6 +218,7 @@ def sweep_files(tmp_path):
         "norm-overflows": write("wide", WIDE),
         "psd-norm-overflows": write("huge-psd", HUGE_PSD),
         "indefinite-norm-overflows": write("huge-indefinite", HUGE_INDEFINITE),
+        "spectrum-overflows": write("huge-spectrum", HUGE_SPECTRUM, "positive"),
         "g": write("g", np.diag([1.5, 0.5])),
         "identity": write("identity", np.eye(2)),
         "state": write("state", np.diag([0.75, 0.25]), "state"),
@@ -189,7 +242,7 @@ COMMANDS = {
     "recombine": ["recombine", "{x}", "{identity}", "{g}", "0.5"],
 }
 FILES = ["overflow", "overflow-positive", "anti-hermitian", "norm-overflows",
-         "psd-norm-overflows", "indefinite-norm-overflows"]
+         "psd-norm-overflows", "indefinite-norm-overflows", "spectrum-overflows"]
 TAXONOMY = {name for name, value in vars(errors).items()
             if isinstance(value, type) and issubclass(value, Exception)}
 

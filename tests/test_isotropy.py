@@ -255,6 +255,13 @@ def _unit(n, j, l):
     return e
 
 
+def _blocks(split):
+    """Both sides of ``_sections`` expanded into blocks: (isotropy, complement)."""
+    import stategeom.isotropy as iso
+
+    return tuple(iso._from_sections(s) for s in iso._sections(split))
+
+
 def _reference_blocks(split):
     """The per-block loops of the dense construction: (isotropy, complement)."""
     n, k, p = split.ambient_dim, split.support_dim, split.eigenvalues
@@ -326,15 +333,13 @@ class TestBlockCertificate:
 
     def test_block_gram_is_diagonal_with_the_coefficient_norms(self):
         # the invariant _certify relies on, on the dense unrotated blocks
-        import stategeom.isotropy as iso
-
         rng = np.random.default_rng(23)
         u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
         p = np.array([0.35, 0.35, 0.3, 0.0, 0.0])
         repeated = spectral_split(validate_positive((u * p) @ dag(u)))
         for split in [*_certificate_splits(), repeated]:
             n = split.ambient_dim
-            for b in iso._blocks(split):
+            for b in _blocks(split):
                 dense = np.zeros((b.dim, n, n), dtype=complex)
                 for i in range(b.dim):
                     dense[i, b.j1[i], b.l1[i]] += b.c1[i]
@@ -451,7 +456,7 @@ def test_residual_bound_covers_the_reference_sweep():
 
     for split, base, p in _bound_inputs():
         w = split.full_basis()
-        blocks = iso._blocks(split)[0]
+        blocks = _blocks(split)[0]
         for normalized in (False, True):
             expected = sweep_residual_reference(blocks, w, base, normalized)
             got = iso._residual_bound(iso._sections(split)[0], w, base, p, normalized)
@@ -464,7 +469,7 @@ def test_residual_bound_is_the_per_block_formula_bit_for_bit():
 
     for split, base, p in _bound_inputs():
         w = split.full_basis()
-        sections, blocks = iso._sections(split)[0], iso._blocks(split)[0]
+        sections, blocks = iso._sections(split)[0], _blocks(split)[0]
         for normalized in (False, True):
             expected = residual_bound_reference(blocks, w, base, p, normalized)
             got = iso._residual_bound(sections, w, base, p, normalized)
@@ -479,7 +484,7 @@ def test_coefficient_range_is_that_of_the_blocks():
 
     for split in [*(spectral_split(xi) for xi in _sweep_cases()), *_certificate_splits()]:
         n, k = split.ambient_dim, split.support_dim
-        for sections, b, identity in zip(iso._sections(split), iso._blocks(split), (True, False)):
+        for sections, b, identity in zip(iso._sections(split), _blocks(split), (True, False)):
             norms = np.abs(b.c1) ** 2 + np.abs(b.c2) ** 2
             trace = np.where(b.j1 == b.l1, b.c1, 0.0) + np.where(b.j2 == b.l2, b.c2, 0.0)
             border = np.linalg.norm(trace.real) if identity else None
@@ -556,12 +561,10 @@ def _swept_maximum(xi):
     """The reference sweep's largest residual over the isotropy blocks at xi
     (congruence) and at xi / Tr xi (normalized), with the identity direction's,
     the sweep taken 2^19 matrix entries at a time to bound its memory."""
-    import stategeom.isotropy as iso
-
     split = spectral_split(xi)
     w = split.full_basis()
     rho = xi.matrix / np.trace(xi.matrix).real
-    chunks = list(_block_chunks(iso._blocks(split)[0], max(1, (1 << 19) // w.size)))
+    chunks = list(_block_chunks(_blocks(split)[0], max(1, (1 << 19) // w.size)))
     swept = [sweep_residual_reference(c, w, base, normalized) for c in chunks
              for base, normalized in ((xi.matrix, False), (rho, True))]
     identity = np.eye(xi.n) / np.sqrt(xi.n)

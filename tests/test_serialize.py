@@ -373,6 +373,32 @@ def test_cli_gns_bytes(runner, tmp_path, n, rank):
     assert sha256(cli(runner, ["gns", gns_file(tmp_path, n, rank)])) == GNS_PINS[n, rank]
 
 
+def _pairs(pairs) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in pairs])
+
+
+GNS_CASES = [(1, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 4)]
+
+
+@pytest.mark.parametrize("n, rank", GNS_CASES, ids=[f"n{n}-k{k}" for n, k in GNS_CASES])
+def test_cli_gns_payload_represents_the_matrix_units(runner, tmp_path, n, rank):
+    # item k is pi(E_ij) = E_ij kron I_k for (i, j) = divmod(k, n), and the cyclic
+    # vector reproduces the state: <psi|pi(E_ij)|psi> = rho(E_ij) = rho_ji
+    path = gns_file(tmp_path, n, rank)
+    rho = _pairs(json.loads(Path(path).read_text())["entries"]).reshape(n, n)
+    payload = json.loads(cli(runner, ["gns", path]))
+    dim, psi = payload["dim"], _pairs(payload["cyclic"])
+    assert (payload["n"], dim, len(payload["rep"])) == (n, n * rank, n * n)
+    for k, item in enumerate(payload["rep"]):
+        i, j = divmod(k, n)
+        assert item["unit"] == [i, j]
+        unit = np.zeros((n, n))
+        unit[i, j] = 1.0
+        image = _pairs(item["entries"]).reshape(dim, dim)
+        assert np.array_equal(image, np.kron(unit, np.eye(dim // n)))
+        assert abs(np.vdot(psi, image @ psi) - rho[j, i]) <= 1e-12, (i, j)
+
+
 def pair_files(tmp_path):
     rng = np.random.default_rng(7)
     return (write(tmp_path / "a.json", random_state(rng, 3, 2), "state"),
