@@ -11,7 +11,9 @@ dimensions.
 
 Every basis element is a unit-norm block B = c1 E[j1,l1] + c2 E[j2,l2] in
 the adapted eigenbasis w, rotated back through w E[j,l] w† = w_j w_l†, so a
-whole basis is one O(n^4) stack of outer products.  The block Gram matrix
+whole basis is one O(n^4) stack of outer products, sized by the closed-form
+dimension (isotropy_dimension_alpha, or 2n^2 less it for the complement) and
+written section by section from ``_sections``.  The block Gram matrix
 G = [Re Tr(B_a† B_b)] is diagonal by construction (see ``_certify``), so its
 extreme eigenvalues are the extreme coefficient norms |c1|^2 + |c2|^2.
 Linear independence is certified without forming the Gram matrix of the
@@ -29,7 +31,7 @@ A basis is rejected (ValidationError) when the bound is at most
 GRAM_MIN_EIG_RTOL times max(1, the bound on lambda_max).  The certificate
 costs one O(n^3) SVD of w; building a basis costs O(n^4) time and memory,
 so a basis of more than config.BASIS_MAX_ENTRIES matrix entries is refused
-(ValidationError) before it is allocated.
+(ValidationError) from that dimension, before any part of the layout is built.
 
 isotropy_report never builds a basis or sweeps it, nor any per-block array: it
 reduces the block layout of ``_sections`` section by section in closed form.
@@ -41,6 +43,7 @@ and at most 21 times the swept maximum on the seeded inputs of the tests.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,40 +138,13 @@ class RealBasis:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class _Blocks:
-    """Unit-norm blocks c1 E[j1,l1] + c2 E[j2,l2] in the adapted eigenbasis.
-
-    Each coefficient is real or imaginary, and c2 = 0 when the two units
-    coincide.  Only real/imaginary partners share units.
-    """
-
-    j1: np.ndarray
-    l1: np.ndarray
-    c1: np.ndarray
-    j2: np.ndarray
-    l2: np.ndarray
-    c2: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.c1.size
-
-
-def _from_sections(sections) -> _Blocks:
-    """Blocks from sections of fields (j1, l1, c1, j2, l2, c2).
-
-    The fields of a section broadcast to (count..., partners); partners become
-    consecutive blocks.
-    """
-    columns = zip(*(np.broadcast_arrays(*section) for section in sections))
-    return _Blocks(*(np.concatenate([c.ravel() for c in col]) for col in columns))
-
-
 def _sections(split: SpectralSplit) -> tuple[list, list]:
     """The block layout of the congruence isotropy algebra and of its complement,
-    as sections for ``_from_sections``; isotropy_report reduces them without
-    building the blocks.
+    as sections of fields (j1, l1, c1, j2, l2, c2) for the blocks c1 E[j1,l1] +
+    c2 E[j2,l2]; the fields of a section broadcast to (count..., partners), and
+    partners are consecutive blocks.  ``_outer_stack`` rotates them into a basis
+    and isotropy_report reduces them in closed form, neither expanding them into
+    per-block arrays.
 
     Isotropy: i E[j,j] on the support; per support pair l < m the partners
     E[m,l] - r E[l,m] and i E[m,l] + i r E[l,m] with r = p_l/p_m; then E, iE
@@ -243,11 +219,19 @@ def _certify(sv: np.ndarray, low: float, high: float, border: float | None) -> f
                         config.GRAM_MIN_EIG_RTOL, max(1.0, upper), ValidationError, floor=True)
 
 
-def _outer_stack(b: _Blocks, w: np.ndarray) -> np.ndarray:
-    """Stack of the rotated blocks c1 w_j1 w_l1† + c2 w_j2 w_l2†."""
-    lt, rt = w.T, np.conjugate(w.T)
-    out = (b.c1[:, None] * lt[b.j1])[:, :, None] * rt[b.l1][:, None, :]
-    out += (b.c2[:, None] * lt[b.j2])[:, :, None] * rt[b.l2][:, None, :]
+def _outer_stack(sections, w: np.ndarray, dim: int) -> np.ndarray:
+    """Stack of the rotated blocks c1 w_j1 w_l1† + c2 w_j2 w_l2† of one side of
+    ``_sections``, in block order, written section by section into one array of
+    ``dim`` blocks: sections of any other total fail at a reshape."""
+    n = w.shape[0]
+    lt, rt = w.T[:, :, None], np.conjugate(w.T)[:, None, :]
+    out = np.empty((dim, n, n), dtype=complex)
+    fields = [np.broadcast_arrays(*section) for section in sections]
+    ends = np.cumsum([c1.size for _, _, c1, *_ in fields])[:-1]
+    for (j1, l1, c1, j2, l2, c2), part in zip(fields, np.split(out, ends)):
+        part = part.reshape(c1.shape + (n, n))
+        np.multiply(c1[..., None, None] * lt[j1], rt[l1], out=part)
+        part += c2[..., None, None] * lt[j2] * rt[l2]
     return out
 
 
@@ -262,18 +246,19 @@ def _within_basis_limit(dim: int, n: int) -> None:
 
 
 def _rotated_basis(split: SpectralSplit, which: int, identity: bool = False) -> RealBasis:
-    """The isotropy (``which`` 0) or complement (1) side of ``_sections``, expanded
-    into blocks and rotated back; a functional given for ``split`` is split by
-    ``spectral_split``."""
+    """The isotropy (``which`` 0) or complement (1) side of ``_sections``, rotated
+    back into a stack of the closed-form dimension; a functional given for
+    ``split`` is split by ``spectral_split``."""
     split = split if isinstance(split, SpectralSplit) else spectral_split(split)
     n, k = split.ambient_dim, split.support_dim
+    dim = isotropy_dimension_alpha(k, n)
+    dim = 2 * n * n - dim if which else dim
+    _within_basis_limit(dim, n)
     sections = _sections(split)[which]
-    b = _from_sections(sections)
-    _within_basis_limit(b.dim, n)
     w = split.full_basis()
     floor = _certify(np.linalg.svd(w, compute_uv=False),
                      *_coefficient_range(sections, n, k, identity))
-    stack = _outer_stack(b, w)
+    stack = _outer_stack(sections, w, dim)
     stack.flags.writeable = False
     vectors = tuple(stack)
     if identity:
@@ -308,9 +293,9 @@ def isotropy_basis_phi(split: SpectralSplit) -> RealBasis:
 
 def isotropy_dimension_alpha(k: int, n: int) -> int:
     """Real dimension k^2 + 2(n-k)^2 + 2k(n-k) of the congruence isotropy; k and n
-    are integers."""
+    are integers, and a real k outside [1, n] is refused as out of range."""
     n = require_dimension(n)
-    if not 1 <= k <= n:
+    if isinstance(k, numbers.Real) and not 1 <= k <= n:
         raise ValidationError(f"support dimension must lie in [1, {n}], got {k}")
     k = require_dimension(k)  # an integer too
     return k * k + 2 * (n - k) ** 2 + 2 * k * (n - k)

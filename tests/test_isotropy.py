@@ -256,10 +256,19 @@ def _unit(n, j, l):
 
 
 def _blocks(split):
-    """Both sides of ``_sections`` expanded into blocks: (isotropy, complement)."""
+    """Both sides of ``_sections`` expanded into per-block fields j1, l1, c1, j2,
+    l2, c2 and the count dim: (isotropy, complement)."""
+    from types import SimpleNamespace
+
     import stategeom.isotropy as iso
 
-    return tuple(iso._from_sections(s) for s in iso._sections(split))
+    def expand(sections):
+        columns = zip(*(np.broadcast_arrays(*section) for section in sections))
+        fields = [np.concatenate([c.ravel() for c in col]) for col in columns]
+        return SimpleNamespace(**dict(zip(("j1", "l1", "c1", "j2", "l2", "c2"), fields)),
+                               dim=fields[2].size)
+
+    return tuple(expand(s) for s in iso._sections(split))
 
 
 def _reference_blocks(split):
@@ -304,6 +313,11 @@ def _certificate_splits():
     split = spectral_split(validate_positive((u * p) @ dag(u)))
     assert split.support_dim == 3
     yield split
+
+
+# sha256 of the bases that test_vectors_and_floors_pinned builds, as they were built
+# from per-block arrays flattened out of the sections
+VECTORS_PIN = "80cd9560326e112034ffd70c0b864140877b2725242f9d39f3816c8e2c6ca7c2"
 
 
 class TestBlockCertificate:
@@ -365,6 +379,24 @@ class TestBlockCertificate:
             for build, floor in zip(
                     (isotropy_basis_alpha, complement_basis_alpha, isotropy_basis_phi), floors):
                 assert build(splits[index]).gram_floor == float.fromhex(floor)
+
+    def test_vectors_and_floors_pinned(self):
+        # bit for bit: the vector bytes and gram_floor of all three builders, each
+        # given the state and its split, at n = 1-6 and every rank
+        import hashlib
+
+        rng = np.random.default_rng(4001)
+        digest = hashlib.sha256()
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                rho = random_state(rng, n, rank=k)
+                for given in (rho, spectral_split(rho)):
+                    for build in (isotropy_basis_alpha, complement_basis_alpha,
+                                  isotropy_basis_phi):
+                        basis = build(given)
+                        digest.update(np.array(basis.vectors).tobytes())
+                        digest.update(basis.gram_floor.hex().encode())
+        assert digest.hexdigest() == VECTORS_PIN
 
     def test_dependent_adapted_basis_rejected(self):
         from stategeom.errors import ValidationError
@@ -524,7 +556,7 @@ def test_report_builds_no_blocks(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the report built per-block arrays")
 
-    monkeypatch.setattr(iso, "_from_sections", unreachable)
+    monkeypatch.setattr(iso, "_outer_stack", unreachable)
     cases = list(_report_pin_cases())
     assert len(cases) == len(_REPORT_PINS)
     for rho, pin in zip(cases, _REPORT_PINS):
@@ -647,8 +679,10 @@ class TestBasisSizeGuard:
         from stategeom.errors import ValidationError
 
         def unreachable(*args):
-            raise AssertionError("the O(n^4) stack was built")
+            raise AssertionError("the block layout or the O(n^4) stack was built")
 
+        # the refusal is decided from the closed-form dimension alone
+        monkeypatch.setattr(iso, "_sections", unreachable)
         monkeypatch.setattr(iso, "_outer_stack", unreachable)
         # full rank at n = 91: 91^2 matrices of 91^2 entries each, over 1 GiB
         split = spectral_split(random_state(np.random.default_rng(91), 91))

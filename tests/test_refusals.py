@@ -93,6 +93,28 @@ def test_a_dimension_is_a_positive_integer(name):
     assert np.array_equal(np.asarray(take(np.int64(3))), np.asarray(take(3)))
 
 
+@pytest.mark.parametrize("k, message", [
+    ("1", "dimension must be an integer, got '1'"),
+    (None, "dimension must be an integer, got None"),
+    (2 + 0j, "dimension must be an integer, got (2+0j)"),
+    ([1], "dimension must be an integer, got [1]"),
+    (0, "support dimension must lie in [1, 3], got 0"),
+    (4, "support dimension must lie in [1, 3], got 4"),
+    (float("nan"), "support dimension must lie in [1, 3], got nan"),
+    (1.0, "dimension must be an integer, got 1.0"),
+    (1.5, "dimension must be an integer, got 1.5"),
+    (True, "dimension must be an integer, got True"),
+], ids=["str", "none", "complex", "list", "zero", "above-n", "nan", "integral-float", "float",
+        "bool"])
+def test_a_support_dimension_is_range_checked_only_when_real(k, message):
+    # the range test compares k with 1 and n only for a real k; any other k is
+    # refused as not an integer
+    with pytest.raises(ValidationError) as caught:
+        isotropy_dimension_alpha(k, 3)
+    assert type(caught.value) is ValidationError
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("call, exc, message", REFUSALS.values(), ids=REFUSALS)
 def test_refusal_type_and_text(call, exc, message):
     with pytest.raises(exc) as caught:
