@@ -7,9 +7,12 @@ Each subcommand body returns its payload; ``command`` registers it and owns
 loads only its part of the package.  Exit codes: 0 on success, 2 when an input
 or a command line fails validation, 3 on numerical failure, including a LAPACK
 routine that does not converge or an allocation that runs out of memory;
-stderr carries one line, led by the error taxonomy name.  All
-outputs are deterministic for fixed inputs (and fixed --seed where
-randomness is requested), using canonical JSON and 17-significant-digit CSV.
+stderr carries one line, led by the error taxonomy name.  On one machine and
+BLAS build, all outputs are deterministic for fixed inputs (and fixed --seed
+where randomness is requested), using canonical JSON and 17-significant-digit
+CSV; numpy's OpenBLAS picks its kernels by CPU as it loads, and another kernel
+(OPENBLAS_CORETYPE=Haswell on an AVX-512 machine) moves the last bits of
+outputs that pass through BLAS or LAPACK.
 """
 
 from __future__ import annotations

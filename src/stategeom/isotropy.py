@@ -12,8 +12,11 @@ dimensions.
 Every basis element is a unit-norm block B = c1 E[j1,l1] + c2 E[j2,l2] in
 the adapted eigenbasis w, rotated back through w E[j,l] w† = w_j w_l†, so a
 whole basis is one O(n^4) stack of outer products, sized by the closed-form
-dimension (isotropy_dimension_alpha, or 2n^2 less it for the complement) and
-written section by section from ``_sections``.  The block Gram matrix
+dimension (isotropy_dimension_alpha, or 2n^2 less it for the complement; the
+normalized action's identity I/sqrt(n) takes one more, last slot) and written
+section by section from ``_sections`` by ``_outer_stack``, in slices of at most
+_SLICE_ENTRIES entries, so a build peaks at about the stack plus one slice.
+hermitian_basis is the same writer's stack at w = I.  The block Gram matrix
 G = [Re Tr(B_a† B_b)] is diagonal by construction (see ``_certify``), so its
 extreme eigenvalues are the extreme coefficient norms |c1|^2 + |c2|^2.
 Linear independence is certified without forming the Gram matrix of the
@@ -31,7 +34,9 @@ A basis is rejected (ValidationError) when the bound is at most
 GRAM_MIN_EIG_RTOL times max(1, the bound on lambda_max).  The certificate
 costs one O(n^3) SVD of w; building a basis costs O(n^4) time and memory,
 so a basis of more than config.BASIS_MAX_ENTRIES matrix entries is refused
-(ValidationError) from that dimension, before any part of the layout is built.
+(ValidationError) from that dimension, before its stack is allocated or any part
+of the layout is built; the refusal counts every matrix a builder returns, the
+identity included.
 
 isotropy_report never builds a basis or sweeps it, nor any per-block array: it
 reduces the block layout of ``_sections`` section by section in closed form.
@@ -50,7 +55,7 @@ import numpy as np
 
 from . import config
 from .errors import NumericalError, ValidationError
-from .linalg import (as_operator, dagger, fro_scale, gamma, hermitian_part, in_range, matrix_unit,
+from .linalg import (as_operator, dagger, fro_scale, gamma, hermitian_part, in_range,
                      require_dimension)
 from .states import (PositiveFunctional, SpectralSplit, StateDensity, spectral_split,
                      validate_positive, validate_state)
@@ -61,18 +66,19 @@ def hermitian_basis(n: int) -> list[np.ndarray]:
     """Canonical Hermitian basis: diagonal units, symmetric and antisymmetric pairs.
 
     Spans the algebra over C, so sweeping it is enough for the (complex
-    linear in b) isotropy constraints.  Refused, as the rotated bases are,
-    above config.BASIS_MAX_ENTRIES entries.
+    linear in b) isotropy constraints.  Laid out in the terms of ``_sections``
+    (E[j,j], then per pair j < k the partners E[j,k] + E[k,j] and
+    i E[j,k] - i E[k,j]) and written by ``_outer_stack`` with w = I: the n^2
+    matrices are views of one stack, refused, as the rotated bases are, above
+    config.BASIS_MAX_ENTRIES entries before it is allocated.
     """
     n = require_dimension(n)
-    _within_basis_limit(n * n, n)
-    basis = [matrix_unit(n, j, j) for j in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            upper, lower = matrix_unit(n, j, k), matrix_unit(n, k, j)
-            basis.append(upper + lower)
-            basis.append(1j * upper - 1j * lower)
-    return basis
+    stack = _basis_stack(n * n, n)
+    diag = np.arange(n)[:, None]
+    low, high = (idx[:, None] for idx in np.nonzero(~np.tri(n, dtype=bool)))
+    sections = [(diag, diag, 1.0 + 0j, diag, diag, 0j),
+                (low, high, np.array([1.0, 1j]), high, low, np.array([1.0, -1j]))]
+    return list(_outer_stack(sections, np.eye(n, dtype=complex), stack))
 
 
 def hermitian_components(t: np.ndarray) -> np.ndarray:
@@ -219,53 +225,58 @@ def _certify(sv: np.ndarray, low: float, high: float, border: float | None) -> f
                         config.GRAM_MIN_EIG_RTOL, max(1.0, upper), ValidationError, floor=True)
 
 
-def _outer_stack(sections, w: np.ndarray, dim: int) -> np.ndarray:
-    """Stack of the rotated blocks c1 w_j1 w_l1† + c2 w_j2 w_l2† of one side of
-    ``_sections``, in block order, written section by section into one array of
-    ``dim`` blocks: sections of any other total fail at a reshape."""
+_SLICE_ENTRIES = 1 << 16  # matrix entries written per step of ``_outer_stack``
+
+
+def _outer_stack(sections, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the rotated blocks c1 w_j1 w_l1† + c2 w_j2 w_l2† of one side of
+    ``_sections`` into ``out`` in block order, and return it: each section fills
+    its slice of ``out`` (sections of any other total fail at a reshape) in steps
+    of at most _SLICE_ENTRIES entries, so the c2 term's temporary is one step."""
     n = w.shape[0]
     lt, rt = w.T[:, :, None], np.conjugate(w.T)[:, None, :]
-    out = np.empty((dim, n, n), dtype=complex)
+    step = max(1, _SLICE_ENTRIES // (n * n))
     fields = [np.broadcast_arrays(*section) for section in sections]
     ends = np.cumsum([c1.size for _, _, c1, *_ in fields])[:-1]
-    for (j1, l1, c1, j2, l2, c2), part in zip(fields, np.split(out, ends)):
-        part = part.reshape(c1.shape + (n, n))
-        np.multiply(c1[..., None, None] * lt[j1], rt[l1], out=part)
-        part += c2[..., None, None] * lt[j2] * rt[l2]
+    for section, part in zip(fields, np.split(out, ends)):
+        j1, l1, c1, j2, l2, c2 = (field.ravel() for field in section)
+        part = part.reshape(c1.size, n, n)
+        for t in (slice(s, s + step) for s in range(0, c1.size, step)):
+            np.multiply(c1[t, None, None] * lt[j1[t]], rt[l1[t]], out=part[t])
+            part[t] += c2[t, None, None] * lt[j2[t]] * rt[l2[t]]
     return out
 
 
-def _within_basis_limit(dim: int, n: int) -> None:
-    """ValidationError, before anything is allocated, for an explicit basis of
-    ``dim`` matrices of dimension n with more than BASIS_MAX_ENTRIES entries."""
-    if dim * n * n > config.BASIS_MAX_ENTRIES:
+def _basis_stack(count: int, n: int) -> np.ndarray:
+    """An empty stack of ``count`` complex matrices of dimension n; ValidationError,
+    before anything is allocated, when it has more than BASIS_MAX_ENTRIES entries."""
+    if count * n * n > config.BASIS_MAX_ENTRIES:
         raise ValidationError(
-            f"explicit basis of {dim} matrices of dimension {n} has {dim * n * n} "
+            f"explicit basis of {count} matrices of dimension {n} has {count * n * n} "
             f"entries, above the limit of {config.BASIS_MAX_ENTRIES} (isotropy_report "
             "needs no basis)")
+    return np.empty((count, n, n), dtype=complex)
 
 
 def _rotated_basis(split: SpectralSplit, which: int, identity: bool = False) -> RealBasis:
     """The isotropy (``which`` 0) or complement (1) side of ``_sections``, rotated
-    back into a stack of the closed-form dimension; a functional given for
-    ``split`` is split by ``spectral_split``."""
+    back into a stack of the closed-form dimension, with I/sqrt(n) in one more
+    slot when ``identity``; a functional given for ``split`` is split by
+    ``spectral_split``."""
     split = split if isinstance(split, SpectralSplit) else spectral_split(split)
     n, k = split.ambient_dim, split.support_dim
     dim = isotropy_dimension_alpha(k, n)
     dim = 2 * n * n - dim if which else dim
-    _within_basis_limit(dim, n)
+    stack = _basis_stack(dim + identity, n)
     sections = _sections(split)[which]
     w = split.full_basis()
     floor = _certify(np.linalg.svd(w, compute_uv=False),
                      *_coefficient_range(sections, n, k, identity))
-    stack = _outer_stack(sections, w, dim)
-    stack.flags.writeable = False
-    vectors = tuple(stack)
+    _outer_stack(sections, w, stack[:dim])
     if identity:
-        eye = np.eye(n, dtype=complex) / np.sqrt(n)
-        eye.flags.writeable = False
-        vectors += (eye,)
-    return RealBasis(vectors=vectors, gram_floor=floor)
+        stack[dim] = np.eye(n, dtype=complex) / np.sqrt(n)
+    stack.flags.writeable = False
+    return RealBasis(vectors=tuple(stack), gram_floor=floor)
 
 
 def isotropy_basis_alpha(split: SpectralSplit) -> RealBasis:

@@ -5,6 +5,7 @@ from oracles import (
     constraint_matrix_alpha,
     constraint_matrix_phi,
     dag,
+    hermitian_basis_explicit,
     hermitian_components_reference,
     null_space_dimension,
     real_gram_explicit,
@@ -125,6 +126,52 @@ def test_hermitian_basis_rejects_nonpositive_dimension():
     for n in (0, -2):
         with pytest.raises(ValidationError, match=f"dimension must be >= 1, got {n}"):
             hermitian_basis(n)
+
+
+HERMITIAN_BASIS_PIN = "81d988e43ef78ed3148826bf09b4a180fd32a0c0ba03d42a7a39d4677df6e95d"
+
+
+def test_hermitian_basis_is_the_explicit_one_value_for_value():
+    # in order, with the bytes pinned: the path runs no BLAS, so the pin holds
+    # on every OpenBLAS kernel
+    import hashlib
+
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        basis = hermitian_basis(n)
+        expected = hermitian_basis_explicit(n)
+        assert len(basis) == len(expected) == n * n
+        for got, want in zip(basis, expected):
+            np.testing.assert_array_equal(got, want)
+        digest.update(np.array(basis).tobytes())
+    assert digest.hexdigest() == HERMITIAN_BASIS_PIN
+
+
+def test_every_basis_is_one_stack():
+    # every returned matrix, the normalized action's identity included, is a
+    # view of the one array its builder allocated
+    split = spectral_split(random_state(np.random.default_rng(94), 4, rank=3))
+    for vectors in (hermitian_basis(4), isotropy_basis_alpha(split).vectors,
+                    complement_basis_alpha(split).vectors, isotropy_basis_phi(split).vectors):
+        stack = vectors[0].base
+        assert stack is not None and stack.shape == (len(vectors), 4, 4)
+        assert all(v.base is stack for v in vectors)
+
+
+def test_basis_build_peaks_at_about_one_stack():
+    # the stack plus one slice of _outer_stack: 1.09 times the stack at a
+    # full-rank n = 32
+    import tracemalloc
+
+    split = spectral_split(random_state(np.random.default_rng(95), 32))
+    for build in (isotropy_basis_alpha, complement_basis_alpha, isotropy_basis_phi):
+        tracemalloc.start()
+        try:
+            basis = build(split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * basis.dim_real * 32 * 32 * 16, build.__name__
 
 
 class TestBasisDimensions:
@@ -707,9 +754,9 @@ class TestBasisSizeGuard:
         assert len(hermitian_basis(3)) == 9
 
         def unreachable(*args):
-            raise AssertionError("the basis was allocated")
+            raise AssertionError("the basis was written")
 
-        monkeypatch.setattr(iso, "matrix_unit", unreachable)
+        monkeypatch.setattr(iso, "_outer_stack", unreachable)
         monkeypatch.setattr(config, "BASIS_MAX_ENTRIES", 3 ** 4 - 1)
         with pytest.raises(ValidationError, match="81 entries, above the limit of 80"):
             hermitian_basis(3)
@@ -719,16 +766,28 @@ class TestBasisSizeGuard:
         from stategeom.errors import ValidationError
 
         split = spectral_split(random_state(np.random.default_rng(92), 4, rank=2))
-        # the identity of the phi basis is not part of the block stack
-        stacked = [build(split).dim_real - (build is isotropy_basis_phi)
-                   for build in self.BUILDERS]
-        for build, count in zip(self.BUILDERS, stacked):
+        # every returned matrix counts, the identity of the phi basis included
+        counts = [build(split).dim_real for build in self.BUILDERS]
+        for build, count in zip(self.BUILDERS, counts):
             entries = count * 4 * 4
             monkeypatch.setattr(config, "BASIS_MAX_ENTRIES", entries)
             assert build(split).dim_real > 0
             monkeypatch.setattr(config, "BASIS_MAX_ENTRIES", entries - 1)
             with pytest.raises(ValidationError, match="above the limit"):
                 build(split)
+
+    def test_phi_refusal_counts_the_identity(self, monkeypatch):
+        from stategeom import config
+        from stategeom.errors import ValidationError
+
+        # a full-rank 2 x 2 state: 4 isotropy blocks and the identity, 20 entries
+        rho = random_state(np.random.default_rng(93), 2)
+        monkeypatch.setattr(config, "BASIS_MAX_ENTRIES", 16)
+        with pytest.raises(ValidationError,
+                           match="basis of 5 matrices of dimension 2 has 20 entries"):
+            isotropy_basis_phi(rho)
+        monkeypatch.setattr(config, "BASIS_MAX_ENTRIES", 20)
+        assert isotropy_basis_phi(rho).dim_real == 5
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
