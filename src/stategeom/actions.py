@@ -56,12 +56,13 @@ class GroupElement:
 
 def group_element(g, n: int | None = None) -> GroupElement:
     """Certify invertibility, sigma_min > 1e-12*(1+opnorm) (Singular otherwise), and
-    the dimension ``n`` of the value g acts on when given.  A GroupElement is its
-    own certificate."""
+    the dimension ``n`` of the value g acts on when given; NumericalError when the
+    largest singular value overflows.  A GroupElement is its own certificate."""
     if isinstance(g, GroupElement) and (n is None or g.n == n):
         return g
     m = as_operator(g, "group element", n)
     s = np.linalg.svd(m, compute_uv=False)
+    in_range("singular value", s[0], lambda: s)
     smin, smax = float(s[-1]), float(s[0])
     config.check("sigma_min", smin, config.SINGULAR_RTOL, 1.0 + smax, Singular, floor=True)
     return GroupElement(matrix=_frozen(m), sigma_min=smin, sigma_max=smax)

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .linalg import (as_operator, dagger, fro_scale, gamma, hermitian_part, in_range,
                      require_dimension)
 from .states import (PositiveFunctional, SpectralSplit, StateDensity, spectral_split,
@@ -162,9 +162,7 @@ def _sections(split: SpectralSplit) -> tuple[list, list]:
     n, k = split.ambient_dim, split.support_dim
     diag = np.arange(k)[:, None]
     low, high = (idx[:, None] for idx in np.nonzero(~np.tri(k, dtype=bool)))
-    ratio = split.eigenvalues[low] / split.eigenvalues[high]
-    if not np.isfinite(ratio).all():
-        raise NumericalError("eigenvalue overflows double precision")
+    ratio = in_range("eigenvalue", np.inf, lambda: split.eigenvalues[low] / split.eigenvalues[high])
     norm = np.hypot(1.0, ratio)
     half = np.sqrt(0.5)
     partners = np.array([1.0, 1j])
@@ -419,8 +417,7 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     """
     xi = validate_positive(xi)
     split = spectral_split(xi)
-    if not np.isfinite(split.eigenvalues[0]):
-        raise NumericalError("eigenvalue overflows double precision")
+    in_range("eigenvalue", split.eigenvalues[0], lambda: split.eigenvalues)
     isotropy, complement = _sections(split)
     w = split.full_basis()
     sv = np.linalg.svd(w, compute_uv=False)

@@ -115,10 +115,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def in_range(what: str, bound: float, compute):
     """``compute()``, no entry of which, intermediates included, exceeds 8 ``bound``
     in magnitude but for rounding; NumericalError naming ``what`` when an entry of the
-    result is not finite, so the value left double range.  A bound below 2^1000 rules
-    overflow out and the result is returned as computed; above it (``math.inf`` where
-    no bound is at hand), overflow warnings are silenced while it is computed, since
-    that error reports them."""
+    result is not finite, so the value left double range.  This is the package's one
+    overflow refusal; only ``fd_tangent_check`` words its own, to name its step.
+    A bound below 2^1000 rules overflow out and the result is returned as computed;
+    above it (``math.inf`` where no bound is at hand), overflow warnings are silenced
+    while it is computed, since that error reports them."""
     if bound < 2.0 ** 1000:
         return compute()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,8 +241,7 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     near = abs(w[-1] + config.scaled(config.PSD_CLAMP_RTOL) * scale) <= margin
     low = np.linalg.eigvalsh(hermitian_part(m))[0] if near else w[-1]
     config.check("-(smallest eigenvalue)", -low, config.PSD_CLAMP_RTOL, scale, NotPSD)
-    if not np.isfinite(w[0]):
-        raise NumericalError("eigenvalue overflows double precision")
+    w = in_range("eigenvalue", w[0], lambda: w)
     w = np.where(w < 0.0, 0.0, w)
     v = dec.eigenvectors
     return hermitian_part((v * np.sqrt(w)) @ dagger(v))
@@ -405,10 +405,12 @@ def matrix_exp(a) -> np.ndarray:
 def polar(g) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition g = U P with U unitary and P = sqrt(g†g) PSD.
 
-    Requires sigma_min(g) > 1e-12*(1+||g||); raises Singular otherwise.
+    Requires sigma_min(g) > 1e-12*(1+||g||); raises Singular otherwise, and
+    NumericalError when the largest singular value overflows.
     """
     m = as_operator(g)
     u, s, vh = np.linalg.svd(m)
+    in_range("singular value", s[0], lambda: s)
     config.check("sigma_min", s[-1], config.SINGULAR_RTOL, 1.0 + s[0], Singular, floor=True)
     unitary = u @ vh
     v = dagger(vh)

@@ -63,7 +63,7 @@ class ConnectCertificate:
 def _matched_splits(rho0, rho1) -> tuple[SpectralSplit, SpectralSplit, np.ndarray]:
     """The two splits, of equal rank and dimension (RankMismatch otherwise), and the
     ratios p1_j / p0_j of their spectra, each at most max p1 / min p0; NumericalError
-    when a ratio overflows."""
+    when an eigenvalue or a ratio overflows."""
     split0 = spectral_split(rho0)
     split1 = spectral_split(rho1)
     if split0.support_dim != split1.support_dim or split0.ambient_dim != split1.ambient_dim:
@@ -71,15 +71,16 @@ def _matched_splits(rho0, rho1) -> tuple[SpectralSplit, SpectralSplit, np.ndarra
             f"rank {split0.support_dim} (dim {split0.ambient_dim}) vs "
             f"rank {split1.support_dim} (dim {split1.ambient_dim})"
         )
-    p0, p1 = split0.eigenvalues, split1.eigenvalues
+    p0, p1 = (in_range("eigenvalue", split.eigenvalues[0], lambda: split.eigenvalues)
+              for split in (split0, split1))
     return split0, split1, in_range("eigenvalue ratio", float(p1[0]) / float(p0[-1]),
                                     lambda: p1 / p0)
 
 
 def bound_constant(rho0, rho1) -> float:
     """Largest eigenvalue ratio C = max_j p1_j / p0_j over the spectra matched
-    in non-increasing order.  Raises RankMismatch, and NumericalError when a
-    ratio overflows."""
+    in non-increasing order.  Raises RankMismatch, and NumericalError when an
+    eigenvalue or a ratio overflows."""
     return float(np.max(_matched_splits(rho0, rho1)[2]))
 
 

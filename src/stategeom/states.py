@@ -45,7 +45,7 @@ import numpy as np
 
 from . import config
 from .errors import NotPSD, TraceError, ValidationError, ZeroFunctional
-from .linalg import (SpectralDecomposition, dagger, fro_scale, gamma, hermitian_part,
+from .linalg import (SpectralDecomposition, dagger, fro_scale, gamma, hermitian_part, in_range,
                      require_dimension, require_hermitian, sorted_eigh)
 
 
@@ -71,7 +71,8 @@ class PositiveFunctional:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        """Tr xi; NumericalError when it overflows, though every entry is finite."""
+        return float(in_range("trace", np.inf, lambda: np.trace(self.matrix).real))
 
 
 @dataclass(frozen=True)

@@ -182,8 +182,9 @@ def _flow_point(flow: _Flow, t) -> StateDensity:
 
     exp(t a) is invertible for every t, so a group element or state that
     fails validation here means the exponential overflowed or became too
-    ill-conditioned to use: a NumericalError that names t.  Overflow
-    warnings are silenced, since that error reports them.
+    ill-conditioned to use: a NumericalError that names t.  group_element's
+    own NumericalError, a largest singular value that overflows, passes as it
+    is.  Overflow warnings are silenced, since those errors report them.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -226,8 +227,9 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     conditioned exp(ta), or at every point at a tolerance scale below about
     3e-3 at n = 64, where eigvalsh's allowance alone exceeds PSD_CLAMP_RTOL's
     bound.  So every error is the one phi(group_element(exp(ta)), rho0)
-    raises: NumericalError, naming the first failing t, where exp(ta)
-    overflows or exceeds the singularity limit.
+    raises, a NumericalError at the first failing t: one naming t where exp(ta)
+    overflows or exceeds the singularity limit, and group_element's "singular
+    value overflows double precision" where only its largest singular value does.
     """
     f = _flow_of(rho0, a)
     ts = np.asarray(t_grid, dtype=float)

@@ -19,12 +19,12 @@ from click.testing import CliRunner
 
 from oracles import matrix_text
 from stategeom import config, errors
-from stategeom.actions import alpha, unitary_phi
+from stategeom.actions import alpha, group_element, unitary_phi
 from stategeom.cli import main
 from stategeom.errors import NotHermitian, NotPSD, NotUnitary, NumericalError, TraceError
 from stategeom.isotropy import (complement_basis_alpha, isotropy_basis_alpha, isotropy_basis_phi,
                                 isotropy_report)
-from stategeom.linalg import (frobenius, hermitian_eig, inertia, matrix_sqrt_psd,
+from stategeom.linalg import (frobenius, hermitian_eig, inertia, matrix_sqrt_psd, polar,
                               require_hermitian)
 from stategeom.orbits import bound_constant, connect_alpha, same_orbit_alpha
 from stategeom.states import (maximally_mixed, validate_positive, validate_probability,
@@ -165,10 +165,25 @@ OVERFLOWING_SPECTRA = {
 BASES = [isotropy_basis_alpha, complement_basis_alpha, isotropy_basis_phi]
 
 
+def _against_partner(connect, rank, n):
+    """``connect`` from its argument to diag(1, ..., 1, 0, ...) of the given rank and dimension."""
+    partner = np.diag([1.0] * rank + [0.0] * (n - rank))
+
+    def call(xi):
+        return connect(xi, validate_positive(partner))
+
+    call.__name__ = connect.__name__
+    return call
+
+
 def _overflowing_spectrum_calls():
     for name, matrix in OVERFLOWING_SPECTRA.items():
         # a rank-1 basis reads no eigenvalue, so only the rank-2 one overflows
         calls = [isotropy_report, matrix_sqrt_psd] + (BASES if name == "rank-2" else [])
+        # the ratio to a finite partner of the same rank is finite (1 / inf is 0)
+        rank = 2 if name == "rank-2" else 1
+        calls += [_against_partner(connect, rank, len(matrix))
+                  for connect in (connect_alpha, bound_constant)]
         yield from (pytest.param(call, matrix, id=f"{call.__name__}-{name}") for call in calls)
 
 
@@ -179,6 +194,25 @@ def test_an_eigenvalue_that_overflows_is_a_numerical_error(call, matrix):
     assert not np.isfinite(hermitian_eig(xi.matrix).eigenvalues).all()
     with pytest.raises(NumericalError, match="^eigenvalue overflows double precision$"):
         call(xi)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_trace_that_overflows_is_a_numerical_error():
+    # entries of 1.08e308, trace 2.16e308
+    xi = validate_positive(1.2e308 * np.diag([0.9, 0.9]))
+    with pytest.raises(NumericalError, match="^trace overflows double precision$"):
+        xi.trace
+
+
+# singular values 2.74e308 (overflows) and 1.05e308: condition 2.618
+HUGE_ELEMENT = 1.7e308 * np.array([[1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [group_element, polar], ids=["group_element", "polar"])
+def test_a_singular_value_that_overflows_is_a_numerical_error(call):
+    with pytest.raises(NumericalError, match="^singular value overflows double precision$"):
+        call(HUGE_ELEMENT)
 
 
 # sha256 of the bases of the rank-1 OVERFLOWING_SPECTRA, then of the bases, the square
@@ -277,3 +311,25 @@ def test_a_state_whose_trace_overflows_exits_2_with_one_trace_error(sweep_files,
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == "TraceError: |trace - 1| inf exceeds 1.000e-10\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["connect", "alpha", "{x}", "{pure}"], "eigenvalue"),
+    (["connect", "alpha", "{pure}", "{x}"], "eigenvalue"),
+    (["act", "alpha", "{huge_g}", "{state}"], "singular value"),
+    (["act", "phi", "{huge_g}", "{state}"], "singular value"),
+], ids=["connect-alpha", "connect-alpha-to", "act-alpha", "act-phi"])
+def test_an_overflowed_eigenvalue_or_singular_value_exits_3(sweep_files, tmp_path, command,
+                                                            message):
+    # the value is a finite invertible element or functional; only a double cannot
+    # hold its norm, so it is not Singular
+    pure = tmp_path / "pure.json"
+    pure.write_text(matrix_text(np.diag([1.0, 0.0]), "positive"))
+    huge_g = tmp_path / "huge-g.json"
+    huge_g.write_text(matrix_text(HUGE_ELEMENT))
+    files = {**sweep_files, "x": sweep_files["spectrum-overflows"], "pure": str(pure),
+             "huge_g": str(huge_g)}
+    result = _invoke([arg.format(**files) for arg in command])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == f"NumericalError: {message} overflows double precision\n"

@@ -90,6 +90,15 @@ def test_a_grid_is_its_points():
         [_reference(rho, a, t) for t in grid]
 
 
+def test_an_exponential_whose_largest_singular_value_overflows_raises_phis_error():
+    # exp(a) has finite entries (e^709.9 + 1) / 2 = 1.01e308 and a largest singular
+    # value e^709.9 = 2.03e308 that overflows: group_element's own error
+    rho = validate_state(np.eye(2, dtype=complex) / 2.0)
+    a = 709.9 * np.ones((2, 2)) / 2
+    assert _flow_point(rho, a, 1.0) == _reference(rho, a, 1.0) == \
+        "singular value overflows double precision"
+
+
 class TestInvertibilityCertificate:
     def test_accepts_a_moderate_flow_without_an_svd(self, svd_calls):
         rng = np.random.default_rng(721)

@@ -85,6 +85,28 @@ def test_one_body_makes_every_tangent_vector():
     assert calls == {"phi_velocity"}
 
 
+def _overflow_refusers(node, owner=None):
+    """The innermost def (None at module level) of each string outside a docstring
+    that says a value overflows double precision."""
+    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+        return  # a docstring
+    if isinstance(node, ast.FunctionDef):
+        owner = node.name
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "overflows double precision" in node.value):
+        yield owner
+    for child in ast.iter_child_nodes(node):
+        yield from _overflow_refusers(child, owner)
+
+
+def test_one_function_refuses_a_value_beyond_double_range():
+    # every value that can leave double range is read through linalg.in_range;
+    # fd_tangent_check keeps its own text, which names the step after the phrase
+    refusers = {(path.name, owner) for path in sorted(PACKAGE.glob("*.py"))
+                for owner in _overflow_refusers(ast.parse(path.read_text()))}
+    assert refusers == {("linalg.py", "in_range"), ("tangent.py", "fd_tangent_check")}
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 def test_hermitian_part_has_the_bits_of_the_halved_sum(n):
     rng = np.random.default_rng(4100 + n)
