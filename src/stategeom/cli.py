@@ -288,7 +288,7 @@ def flow_cmd(file, generator_file, t0, t1, steps, fmt):
     states = flow(rho, gen, grid)
     if fmt == "csv":
         return flow_csv(grid, states)
-    return {"t": grid.tolist(), "states": [matrix_to_jsonable(s.matrix, "state") for s in states]}
+    return {"t": grid, "states": [matrix_to_jsonable(s.matrix, "state") for s in states]}
 
 
 @command("json")

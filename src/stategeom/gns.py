@@ -46,9 +46,14 @@ class GnsTriple:
         return self.cyclic.reshape(self.n, self.dim // self.n)
 
     def rep(self, a) -> np.ndarray:
-        """Represent left multiplication by ``a`` on the GNS space."""
+        """Represent left multiplication by ``a`` on the GNS space: a kron I_k,
+        with ``a`` written into the diagonal of each k x k block of one zeroed
+        array, so every entry off those diagonals is +0.0."""
         m = as_operator(a, "algebra element", self.n)
-        return np.kron(m, np.eye(self.dim // self.n, dtype=complex))
+        k = self.dim // self.n
+        out = np.zeros((self.n, k, self.n, k), dtype=complex)
+        np.einsum("ijkj->jik", out)[...] = m  # out[i, j, l, j] = m[i, l] for every j
+        return out.reshape(self.dim, self.dim)
 
     def vector_of(self, a) -> np.ndarray:
         """GNS coordinates of the class of ``a``, i.e. pi(a)|psi>."""

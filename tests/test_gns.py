@@ -273,6 +273,22 @@ def test_triples_are_immutable():
             array[0] = 0
 
 
+def test_rep_is_kron_with_the_identity():
+    """pi(a) equals np.kron(a, I_k) entry for entry at every n and rank,
+    and no entry off the diagonal blocks carries a sign bit (kron writes
+    -0.0 beside a negative real part)."""
+    rng = np.random.default_rng(43)
+    for n in range(1, 9):
+        a = rng.standard_normal((n, n)) - 1j * rng.standard_normal((n, n))
+        a[0, 0] = -1.0
+        for k in range(1, n + 1):
+            triple = gns_construct(random_state(rng, n, rank=k))
+            image = triple.rep(a)
+            assert np.array_equal(image, np.kron(a, np.eye(k)))
+            off = ~np.kron(np.ones((n, n), dtype=bool), np.eye(k, dtype=bool))
+            assert not np.signbit(image[off].view(float)).any()
+
+
 class TestPurificationClosedForms:
     def test_dense_commutant_oracle_matches_closed_form(self):
         from oracles import commutant_dimension_dense

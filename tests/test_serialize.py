@@ -12,9 +12,11 @@ the row-template reference in ``oracles``, on seeded families of hard values.
 
 import hashlib
 import json
+import math
 import os
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -502,3 +504,221 @@ def test_positive_file_is_validated_once(runner, tmp_path, count_calls, args, ei
     files = {"rho": write(tmp_path / "rho.json", np.diag([0.75, 0.25]), "positive")}
     cli(runner, args(files))
     assert (count_calls["eigvalsh"], count_calls["frobenius"]) == (eigvalsh, frobenius)
+
+
+# Matrix JSON: every float64 array is written by the block encoder, byte for
+# byte what json.dumps writes for its tolist(), which formats each float with
+# float.__repr__.
+
+def json_oracle(arrays) -> str:
+    return json.dumps([a.tolist() for a in arrays], separators=(",", ":")) + "\n"
+
+
+def dyadics(rng, size):
+    return rng.integers(1, 2 ** 20, size) / 2.0 ** rng.integers(1, 60, size)
+
+
+def decimals_of_each_length(rng):
+    """Decimals of 1 to 17 significant digits (last digit nonzero) at
+    exponents -20..20; each reads back as a double whose shortest text has
+    at most that many digits."""
+    out = []
+    for length in range(1, 18):
+        m = (rng.integers(10 ** (length - 1), 10 ** length, 300) // 10 * 10
+             + rng.integers(1, 10, 300))
+        m[m >= 10 ** length] -= 10
+        out += [float(f"{d}e{e}") for d, e in zip(m.tolist(), rng.integers(-20, 21, 300).tolist())]
+    return np.array(out)
+
+
+def finite(values):
+    """The values that are finite and not negative (ulps below 5e-324 are nan bit patterns)."""
+    return values[np.isfinite(values) & ~np.signbit(values)]
+
+
+def json_families(rng):
+    """Seeded values for the JSON float encoder, with their negatives."""
+    families = {
+        "log10-uniform": 10.0 ** rng.uniform(-320, 308, 10000),
+        "lengths": np.concatenate([0.1 * np.arange(1, 1001), dyadics(rng, 2000),
+                                   np.arange(1, 301) / 3.0, np.arange(1, 301) / 7.0,
+                                   decimals_of_each_length(rng)]),
+        "powers-of-two": finite(ulps(np.ldexp(1.0, np.arange(-1074, 1024)), 4)),
+        "powers-of-ten": ulps([float(f"1e{e}") for e in range(-300, 301)], 4),
+        "switch-points": ulps([1e-5, 1e-4, 1e15, 1e16], 8),
+        "integers": np.concatenate([
+            np.ldexp(rng.integers(2 ** 52, 2 ** 53, 3000).astype(float),
+                     rng.integers(1, 120, 3000)),
+            (2 ** 53 + rng.integers(0, 2 ** 56, 3000)).astype(float)]),
+        "specials": np.array([0.0, 5e-324, 1.7976931348623157e308]),
+    }
+    return {name: np.concatenate([v, -v]) for name, v in families.items()}
+
+
+JSON_FAMILIES = json_families(np.random.default_rng(43))
+
+
+def test_the_length_family_covers_every_shortest_length():
+    lengths = {len(repr(x).split("e")[0].replace("-", "").replace(".", "").strip("0"))
+               for x in JSON_FAMILIES["lengths"].tolist()}
+    assert lengths == set(range(1, 18))
+
+
+def pair_arrays(values, n):
+    """The values cycled into as many (n^2, 2) arrays as hold them all."""
+    count = -(-values.size // (2 * n * n))
+    return [block.reshape(n * n, 2) for block in np.split(np.resize(values, count * 2 * n * n),
+                                                           count)]
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+@pytest.mark.parametrize("name", JSON_FAMILIES)
+def test_json_arrays_are_json_dumps_text(name, n):
+    arrays = pair_arrays(JSON_FAMILIES[name], n)
+    assert first_mismatch(serialize.dumps_canonical(arrays), json_oracle(arrays)) is None
+
+
+def test_json_array_of_every_family_at_n256_is_json_dumps_text():
+    """One (65536, 2) array, more than a block, of all families shuffled."""
+    values = np.concatenate(list(JSON_FAMILIES.values()))
+    np.random.default_rng(256).shuffle(values)
+    assert 2 ** 16 < values.size <= 2 ** 17
+    arrays = pair_arrays(values, 256)
+    assert len(arrays) == 1
+    assert first_mismatch(serialize.dumps_canonical(arrays), json_oracle(arrays)) is None
+
+
+def test_json_arrays_of_one_axis_and_in_objects():
+    rng = np.random.default_rng(44)
+    values = np.concatenate(list(JSON_FAMILIES.values()))
+    rng.shuffle(values)
+    payload = {"n": 3, "t": values[:7], "rows": [values[7:9], {"x": values[9:10]}, "text"],
+               "entries": serialize.complex_pairs(values[10:28].view(complex)), "last": 0.1}
+    want = json.dumps({"n": 3, "t": values[:7].tolist(),
+                       "rows": [values[7:9].tolist(), {"x": values[9:10].tolist()}, "text"],
+                       "entries": values[10:28].reshape(9, 2).tolist(), "last": 0.1},
+                      separators=(",", ":")) + "\n"
+    assert serialize.dumps_canonical(payload) == want
+
+
+def test_a_string_that_reads_as_the_placeholder_keeps_its_text():
+    payload = {"\0": serialize.complex_pairs(np.eye(2)), "b": ["\0", np.arange(3.0)]}
+    want = json.dumps({"\0": np.eye(2, dtype=complex).reshape(-1).view(float).reshape(4, 2)
+                      .tolist(), "b": ["\0", [0.0, 1.0, 2.0]]}, separators=(",", ":"))
+    assert serialize.dumps_canonical(payload) == want + "\n"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_array_raises_jsons_own_error(bad):
+    entries = np.array([[0.5, 0.0], [bad, 1.0]])
+    with pytest.raises(ValueError) as want:
+        json.dumps(entries.tolist(), separators=(",", ":"), allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        serialize.dumps_canonical({"entries": entries})
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+def test_other_arrays_stay_refused_by_json():
+    for value in (np.arange(3), np.ones(2, dtype=complex), np.float32([1.5])):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            serialize.dumps_canonical({"x": value})
+
+
+def test_complex_pairs_is_a_read_only_float_view():
+    m = np.arange(4.0).reshape(2, 2) + 1j
+    pairs = serialize.matrix_to_jsonable(m)["entries"]
+    assert pairs.dtype == np.float64 and pairs.shape == (4, 2) and np.shares_memory(pairs, m)
+    with pytest.raises(ValueError, match="read-only"):
+        pairs[0, 0] = 1.0
+
+
+def test_cli_flow_json_is_json_dumps_of_its_list_form(runner, tmp_path):
+    from stategeom.tangent import flow
+
+    state, gen = flow_files(tmp_path, 16)
+    args = ["--t0", "-0.5", "--t1", "1.25", "--steps", "50"]
+    out = cli(runner, ["--format", "json", "flow", state, gen, *args])
+    rho, a = (serialize.load_matrix_file(path)[0] for path in (state, gen))
+    grid = np.linspace(-0.5, 1.25, 50)
+    states = [{"n": 16, "kind": "state", "entries": s.matrix.reshape(-1).view(float)
+               .reshape(-1, 2).tolist()} for s in flow(rho, a, grid)]
+    want = json.dumps({"t": grid.tolist(), "states": states}, separators=(",", ":")) + "\n"
+    assert out.decode() == want
+
+
+@pytest.fixture
+def reprs(monkeypatch):
+    """The values each call of the JSON encoder's per-entry fallback formatted."""
+    values = []
+
+    def counted(x, inner=serialize._repr):
+        values.append(x)
+        return inner(x)
+
+    monkeypatch.setattr(serialize, "_repr", counted)
+    return values
+
+
+def shortest_digits(x: float) -> int:
+    return len(repr(abs(x)).split("e")[0].replace(".", "").strip("0"))
+
+
+def undecidable(x: float) -> bool:
+    """Whether x is an exact tie between the two decimals of its shortest
+    length d nearest it, or a decimal of d or d - 1 digits lies exactly half
+    a gap from it, on the edge of the interval that reads back as x: the
+    cases the certificate leaves to ``repr``."""
+    d, lead = shortest_digits(x), abs(Decimal(x)).adjusted()
+    for digits in (d - 1, d):
+        scale = Fraction(10) ** (digits - 1 - lead)
+        v = abs(Fraction(x)) * scale
+        below = v - math.floor(v)
+        if min(below, 1 - below) == Fraction(math.ulp(x)) / 2 * scale:
+            return True
+    return below == Fraction(1, 2)
+
+
+def test_entries_of_16_and_17_digits_need_no_fallback(reprs):
+    """Only exact ties and edges fall back: 14 of the 7509 seeded values
+    here, between 2e12 and 4e17, where few bits of x lie below its last
+    decimal digit."""
+    rng = np.random.default_rng(45)
+    values = 10.0 ** rng.uniform(-250, 250, 8000) * rng.choice([-1.0, 1.0], 8000)
+    values = np.array([x for x in values.tolist()
+                       if shortest_digits(x) >= 16 and not undecidable(x)] + [0.0, -0.0])
+    assert values.size > 7000
+    assert serialize.dumps_canonical(values) == json.dumps(values.tolist()).replace(" ", "") + "\n"
+    assert reprs == []
+
+
+def power_of_two_significands():
+    """Powers of two in [1e-280, 1e280] whose shortest text has 15 to 17 digits."""
+    values = np.ldexp(1.0, np.arange(-930, 931))
+    return np.array([x for x in values.tolist() if shortest_digits(x) >= 15])
+
+
+def undecided_integers():
+    """Multiples of 4 in [2^54, 2^55) that end in 2 or 8: half the gap to
+    their neighbours (2) equals the distance to the nearest multiple of 10,
+    so the certificate cannot tell whether 16 digits read back."""
+    m = 2 ** 54 + 4 * np.arange(0, 2000, dtype=np.int64)
+    return m[np.isin(m % 10, (2, 8))].astype(float)
+
+
+FALLBACK_CASES = {
+    "short": np.array([0.5, 1.0, 0.1, 1e22, 1234567890123.4, 1 / 64, 3e-5]),
+    "power-of-two": power_of_two_significands(),
+    "out-of-range": np.concatenate([5e-324 * np.arange(1.0, 5.0), finite(ulps([
+        2.2250738585072014e-308, 1e-300, 9e-281, 2e280, 1e300, 1.7976931348623157e308], 2))]),
+    "undecided": undecided_integers(),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACK_CASES)
+def test_each_documented_case_falls_back_once(reprs, name):
+    values = np.concatenate([FALLBACK_CASES[name], -FALLBACK_CASES[name]])
+    assert values.size >= 14
+    pairs = values.reshape(-1, 2)
+    assert serialize.dumps_canonical(pairs) == json_oracle([pairs])[1:-2] + "\n"
+    assert len(reprs) == values.size
+    assert (np.array(reprs).view(np.int64) == values.view(np.int64)).all()
