@@ -6,6 +6,13 @@ phi(g, rho) = g rho g† / Tr(g rho g†) is a left action on states that agrees
 with the unitary coadjoint action on the unitary subgroup and is non-affine
 elsewhere.  The classical specialization acts on probability vectors by
 q_j = |w_j|^2 p_j / sum_k |w_k|^2 p_k.
+
+The derivative of each action at g = I is its velocity formula, whose kernel
+is the isotropy algebra and whose image the tangent space of the orbit.
+Differentiating t -> exp(ta) xi exp(ta)† at t = 0 gives ``alpha_velocity``,
+a xi + xi a†, which splits as {xi, x} - i[xi, y] for a = x + iy with x, y
+Hermitian.  ``phi_velocity`` adds the normalized action's trace correction
+-Tr(a rho + rho a†) rho, making the velocity traceless.
 """
 
 from __future__ import annotations
@@ -89,6 +96,11 @@ def alpha(g, xi):
     return hermitian_part(_congruence(ge.matrix, require_hermitian(xi, "functional", ge.n)[0]))
 
 
+def alpha_velocity(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """d/dt exp(ta) xi exp(ta)† at t=0, i.e. a xi + xi a† (Hermitian)."""
+    return hermitian_part(a @ xi + xi @ dagger(a))
+
+
 def denominator(g, rho: StateDensity) -> float:
     """Normalization Tr(g rho g†) = Tr(rho g†g), strictly positive for invertible g:
     the number ``phi`` divides by, 2^2e d for d from ``_normalization``.
@@ -143,6 +155,12 @@ def _normalization(g: np.ndarray,
     d = config.check("Tr(g rho g†)", float(num.trace().real), config.DENOMINATOR_FLOOR, 1.0,
                      NumericallySingular, floor=True, exp2=2 * e)
     return m, e, math.ldexp(norm, shift - e), num, d
+
+
+def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Velocity of the normalized flow: alpha velocity minus its trace times rho."""
+    v = alpha_velocity(rho, a)
+    return v - np.trace(v).real * rho
 
 
 def unitary_phi(u, rho: StateDensity) -> StateDensity:

@@ -54,12 +54,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
+from .actions import alpha_velocity, phi_velocity
 from .errors import ValidationError
 from .linalg import (as_operator, dagger, fro_scale, gamma, hermitian_part, in_range,
                      require_dimension)
 from .states import (PositiveFunctional, SpectralSplit, StateDensity, spectral_split,
                      validate_positive, validate_state)
-from .tangent import alpha_velocity, phi_velocity
 
 
 def hermitian_basis(n: int) -> list[np.ndarray]:

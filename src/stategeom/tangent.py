@@ -1,11 +1,11 @@
-"""Tangent vectors of both actions, covariance pairing and one-parameter flows.
+"""Tangent vectors of both actions, the covariance pairing and one-parameter flows.
 
-Differentiating t -> exp(ta) xi exp(ta)† at t = 0 gives the congruence
-velocity a xi + xi a†, which splits as {xi, x} - i[xi, y] for a = x + iy with
-x, y Hermitian.  The normalized action adds the trace correction
--Tr(a rho + rho a†) rho, making the velocity traceless.  Flows evaluate
-exp(ta) exactly per grid point rather than stepping an ODE, from powers of a
-that every point shares, with one congruence per point; two O(n^2)
+A tangent vector is a velocity formula of ``actions`` (``alpha_velocity`` or
+``phi_velocity``) at a validated value, made by one body, ``_tangent``.  A flow
+is the point function t -> phi(exp(ta), rho) that ``_flow_of`` returns: a
+closure over one evaluator of exp(ta), whose powers of a every point shares, and
+the norms and eigenvalue floor its certificates read.  Each point evaluates
+exp(ta) exactly rather than stepping an ODE, with one congruence; two O(n^2)
 certificates stand in for the SVD of ``group_element`` and the eigvalsh of
 ``psd_gate``, the positivity tests of ``validate_state``, and where one cannot
 decide, the point runs that one test (see ``flow``).
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .actions import group_element, prescaled_phi
+from .actions import alpha_velocity, group_element, phi_velocity, prescaled_phi
 from .errors import NumericalError, ValidationError
-from .linalg import (_Exponential, as_operator, dagger, eig_allowance, fro_scale, frobenius,
-                     gamma, hermitian_part, in_range, require_hermitian)
+from .linalg import (_Exponential, as_operator, eig_allowance, fro_scale, frobenius, gamma,
+                     in_range, require_hermitian)
 from .states import (PositiveFunctional, StateDensity, _eigenpairs, _frozen, default_rank_tol,
                      min_eigenvalue, psd_gate, unit_trace, validate_positive, validate_state)
 
@@ -40,17 +40,6 @@ class TangentVector:
 
     value: np.ndarray
     generator: np.ndarray
-
-
-def alpha_velocity(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d/dt exp(ta) xi exp(ta)† at t=0, i.e. a xi + xi a† (Hermitian)."""
-    return hermitian_part(a @ xi + xi @ dagger(a))
-
-
-def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Velocity of the normalized flow: alpha velocity minus its trace times rho."""
-    v = alpha_velocity(rho, a)
-    return v - np.trace(v).real * rho
 
 
 def _tangent(velocity, validate, value, a) -> TangentVector:
@@ -93,29 +82,6 @@ def covariance(rho: StateDensity, a, b) -> float:
     return in_range("covariance", math.inf, evaluate)
 
 
-@dataclass(frozen=True)
-class _Flow:
-    """What every point of the flow of ``rho`` along a generator shares: ``exp``, the
-    evaluator of t -> exp(t a), ||a||_F, ||rho||_F and ``rho_floor`` =
-    min(0, lambda_min - ``eig_allowance`` ||rho||_F), a lower bound on the
-    smallest eigenvalue of rho's Hermitian part, read from rho's eigen-record."""
-
-    rho: StateDensity
-    exp: _Exponential
-    gen_norm: float
-    rho_norm: float
-    rho_floor: float
-
-
-def _flow_of(rho: StateDensity, a) -> _Flow:
-    rho = validate_state(rho)
-    gen = as_operator(a, "generator", rho.n)
-    rho_norm = frobenius(rho.matrix)
-    floor = min(0.0, min_eigenvalue(rho) - eig_allowance(rho.n) * rho_norm)
-    return _Flow(rho=rho, exp=_Exponential(gen), gen_norm=frobenius(gen),
-                 rho_norm=rho_norm, rho_floor=floor)
-
-
 def _invertible(x: float, n: int) -> bool:
     """Whether ``group_element``'s test sigma_min > SINGULAR_RTOL (1 + sigma_max)
     certainly passes on g = exp(A) from ``linalg._Exponential``, for every
@@ -143,10 +109,13 @@ def _invertible(x: float, n: int) -> bool:
                          1.0 + growth + err + 2.0 * svd, floor=True)
 
 
-def _positive(mat: np.ndarray, scale: float, flow: _Flow, ratio: float) -> bool:
+def _positive(mat: np.ndarray, scale: float, rho_norm: float, rho_floor: float,
+              ratio: float) -> bool:
     """Whether ``psd_gate``'s eigenvalue tests certainly pass on
     mat = m rho m† / d (scale = 1 + ||mat||_F, ratio = ||m||_F^2 / d from
-    ``prescaled_phi``), without eigvalsh.
+    ``prescaled_phi``), without eigvalsh; rho_norm = ||rho||_F and rho_floor is
+    the flow's lower bound on the smallest eigenvalue of rho's Hermitian part
+    (see ``_flow_of``).
 
     PSD: the Hermitian part of the exact m rho m† is m rho_H m†, whose smallest
     eigenvalue is at least rho_floor sigma_max(m)^2 >= rho_floor ||m||_F^2
@@ -166,19 +135,24 @@ def _positive(mat: np.ndarray, scale: float, flow: _Flow, ratio: float) -> bool:
     """
     n = mat.shape[0]
     allowance = eig_allowance(n) * scale
-    deficit = (gamma(4 * n + 8) * flow.rho_norm - flow.rho_floor + n * n * 2.0 ** -1070) * ratio
+    deficit = (gamma(4 * n + 8) * rho_norm - rho_floor + n * n * 2.0 ** -1070) * ratio
     top = (float(mat.trace().real) - math.sqrt(n) * gamma(n) * scale) / n
     return (config.clears(deficit + allowance, config.PSD_CLAMP_RTOL, scale)
             and config.clears(top - allowance, config.PSD_CLAMP_RTOL, scale, floor=True))
 
 
-def _flow_point(flow: _Flow, t) -> StateDensity:
-    """phi(exp(t a), rho) from the flow's shared exponential ``flow.exp`` and
-    one congruence, phi's own ``prescaled_phi``.  Each certificate that cannot decide runs the one test
-    it stands in for: ``group_element``'s SVD where ``_invertible`` fails,
-    before the congruence as in phi (so Singular comes before
-    NumericallySingular), and ``psd_gate``'s eigvalsh of the same matrix, whose
-    Hermitian test has run once already, where ``_positive`` fails.
+def _flow_of(rho: StateDensity, a):
+    """The point function t -> phi(exp(t a), rho) of the flow of ``rho`` along ``a``:
+    a closure over the evaluator of t -> exp(t a), ||a||_F, ||rho||_F and rho's
+    floor min(0, lambda_min - ``eig_allowance`` ||rho||_F), a lower bound on the
+    smallest eigenvalue of rho's Hermitian part, read from rho's eigen-record.
+
+    A point is phi(exp(t a), rho) from the shared exponential and one
+    congruence, phi's own ``prescaled_phi``.  Each certificate that cannot
+    decide runs the one test it stands in for: ``group_element``'s SVD where
+    ``_invertible`` fails, before the congruence as in phi (so Singular comes
+    before NumericallySingular), and ``psd_gate``'s eigvalsh of the same matrix,
+    whose Hermitian test has run once already, where ``_positive`` fails.
 
     exp(t a) is invertible for every t, so a group element or state that
     fails validation here means the exponential overflowed or became too
@@ -186,21 +160,29 @@ def _flow_point(flow: _Flow, t) -> StateDensity:
     own NumericalError, a largest singular value that overflows, passes as it
     is.  Overflow warnings are silenced, since those errors report them.
     """
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = flow.exp(float(t))
-            if not _invertible(abs(float(t)) * flow.gen_norm, flow.rho.n):
-                group_element(g)
-            mat, ratio = prescaled_phi(g, flow.rho)
-            mat, scale = require_hermitian(mat, "functional")
-            if not _positive(mat, scale, flow, ratio):
-                psd_gate(mat, scale)
-            mat.flags.writeable = False
-            return unit_trace(mat)
-    except ValidationError as exc:
-        raise NumericalError(
-            f"exp(t a) is not numerically usable at t = {float(t)!r}: {type(exc).__name__}: {exc}"
-        ) from exc
+    rho = validate_state(rho)
+    gen = as_operator(a, "generator", rho.n)
+    rho_norm = frobenius(rho.matrix)
+    rho_floor = min(0.0, min_eigenvalue(rho) - eig_allowance(rho.n) * rho_norm)
+    exp, gen_norm = _Exponential(gen), frobenius(gen)
+
+    def point(t) -> StateDensity:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = exp(float(t))
+                if not _invertible(abs(float(t)) * gen_norm, rho.n):
+                    group_element(g)
+                mat, ratio = prescaled_phi(g, rho)
+                mat, scale = require_hermitian(mat, "functional")
+                if not _positive(mat, scale, rho_norm, rho_floor, ratio):
+                    psd_gate(mat, scale)
+                mat.flags.writeable = False
+                return unit_trace(mat)
+        except ValidationError as exc:
+            raise NumericalError(f"exp(t a) is not numerically usable at t = {float(t)!r}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+
+    return point
 
 
 def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
@@ -231,11 +213,11 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     overflows or exceeds the singularity limit, and group_element's "singular
     value overflows double precision" where only its largest singular value does.
     """
-    f = _flow_of(rho0, a)
+    point = _flow_of(rho0, a)
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
         raise ValidationError(f"t_grid must be a nonempty 1-d finite array, got shape {ts.shape}")
-    return [_flow_point(f, t) for t in ts]
+    return [point(t) for t in ts]
 
 
 def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
@@ -256,16 +238,16 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
         raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
     rho = validate_state(rho)  # once, for tangent_phi and the flow
     vec = a if isinstance(a, TangentVector) else tangent_phi(rho, a)
-    f = _flow_of(rho, vec.generator)
-    fwd = _flow_point(f, h).matrix
-    bwd = _flow_point(f, -h).matrix
+    point = _flow_of(rho, vec.generator)
+    fwd = point(h).matrix
+    bwd = point(-h).matrix
     with np.errstate(over="ignore", invalid="ignore"):  # a complex 0 over subnormal 2h: 0 * inf
         fd = (fwd - bwd) / (2.0 * h)
     scale = fro_scale(vec.value)
     error = frobenius(fd - vec.value) / scale
     if not math.isfinite(error):
         raise NumericalError(f"finite-difference quotient overflows double precision at h = {h}")
-    allowance = gamma(4 * f.rho.n + 8) * (frobenius(fwd) + frobenius(bwd)) / (2.0 * abs(h))
+    allowance = gamma(4 * rho.n + 8) * (frobenius(fwd) + frobenius(bwd)) / (2.0 * abs(h))
     config.check(f"finite-difference quotient at h = {h} lost to rounding: 1 + ||value||_F",
                  scale, 0.0, 1.0, NumericalError, floor=True, slack=allowance)
     return error

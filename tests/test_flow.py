@@ -15,10 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from oracles import matrix_text
 from sampling import random_direction, random_state
 from stategeom import config, states, tangent
 from stategeom.actions import group_element, phi
+from stategeom.cli import main
 from stategeom.errors import NumericalError, ValidationError
 from stategeom.linalg import _Exponential, as_operator, frobenius, matrix_exp
 from stategeom.states import validate_state
@@ -318,6 +321,35 @@ def test_fd_tangent_check_keeps_its_bits_without_an_svd(n, svd_calls):
         calls = len(svd_calls)
         assert fd_tangent_check(rho, a) == expected
         assert len(svd_calls) == calls  # only the reference took SVDs
+
+
+def test_a_flow_holds_one_evaluator_per_call(monkeypatch, tmp_path):
+    # every point of a flow, both points of fd_tangent_check and the CLI's
+    # tangent and flow commands share the powers of a held by one evaluator
+    rng = np.random.default_rng(760)
+    rho = random_state(rng, 4, 2)
+    a = random_direction(rng, 4, 1.0)
+    files = {"state": (rho.matrix, "state"), "gen": (a, "operator")}
+    for name, (m, kind) in files.items():
+        (tmp_path / f"{name}.json").write_text(matrix_text(m, kind))
+    state, gen = (str(tmp_path / f"{name}.json") for name in files)
+
+    def cli(*args):
+        result = CliRunner().invoke(main, [*args, state, gen])
+        assert result.exit_code == 0, result.output
+
+    calls = {
+        "flow of one point": lambda: flow(rho, a, [0.5]),
+        "flow of seven points": lambda: flow(rho, a, np.linspace(-1.0, 2.0, 7)),
+        "fd_tangent_check": lambda: fd_tangent_check(rho, a),
+        "stategeom tangent": lambda: cli("tangent"),
+        "stategeom flow": lambda: cli("flow", "--t0", "0", "--t1", "1", "--steps", "7"),
+    }
+    built = _counted(monkeypatch, tangent, "_Exponential")
+    for name, call in calls.items():
+        built.clear()
+        call()
+        assert built == [(4, 4)], name
 
 
 def _call_sites(name, owner="config"):

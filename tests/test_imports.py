@@ -1,6 +1,7 @@
 """Each CLI command loads only the layers it runs, and a bare ``import
 stategeom`` loads none: every call compiles what it imports, so an eager
-import costs every command that does not need it."""
+import costs every command that does not need it.  Every module imports only
+modules of lower layers, so loading a layer never compiles one above it."""
 
 import ast
 import json
@@ -30,8 +31,12 @@ COMMANDS = {
     "tangent": (["tangent", "{state}", "{gen}"], TANGENT),
     "flow": (["flow", "{state}", "{gen}", "--t0", "0", "--t1", "1", "--steps", "3"], TANGENT),
     "gns": (["gns", "{state}"], {"actions", "gns"}),
-    "isotropy": (["isotropy", "{state}"], {"actions", "tangent", "isotropy"}),
+    "isotropy": (["isotropy", "{state}"], {"actions", "isotropy"}),
 }
+# the package's modules from the bottom layer up
+LAYERS = [{"config", "errors"}, {"linalg"}, {"states"}, {"actions"},
+          {"orbits", "isotropy", "tangent"}, {"gns"}, {"serialize"}, {"cli"}]
+PACKAGE = Path(stategeom.__file__).resolve().parent
 
 
 def _loaded_after(script):
@@ -100,3 +105,23 @@ assert stategeom.linalg.__name__ == "stategeom.linalg"
 assert stategeom.config.__name__ == "stategeom.config"
 """)
     assert loaded == {"config", "errors", "linalg"}
+
+
+def _relative_imports(tree):
+    """The package modules that ``tree`` imports relatively, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_every_module_imports_only_lower_layers():
+    layer = {module: depth for depth, modules in enumerate(LAYERS) for module in modules}
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert {path.stem for path in paths} == set(layer)
+    upward = sorted((path.stem, imported) for path in paths
+                    for imported in _relative_imports(ast.parse(path.read_text()))
+                    if layer[imported] >= layer[path.stem])
+    assert not upward, f"imports of a module at or above the importer's layer: {upward}"

@@ -24,8 +24,7 @@ import stategeom
 from oracles import matrix_text
 from sampling import random_state
 from stategeom.errors import NumericalError
-from stategeom.linalg import _Exponential, gamma, matrix_exp
-from stategeom.tangent import _flow_of
+from stategeom.linalg import _Exponential, as_operator, gamma, matrix_exp
 
 MULTIPLE = 4.0
 
@@ -157,7 +156,8 @@ def _forms(rng, n):
 @pytest.mark.parametrize("seed", range(4))
 def test_within_bound_on_random_inputs(seed):
     # n = 1-64 and ||a||_F = 1e-3 to 30, both log-uniform, in every form, from
-    # matrix_exp (t = 1) and from the evaluator a flow holds, at t in [-1, 1]
+    # matrix_exp (t = 1) and from the evaluator a flow holds, built as
+    # tangent._flow_of builds it, at t in [-1, 1]
     rng = np.random.default_rng([1200, seed])
     worst = 0.0
     for _ in range(40):
@@ -167,7 +167,7 @@ def test_within_bound_on_random_inputs(seed):
             norm = np.linalg.norm(a)
             a = a * (10.0 ** rng.uniform(-3.0, np.log10(30.0)) / norm) if norm else a
             worst = max(worst, _ratio(matrix_exp(a), a))
-            exp = _flow_of(rho, a).exp
+            exp = _Exponential(as_operator(a, "generator", rho.n))
             for t in (0.0, rng.uniform(-1.0, 1.0), 1e-3, -1.0):
                 worst = max(worst, _ratio(exp(t), a, t))
     assert worst <= MULTIPLE

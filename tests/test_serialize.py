@@ -441,10 +441,11 @@ def test_out_file_matches_stdout(runner, tmp_path, name):
 
 
 def test_gns_output_working_memory(runner, tmp_path):
-    """The payload of n^2 dense (nk)x(nk) matrices is written one unit at a
-    time.  At n = 6, full rank, its 0.47 MB of text take 8.5 MiB as one
-    list-of-lists payload and 0.93 MiB as one string; streamed, the traced
-    peak is about 0.45 MiB."""
+    """The payload of n^2 dense (nk)x(nk) matrices is written in blocks of
+    matrix units, at most ``serialize._UNITS`` = 4096 floats (2048 complex
+    entries) each and one unit at least.  At n = 6, full rank, its 0.47 MB of
+    text take 8.5 MiB as one list-of-lists payload and 0.93 MiB as one string;
+    streamed, the traced peak is about 0.45 MiB."""
     path = gns_file(tmp_path, 6, 6)
     tracemalloc.start()
     try:

@@ -5,8 +5,9 @@ decides positivity and rank, so a finite functional cannot overflow its own
 validation.  ``actions._normalization`` forms Tr(g rho g†) and applies the
 one DENOMINATOR_FLOOR test, so ``phi``, ``denominator`` and ``gns_transform``
 refuse the same elements.  ``tangent._tangent`` makes every tangent vector
-from a velocity formula handed to it, so ``fd_tangent_check`` compares with
-the value ``tangent_phi`` gives.  Tangent values, isotropy pairings and the
+from a velocity formula of ``actions`` handed to it, as ``isotropy._membership``
+makes every pairing, so ``fd_tangent_check`` compares with the value
+``tangent_phi`` gives.  Tangent values, isotropy pairings and the
 covariance that leave double range raise NumericalError without a numpy
 warning.
 """
@@ -72,17 +73,33 @@ def test_the_denominator_floor_is_read_by_one_function():
 
 
 def test_one_body_makes_every_tangent_vector():
-    # phi_velocity is alpha_velocity less its trace; otherwise tangent.py only
-    # names the two formulas to hand them to its one tangent body, _tangent
+    # the two velocity formulas are defined once, in actions.py, where
+    # phi_velocity is alpha_velocity less its trace; otherwise tangent.py and
+    # isotropy.py only name them, to hand them to their one body each,
+    # _tangent and _membership
     velocities = ("alpha_velocity", "phi_velocity")
-    tangent = [func for module, func in _functions() if module == "tangent.py"]
-    named = {func.name for func in tangent for node in ast.walk(func)
-             if isinstance(node, ast.Name) and node.id in velocities}
-    calls = {func.name for func in tangent for node in ast.walk(func)
+    functions = list(_functions())
+    defined = [(module, func.name) for module, func in functions if func.name in velocities]
+    calls = {(module, func.name, node.func.id) for module, func in functions
+             for node in ast.walk(func)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in velocities}
-    assert named == {"phi_velocity", "tangent_alpha", "tangent_phi"}
-    assert calls == {"phi_velocity"}
+    named = [(module, func.name, node.id) for module, func in functions
+             for node in ast.walk(func) if isinstance(node, ast.Name) and node.id in velocities]
+    handed = [(module, func.name, arg.id) for module, func in functions
+              for node in ast.walk(func)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("_tangent", "_membership")
+              for arg in node.args if isinstance(arg, ast.Name) and arg.id in velocities]
+    assert defined == [("actions.py", "alpha_velocity"), ("actions.py", "phi_velocity")]
+    assert calls == {("actions.py", "phi_velocity", "alpha_velocity")}
+    assert sorted(named) == sorted(handed + [("actions.py", "phi_velocity", "alpha_velocity")])
+    assert sorted(handed) == [
+        ("isotropy.py", "isotropy_membership_alpha", "alpha_velocity"),
+        ("isotropy.py", "isotropy_membership_phi", "phi_velocity"),
+        ("tangent.py", "tangent_alpha", "alpha_velocity"),
+        ("tangent.py", "tangent_phi", "phi_velocity"),
+    ]
 
 
 def _overflow_refusers(node, owner=None):
