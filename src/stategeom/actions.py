@@ -145,12 +145,12 @@ def _normalization(g: np.ndarray,
     at or above 2^1024 is read off 2^-1024 g.  Raises NumericallySingular when 2^2e d,
     Tr(g rho g†), is at or below the scaled DENOMINATOR_FLOOR."""
     shift, norm = 0, frobenius(g)
-    if math.isinf(norm):
+    if norm == math.inf:
         shift, norm = 1024, frobenius(g * 2.0 ** -1024)
     e = max(math.frexp(norm)[1] + shift, 0)
     m = np.empty(g.shape, dtype=complex)
-    m.real = np.ldexp(g.real, -e)
-    m.imag = np.ldexp(g.imag, -e)
+    np.ldexp(g.real, -e, out=m.real)
+    np.ldexp(g.imag, -e, out=m.imag)
     num = m @ rho.matrix @ dagger(m)
     d = config.check("Tr(g rho g†)", float(num.trace().real), config.DENOMINATOR_FLOOR, 1.0,
                      NumericallySingular, floor=True, exp2=2 * e)
@@ -160,7 +160,7 @@ def _normalization(g: np.ndarray,
 def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Velocity of the normalized flow: alpha velocity minus its trace times rho."""
     v = alpha_velocity(rho, a)
-    return v - np.trace(v).real * rho
+    return v - v.trace().real * rho
 
 
 def unitary_phi(u, rho: StateDensity) -> StateDensity:
@@ -181,7 +181,7 @@ def _weight_squares(w) -> np.ndarray:
     lie below 1 as well as above: exact, so the classical quotients keep their bits
     while the largest square lies in [1/4, 1), neither overflowing nor underflowing."""
     mags = np.abs(np.asarray(w, dtype=complex))
-    return np.ldexp(mags, -math.frexp(float(np.max(mags)))[1]) ** 2
+    return np.ldexp(mags, -math.frexp(float(np.maximum.reduce(mags)))[1]) ** 2
 
 
 def classical_phi(w, p) -> ProbabilityVector:
@@ -197,13 +197,13 @@ def classical_phi(w, p) -> ProbabilityVector:
     weights = np.asarray(w, dtype=complex)
     if weights.shape != (prob.m,):
         raise ValidationError(f"expected {prob.m} weights, got shape {weights.shape}")
-    if not np.all(np.isfinite(weights)):
+    if not np.logical_and.reduce(np.isfinite(weights)):
         raise ValidationError("weight vector contains non-finite entries")
     mags = _weight_squares(weights)
-    if np.any(mags == 0.0):
+    if np.logical_or.reduce(mags == 0.0):
         raise ZeroWeight("weight vector has a zero entry")
     scaled = mags * prob.p
-    return validate_probability(scaled / scaled.sum())
+    return validate_probability(scaled / np.add.reduce(scaled))
 
 
 def _require_weight(lam: float) -> None:

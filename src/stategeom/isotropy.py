@@ -87,14 +87,15 @@ def hermitian_components(t: np.ndarray) -> np.ndarray:
     For Hermitian t these are the diagonal entries and, per off-diagonal
     pair, twice the real and imaginary parts, all real numbers, in the same
     order as hermitian_basis.  A stack of shape (..., n, n) gives one row of
-    n^2 pairings per matrix.  The strict upper triangle is read through a
-    boolean mask, which selects it in the row-major order of
+    n^2 pairings per matrix.  The strict upper triangle is read through the
+    boolean mask i < j, which selects it in the row-major order of
     np.triu_indices(n, 1).
     """
     n = t.shape[-1]
-    off = t[..., ~np.tri(n, dtype=bool)]
+    index = np.arange(n)
+    off = t[..., index[:, None] < index]
     out = np.empty(t.shape[:-2] + (n * n,))
-    out[..., :n] = np.diagonal(t, axis1=-2, axis2=-1).real
+    out[..., :n] = t.diagonal(axis1=-2, axis2=-1).real
     out[..., n::2] = 2.0 * off.real
     out[..., n + 1::2] = 2.0 * off.imag
     return out
@@ -110,7 +111,7 @@ def _membership(velocity, validate, a, value) -> tuple[bool, float]:
     base_scale, a_scale = fro_scale(base), fro_scale(a)
     values = in_range("isotropy pairing", a_scale * base_scale * base_scale,
                       lambda: hermitian_components(velocity(base, a)))
-    residual = float(np.max(np.abs(values))) if values.size else 0.0
+    residual = float(np.maximum.reduce(np.abs(values), axis=None)) if values.size else 0.0
     tol = config.scaled(config.MEMBERSHIP_RTOL) * base_scale * a_scale
     return residual <= tol, residual
 
@@ -159,9 +160,9 @@ def _sections(split: SpectralSplit) -> tuple[list, list]:
     then E, iE on the kernel-to-support units (j in kernel, l in support).
     NumericalError when a ratio r is not finite: an eigenvalue overflowed.
     """
-    n, k = split.ambient_dim, split.support_dim
+    n, k = split.support_basis.shape
     diag = np.arange(k)[:, None]
-    low, high = (idx[:, None] for idx in np.nonzero(~np.tri(k, dtype=bool)))
+    low, high = [idx[:, None] for idx in (diag < diag.T).nonzero()]
     ratio = in_range("eigenvalue", np.inf, lambda: split.eigenvalues[low] / split.eigenvalues[high])
     norm = np.hypot(1.0, ratio)
     half = np.sqrt(0.5)
@@ -216,7 +217,7 @@ def _certify(sv: np.ndarray, low: float, high: float, border: float | None) -> f
         border /= np.sqrt(sv.size)
         spread = max(1.0 - low, high - 1.0)
         low, high = 1.0 - border - spread, 1.0 + border + spread
-        defect = float(np.max(np.abs(1.0 - sv**2)))
+        defect = float(np.maximum.reduce(np.abs(1.0 - sv**2)))
     lower = max(sv[-1] ** 2 * np.sqrt(max(low, 0.0)) - defect, 0.0) ** 2
     upper = (sv[0] ** 2 * np.sqrt(high) + defect) ** 2
     return config.check("basis is not linearly independent: Gram eigenvalue bound", lower,
@@ -381,12 +382,12 @@ def _residual_bound(sections, w: np.ndarray, base: np.ndarray, p: np.ndarray,
     real norm N by scaling both parts of the numerator by fl(1/N), so 1/N and i/N,
     -r/N and i r/N have the same moduli, and one sum is formed per pair.
     """
-    n = w.shape[0]
+    u, g5, top = gamma(1), gamma(5), np.maximum.reduce  # column maxima, axis 0
     y = hermitian_part(base) @ w
     aw, ay = np.abs(w), np.abs(y)
-    fb = np.abs(y - w * p) / (1.0 - gamma(1)) + gamma(1) * aw * p
+    fb = np.abs(y - w * p) / (1.0 - u) + u * aw * p
     (diag, *_), (high, low, c1, _, _, c2), (rows, kernel, *_) = sections
-    diag, high, low, rows, kernel = (i.ravel() for i in (diag, high, low, rows, kernel))
+    diag, high, low, rows, kernel = diag[:, 0], high[:, 0], low[:, 0], rows[:, 0, 0], kernel[:, 0]
     c1, c2 = np.abs(c1[:, 0]), np.abs(c2[:, 0])
     d = gamma(10) * c1 * p[low]
 
@@ -395,17 +396,17 @@ def _residual_bound(sections, w: np.ndarray, base: np.ndarray, p: np.ndarray,
         return [x[diag] * z[diag], d * xh * xl + (c1 * xh * z[low] + c2 * xl * z[high]),
                 np.multiply.outer(x[rows], z[kernel])]
 
-    z = fb.max(axis=0) + gamma(5) * ay.max(axis=0)
-    bound = [4.0 * u for u in units(aw.max(axis=0), z)]
-    carried = 0.0 * float(z.max())  # the zero terms' NaN, if any
+    z = top(fb) + g5 * top(ay)
+    bound = [4.0 * x for x in units(top(aw), z)]
+    carried = 0.0 * float(top(z))  # the zero terms' NaN, if any
     if normalized:
-        nu, phi, eta = (np.sqrt(np.sum(m * m, axis=0)) for m in (aw, fb, ay))
-        zeta = phi + gamma(5) * eta
-        beta = float(np.max(np.abs(hermitian_components(base))))
-        bound = [b + beta * (2.0 * u) for b, u in zip(bound, units(nu, zeta))]
-        carried += 0.0 * float(zeta.max())
-    peak = max(float(b.max(initial=0.0)) for b in bound) + carried
-    return peak * (1.0 + gamma(4 * n + 64))
+        nu, phi, eta = [np.sqrt(np.add.reduce(m * m)) for m in (aw, fb, ay)]
+        zeta = phi + g5 * eta
+        beta = float(top(np.abs(hermitian_components(base)), axis=None))
+        bound = [b + beta * (2.0 * x) for b, x in zip(bound, units(nu, zeta))]
+        carried += 0.0 * float(top(zeta))
+    peak = max([float(top(b, axis=None, initial=0.0)) for b in bound]) + carried
+    return peak * (1.0 + gamma(4 * w.shape[0] + 64))
 
 
 def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
@@ -432,16 +433,16 @@ def isotropy_report(xi: PositiveFunctional) -> IsotropyReport:
     # and no entry of xi / 2^b is subnormal
     down = 2.0 ** -n.bit_length()
     scaled = xi.matrix * down
-    trace = float(np.trace(scaled).real)
+    trace = float(scaled.trace().real)
     rho = scaled / trace
     # phi_velocity of I / sqrt(n) at rho: a product with the identity rounds once
     half = rho * (1.0 / np.sqrt(n))
     v = half + dagger(half)
-    v -= np.trace(v).real * rho
+    v -= v.trace().real * rho
     residual = max(
         _residual_bound(isotropy, w, xi.matrix, p, normalized=False),
         _residual_bound(isotropy, w, rho, p * down / trace, normalized=True),
-        float(np.max(np.abs(hermitian_components(v)))),
+        float(np.maximum.reduce(np.abs(hermitian_components(v)), axis=None)),
     )
     dim_alpha = isotropy_dimension_alpha(k, n)
     return IsotropyReport(

@@ -11,10 +11,11 @@ the dimension of the value they act on); ``require_hermitian`` adds the one
 Hermitian test and returns the scale 1 + ||a||_F.  A validated functional has
 passed both, so its holders call the solvers ``sorted_eigh`` and ``signature``.
 Every cheap call pays for the gate, so it runs at its per-call floor: one
-finiteness pass over the complex entries, and ``frobenius`` as two BLAS dots
-summed in Python floats, the arithmetic of np.linalg.norm without its Python
-wrapper or an ``np.errstate``.  The gate raises the same errors, and the
-norm has the same bits, as the numpy forms they replace.
+finiteness pass over the complex entries and one reduction of it, and
+``frobenius`` as two BLAS dots summed in double precision, the arithmetic of
+np.linalg.norm without its Python wrapper or an ``np.errstate``.  The gate
+raises the same errors, and the norm has the same bits, as the numpy forms
+they replace.
 
 All operations are pure functions of their arguments and of the calling
 context's tolerance scale in ``config``.
@@ -53,7 +54,7 @@ def as_operator(a, name: str = "operator", n: int | None = None) -> np.ndarray:
         raise ValidationError(f"{name} must have positive dimension")
     if n is not None and m.shape[0] != n:
         raise ValidationError(f"{name} has dimension {m.shape[0]}, expected {n}")
-    if not np.isfinite(m).all():
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
@@ -89,10 +90,10 @@ def frobenius(a: np.ndarray) -> float:
     """
     x = a.ravel(order="K")
     if x.dtype.kind != "c":
-        value = math.sqrt(float(np.vdot(x, x)))
+        value = math.sqrt(np.vdot(x, x))
     else:
-        value = math.sqrt(float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag)))
-    if math.isinf(value):
+        value = math.sqrt(np.vdot(x.real, x.real) + np.vdot(x.imag, x.imag))
+    if value > _LARGEST:
         with np.errstate(over="ignore", invalid="ignore"):
             big = float(np.max(np.abs(a)))
             if math.isinf(big):  # the norm is at least max|a|; inf * 2^-e would be complex NaN
@@ -124,7 +125,7 @@ def in_range(what: str, bound: float, compute):
         return compute()
     with np.errstate(over="ignore", invalid="ignore"):
         out = compute()
-    if not np.isfinite(out).all():
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise NumericalError(f"{what} overflows double precision")
     return out
 
@@ -160,7 +161,7 @@ def require_hermitian(a, name: str = "operator",
     inf, the same test is made on h = a / 2^k with 2^k > 2n, so ||h||_F < 2^1023:
     ||h - h†||_F against HERMITIAN_RTOL (2^-k + ||h||_F), both finite."""
     m = as_operator(a, name, n)
-    scale = fro_scale(m)
+    scale = 1.0 + frobenius(m)  # ``fro_scale``, saturated below
     if scale < 2.0 ** 1023:
         config.check("Hermitian defect", frobenius(m - dagger(m)), config.HERMITIAN_RTOL,
                      scale, NotHermitian)
@@ -169,7 +170,7 @@ def require_hermitian(a, name: str = "operator",
     h = m * 2.0 ** -k
     config.check(f"Hermitian defect of {name} / 2^{k},", frobenius(h - dagger(h)),
                  config.HERMITIAN_RTOL, 2.0 ** -k + frobenius(h), NotHermitian)
-    return m, scale
+    return m, min(scale, _LARGEST)
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
@@ -194,12 +195,12 @@ class SpectralDecomposition:
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Rephase each column so its largest-|.| entry is real positive.
 
-    np.argmax breaks exact magnitude ties by lowest index.  The pivot
+    argmax breaks exact magnitude ties by lowest index.  The pivot
     magnitude comes from hypot, which agrees with the scalar abs to the
     last bit, and each column is scaled as a strided vector times one
     complex scalar, so the result matches a per-column loop bit for bit.
     """
-    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    pivot = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
     mag = np.hypot(pivot.real, pivot.imag)  # nonzero: a unitary column has an entry >= 1/sqrt(n)
     factor = np.conjugate(pivot) / mag
     return np.ascontiguousarray((v.T * factor[:, None]).T)
@@ -218,7 +219,7 @@ def sorted_eigh(m: np.ndarray) -> SpectralDecomposition:
     round-off in the off-Hermitian part from leaking into the spectrum.
     """
     w, v = np.linalg.eigh(hermitian_part(m))
-    order = np.argsort(-w, kind="stable")
+    order = (-w).argsort(kind="stable")
     w = w[order]
     v = _fix_phases(np.ascontiguousarray(v[:, order]))
     w.flags.writeable = False
@@ -266,7 +267,7 @@ _TABLE = {m: (np.array([[2.0 * x * (j % 2) for j, x in enumerate(b)],
 
 
 def _onenorm(m: np.ndarray) -> float:
-    return float(np.abs(m).sum(axis=0).max())
+    return float(np.maximum.reduce(np.add.reduce(np.abs(m), axis=0)))
 
 
 class _Exponential:
@@ -294,7 +295,7 @@ class _Exponential:
         n = a.shape[0]
         with np.errstate(over="ignore"):
             norm = _onenorm(a)
-        shift = 2 + n.bit_length() if math.isinf(norm) else 0  # a column sum overflowed
+        shift = 2 + n.bit_length() if norm > _LARGEST else 0  # a column sum overflowed
         if shift:
             norm = _onenorm(a * 2.0 ** -shift)
         m, e = math.frexp(norm)

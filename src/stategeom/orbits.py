@@ -66,13 +66,13 @@ def _matched_splits(rho0, rho1) -> tuple[SpectralSplit, SpectralSplit, np.ndarra
     when an eigenvalue or a ratio overflows."""
     split0 = spectral_split(rho0)
     split1 = spectral_split(rho1)
-    if split0.support_dim != split1.support_dim or split0.ambient_dim != split1.ambient_dim:
+    if split0.support_basis.shape != split1.support_basis.shape:  # (dimension, rank)
         raise RankMismatch(
             f"rank {split0.support_dim} (dim {split0.ambient_dim}) vs "
             f"rank {split1.support_dim} (dim {split1.ambient_dim})"
         )
-    p0, p1 = (in_range("eigenvalue", split.eigenvalues[0], lambda: split.eigenvalues)
-              for split in (split0, split1))
+    p0, p1 = [in_range("eigenvalue", split.eigenvalues[0], lambda: split.eigenvalues)
+              for split in (split0, split1)]
     return split0, split1, in_range("eigenvalue ratio", float(p1[0]) / float(p0[-1]),
                                     lambda: p1 / p0)
 
@@ -81,7 +81,7 @@ def bound_constant(rho0, rho1) -> float:
     """Largest eigenvalue ratio C = max_j p1_j / p0_j over the spectra matched
     in non-increasing order.  Raises RankMismatch, and NumericalError when an
     eigenvalue or a ratio overflows."""
-    return float(np.max(_matched_splits(rho0, rho1)[2]))
+    return float(np.maximum.reduce(_matched_splits(rho0, rho1)[2]))
 
 
 def _connect(validate, rho0, rho1, image) -> ConnectCertificate:
@@ -92,7 +92,7 @@ def _connect(validate, rho0, rho1, image) -> ConnectCertificate:
     split0, split1, ratios = _matched_splits(rho0, rho1)
     e0, e1 = split0.support_basis, split1.support_basis
     g = (e1 * np.sqrt(ratios)) @ dagger(e0) + split1.kernel_basis @ dagger(split0.kernel_basis)
-    c = float(np.max(ratios))
+    c = float(np.maximum.reduce(ratios))
     element = group_element(g)
     bound = float(np.sqrt(c + 1.0))
     config.check("connecting element norm above sqrt(C+1)", element.sigma_max - bound,

@@ -72,7 +72,7 @@ class PositiveFunctional:
     @property
     def trace(self) -> float:
         """Tr xi; NumericalError when it overflows, though every entry is finite."""
-        return float(in_range("trace", np.inf, lambda: np.trace(self.matrix).real))
+        return float(in_range("trace", np.inf, lambda: self.matrix.trace().real))
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class SpectralSplit:
         return self.kernel_basis.shape[1]
 
     def full_basis(self) -> np.ndarray:
-        return np.hstack([self.support_basis, self.kernel_basis])
+        return np.concatenate((self.support_basis, self.kernel_basis), axis=1)
 
     def reconstruct(self) -> np.ndarray:
         e = self.support_basis
@@ -195,13 +195,13 @@ def validate_probability(p) -> ProbabilityVector:
     v = np.asarray(p, dtype=float)
     if v.ndim != 1 or v.shape[0] == 0:
         raise ValidationError(f"probability vector must be 1-d and nonempty, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.logical_and.reduce(np.isfinite(v)):
         raise ValidationError("probability vector contains non-finite entries")
-    if v.min() < 0.0:
+    if np.minimum.reduce(v) < 0.0:
         raise NotPSD(f"probability vector has negative entry {v.min():.3e}")
     # a sum that may overflow, with an entry above DBL_MAX / m, is summed in Python
     # floats, where overflow is inf without a warning
-    total = v.sum() if v.max() <= sys.float_info.max / v.shape[0] else sum(v.tolist())
+    total = v.sum() if np.maximum.reduce(v) <= sys.float_info.max / v.shape[0] else sum(v.tolist())
     config.check("|sum - 1|", abs(total - 1.0), config.PROBABILITY_ATOL, 1.0, TraceError,
                  slack=gamma(v.shape[0] + 1))
     return ProbabilityVector(p=_frozen(v))

@@ -102,20 +102,21 @@ def _invertible(x: float, n: int) -> bool:
     """
     if not x < 700.0:  # e^x overflows near 709.8; the bound fails long before
         return False
-    growth = math.exp(x)
-    err = gamma(8 * n) * (2.0 + (1.0 + math.sqrt(n)) * x) * growth
-    svd = math.sqrt(n) * gamma(8 * n) * (growth + err)
+    growth, rate, root = math.exp(x), gamma(8 * n), math.sqrt(n)
+    err = rate * (2.0 + (1.0 + root) * x) * growth
+    svd = root * rate * (growth + err)
     return config.clears(1.0 / growth - err - svd, config.SINGULAR_RTOL,
                          1.0 + growth + err + 2.0 * svd, floor=True)
 
 
-def _positive(mat: np.ndarray, scale: float, rho_norm: float, rho_floor: float,
-              ratio: float) -> bool:
+def _positive(mat: np.ndarray, scale: float, ratio: float, rates: tuple) -> bool:
     """Whether ``psd_gate``'s eigenvalue tests certainly pass on
     mat = m rho m† / d (scale = 1 + ||mat||_F, ratio = ||m||_F^2 / d from
-    ``prescaled_phi``), without eigvalsh; rho_norm = ||rho||_F and rho_floor is
-    the flow's lower bound on the smallest eigenvalue of rho's Hermitian part
-    (see ``_flow_of``).
+    ``prescaled_phi``), without eigvalsh.  ``rates`` are the flow's factors of
+    the bounds below, formed once per flow by ``_flow_of``: the deficit's
+    gamma_{4n+8} ||rho||_F - rho_floor + n^2 2^-1070, ``eig_allowance``(n) and
+    sqrt(n) gamma_n, where rho_floor is the flow's lower bound on the smallest
+    eigenvalue of rho's Hermitian part.
 
     PSD: the Hermitian part of the exact m rho m† is m rho_H m†, whose smallest
     eigenvalue is at least rho_floor sigma_max(m)^2 >= rho_floor ||m||_F^2
@@ -133,19 +134,19 @@ def _positive(mat: np.ndarray, scale: float, rho_norm: float, rho_floor: float,
     Nonzero: the largest eigenvalue is at least Tr(mat) / n less the same
     allowance and the trace's rounding, which must be above that bound.
     """
-    n = mat.shape[0]
-    allowance = eig_allowance(n) * scale
-    deficit = (gamma(4 * n + 8) * rho_norm - rho_floor + n * n * 2.0 ** -1070) * ratio
-    top = (float(mat.trace().real) - math.sqrt(n) * gamma(n) * scale) / n
-    return (config.clears(deficit + allowance, config.PSD_CLAMP_RTOL, scale)
-            and config.clears(top - allowance, config.PSD_CLAMP_RTOL, scale, floor=True))
+    deficit, allowance, slack = rates  # the deficit per unit of ratio, the others of scale
+    top = (float(mat.trace().real) - slack * scale) / mat.shape[0]
+    return (config.clears(deficit * ratio + allowance * scale, config.PSD_CLAMP_RTOL, scale)
+            and config.clears(top - allowance * scale, config.PSD_CLAMP_RTOL, scale, floor=True))
 
 
-def _flow_of(rho: StateDensity, a):
-    """The point function t -> phi(exp(t a), rho) of the flow of ``rho`` along ``a``:
-    a closure over the evaluator of t -> exp(t a), ||a||_F, ||rho||_F and rho's
-    floor min(0, lambda_min - ``eig_allowance`` ||rho||_F), a lower bound on the
-    smallest eigenvalue of rho's Hermitian part, read from rho's eigen-record.
+def _flow_of(rho: StateDensity, gen: np.ndarray):
+    """The point function t -> phi(exp(t a), rho) of the flow of a validated ``rho``
+    along a generator ``gen`` that passed ``as_operator``: a closure over the
+    evaluator of t -> exp(t a), ||a||_F and ``_positive``'s rates, formed once
+    from ||rho||_F and rho's floor min(0, lambda_min - ``eig_allowance`` ||rho||_F),
+    a lower bound on the smallest eigenvalue of rho's Hermitian part, read from
+    rho's eigen-record.
 
     A point is phi(exp(t a), rho) from the shared exponential and one
     congruence, phi's own ``prescaled_phi``.  Each certificate that cannot
@@ -156,29 +157,29 @@ def _flow_of(rho: StateDensity, a):
 
     exp(t a) is invertible for every t, so a group element or state that
     fails validation here means the exponential overflowed or became too
-    ill-conditioned to use: a NumericalError that names t.  group_element's
-    own NumericalError, a largest singular value that overflows, passes as it
-    is.  Overflow warnings are silenced, since those errors report them.
+    ill-conditioned to use: a NumericalError that names t and the error it
+    stands for, as does every other refusal of the point, group_element's
+    largest singular value that overflows and phi's denominator floor among
+    them.  The caller silences overflow warnings, since those errors report them.
     """
-    rho = validate_state(rho)
-    gen = as_operator(a, "generator", rho.n)
-    rho_norm = frobenius(rho.matrix)
-    rho_floor = min(0.0, min_eigenvalue(rho) - eig_allowance(rho.n) * rho_norm)
+    n, rho_norm = rho.n, frobenius(rho.matrix)
+    rho_floor = min(0.0, min_eigenvalue(rho) - eig_allowance(n) * rho_norm)
+    rates = (gamma(4 * n + 8) * rho_norm - rho_floor + n * n * 2.0 ** -1070, eig_allowance(n),
+             math.sqrt(n) * gamma(n))
     exp, gen_norm = _Exponential(gen), frobenius(gen)
 
     def point(t) -> StateDensity:
+        g = exp(float(t))  # a singular Pade denominator raises its own error, naming t
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = exp(float(t))
-                if not _invertible(abs(float(t)) * gen_norm, rho.n):
-                    group_element(g)
-                mat, ratio = prescaled_phi(g, rho)
-                mat, scale = require_hermitian(mat, "functional")
-                if not _positive(mat, scale, rho_norm, rho_floor, ratio):
-                    psd_gate(mat, scale)
-                mat.flags.writeable = False
-                return unit_trace(mat)
-        except ValidationError as exc:
+            if not _invertible(abs(float(t)) * gen_norm, n):
+                group_element(g)
+            mat, ratio = prescaled_phi(g, rho)
+            mat, scale = require_hermitian(mat, "functional")
+            if not _positive(mat, scale, ratio, rates):
+                psd_gate(mat, scale)
+            mat.flags.writeable = False
+            return unit_trace(mat)
+        except (ValidationError, NumericalError) as exc:
             raise NumericalError(f"exp(t a) is not numerically usable at t = {float(t)!r}: "
                                  f"{type(exc).__name__}: {exc}") from exc
 
@@ -209,15 +210,19 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     conditioned exp(ta), or at every point at a tolerance scale below about
     3e-3 at n = 64, where eigvalsh's allowance alone exceeds PSD_CLAMP_RTOL's
     bound.  So every error is the one phi(group_element(exp(ta)), rho0)
-    raises, a NumericalError at the first failing t: one naming t where exp(ta)
-    overflows or exceeds the singularity limit, and group_element's "singular
-    value overflows double precision" where only its largest singular value does.
+    raises, at the first failing t, as a NumericalError that names t and that
+    error: "exp(t a) is not numerically usable at t = 1.0: NumericalError:
+    singular value overflows double precision" where only the largest singular
+    value of exp(ta) overflows, and likewise where exp(ta) overflows, exceeds
+    the singularity limit or shrinks rho0's trace to the denominator floor.
     """
-    point = _flow_of(rho0, a)
+    rho0 = validate_state(rho0)
+    point = _flow_of(rho0, as_operator(a, "generator", rho0.n))
     ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
+    if ts.ndim != 1 or ts.size == 0 or not np.logical_and.reduce(np.isfinite(ts)):
         raise ValidationError(f"t_grid must be a nonempty 1-d finite array, got shape {ts.shape}")
-    return [point(t) for t in ts]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [point(t) for t in ts]
 
 
 def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
@@ -238,10 +243,10 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
         raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
     rho = validate_state(rho)  # once, for tangent_phi and the flow
     vec = a if isinstance(a, TangentVector) else tangent_phi(rho, a)
-    point = _flow_of(rho, vec.generator)
-    fwd = point(h).matrix
-    bwd = point(-h).matrix
-    with np.errstate(over="ignore", invalid="ignore"):  # a complex 0 over subnormal 2h: 0 * inf
+    point = _flow_of(rho, as_operator(vec.generator, "generator", rho.n))
+    with np.errstate(over="ignore", invalid="ignore"):  # and a complex 0 over subnormal 2h: 0 * inf
+        fwd = point(h).matrix
+        bwd = point(-h).matrix
         fd = (fwd - bwd) / (2.0 * h)
     scale = fro_scale(vec.value)
     error = frobenius(fd - vec.value) / scale

@@ -95,11 +95,16 @@ def test_a_grid_is_its_points():
 
 def test_an_exponential_whose_largest_singular_value_overflows_raises_phis_error():
     # exp(a) has finite entries (e^709.9 + 1) / 2 = 1.01e308 and a largest singular
-    # value e^709.9 = 2.03e308 that overflows: group_element's own error
+    # value e^709.9 = 2.03e308 that overflows: group_element's own error, which
+    # the flow names t in, as it does every other refusal of a point
     rho = validate_state(np.eye(2, dtype=complex) / 2.0)
     a = 709.9 * np.ones((2, 2)) / 2
-    assert _flow_point(rho, a, 1.0) == _reference(rho, a, 1.0) == \
-        "singular value overflows double precision"
+    assert _reference(rho, a, 1.0) == "singular value overflows double precision"
+    for grid in ([1.0], [0.0, 1.0]):
+        with pytest.raises(NumericalError) as caught:
+            flow(rho, a, grid)
+        assert str(caught.value) == ("exp(t a) is not numerically usable at t = 1.0: "
+                                     "NumericalError: singular value overflows double precision")
 
 
 class TestInvertibilityCertificate:
