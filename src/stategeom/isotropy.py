@@ -92,8 +92,7 @@ def hermitian_components(t: np.ndarray) -> np.ndarray:
     np.triu_indices(n, 1).
     """
     n = t.shape[-1]
-    index = np.arange(n)
-    off = t[..., index[:, None] < index]
+    off = t[..., np.arange(n)[:, None] < np.arange(n)]
     out = np.empty(t.shape[:-2] + (n * n,))
     out[..., :n] = t.diagonal(axis1=-2, axis2=-1).real
     out[..., n::2] = 2.0 * off.real

@@ -12,7 +12,7 @@ Hermitian test and returns the scale 1 + ||a||_F.  A validated functional has
 passed both, so its holders call the solvers ``sorted_eigh`` and ``signature``.
 Every cheap call pays for the gate, so it runs at its per-call floor: one
 finiteness pass over the complex entries and one reduction of it, and
-``frobenius`` as two BLAS dots summed in double precision, the arithmetic of
+``frobenius`` as two BLAS dots summed in Python floats, the arithmetic of
 np.linalg.norm without its Python wrapper or an ``np.errstate``.  The gate
 raises the same errors, and the norm has the same bits, as the numpy forms
 they replace.
@@ -79,10 +79,11 @@ def frobenius(a: np.ndarray) -> float:
 
     The sum of squares is np.linalg.norm's: the dot of the real view of
     ``a.ravel(order="K")`` with itself, plus that of the imaginary view for a
-    complex array, added and square-rooted in double precision.  The dots
-    are ``np.vdot``, which raises no floating-point warning, so no
-    ``np.errstate`` is entered; the tests check the value against
-    np.linalg.norm bit for bit at n = 1 to 64 and scales 10^-160 to 10^160.
+    complex array, added as Python floats (a sum past the largest double is inf,
+    with no warning) and square-rooted.  The dots are ``np.vdot``, which raises
+    no floating-point warning, so no ``np.errstate`` is entered; the tests
+    check the value against np.linalg.norm bit for bit at n = 1 to 64 and
+    scales 10^-160 to 10^160.
     A NaN entry gives NaN.  Squaring overflows above about 1e154; only then is
     the norm taken again on a copy divided by a power of two above max|a|
     (exact in binary) and scaled back, or is inf where max|a| is: an infinite
@@ -92,7 +93,7 @@ def frobenius(a: np.ndarray) -> float:
     if x.dtype.kind != "c":
         value = math.sqrt(np.vdot(x, x))
     else:
-        value = math.sqrt(np.vdot(x.real, x.real) + np.vdot(x.imag, x.imag))
+        value = math.sqrt(float(np.vdot(x.real, x.real)) + float(np.vdot(x.imag, x.imag)))
     if value > _LARGEST:
         with np.errstate(over="ignore", invalid="ignore"):
             big = float(np.max(np.abs(a)))
@@ -161,7 +162,7 @@ def require_hermitian(a, name: str = "operator",
     inf, the same test is made on h = a / 2^k with 2^k > 2n, so ||h||_F < 2^1023:
     ||h - h†||_F against HERMITIAN_RTOL (2^-k + ||h||_F), both finite."""
     m = as_operator(a, name, n)
-    scale = 1.0 + frobenius(m)  # ``fro_scale``, saturated below
+    scale = fro_scale(m)
     if scale < 2.0 ** 1023:
         config.check("Hermitian defect", frobenius(m - dagger(m)), config.HERMITIAN_RTOL,
                      scale, NotHermitian)
@@ -170,7 +171,7 @@ def require_hermitian(a, name: str = "operator",
     h = m * 2.0 ** -k
     config.check(f"Hermitian defect of {name} / 2^{k},", frobenius(h - dagger(h)),
                  config.HERMITIAN_RTOL, 2.0 ** -k + frobenius(h), NotHermitian)
-    return m, min(scale, _LARGEST)
+    return m, scale
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:

@@ -112,11 +112,8 @@ def _invertible(x: float, n: int) -> bool:
 def _positive(mat: np.ndarray, scale: float, ratio: float, rates: tuple) -> bool:
     """Whether ``psd_gate``'s eigenvalue tests certainly pass on
     mat = m rho m† / d (scale = 1 + ||mat||_F, ratio = ||m||_F^2 / d from
-    ``prescaled_phi``), without eigvalsh.  ``rates`` are the flow's factors of
-    the bounds below, formed once per flow by ``_flow_of``: the deficit's
-    gamma_{4n+8} ||rho||_F - rho_floor + n^2 2^-1070, ``eig_allowance``(n) and
-    sqrt(n) gamma_n, where rho_floor is the flow's lower bound on the smallest
-    eigenvalue of rho's Hermitian part.
+    ``prescaled_phi``), without eigvalsh.  ``rates`` are the factors of the
+    bounds below that depend on rho alone, formed once per flow by ``_rates``.
 
     PSD: the Hermitian part of the exact m rho m† is m rho_H m†, whose smallest
     eigenvalue is at least rho_floor sigma_max(m)^2 >= rho_floor ||m||_F^2
@@ -140,13 +137,21 @@ def _positive(mat: np.ndarray, scale: float, ratio: float, rates: tuple) -> bool
             and config.clears(top - allowance * scale, config.PSD_CLAMP_RTOL, scale, floor=True))
 
 
-def _flow_of(rho: StateDensity, gen: np.ndarray):
-    """The point function t -> phi(exp(t a), rho) of the flow of a validated ``rho``
-    along a generator ``gen`` that passed ``as_operator``: a closure over the
-    evaluator of t -> exp(t a), ||a||_F and ``_positive``'s rates, formed once
-    from ||rho||_F and rho's floor min(0, lambda_min - ``eig_allowance`` ||rho||_F),
-    a lower bound on the smallest eigenvalue of rho's Hermitian part, read from
-    rho's eigen-record.
+def _rates(rho: StateDensity) -> tuple[float, float, float]:
+    """``_positive``'s factors for the flow of ``rho``: the deficit
+    gamma_{4n+8} ||rho||_F - rho_floor + n^2 2^-1070, ``eig_allowance``(n) and the
+    trace's rounding sqrt(n) gamma_n.  rho_floor = min(0, lambda_min -
+    ``eig_allowance`` ||rho||_F), from rho's eigen-record, is a lower bound on the
+    smallest eigenvalue of rho's Hermitian part."""
+    n, norm, allowance = rho.n, frobenius(rho.matrix), eig_allowance(rho.n)
+    deficit = gamma(4 * n + 8) * norm - min(0.0, min_eigenvalue(rho) - allowance * norm)
+    return deficit + n * n * 2.0 ** -1070, allowance, math.sqrt(n) * gamma(n)
+
+
+def _flow_of(rho: StateDensity, a):
+    """The point function t -> phi(exp(t a), rho) of the flow of ``rho`` along ``a``:
+    a closure over the evaluator of t -> exp(t a), ||a||_F and ``_positive``'s
+    rates (``_rates``).
 
     A point is phi(exp(t a), rho) from the shared exponential and one
     congruence, phi's own ``prescaled_phi``.  Each certificate that cannot
@@ -158,28 +163,29 @@ def _flow_of(rho: StateDensity, gen: np.ndarray):
     exp(t a) is invertible for every t, so a group element or state that
     fails validation here means the exponential overflowed or became too
     ill-conditioned to use: a NumericalError that names t and the error it
-    stands for, as does every other refusal of the point, group_element's
-    largest singular value that overflows and phi's denominator floor among
-    them.  The caller silences overflow warnings, since those errors report them.
+    stands for.  So does group_element's own NumericalError, a largest singular
+    value that overflows.  phi's NumericallySingular, d at the denominator floor,
+    passes as phi raises it.  The caller silences overflow warnings, since those
+    errors report them.
     """
-    n, rho_norm = rho.n, frobenius(rho.matrix)
-    rho_floor = min(0.0, min_eigenvalue(rho) - eig_allowance(n) * rho_norm)
-    rates = (gamma(4 * n + 8) * rho_norm - rho_floor + n * n * 2.0 ** -1070, eig_allowance(n),
-             math.sqrt(n) * gamma(n))
-    exp, gen_norm = _Exponential(gen), frobenius(gen)
+    rho = validate_state(rho)
+    gen = as_operator(a, "generator", rho.n)
+    exp, gen_norm, rates = _Exponential(gen), frobenius(gen), _rates(rho)
 
     def point(t) -> StateDensity:
         g = exp(float(t))  # a singular Pade denominator raises its own error, naming t
+        wrapped = (ValidationError, NumericalError)  # group_element's refusals, both classes
         try:
-            if not _invertible(abs(float(t)) * gen_norm, n):
+            if not _invertible(abs(float(t)) * gen_norm, rho.n):
                 group_element(g)
+            wrapped = ValidationError  # phi's floor, a NumericalError, passes as phi raises it
             mat, ratio = prescaled_phi(g, rho)
             mat, scale = require_hermitian(mat, "functional")
             if not _positive(mat, scale, ratio, rates):
                 psd_gate(mat, scale)
             mat.flags.writeable = False
             return unit_trace(mat)
-        except (ValidationError, NumericalError) as exc:
+        except wrapped as exc:  # read as the error propagates
             raise NumericalError(f"exp(t a) is not numerically usable at t = {float(t)!r}: "
                                  f"{type(exc).__name__}: {exc}") from exc
 
@@ -210,14 +216,13 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
     conditioned exp(ta), or at every point at a tolerance scale below about
     3e-3 at n = 64, where eigvalsh's allowance alone exceeds PSD_CLAMP_RTOL's
     bound.  So every error is the one phi(group_element(exp(ta)), rho0)
-    raises, at the first failing t, as a NumericalError that names t and that
-    error: "exp(t a) is not numerically usable at t = 1.0: NumericalError:
-    singular value overflows double precision" where only the largest singular
-    value of exp(ta) overflows, and likewise where exp(ta) overflows, exceeds
-    the singularity limit or shrinks rho0's trace to the denominator floor.
+    raises, at the first failing t: phi's NumericallySingular as it is, and any
+    other as a NumericalError that names t, where exp(ta) overflows or exceeds
+    the singularity limit, and "exp(t a) is not numerically usable at t = 1.0:
+    NumericalError: singular value overflows double precision" where only its
+    largest singular value does.
     """
-    rho0 = validate_state(rho0)
-    point = _flow_of(rho0, as_operator(a, "generator", rho0.n))
+    point = _flow_of(rho0, a)
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or not np.logical_and.reduce(np.isfinite(ts)):
         raise ValidationError(f"t_grid must be a nonempty 1-d finite array, got shape {ts.shape}")
@@ -243,10 +248,9 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
         raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
     rho = validate_state(rho)  # once, for tangent_phi and the flow
     vec = a if isinstance(a, TangentVector) else tangent_phi(rho, a)
-    point = _flow_of(rho, as_operator(vec.generator, "generator", rho.n))
+    point = _flow_of(rho, vec.generator)
     with np.errstate(over="ignore", invalid="ignore"):  # and a complex 0 over subnormal 2h: 0 * inf
-        fwd = point(h).matrix
-        bwd = point(-h).matrix
+        fwd, bwd = point(h).matrix, point(-h).matrix
         fd = (fwd - bwd) / (2.0 * h)
     scale = fro_scale(vec.value)
     error = frobenius(fd - vec.value) / scale

@@ -233,7 +233,7 @@ def _refusals(sg):
         ("flow", "ValidationError", lambda: sg.flow(rho, np.eye(2), [])),
         ("flow", "NumericalError", lambda: sg.flow(sg.maximally_mixed(2), edge, [0.0, 1.0])),
         ("flow", "NumericalError", lambda: sg.flow(rho, np.diag([40.0, -40.0]), [0.0, 1.0])),
-        ("flow", "NumericalError", lambda: sg.flow(rho, -20.0 * np.eye(2), [0.0, 1.0])),
+        ("flow", "NumericallySingular", lambda: sg.flow(rho, -20.0 * np.eye(2), [0.0, 1.0])),
         ("fd_tangent_check", "ValidationError", lambda: sg.fd_tangent_check(rho, skew, 0.0)),
         ("fd_tangent_check", "NumericalError",
          lambda: sg.fd_tangent_check(rho, skew, 1e-300)),

@@ -1,17 +1,20 @@
-"""Python calls per call at n = 4, pinned as upper bounds, as ``SOLVER_COUNTS`` in
-``tests/test_cli.py`` pins eigensolver calls.
+"""The package's own Python calls per call at n = 4, pinned as upper bounds, as
+``SOLVER_COUNTS`` in ``tests/test_cli.py`` pins eigensolver calls.
 
 Each function is called on seeded inputs, twice before it is counted, so a validated
-value's eigen-record exists as it does in a benchmark pass; the count is cProfile's
-total for one more call, wrapped in one lambda.  It includes the Python frames of
-numpy's linalg wrappers, ``np.errstate`` and array-function dispatchers, about 24
-calls per LAPACK call; the bounds were read at numpy 2.4.6.  Before the shared
-helpers formed each norm, scale and reduction once per call, ``phi``,
-``connect_phi``, ``fd_tangent_check`` and ``isotropy_report`` took 143, 154, 395 and
-353 calls here, and ``flow`` 1295.
+value's eigen-record exists as it does in a benchmark pass; the count is the calls
+cProfile records, in one more call, of functions whose code lies in the package.
+numpy's own frames (its linalg wrappers, ``np.errstate``, array-function dispatchers)
+and builtins are left out: they change with the numpy release, and the package does
+not control them.  The package's frames do not, so the bounds are the counts read at
+numpy 2.4.6, with no margin.  Before the shared helpers formed each norm, scale,
+reduction and per-flow bound once, ``flow`` took 353 such calls here,
+``fd_tangent_check`` 106, ``isotropy_report`` 83 and ``connect_phi`` 56.  cProfile's
+total, numpy's frames included, is recorded in CHANGES.md by each change that moves it.
 """
 
 import cProfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ import pytest
 import stategeom as sg
 from sampling import random_direction, random_hermitian, random_invertible, random_state
 from stategeom.isotropy import hermitian_components
+
+PACKAGE = Path(sg.__file__).parent
 
 
 def _inputs():
@@ -29,40 +34,40 @@ def _inputs():
             "p": rng.dirichlet(np.ones(4)), "w": rng.uniform(0.5, 2.0, 4)}
 
 
-# function -> (call on the inputs, its Python calls per call at most)
+# function -> (call on the inputs, the package's Python calls per call at most)
 CALLS = {
-    "phi": (lambda x: sg.phi(x["g"], x["rho"]), 133),
-    "alpha": (lambda x: sg.alpha(x["g"], x["rho"]), 115),
-    "group_element": (lambda x: sg.group_element(x["g"]), 40),
-    "validate_state": (lambda x: sg.validate_state(x["rho"].matrix), 75),
-    "hermitian_eig": (lambda x: sg.hermitian_eig(x["h"]), 61),
-    "matrix_exp": (lambda x: sg.matrix_exp(x["a"]), 81),
-    "connect_phi": (lambda x: sg.connect_phi(x["rho"], x["rho_b"]), 135),
-    "connect_alpha": (lambda x: sg.connect_alpha(x["rho"], x["rho_b"]), 119),
-    "same_orbit_alpha": (lambda x: sg.same_orbit_alpha(x["rho"].matrix, x["rho_o"].matrix), 142),
-    "spectral_split": (lambda x: sg.spectral_split(x["rho"]), 22),
-    "classical_phi": (lambda x: sg.classical_phi(x["w"], x["p"]), 49),
-    "tangent_phi": (lambda x: sg.tangent_phi(x["rho"], x["a"]), 31),
-    "fd_tangent_check": (lambda x: sg.fd_tangent_check(x["rho"], x["a"]), 332),
-    "flow": (lambda x: sg.flow(x["rho"], x["a"], np.linspace(0.0, 1.0, 10)), 1063),
-    "isotropy_membership_alpha": (lambda x: sg.isotropy_membership_alpha(x["a"], x["rho"]), 38),
-    "isotropy_membership_phi": (lambda x: sg.isotropy_membership_phi(x["a"], x["rho"]), 40),
-    "hermitian_components": (lambda x: hermitian_components(x["h"]), 7),
-    "isotropy_report": (lambda x: sg.isotropy_report(x["rho"]), 186),
+    "phi": (lambda x: sg.phi(x["g"], x["rho"]), 38),
+    "alpha": (lambda x: sg.alpha(x["g"], x["rho"]), 32),
+    "group_element": (lambda x: sg.group_element(x["g"]), 7),
+    "validate_state": (lambda x: sg.validate_state(x["rho"].matrix), 22),
+    "hermitian_eig": (lambda x: sg.hermitian_eig(x["h"]), 13),
+    "matrix_exp": (lambda x: sg.matrix_exp(x["a"]), 9),
+    "connect_phi": (lambda x: sg.connect_phi(x["rho"], x["rho_b"]), 50),
+    "connect_alpha": (lambda x: sg.connect_alpha(x["rho"], x["rho_b"]), 45),
+    "same_orbit_alpha": (lambda x: sg.same_orbit_alpha(x["rho"].matrix, x["rho_o"].matrix), 36),
+    "spectral_split": (lambda x: sg.spectral_split(x["rho"]), 7),
+    "classical_phi": (lambda x: sg.classical_phi(x["w"], x["p"]), 13),
+    "tangent_phi": (lambda x: sg.tangent_phi(x["rho"], x["a"]), 14),
+    "fd_tangent_check": (lambda x: sg.fd_tangent_check(x["rho"], x["a"]), 100),
+    "flow": (lambda x: sg.flow(x["rho"], x["a"], np.linspace(0.0, 1.0, 10)), 307),
+    "isotropy_membership_alpha": (lambda x: sg.isotropy_membership_alpha(x["a"], x["rho"]), 17),
+    "isotropy_membership_phi": (lambda x: sg.isotropy_membership_phi(x["a"], x["rho"]), 18),
+    "hermitian_components": (lambda x: hermitian_components(x["h"]), 1),
+    "isotropy_report": (lambda x: sg.isotropy_report(x["rho"]), 55),
 }
 
 
 def python_calls(call) -> int:
-    """The calls cProfile records in one call of ``call``, after two warm-up calls,
-    summed over its raw entries: ``pstats`` would merge the entries of functions that
-    share a file, line and name, such as every dataclass's ``__init__``."""
+    """The calls cProfile records in one call of ``call``, after two warm-up calls, of
+    functions whose code file lies in the package, summed over its raw entries."""
     call()
     call()
     profile = cProfile.Profile()
     profile.enable()
     call()
     profile.disable()
-    return sum(entry.callcount for entry in profile.getstats())
+    return sum(entry.callcount for entry in profile.getstats()
+               if Path(getattr(entry.code, "co_filename", "")).is_relative_to(PACKAGE))
 
 
 @pytest.mark.parametrize("name", CALLS)

@@ -22,22 +22,28 @@ from sampling import random_direction, random_state
 from stategeom import config, states, tangent
 from stategeom.actions import group_element, phi
 from stategeom.cli import main
-from stategeom.errors import NumericalError, ValidationError
+from stategeom.errors import NumericalError, NumericallySingular, ValidationError
 from stategeom.linalg import _Exponential, as_operator, frobenius, matrix_exp
 from stategeom.states import validate_state
 from stategeom.tangent import fd_tangent_check, flow, phi_velocity
 
 
 def _reference(rho, a, t):
-    """phi(E(t), rho) as bytes, or the message flow gives its error."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return phi(_Exponential(as_operator(a))(float(t)), rho).matrix.tobytes()
-    except ValidationError as exc:
-        return (f"exp(t a) is not numerically usable at t = {float(t)!r}: "
-                f"{type(exc).__name__}: {exc}")
-    except NumericalError as exc:
-        return str(exc)
+    """phi(E(t), rho) as bytes, or the message flow gives its error: the evaluator's
+    own and phi's NumericallySingular as they are, any other error of phi, whose
+    group_element's included, named with t."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            g = _Exponential(as_operator(a))(float(t))
+        except NumericalError as exc:
+            return str(exc)
+        try:
+            return phi(g, rho).matrix.tobytes()
+        except NumericallySingular as exc:
+            return str(exc)
+        except (ValidationError, NumericalError) as exc:
+            return (f"exp(t a) is not numerically usable at t = {float(t)!r}: "
+                    f"{type(exc).__name__}: {exc}")
 
 
 def _flow_point(rho, a, t):
@@ -96,15 +102,27 @@ def test_a_grid_is_its_points():
 def test_an_exponential_whose_largest_singular_value_overflows_raises_phis_error():
     # exp(a) has finite entries (e^709.9 + 1) / 2 = 1.01e308 and a largest singular
     # value e^709.9 = 2.03e308 that overflows: group_element's own error, which
-    # the flow names t in, as it does every other refusal of a point
+    # the flow names t in, as it does the other refusals of a point
     rho = validate_state(np.eye(2, dtype=complex) / 2.0)
     a = 709.9 * np.ones((2, 2)) / 2
-    assert _reference(rho, a, 1.0) == "singular value overflows double precision"
-    for grid in ([1.0], [0.0, 1.0]):
-        with pytest.raises(NumericalError) as caught:
-            flow(rho, a, grid)
-        assert str(caught.value) == ("exp(t a) is not numerically usable at t = 1.0: "
-                                     "NumericalError: singular value overflows double precision")
+    message = ("exp(t a) is not numerically usable at t = 1.0: "
+               "NumericalError: singular value overflows double precision")
+    assert _flow_point(rho, a, 1.0) == _reference(rho, a, 1.0) == message
+    with pytest.raises(NumericalError) as caught:
+        flow(rho, a, [0.0, 1.0])
+    assert str(caught.value) == message
+
+
+def test_phis_denominator_floor_passes_as_phi_raises_it():
+    # exp(-20 I) = e^-20 I is well conditioned, so group_element accepts it, and
+    # Tr(g rho g†) = e^-40 lies below DENOMINATOR_FLOOR: phi's NumericallySingular
+    rho = validate_state(np.eye(2, dtype=complex) / 2.0)
+    a = -20.0 * np.eye(2)
+    with pytest.raises(NumericallySingular) as caught:
+        flow(rho, a, [0.0, 1.0])
+    assert type(caught.value) is NumericallySingular
+    assert _flow_point(rho, a, 1.0) == _reference(rho, a, 1.0) == str(caught.value)
+    assert "not numerically usable" not in str(caught.value)
 
 
 class TestInvertibilityCertificate:

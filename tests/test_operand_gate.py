@@ -150,6 +150,16 @@ def test_frobenius_rescues_entries_near_1e200(dtype):
         assert math.isfinite(value) and value.hex() == frobenius_reference(a).hex()
 
 
+@pytest.mark.filterwarnings("error")
+def test_frobenius_adds_finite_dots_past_the_largest_double_without_a_warning():
+    # the real and imaginary dots are each 2 (9e153)^2 = 1.62e308, finite, and
+    # their sum is not: it is inf without a warning, and the norm is rescued
+    a = 1e153 * np.array([[9, 9j], [-9j, 9]])
+    value = linalg.frobenius(a)
+    assert math.isfinite(value) and value.hex() == frobenius_reference(a).hex()
+    assert sg.validate_positive(a).n == 2
+
+
 @pytest.mark.parametrize("scale, entries", [(1.0, 0), (1e200, 1)], ids=["finite", "rescued"])
 def test_frobenius_enters_errstate_and_norm_only_to_rescue(monkeypatch, scale, entries):
     calls = {"errstate": 0, "norm": 0}
