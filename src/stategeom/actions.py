@@ -24,13 +24,16 @@ import numpy as np
 
 from . import config
 from .errors import NotUnitary, NumericallySingular, Singular, ValidationError, ZeroWeight
-from .linalg import as_operator, dagger, frobenius, hermitian_part, in_range, require_hermitian
+from .linalg import (as_operator, dagger, eig_allowance, fro_scale, frobenius, gamma,
+                     hermitian_part, in_range, require_hermitian)
 from .states import (
+    GATE,
     PositiveFunctional,
     ProbabilityVector,
     StateDensity,
     _frozen,
-    validate_positive,
+    psd_gate,
+    unit_trace,
     validate_probability,
     validate_state,
 )
@@ -88,10 +91,20 @@ def alpha(g, xi):
     Hermitian part of g xi g†, with the same bits.  The action is linear and
     sends PSD inputs to PSD outputs of the same rank.  Raises NumericalError
     when g xi g† overflows.
+
+    A PositiveFunctional's image is exactly Hermitian and finite, so of
+    ``validate_positive``'s tests it takes the eigenvalue tests alone: the
+    congruence certificate from xi's gate record at ratio ||g||_F^2, and
+    ``psd_gate`` where that cannot decide (``_positive``).
     """
     if isinstance(xi, PositiveFunctional):
-        return validate_positive(hermitian_part(_congruence(group_element(g, xi.n).matrix,
-                                                            xi.matrix)))
+        m = group_element(g, xi.n).matrix
+        mat = hermitian_part(_congruence(m, xi.matrix))
+        norm, g_norm = frobenius(mat), frobenius(m)
+        value = PositiveFunctional(matrix=mat)
+        value.__dict__[GATE] = _positive(mat, norm, fro_scale(mat, norm), g_norm * g_norm,
+                                         _rates(xi.n, xi.__dict__.get(GATE)))
+        return value
     ge = group_element(g)
     return hermitian_part(_congruence(ge.matrix, require_hermitian(xi, "functional", ge.n)[0]))
 
@@ -121,20 +134,84 @@ def phi(g, rho: StateDensity) -> StateDensity:
     rescaling g -> lambda g.  That invariance keeps g rho g† finite for large
     g: g is first divided by the power of two above ||g||_F, which is exact
     and is what every ``flow`` point divides by, and the floor test applies
-    to the trace of the unscaled product.
+    to the trace of the unscaled product.  The image takes ``validate_state``'s
+    tests (``phi_state``), its eigenvalue tests decided by the congruence
+    certificate from rho's gate record, and by ``psd_gate`` where that cannot.
     """
     rho = validate_state(rho)
-    ge = group_element(g, rho.n)
-    return validate_state(prescaled_phi(ge.matrix, rho)[0])
+    return phi_state(group_element(g, rho.n).matrix, rho, _rates(rho.n, rho.__dict__.get(GATE)))
 
 
-def prescaled_phi(g: np.ndarray, rho: StateDensity) -> tuple[np.ndarray, float]:
-    """``phi``'s matrix before validation, m rho m† / d, and ||m||_F^2 / d, for
-    m = g / 2^e and d = Tr(m rho m†) from ``_normalization``, the floor test applied
-    to 2^2e d.  So 1/d is at most 4 ||m||_F^2 / d, or where ||g||_F < 1/2
-    (e = 0) the reciprocal of the floor that d passed."""
+def phi_state(g: np.ndarray, rho: StateDensity, rates: tuple | None) -> StateDensity:
+    """phi's image of the validated state ``rho`` under the matrix g, with
+    ``validate_state``'s tests: the Hermitian test, the eigenvalue tests
+    (``_positive``, from rho's ``rates`` at the ratio ||m||_F^2 / d of m and d from
+    ``_normalization``), then
+    the trace test.  The matrix is frozen in place and keeps its gate record."""
     _, _, m_norm, num, d = _normalization(g, rho)
-    return num / d, m_norm * m_norm / d
+    mat, norm, scale = require_hermitian(num / d, "functional")
+    return unit_trace(mat, _positive(mat, norm, scale, m_norm * m_norm / d, rates))
+
+
+def _rates(n: int, record: tuple | None) -> tuple[float, float, float] | None:
+    """``_positive``'s factors for the congruences of an n x n value xi, from its gate
+    record (low, ||xi||_F), None for no record: the deficit gamma_{4n+8} ||xi||_F -
+    floor + n^2 2^-1070, with floor = min(0, low - eig_allowance(n) ||xi||_F) a lower
+    bound on the smallest eigenvalue of xi's Hermitian part (``states.scale_of``),
+    ``eig_allowance``(n) and the trace's rounding sqrt(n) gamma_n."""
+    if record is None:
+        return None
+    low, norm = record
+    allowance = eig_allowance(n)
+    deficit = gamma(4 * n + 8) * norm - min(0.0, low - allowance * norm)
+    return deficit + n * n * 2.0 ** -1070, allowance, math.sqrt(n) * gamma(n)
+
+
+def _positive(mat: np.ndarray, norm: float, scale: float, ratio: float,
+              rates: tuple | None) -> tuple[float, float]:
+    """``psd_gate``'s verdict on mat = m xi m† / d, with its norm ||mat||_F and
+    scale 1 + ||mat||_F, ratio ||m||_F^2 / d (d = 1 for ``alpha`` and ``unitary_phi``,
+    phi's from ``_normalization``) and xi's ``_rates`` (None for a value without a
+    gate record), and the gate record (low, norm) it leaves.  The congruence
+    certificate decides where it can, without eigvalsh: low is then its lower bound
+    -(deficit ratio + allowance scale) on the smallest eigenvalue of mat's exact
+    Hermitian part; elsewhere ``psd_gate`` runs, and low is its smallest eigenvalue.
+    mat is frozen in place.
+
+    PSD: the Hermitian part of the exact m xi m† / d is m xi_H m† / d, whose
+    smallest eigenvalue is at least floor sigma_max(m)^2 / d >= floor ratio for
+    xi's floor <= 0 (Ostrowski).  The two complex products round by at most
+    gamma_{4n+8} ||m||_F^2 ||xi||_F, and gradual underflow adds at most
+    n^2 2^-1073 (1 + ||m||_F): below n^2 2^-1070 ratio where ||m||_F >= 1/2 and
+    d <= ||m||_F^2 (phi's prescaled m; a unitary), and below n^2 2^-1072 where
+    d = 1 and ||m||_F < 1 (alpha).  Else m = g in phi, so d passed the scaled
+    DENOMINATOR_FLOOR itself, and this test passes only at tolerance scales of
+    at least eig_allowance(n) / PSD_CLAMP_RTOL: the term is below n^2 2^-1000.
+    eigvalsh errs by ``eig_allowance`` ||mat||_F, which covers a symmetrization
+    and a division before it, and the allowance, ``eig_allowance`` * scale,
+    exceeds that by 2^-51 or more: room for those terms and for the quotient's
+    and eigvalsh's underflow, O(n^2 2^-1074).  So -(smallest eigenvalue) <=
+    (gamma_{4n+8} ||xi||_F - floor + n^2 2^-1070) ratio + allowance, which must
+    clear PSD_CLAMP_RTOL * scale.
+    Nonzero: the largest eigenvalue is at least Tr(mat) / n less the same
+    allowance and the trace's rounding, which must be above that bound.
+    """
+    # the deficit per unit of ratio, the others per unit of scale; no record, no certificate
+    deficit, allowance, slack = rates or (math.inf, 0.0, math.inf)
+    bound = deficit * ratio + allowance * scale
+    top = (float(mat.trace().real) - slack * scale) / mat.shape[0]
+    # an infinite deficit (an overflowing ||xi||_F) at a ratio that underflowed to 0 is NaN
+    certain = (bound < math.inf and config.clears(bound, config.PSD_CLAMP_RTOL, scale)
+               and config.clears(top - allowance * scale, config.PSD_CLAMP_RTOL, scale, floor=True))
+    mat.flags.writeable = False
+    return (-bound if certain else psd_gate(mat, scale)), norm
+
+
+def prescaled_phi(g: np.ndarray, rho: StateDensity) -> np.ndarray:
+    """``phi``'s matrix before validation, m rho m† / d, for m = g / 2^e and
+    d = Tr(m rho m†) from ``_normalization``, the floor test applied to 2^2e d."""
+    num, d = _normalization(g, rho)[3:]
+    return num / d
 
 
 def _normalization(g: np.ndarray,
@@ -148,9 +225,7 @@ def _normalization(g: np.ndarray,
     if norm == math.inf:
         shift, norm = 1024, frobenius(g * 2.0 ** -1024)
     e = max(math.frexp(norm)[1] + shift, 0)
-    m = np.empty(g.shape, dtype=complex)
-    np.ldexp(g.real, -e, out=m.real)
-    np.ldexp(g.imag, -e, out=m.imag)
+    m = np.ldexp(np.ascontiguousarray(g).view(float), -e).view(complex)
     num = m @ rho.matrix @ dagger(m)
     d = config.check("Tr(g rho g†)", float(num.trace().real), config.DENOMINATOR_FLOOR, 1.0,
                      NumericallySingular, floor=True, exp2=2 * e)
@@ -164,7 +239,8 @@ def phi_velocity(rho: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def unitary_phi(u, rho: StateDensity) -> StateDensity:
-    """Coadjoint action u rho u† of the unitary subgroup (spectrum preserving)."""
+    """Coadjoint action u rho u† of the unitary subgroup (spectrum preserving), its
+    image tested as phi's is, at ratio ||u||_F^2 (``_positive``)."""
     rho = validate_state(rho)
     m = as_operator(u, "unitary", rho.n)
     norm = frobenius(m)
@@ -173,7 +249,9 @@ def unitary_phi(u, rho: StateDensity) -> StateDensity:
     defect = (frobenius(dagger(m) @ m - np.eye(m.shape[0])) if norm * norm < 2.0 ** 1023
               else math.inf)
     config.check("||u†u - I||_F", defect, config.UNITARY_ATOL, 1.0, NotUnitary)
-    return validate_state(m @ rho.matrix @ dagger(m))
+    mat, mat_norm, scale = require_hermitian(m @ rho.matrix @ dagger(m), "functional")
+    return unit_trace(mat, _positive(mat, mat_norm, scale, norm * norm,
+                                     _rates(rho.n, rho.__dict__.get(GATE))))
 
 
 def _weight_squares(w) -> np.ndarray:
@@ -229,6 +307,6 @@ def nonconvexity_witness(g, rho1: StateDensity, rho2: StateDensity, lam: float) 
     """
     rho1, rho2 = validate_state(rho1), validate_state(rho2)
     m = group_element(g, rho1.n).matrix
-    mixed_image = prescaled_phi(m, mix_states(rho1, rho2, lam))[0]
-    image_mix = lam * prescaled_phi(m, rho1)[0] + (1.0 - lam) * prescaled_phi(m, rho2)[0]
+    mixed_image = prescaled_phi(m, mix_states(rho1, rho2, lam))
+    image_mix = lam * prescaled_phi(m, rho1) + (1.0 - lam) * prescaled_phi(m, rho2)
     return frobenius(mixed_image - image_mix)

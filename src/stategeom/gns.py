@@ -25,8 +25,8 @@ from . import config
 from .actions import _normalization, group_element
 from .errors import NumericalError, ValidationError
 from .linalg import as_operator, frobenius
-from .states import (ProbabilityVector, StateDensity, _frozen, default_rank_tol, spectral_split,
-                     validate_probability, validate_state)
+from .states import (ProbabilityVector, StateDensity, _frozen, default_rank_tol, scale_of,
+                     spectral_split, validate_probability, validate_state)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def purity_check(rho: StateDensity) -> bool:
     k = split.support_dim
     p = split.eigenvalues
     schmidt = np.linalg.svd(split.support_basis * np.sqrt(p), compute_uv=False) ** 2
-    rank = int(np.sum(schmidt > default_rank_tol(rho.matrix)))
+    rank = int(np.sum(schmidt > default_rank_tol(rho.matrix, scale_of(rho))))
     if rank != k:
         raise NumericalError(f"purification: Schmidt rank {rank} vs rank {k} of the spectrum")
     config.check("largest Schmidt coefficient gap", float(np.max(np.abs(schmidt - p))),

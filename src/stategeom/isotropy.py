@@ -58,7 +58,7 @@ from .actions import alpha_velocity, phi_velocity
 from .errors import ValidationError
 from .linalg import (as_operator, dagger, fro_scale, gamma, hermitian_part, in_range,
                      require_dimension)
-from .states import (PositiveFunctional, SpectralSplit, StateDensity, spectral_split,
+from .states import (PositiveFunctional, SpectralSplit, StateDensity, scale_of, spectral_split,
                      validate_positive, validate_state)
 
 
@@ -107,7 +107,7 @@ def _membership(velocity, validate, a, value) -> tuple[bool, float]:
     magnitude, and a pairing twice that."""
     value = validate(value)
     a, base = as_operator(a, "generator", value.n), value.matrix
-    base_scale, a_scale = fro_scale(base), fro_scale(a)
+    base_scale, a_scale = scale_of(value), fro_scale(a)
     values = in_range("isotropy pairing", a_scale * base_scale * base_scale,
                       lambda: hermitian_components(velocity(base, a)))
     residual = float(np.maximum.reduce(np.abs(values), axis=None)) if values.size else 0.0

@@ -8,8 +8,9 @@ which makes the output a pure function of the input bits.
 
 ``as_operator`` is the one gate for square operands (shape, finiteness and
 the dimension of the value they act on); ``require_hermitian`` adds the one
-Hermitian test and returns the scale 1 + ||a||_F.  A validated functional has
-passed both, so its holders call the solvers ``sorted_eigh`` and ``signature``.
+Hermitian test and returns the norm ||a||_F and the scale 1 + ||a||_F.  A
+validated functional has passed both, so its holders call the solvers
+``sorted_eigh`` and ``signature``.
 Every cheap call pays for the gate, so it runs at its per-call floor: one
 finiteness pass over the complex entries and one reduction of it, and
 ``frobenius`` as two BLAS dots summed in Python floats, the arithmetic of
@@ -145,33 +146,34 @@ def eig_allowance(n: int) -> float:
     return (math.sqrt(n) + 1.0) * gamma(4 * n)
 
 
-def fro_scale(a: np.ndarray) -> float:
-    """Scale factor ``1 + ||a||_F`` used by relative tolerances, saturated at the
-    largest double: a finite n x n matrix has ||a||_F at most sqrt(2) n times that,
-    so a bound on a matrix whose norm overflows stays finite and is at most that
-    much stricter."""
-    return min(1.0 + frobenius(a), _LARGEST)
+def fro_scale(a: np.ndarray, norm: float | None = None) -> float:
+    """Scale factor ``1 + ||a||_F`` used by relative tolerances, from ``norm`` where
+    the caller has ||a||_F already, saturated at the largest double: a finite n x n
+    matrix has ||a||_F at most sqrt(2) n times that, so a bound on a matrix whose
+    norm overflows stays finite and is at most that much stricter."""
+    return min(1.0 + (frobenius(a) if norm is None else norm), _LARGEST)
 
 
 def require_hermitian(a, name: str = "operator",
-                      n: int | None = None) -> tuple[np.ndarray, float]:
-    """``a`` through ``as_operator`` with its scale 1 + ||a||_F; raises
-    NotHermitian when ||a - a†||_F exceeds HERMITIAN_RTOL times that scale.
+                      n: int | None = None) -> tuple[np.ndarray, float, float]:
+    """``a`` through ``as_operator`` with its norm ||a||_F and scale 1 + ||a||_F;
+    raises NotHermitian when ||a - a†||_F exceeds HERMITIAN_RTOL times that scale.
 
     From a scale of 2^1023 up, where a - a† can overflow and the norm itself may be
     inf, the same test is made on h = a / 2^k with 2^k > 2n, so ||h||_F < 2^1023:
     ||h - h†||_F against HERMITIAN_RTOL (2^-k + ||h||_F), both finite."""
     m = as_operator(a, name, n)
-    scale = fro_scale(m)
+    norm = frobenius(m)
+    scale = fro_scale(m, norm)
     if scale < 2.0 ** 1023:
         config.check("Hermitian defect", frobenius(m - dagger(m)), config.HERMITIAN_RTOL,
                      scale, NotHermitian)
-        return m, scale
+        return m, norm, scale
     k = m.shape[0].bit_length() + 1
     h = m * 2.0 ** -k
     config.check(f"Hermitian defect of {name} / 2^{k},", frobenius(h - dagger(h)),
                  config.HERMITIAN_RTOL, 2.0 ** -k + frobenius(h), NotHermitian)
-    return m, scale
+    return m, norm, scale
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
@@ -236,7 +238,7 @@ def matrix_sqrt_psd(p) -> np.ndarray:
     near -clamp, the verdict is eigvalsh's, as ``validate_positive`` reads it.
     After that verdict, a largest eigenvalue that overflows raises NumericalError.
     """
-    m, scale = require_hermitian(p)
+    m, _, scale = require_hermitian(p)
     dec = sorted_eigh(m)
     w = dec.eigenvalues
     margin = 2.0 * eig_allowance(len(w)) * scale  # eigh's and eigvalsh's differ by less
@@ -268,7 +270,7 @@ _TABLE = {m: (np.array([[2.0 * x * (j % 2) for j, x in enumerate(b)],
 
 
 def _onenorm(m: np.ndarray) -> float:
-    return float(np.maximum.reduce(np.add.reduce(np.abs(m), axis=0)))
+    return max(np.add.reduce(np.abs(m), axis=0).tolist())  # no NaN: m is finite
 
 
 class _Exponential:
@@ -289,7 +291,14 @@ class _Exponential:
     ||t a||_1 alone settles it: d_p <= ||t a||_1 and ||abs(t a)^(2m+1)||_1 <=
     ||t a||_1^(2m+1), so the least m with ||t a||_1 below theta_m and below the
     bound that zeroes ell(t a, m) passes their test, at or above their m.
-    A diagonal a is exponentiated entrywise, as ``scipy.linalg.expm`` does.
+
+    A diagonal a is exponentiated entrywise, as ``scipy.linalg.expm`` does.  A
+    triangular a that needs squarings takes their Code Fragment 2.1: after the
+    solve and after each squaring, the diagonal is set to exp(2^(j-s) t a_ii) and
+    the first off-diagonal to the exponential of each 2 x 2 diagonal block
+    (``_pairs``), so neither loses the digits that 2^-s t a_ii below u would.  Its
+    scaling is Higham's (2005), from ||t a||_1 alone: the d_p of a far-from-normal
+    triangular a come from powers whose products underflow, and may be 0.
     """
 
     def __init__(self, a: np.ndarray):
@@ -302,20 +311,30 @@ class _Exponential:
         m, e = math.frexp(norm)
         self.e = max(e + shift, -1000)
         self.norm = math.ldexp(m, e + shift - self.e)  # ||b||_1, in [1/2, 1) but for tiny a
-        self._stack = np.zeros((16, n, n), dtype=complex)  # I, b, ..., b^13, 2 polynomials
-        self._stack[0].flat[::n + 1] = 1.0
-        b = np.multiply(a, 2.0 ** -self.e, out=self._stack[1])
-        self._flat = self._stack.view(float).reshape(16, 2 * n * n)
-        np.matmul(b, b, out=self._stack[2])
+        self._stack = stack = np.zeros((16, n, n), dtype=complex)  # I, b, ..., b^13, 2 polynomials
+        stack.reshape(16 * n * n)[:n * n:n + 1] = 1.0
+        b = np.multiply(a, 2.0 ** -self.e, out=stack[1])
+        self._flat = stack.view(float).reshape(16, 2 * n * n)
+        np.matmul(b, b, out=stack[2])
         self._count = 3  # powers formed: I, b, ..., b^(count - 1)
         self._exps = None  # the E_j, where the powers are scaled
-        if abs(sum(self._stack[2].diagonal().tolist())) < n * 2.0 ** -50:  # rho(b) below 2^-25?
+        if abs(sum(stack[2].diagonal().tolist())) < n * 2.0 ** -50:  # rho(b) below 2^-25?
             self._exps, self._count = [0, 0], 2
             self._powers(2)
         self._d = None  # d_4, d_6, d_8 and d_10 of b
         self._alpha = {}
-        diagonal = a.diagonal()
-        self._diagonal = diagonal.copy() if np.count_nonzero(a) == np.count_nonzero(diagonal) else None
+        # the structure: a corner in each triangle settles a general a; else the count of
+        # the entries off the diagonal, and of those in the lower triangle where there are any
+        self._diagonal = self._tri = None
+        if not (n > 1 and a[-1, 0] and a[0, -1]):
+            diagonal = a.diagonal()
+            off = np.count_nonzero(a) - np.count_nonzero(diagonal)
+            below = np.count_nonzero(a[np.tri(n, n, -1, dtype=bool)]) if off else 0
+            if not off:
+                self._diagonal = diagonal.copy()
+            elif below in (0, off):  # the flat offset of the first off-diagonal: 1 or n
+                step = n if below else 1
+                self._tri = diagonal.copy(), a.reshape(n * n)[step::n + 1].copy(), step
 
     def _powers(self, k: int) -> np.ndarray:
         """I, b, ..., b^k (k <= 13); b^j times b, ..., b^i gives b^(j+1), ..., b^(j+i)."""
@@ -354,6 +373,8 @@ class _Exponential:
         for m in _ALONE:
             if la < _ALONE[m]:
                 return m, 0
+        if self._tri is not None:  # ||2^-s t a||_1 <= theta_13
+            return 13, max(math.ceil(la - math.log2(_THETA[13])), 0)
         if self._d is None:
             powers, exps = self._powers(10), self._exps or [0] * 11
             self._d = [_onenorm(powers[p]) ** (1 / p) * 2.0 ** (exps[p] / p) for p in (4, 6, 8, 10)]
@@ -365,6 +386,22 @@ class _Exponential:
         s = max(math.ceil(lc + math.log2(eta / _THETA[13])), 0) if eta > 0.0 else 0
         return 13, s + self._ell(13, lc - s)
 
+    def _pairs(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """exp(h_j a)'s diagonal and first off-diagonal, row j for each h_j, a triangular:
+        exp(x_i), x = h_j a_ii, and h_j a_(i,i+1) e^mu sinh(z) / z for mu, z = (x_(i+1) +-
+        x_i) / 2, Higham's (2008) (10.42), which keeps the digits of nearby x; from |z| = 1,
+        (e^x_(i+1) - e^x_i) / 2z, which cannot overflow where that difference does not."""
+        diagonal, off, _ = self._tri
+        x = (h[:, None] * diagonal.view(float)).view(complex)
+        ex = np.exp(x)
+        half = x / 2.0
+        z, mu = half[:, 1:] - half[:, :-1], half[:, 1:] + half[:, :-1]
+        near = np.abs(z) <= 1.0
+        w = np.where(near, z, 1.0)  # the divisor of each form where the other holds
+        quotient = np.where(near, np.exp(mu) * np.sinh(w) / np.where(w == 0.0, 1.0, w),
+                            (ex[:, 1:] - ex[:, :-1]) / (2.0 * np.where(near, 1.0, z)))
+        return ex, np.where(w == 0.0, np.exp(mu), quotient) * (h[:, None] * off)
+
     def __call__(self, t: float) -> np.ndarray:
         if t == 0.0 or self.norm == 0.0:
             return self._stack[0].copy()
@@ -373,7 +410,8 @@ class _Exponential:
         m, s = self._order(math.log2(abs(t)) + self.e)
         c = math.ldexp(t, self.e - s)  # 2^-s t a = c b
         table, power = _TABLE[m]
-        self._powers(m)
+        if self._count <= m:
+            self._powers(m)
         if self._exps is None:
             weights = table * c ** power
         else:
@@ -385,8 +423,19 @@ class _Exponential:
         except np.linalg.LinAlgError as exc:  # a singular or non-finite Pade denominator
             raise NumericalError(f"exp(t a) is not numerically usable at t = {t!r}") from exc
         x += self._stack[0]
-        for _ in range(s):
-            x = x @ x
+        if self._tri is None or s == 0:
+            for _ in range(s):
+                x = x @ x
+            return x
+        # r_m of a triangular b is triangular, but the solve's pivoting may fill in rounding
+        n, step = x.shape[0], self._tri[2]
+        x = np.triu(x) if step == 1 else np.tril(x)
+        diagonals, offs = self._pairs(np.ldexp(t, np.arange(-s, 1)))
+        for j in range(s + 1):
+            if j:
+                x = x @ x
+            flat = x.reshape(n * n)
+            flat[::n + 1], flat[step::n + 1] = diagonals[j], offs[j]
         return x
 
 
@@ -421,7 +470,7 @@ def polar(g) -> tuple[np.ndarray, np.ndarray]:
 
 def inertia(h, zero_tol: float) -> tuple[int, int, int]:
     """Signature counts (n_plus, n_zero, n_minus) about the cuts +-zero_tol (``signature``)."""
-    m, scale = require_hermitian(h)
+    m, _, scale = require_hermitian(h)
     if not zero_tol >= 0.0:
         raise ValidationError("zero_tol must be non-negative")
     return signature(m, zero_tol, zero_tol, scale)

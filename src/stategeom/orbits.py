@@ -38,6 +38,7 @@ from .states import (
     default_rank_tol,
     gibbs_spectrum,
     maximally_mixed,
+    scale_of,
     spectral_split,
     validate_positive,
     validate_probability,
@@ -97,14 +98,16 @@ def _connect(validate, rho0, rho1, image) -> ConnectCertificate:
     bound = float(np.sqrt(c + 1.0))
     config.check("connecting element norm above sqrt(C+1)", element.sigma_max - bound,
                  config.NORM_BOUND_SLACK, bound, NumericalError)
-    residual = _residual_guard(image(element.matrix, rho0), rho1.matrix)
+    residual = _residual_guard(image(element.matrix, rho0), rho1.matrix, scale_of(rho1))
     return ConnectCertificate(g=element, bound_constant=c, norm_bound=bound,
                               achieved_residual=residual)
 
 
-def _residual_guard(image: np.ndarray, target: np.ndarray) -> float:
+def _residual_guard(image: np.ndarray, target: np.ndarray, scale: float) -> float:
+    """||image - target||_F, checked against CONNECT_RESIDUAL_RTOL times the scale
+    1 + ||target||_F."""
     return config.check("connection residual", frobenius(image - target),
-                        config.CONNECT_RESIDUAL_RTOL, fro_scale(target), NumericalError)
+                        config.CONNECT_RESIDUAL_RTOL, scale, NumericalError)
 
 
 def connect_alpha(rho0: PositiveFunctional, rho1: PositiveFunctional) -> ConnectCertificate:
@@ -121,7 +124,7 @@ def connect_phi(rho0: StateDensity, rho1: StateDensity) -> ConnectCertificate:
     residual reads phi's matrix before its validation, which the guard makes
     unnecessary.
     """
-    return _connect(validate_state, rho0, rho1, lambda g, rho: prescaled_phi(g, rho)[0])
+    return _connect(validate_state, rho0, rho1, prescaled_phi)
 
 
 def same_orbit_alpha(xi0, xi1) -> bool:
@@ -132,13 +135,13 @@ def same_orbit_alpha(xi0, xi1) -> bool:
     [-PSD_CLAMP_RTOL, RANK_RTOL] (1 + ||xi||_F), the band that validation and
     ``classify_orbit`` count as zero.
     """
-    m0, s0 = require_hermitian(xi0, "first functional")
-    m1, s1 = require_hermitian(xi1, "second functional")
+    m0, _, s0 = require_hermitian(xi0, "first functional")
+    m1, _, s1 = require_hermitian(xi1, "second functional")
     if m0.shape != m1.shape:
         return False
     clamp = config.scaled(config.PSD_CLAMP_RTOL)
-    return (signature(m0, clamp * s0, default_rank_tol(m0), s0)
-            == signature(m1, clamp * s1, default_rank_tol(m1), s1))
+    return (signature(m0, clamp * s0, default_rank_tol(m0, s0), s0)
+            == signature(m1, clamp * s1, default_rank_tol(m1, s1), s1))
 
 
 def tracial_orbit_point(g, n: int) -> StateDensity:
@@ -184,8 +187,8 @@ def _recombine(tau: StateDensity, g1, g2,
     _require_weight(lam)
     tau = validate_state(tau)
     require_tracial(tau)
-    target = (lam * prescaled_phi(group_element(g1, tau.n).matrix, tau)[0]
-              + (1.0 - lam) * prescaled_phi(group_element(g2, tau.n).matrix, tau)[0])
+    target = (lam * prescaled_phi(group_element(g1, tau.n).matrix, tau)
+              + (1.0 - lam) * prescaled_phi(group_element(g2, tau.n).matrix, tau))
     recombiner = group_element(matrix_sqrt_psd(tau.n * target))
     mixture = phi(recombiner, tau)
     return recombiner, mixture, frobenius(mixture.matrix - target)
@@ -358,7 +361,8 @@ def truncation_sweep(gen0: SpectrumGenerator, gen1: SpectrumGenerator, dims,
         image = root * p0 * root
         # where C overflows the element has no double entries and no residual
         residuals.append(math.inf if cs[-1] == math.inf else
-                         _residual_guard(image / image.sum() if action == "phi" else image, p1))
+                         _residual_guard(image / image.sum() if action == "phi" else image, p1,
+                                         fro_scale(p1)))
 
     limit = "" if gen1.declared_limit is None else f" (declared limit: {gen1.declared_limit})"
     return TruncationReport(

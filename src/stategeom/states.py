@@ -34,6 +34,15 @@ decompose; both store the same read-only bits, and the first stored is kept.
 It is built on first use, not at validation, because every output of ``phi``,
 ``alpha`` and ``connect_*`` is validated and most are never asked about their
 spectrum.
+
+Validation itself leaves a smaller record, the gate record (``scale_of``): the
+norm ||matrix||_F its Hermitian test took and the smallest eigenvalue its PSD gate
+found.  It is made with the value, by the tests it records, and never on a
+later call.  The rank cut, the connection residual and the isotropy residual
+read the norm from it, and the congruence certificate reads both
+(``actions._positive``): an image of the value under ``phi``, ``alpha`` or a
+``flow`` point is then shown positive without an eigensolver, and carries the
+certificate's bound as its own record.
 """
 
 from __future__ import annotations
@@ -137,8 +146,13 @@ class OrbitClass:
     tag: str
 
 
-def default_rank_tol(m: np.ndarray) -> float:
-    return config.scaled(config.RANK_RTOL) * fro_scale(m)
+def default_rank_tol(m: np.ndarray, scale: float | None = None) -> float:
+    """The rank cut RANK_RTOL (1 + ||m||_F), from m's ``scale`` where the caller has it."""
+    return config.scaled(config.RANK_RTOL) * (fro_scale(m) if scale is None else scale)
+
+
+# The key of a validated value's gate record in its __dict__ (see ``scale_of``).
+GATE = "_gate"
 
 
 def validate_positive(m) -> PositiveFunctional:
@@ -150,18 +164,37 @@ def validate_positive(m) -> PositiveFunctional:
     """
     if isinstance(m, PositiveFunctional):
         return m
-    mat, scale = require_hermitian(m, "functional")
-    psd_gate(mat, scale)
-    return PositiveFunctional(matrix=_frozen(mat))
+    mat, norm, scale = require_hermitian(m, "functional")
+    value = PositiveFunctional(matrix=_frozen(mat))
+    value.__dict__[GATE] = psd_gate(mat, scale), norm
+    return value
 
 
-def psd_gate(mat: np.ndarray, scale: float) -> None:
+def psd_gate(mat: np.ndarray, scale: float) -> float:
     """``validate_positive``'s eigenvalue tests, one eigvalsh, on a matrix that
-    passed ``require_hermitian`` with its scale 1 + ||mat||_F."""
+    passed ``require_hermitian`` with its scale 1 + ||mat||_F; returns the smallest
+    eigenvalue, the first entry of the gate record (``scale_of``)."""
     w = np.linalg.eigvalsh(hermitian_part(mat))
     config.check("-(smallest eigenvalue)", -w[0], config.PSD_CLAMP_RTOL, scale, NotPSD)
     config.check("largest eigenvalue", w[-1], config.PSD_CLAMP_RTOL, scale, ZeroFunctional,
                  floor=True)
+    return float(w[0])
+
+
+def scale_of(value: PositiveFunctional) -> float:
+    """1 + ||value.matrix||_F, from the norm in the value's gate record where it has one.
+
+    Validation leaves a gate record (low, ||matrix||_F) in the value's ``__dict__``
+    under ``GATE``, outside the dataclass fields, as the eigen-record is kept: the
+    norm its Hermitian test took, and a number whose excess over eig_allowance(n)
+    ||matrix||_F is at most the smallest eigenvalue of the matrix's exact Hermitian
+    part.  ``psd_gate``'s smallest eigenvalue is one (eigvalsh errs by less than
+    that allowance); the congruence certificate's lower bound is another
+    (``actions._positive``), which its outputs keep.  So a value certifies the
+    positivity of its congruences without a second eigensolver.  A value built from
+    its class has no record."""
+    record = value.__dict__.get(GATE)
+    return fro_scale(value.matrix, None if record is None else record[1])
 
 
 def validate_state(m) -> StateDensity:
@@ -173,18 +206,22 @@ def validate_state(m) -> StateDensity:
     array that is not a state is not caught here, as a ``GroupElement`` built on
     a singular matrix is not caught by ``group_element``.
     """
-    return m if isinstance(m, StateDensity) else unit_trace(validate_positive(m).matrix)
+    if isinstance(m, StateDensity):
+        return m
+    return unit_trace((value := validate_positive(m)).matrix, value.__dict__.get(GATE))
 
 
-def unit_trace(frozen: np.ndarray) -> StateDensity:
+def unit_trace(frozen: np.ndarray, record: tuple[float, float] | None) -> StateDensity:
     """``validate_state``'s trace test on a frozen matrix that passed (or is
-    certified to pass) ``validate_positive``."""
+    certified to pass) ``validate_positive``; the state keeps its gate ``record``."""
     # summed in Python floats, where a sum that overflows is inf without a warning; the
     # slack is the rounding of a sum of n terms in any order, gamma_(n+1)
     trace = sum(frozen.diagonal().real.tolist())
     config.check("|trace - 1|", abs(trace - 1.0), config.TRACE_ATOL, 1.0, TraceError,
                  slack=gamma(frozen.shape[0] + 1))
-    return StateDensity(matrix=frozen)
+    state = StateDensity(matrix=frozen)
+    state.__dict__[GATE] = record
+    return state
 
 
 def validate_probability(p) -> ProbabilityVector:
@@ -227,7 +264,7 @@ def spectral_split(rho) -> SpectralSplit:
     eigenvalues at or below 1e-12*(1+||rho||_F) count as kernel."""
     value = validate_positive(rho)
     dec = _eigenpairs(value)
-    k = int(np.count_nonzero(dec.eigenvalues > default_rank_tol(value.matrix)))
+    k = int(np.count_nonzero(dec.eigenvalues > default_rank_tol(value.matrix, scale_of(value))))
     if k == 0:
         raise ZeroFunctional("functional has empty support at the given tolerance")
     # read-only views of the eigenpairs, which are frozen already

@@ -4,7 +4,8 @@ A tangent vector is a velocity formula of ``actions`` (``alpha_velocity`` or
 ``phi_velocity``) at a validated value, made by one body, ``_tangent``.  A flow
 is the point function t -> phi(exp(ta), rho) that ``_flow_of`` returns: a
 closure over one evaluator of exp(ta), whose powers of a every point shares, and
-the norms and eigenvalue floor its certificates read.  Each point evaluates
+the norm its invertibility certificate reads; the positivity certificate reads
+the floor and norm of rho's gate record.  Each point evaluates
 exp(ta) exactly rather than stepping an ODE, with one congruence; two O(n^2)
 certificates stand in for the SVD of ``group_element`` and the eigvalsh of
 ``psd_gate``, the positivity tests of ``validate_state``, and where one cannot
@@ -24,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .actions import alpha_velocity, group_element, phi_velocity, prescaled_phi
+from .actions import _rates, alpha_velocity, group_element, phi_state, phi_velocity
 from .errors import NumericalError, ValidationError
-from .linalg import (_Exponential, as_operator, eig_allowance, fro_scale, frobenius, gamma,
-                     in_range, require_hermitian)
-from .states import (PositiveFunctional, StateDensity, _eigenpairs, _frozen, default_rank_tol,
-                     min_eigenvalue, psd_gate, unit_trace, validate_positive, validate_state)
+from .linalg import (_Exponential, as_operator, fro_scale, frobenius, gamma, in_range,
+                     require_hermitian)
+from .states import (GATE, PositiveFunctional, StateDensity, _eigenpairs, _frozen,
+                     default_rank_tol, min_eigenvalue, scale_of, validate_positive, validate_state)
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ def covariance(rho: StateDensity, a, b) -> float:
     NumericalError when its evaluation overflows.
     """
     rho = validate_state(rho)
-    am, _ = require_hermitian(a, "a", rho.n)
-    bm, _ = require_hermitian(b, "b", rho.n)
+    am = require_hermitian(a, "a", rho.n)[0]
+    bm = require_hermitian(b, "b", rho.n)[0]
     m = rho.matrix
 
     def evaluate():
@@ -109,56 +110,18 @@ def _invertible(x: float, n: int) -> bool:
                          1.0 + growth + err + 2.0 * svd, floor=True)
 
 
-def _positive(mat: np.ndarray, scale: float, ratio: float, rates: tuple) -> bool:
-    """Whether ``psd_gate``'s eigenvalue tests certainly pass on
-    mat = m rho m† / d (scale = 1 + ||mat||_F, ratio = ||m||_F^2 / d from
-    ``prescaled_phi``), without eigvalsh.  ``rates`` are the factors of the
-    bounds below that depend on rho alone, formed once per flow by ``_rates``.
-
-    PSD: the Hermitian part of the exact m rho m† is m rho_H m†, whose smallest
-    eigenvalue is at least rho_floor sigma_max(m)^2 >= rho_floor ||m||_F^2
-    (Ostrowski; rho_floor <= 0).  The two complex products round by at most
-    gamma_{4n+8} ||m||_F^2 ||rho||_F, and gradual underflow adds 2^-1075 per
-    real product, under 3 n^2 2^-1074 / d on mat as ||m||_2 < 1: below
-    n^2 2^-1070 ratio where ||m||_F >= 1/2.  Elsewhere m = g, so d passed the
-    scaled DENOMINATOR_FLOOR itself, and this test passes only at tolerance
-    scales of at least eig_allowance(n) / PSD_CLAMP_RTOL: the term is below
-    n^2 2^-1000.  eigvalsh errs by ``eig_allowance`` ||mat||_F, and the
-    allowance, ``eig_allowance`` * scale, exceeds that by 2^-51 or more: room
-    for that term and the quotient's and eigvalsh's underflow, O(n^2 2^-1074).
-    So -(smallest eigenvalue) <= (gamma_{4n+8} ||rho||_F - rho_floor +
-    n^2 2^-1070) ratio + allowance, which must clear PSD_CLAMP_RTOL * scale.
-    Nonzero: the largest eigenvalue is at least Tr(mat) / n less the same
-    allowance and the trace's rounding, which must be above that bound.
-    """
-    deficit, allowance, slack = rates  # the deficit per unit of ratio, the others of scale
-    top = (float(mat.trace().real) - slack * scale) / mat.shape[0]
-    return (config.clears(deficit * ratio + allowance * scale, config.PSD_CLAMP_RTOL, scale)
-            and config.clears(top - allowance * scale, config.PSD_CLAMP_RTOL, scale, floor=True))
-
-
-def _rates(rho: StateDensity) -> tuple[float, float, float]:
-    """``_positive``'s factors for the flow of ``rho``: the deficit
-    gamma_{4n+8} ||rho||_F - rho_floor + n^2 2^-1070, ``eig_allowance``(n) and the
-    trace's rounding sqrt(n) gamma_n.  rho_floor = min(0, lambda_min -
-    ``eig_allowance`` ||rho||_F), from rho's eigen-record, is a lower bound on the
-    smallest eigenvalue of rho's Hermitian part."""
-    n, norm, allowance = rho.n, frobenius(rho.matrix), eig_allowance(rho.n)
-    deficit = gamma(4 * n + 8) * norm - min(0.0, min_eigenvalue(rho) - allowance * norm)
-    return deficit + n * n * 2.0 ** -1070, allowance, math.sqrt(n) * gamma(n)
-
-
 def _flow_of(rho: StateDensity, a):
     """The point function t -> phi(exp(t a), rho) of the flow of ``rho`` along ``a``:
-    a closure over the evaluator of t -> exp(t a), ||a||_F and ``_positive``'s
-    rates (``_rates``).
+    a closure over the evaluator of t -> exp(t a) and ||a||_F.
 
     A point is phi(exp(t a), rho) from the shared exponential and one
-    congruence, phi's own ``prescaled_phi``.  Each certificate that cannot
-    decide runs the one test it stands in for: ``group_element``'s SVD where
+    congruence, phi's own ``phi_state``.  Each certificate that cannot decide
+    runs the one test it stands in for: ``group_element``'s SVD where
     ``_invertible`` fails, before the congruence as in phi (so Singular comes
-    before NumericallySingular), and ``psd_gate``'s eigvalsh of the same matrix,
-    whose Hermitian test has run once already, where ``_positive`` fails.
+    before NumericallySingular), and ``psd_gate``'s eigvalsh where the congruence
+    certificate from rho's gate record fails (``actions._positive``).  A value built
+    from its class has no gate record: the flow reads its eigen-record's smallest
+    eigenvalue and its norm in its place.
 
     exp(t a) is invertible for every t, so a group element or state that
     fails validation here means the exponential overflowed or became too
@@ -169,8 +132,12 @@ def _flow_of(rho: StateDensity, a):
     errors report them.
     """
     rho = validate_state(rho)
+    record = rho.__dict__.get(GATE)
+    if record is None:  # a value built from its class: its eigen-record's smallest eigenvalue
+        record = min_eigenvalue(rho), frobenius(rho.matrix)
+    rates = _rates(rho.n, record)
     gen = as_operator(a, "generator", rho.n)
-    exp, gen_norm, rates = _Exponential(gen), frobenius(gen), _rates(rho)
+    exp, gen_norm = _Exponential(gen), frobenius(gen)
 
     def point(t) -> StateDensity:
         g = exp(float(t))  # a singular Pade denominator raises its own error, naming t
@@ -179,12 +146,7 @@ def _flow_of(rho: StateDensity, a):
             if not _invertible(abs(float(t)) * gen_norm, rho.n):
                 group_element(g)
             wrapped = ValidationError  # phi's floor, a NumericalError, passes as phi raises it
-            mat, ratio = prescaled_phi(g, rho)
-            mat, scale = require_hermitian(mat, "functional")
-            if not _positive(mat, scale, ratio, rates):
-                psd_gate(mat, scale)
-            mat.flags.writeable = False
-            return unit_trace(mat)
+            return phi_state(g, rho, rates)
         except wrapped as exc:  # read as the error propagates
             raise NumericalError(f"exp(t a) is not numerically usable at t = {float(t)!r}: "
                                  f"{type(exc).__name__}: {exc}") from exc
@@ -197,17 +159,18 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
 
     One evaluator E of t -> exp(t a) (``linalg._Exponential``) forms a's powers
     once, so a point costs its Pade evaluation, one solve, s squarings, one
-    congruence (phi's, ``prescaled_phi``) and O(n^2) checks; the states have
+    congruence (phi's, ``actions.phi_state``) and O(n^2) checks; the states have
     the bits of phi(E(t), rho0).  Two certificates stand in for the SVD of
     ``group_element`` and the eigvalsh of ``psd_gate``, ``validate_state``'s
-    positivity tests (see ``_invertible`` and ``_positive``):
+    positivity tests (see ``_invertible`` and ``actions._positive``):
 
     - invertible, from x = |t| ||a||_F and n alone: e^-x, less the exponential's
       forward error err = gamma_8n (2 + (1 + sqrt(n)) x) e^x and the SVD's rounding
       sqrt(n) gamma_8n (e^x + err), exceeds SINGULAR_RTOL (1 + e^x + err);
-    - a state: with B = PSD_CLAMP_RTOL (1 + ||rho_t||_F), ``_positive``'s lower
-      bound on the spectrum of rho_t (from rho0's eigen-record) is above
-      -B, and Tr(rho_t) / n less eigvalsh's allowance is above B.
+    - a state: with B = PSD_CLAMP_RTOL (1 + ||rho_t||_F), the congruence
+      certificate's lower bound on the spectrum of rho_t (``actions._positive``, from
+      the floor and norm in rho0's gate record) is above -B, and Tr(rho_t) / n less
+      eigvalsh's allowance is above B.
 
     Where a certificate fails, the point runs the one test it stands in for
     and keeps its congruence: the SVD of exp(ta) where x is above the cut-off
@@ -238,11 +201,11 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     ``a`` is a generator, whose velocity is then ``tangent_phi``'s, or the
     TangentVector ``tangent_phi`` gave at rho.  The two points are ``flow``'s,
     with its certificates and fallback, so they share one exponential, cost two
-    congruences, and read rho's eigen-record.  A step so small that the quotient
+    congruences, and read rho's gate record.  A step so small that the quotient
     overflows raises NumericalError, and so does one whose quotient rounding
     may swallow whole: the allowance gamma_{4n+8} (||fwd||_F + ||bwd||_F) / 2|h|
-    of the two points' congruences (as in ``_positive``) is not below
-    1 + ||value||_F.
+    of the two points' congruences (as in ``actions._positive``; the norms are the
+    points' gate records') is not below 1 + ||value||_F.
     """
     if not (math.isfinite(h) and h != 0.0):
         raise ValidationError(f"finite-difference step must be finite and nonzero, got {h}")
@@ -250,13 +213,14 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     vec = a if isinstance(a, TangentVector) else tangent_phi(rho, a)
     point = _flow_of(rho, vec.generator)
     with np.errstate(over="ignore", invalid="ignore"):  # and a complex 0 over subnormal 2h: 0 * inf
-        fwd, bwd = point(h).matrix, point(-h).matrix
-        fd = (fwd - bwd) / (2.0 * h)
+        fwd, bwd = point(h), point(-h)
+        fd = (fwd.matrix - bwd.matrix) / (2.0 * h)
     scale = fro_scale(vec.value)
     error = frobenius(fd - vec.value) / scale
     if not math.isfinite(error):
         raise NumericalError(f"finite-difference quotient overflows double precision at h = {h}")
-    allowance = gamma(4 * rho.n + 8) * (frobenius(fwd) + frobenius(bwd)) / (2.0 * abs(h))
+    norms = fwd.__dict__[GATE][1] + bwd.__dict__[GATE][1]  # the points' ||.||_F
+    allowance = gamma(4 * rho.n + 8) * norms / (2.0 * abs(h))
     config.check(f"finite-difference quotient at h = {h} lost to rounding: 1 + ||value||_F",
                  scale, 0.0, 1.0, NumericalError, floor=True, slack=allowance)
     return error
@@ -293,5 +257,6 @@ def tangent_map_rank(rho: StateDensity) -> int:
     """
     rho = validate_state(rho)
     s = _singular_values(rho)
-    cut = max(config.scaled(config.TANGENT_RANK_RTOL) * s.max(), default_rank_tol(rho.matrix))
+    cut = max(config.scaled(config.TANGENT_RANK_RTOL) * s.max(),
+              default_rank_tol(rho.matrix, scale_of(rho)))
     return int(np.sum(s > cut))

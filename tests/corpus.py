@@ -1,6 +1,7 @@
 """A seeded corpus of library and CLI calls, reduced to bytes: one sha256 per function.
 
     python tests/corpus.py [--src PATH]
+    python tests/corpus.py --compare PATH
 
 runs every call of ``calls()`` on the package under PATH (a directory holding
 ``stategeom``; by default this checkout's ``src``) and prints one line per
@@ -8,18 +9,23 @@ function, ``<name> <sha256> <calls>``, then the numpy version and the OpenBLAS
 kernel, read as ``tests/conftest.py`` reads it.  Two checkouts on one machine
 and kernel give the same line for a function exactly when every call of it
 returned the same bits, or raised the same error with the same text, and
-emitted the same warnings.  Digests move with the BLAS kernel, so the script
-compares nothing itself: a change quotes its parent's lines and its own.
+emitted the same warnings.  Digests move with the BLAS kernel, so a plain run
+compares nothing.  ``--compare PATH`` runs this corpus twice, in fresh
+interpreters, on the package under PATH (a checkout, or a directory holding
+``stategeom``) and on this checkout's, prints only the lines that differ
+(``differing``: ``-`` for PATH's, ``+`` for this checkout's) and exits 1 if any do.
 
 The calls cover n = 1 to 16 (every rank up to n = 6; ranks 1, 2, n/2, n - 1
 and n above) and a few at n = 64; functionals, group elements and Hermitian
 operands at scales from 1e-150 to 1e150; generators of norm 1e-3 to 8 in
 general, Hermitian and skew-Hermitian form; tolerance scales 1e-5, 1 and 10;
 bare and validated inputs; and the refusals that each function's docstring
-names (``refusals``, with the error class each one expects).  Six CLI
-commands (validate, act, connect, isotropy, tangent and flow) run in process
-through click's ``CliRunner`` on files written to a temporary directory.  It
-uses numpy, click, the standard library and the package alone.
+names (``refusals``, with the error class each one expects).  Every public
+function of ``stategeom`` has a line, the ones the cases above leave out from
+``_public_calls``, and triangular exponentials have their own line,
+``matrix_exp triangular``, apart from ``matrix_exp``.  Every CLI command runs in
+process through click's ``CliRunner`` on files written to a temporary directory.
+It uses numpy, click, the standard library and the package alone.
 """
 
 from __future__ import annotations
@@ -30,9 +36,11 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import subprocess
 import sys
 import tempfile
 import warnings
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +122,7 @@ def _case_calls(sg, iso, n, k, i, rng):
         ("matrix_sqrt_psd", lambda: sg.matrix_sqrt_psd(xi_m)),
         ("matrix_exp", lambda: sg.matrix_exp(a)),
         ("matrix_exp", lambda: sg.matrix_exp(np.diag(np.diagonal(a)))),
-        ("matrix_exp", lambda: sg.matrix_exp(np.triu(a, 1))),  # nilpotent: scaled powers
+        ("matrix_exp triangular", lambda: sg.matrix_exp(np.triu(a, 1))),  # scaled powers
         ("polar", lambda: sg.polar(g)),
         ("validate_positive", lambda: sg.validate_positive(xi_m)),
         ("validate_positive", lambda: sg.validate_positive(xi())),
@@ -179,6 +187,60 @@ def _large_calls(sg, rng):
         ("isotropy_membership_phi", lambda: sg.isotropy_membership_phi(a, rho)),
         ("isotropy_report", lambda: sg.isotropy_report(rho)),
     ]
+
+
+def _public_calls(sg, rng):
+    """Calls of the public functions that the cases leave out, at n = 1 to 5, and
+    triangular exponentials whose off-diagonal entries reach 1e300."""
+    out = []
+    for n in (1, 2, 3, 5):
+        k = max(1, n // 2)
+        rho = sg.validate_state(_state(rng, n, k))
+        g = 1.5 * np.eye(n) + _ginibre(rng, n)
+        p = rng.dirichlet(np.ones(n))
+        w1, w2 = rng.uniform(0.5, 2.0, (2, n))
+        tri = np.triu(_ginibre(rng, n)) + np.diag(rng.uniform(-2.0, 2.0, n))
+        tri[0, 1:] *= 10.0 ** rng.uniform(0.0, 300.0, n - 1)
+
+        def triple(rho=rho):
+            return sg.gns_construct(rho)
+
+        out += [
+            ("maximally_mixed", lambda n=n: sg.maximally_mixed(n)),
+            ("gibbs_spectrum", lambda n=n: sg.gibbs_spectrum(n, 0.5)),
+            ("gibbs_family", lambda n=n: sg.gibbs_family(n, 0.25)),
+            ("embed_classical", lambda p=p: sg.embed_classical(p)),
+            ("gns_construct", triple),
+            ("gns_construct_abelian", lambda p=p: sg.gns_construct_abelian(p)),
+            ("gns_transform", lambda rho=rho, g=g, t=triple: sg.gns_transform(t(), g, rho)),
+            ("commutant_dimension", lambda t=triple: sg.commutant_dimension(t())),
+            ("purity_check", lambda rho=rho: sg.purity_check(rho)),
+            ("hermitian_basis", lambda n=n: sg.hermitian_basis(n)),
+            ("isotropy_basis_alpha",
+             lambda rho=rho: sg.isotropy_basis_alpha(sg.spectral_split(rho))),
+            ("isotropy_basis_phi", lambda rho=rho: sg.isotropy_basis_phi(sg.spectral_split(rho))),
+            ("complement_basis_alpha",
+             lambda rho=rho: sg.complement_basis_alpha(sg.spectral_split(rho))),
+            ("isotropy_dimension_alpha", lambda n=n, k=k: sg.isotropy_dimension_alpha(k, n)),
+            ("orbit_dimension", lambda rho=rho: sg.orbit_dimension(sg.spectral_split(rho), "phi")),
+            ("orbit_dimension",
+             lambda rho=rho: sg.orbit_dimension(sg.spectral_split(rho), "alpha")),
+            ("convex_recombine_classical",
+             lambda p=p, w1=w1, w2=w2: sg.convex_recombine_classical(p, w1, w2, 0.3)),
+            ("matrix_exp triangular", lambda tri=tri: sg.matrix_exp(tri)),
+            ("matrix_exp triangular", lambda tri=tri: sg.matrix_exp(tri.T)),
+        ]
+    spec = {"kind": "gibbs", "ratio": 0.25}, {"kind": "power", "exponent": 1.5}
+    out += [
+        ("make_spectrum_generator", lambda: sg.make_spectrum_generator(spec[0])),
+        ("truncation_sweep", lambda: sg.truncation_sweep(
+            sg.make_spectrum_generator(spec[0]), sg.make_spectrum_generator(spec[1]),
+            [1, 2, 4, 8, 16, 64])),
+        ("truncation_sweep", lambda: sg.truncation_sweep(
+            sg.make_spectrum_generator(spec[1]), sg.make_spectrum_generator(spec[0]),
+            [2, 3, 5], ceiling=10.0, action="alpha")),
+    ]
+    return out
 
 
 def _refusals(sg):
@@ -295,6 +357,17 @@ def _cli_calls(rng, tmp: Path):
         ("cli flow", ["flow", files["rho2"], files["edge"], "--t0", "0", "--t1", "1",
                       "--steps", "3"]),
     ]
+    files["tau"] = _matrix_file(tmp / "tau.json", np.eye(4) / 4.0, "state")
+    (tmp / "truncate.json").write_text(json.dumps(
+        {"dims": [2, 4, 8], "spec0": {"kind": "gibbs", "ratio": 0.25},
+         "spec1": {"kind": "gibbs", "ratio": 0.5}}))
+    out += [
+        ("cli gns", ["gns", files["rho2"]]),
+        ("cli gns", ["gns", files["low4"]]),
+        ("cli truncate", ["truncate", str(tmp / "truncate.json")]),
+        ("cli truncate", ["--format", "json", "truncate", str(tmp / "truncate.json")]),
+        ("cli recombine", ["recombine", files["tau"], files["g4"], files["g4"], "0.25"]),
+    ]
     return [(name, " ".join(Path(a).name if a.endswith(".json") else a for a in argv),
              lambda argv=argv: runner.invoke(main, argv)) for name, argv in out]
 
@@ -317,6 +390,9 @@ def calls(rng=None):
     out += [(name, "n=64", 1.0, call) for name, call in _large_calls(sg, rng)]
     out += [(name, f"refusal {expected}", 1.0, call)
             for name, expected, call in _refusals(sg)]
+    # a stream of their own, so the calls above keep their inputs
+    out += [(name, f"public {i}", 1.0, call)
+            for i, (name, call) in enumerate(_public_calls(sg, np.random.default_rng(20191)))]
     return out
 
 
@@ -373,6 +449,9 @@ def reduce(value) -> bytes:
         return float(value).hex().encode()
     if isinstance(value, str):
         return value.encode()
+    if isinstance(value, Mapping):
+        items = sorted(value.items())
+        return b"{" + b",".join(reduce(k) + b":" + reduce(v) for k, v in items) + b"}"
     if isinstance(value, (tuple, list)):
         return b"(" + b",".join(reduce(v) for v in value) + b")"
     if dataclasses.is_dataclass(value):
@@ -396,12 +475,49 @@ def digests(records: list[Record]) -> dict[str, tuple[str, int]]:
     return {name: (hashes[name].hexdigest(), counts[name]) for name in sorted(hashes)}
 
 
+def _name(line: str) -> str:
+    """The function a line of the corpus is about; the whole line for its footer."""
+    parts = line.rsplit(" ", 2)
+    return parts[0] if len(parts) == 3 and len(parts[1]) == 64 else line
+
+
+def differing(base: list[str], change: list[str]) -> list[str]:
+    """The lines of two runs' output that the other run does not print as they
+    are, in name order: ``- <line>`` for the base run's, ``+ <line>`` for the
+    change's; a name that only one run prints counts as differing."""
+    old = {_name(line): line for line in base if line.strip()}
+    new = {_name(line): line for line in change if line.strip()}
+    out = []
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            out += [f"{sign} {lines[name]}" for sign, lines in (("-", old), ("+", new))
+                    if name in lines]
+    return out
+
+
+def _run_on(src: Path) -> list[str]:
+    """This corpus's output on the package under ``src``, from a fresh interpreter."""
+    done = subprocess.run([sys.executable, __file__, "--src", str(src)], capture_output=True,
+                          text=True, check=True)
+    return done.stdout.splitlines()
+
+
 def main(argv=None) -> int:
+    here = Path(__file__).resolve().parents[1] / "src"
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+    parser.add_argument("--src", type=Path, default=here,
                         help="directory holding the stategeom package (default: this "
                              "checkout's src)")
+    parser.add_argument("--compare", type=Path, metavar="PATH",
+                        help="a checkout, or a directory holding stategeom, to compare with "
+                             "this checkout's package")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        base = args.compare / "src" if (args.compare / "src" / "stategeom").is_dir() \
+            else args.compare
+        lines = differing(_run_on(base.resolve()), _run_on(here))
+        print("\n".join(lines) if lines else "no line differs")
+        return 1 if lines else 0
     sys.path.insert(0, str(args.src.resolve()))
     sys.path.insert(1, str(Path(__file__).resolve().parent))
     from conftest import _openblas_kernel

@@ -143,6 +143,17 @@ class TestPhi:
         out = phi(g, qubit(0.5))
         np.testing.assert_allclose(out.matrix, np.diag([0.75, 0.25]), atol=1e-14)
 
+    def test_an_element_in_fortran_order_keeps_the_bits(self):
+        # the prescale g / 2^e reads g's entries in memory order: a transposed
+        # element acts as its C-ordered copy does, in phi, denominator and alpha
+        rng = np.random.default_rng(41)
+        rho = random_state(rng, 3)
+        g = random_invertible(rng, 3).T
+        c = np.ascontiguousarray(g)
+        assert phi(g, rho).matrix.tobytes() == phi(c, rho).matrix.tobytes()
+        assert denominator(g, rho) == denominator(c, rho)
+        assert alpha(g, rho).matrix.tobytes() == alpha(c, rho).matrix.tobytes()
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
         for lam in (2.0, -0.5, 1.3 + 0.4j):

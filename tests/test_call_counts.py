@@ -36,20 +36,20 @@ def _inputs():
 
 # function -> (call on the inputs, the package's Python calls per call at most)
 CALLS = {
-    "phi": (lambda x: sg.phi(x["g"], x["rho"]), 38),
-    "alpha": (lambda x: sg.alpha(x["g"], x["rho"]), 32),
+    "phi": (lambda x: sg.phi(x["g"], x["rho"]), 37),
+    "alpha": (lambda x: sg.alpha(x["g"], x["rho"]), 27),
     "group_element": (lambda x: sg.group_element(x["g"]), 7),
     "validate_state": (lambda x: sg.validate_state(x["rho"].matrix), 22),
     "hermitian_eig": (lambda x: sg.hermitian_eig(x["h"]), 13),
     "matrix_exp": (lambda x: sg.matrix_exp(x["a"]), 9),
-    "connect_phi": (lambda x: sg.connect_phi(x["rho"], x["rho_b"]), 50),
+    "connect_phi": (lambda x: sg.connect_phi(x["rho"], x["rho_b"]), 49),
     "connect_alpha": (lambda x: sg.connect_alpha(x["rho"], x["rho_b"]), 45),
-    "same_orbit_alpha": (lambda x: sg.same_orbit_alpha(x["rho"].matrix, x["rho_o"].matrix), 36),
+    "same_orbit_alpha": (lambda x: sg.same_orbit_alpha(x["rho"].matrix, x["rho_o"].matrix), 32),
     "spectral_split": (lambda x: sg.spectral_split(x["rho"]), 7),
     "classical_phi": (lambda x: sg.classical_phi(x["w"], x["p"]), 13),
     "tangent_phi": (lambda x: sg.tangent_phi(x["rho"], x["a"]), 14),
-    "fd_tangent_check": (lambda x: sg.fd_tangent_check(x["rho"], x["a"]), 100),
-    "flow": (lambda x: sg.flow(x["rho"], x["a"], np.linspace(0.0, 1.0, 10)), 307),
+    "fd_tangent_check": (lambda x: sg.fd_tangent_check(x["rho"], x["a"]), 93),
+    "flow": (lambda x: sg.flow(x["rho"], x["a"], np.linspace(0.0, 1.0, 10)), 295),
     "isotropy_membership_alpha": (lambda x: sg.isotropy_membership_alpha(x["a"], x["rho"]), 17),
     "isotropy_membership_phi": (lambda x: sg.isotropy_membership_phi(x["a"], x["rho"]), 18),
     "hermitian_components": (lambda x: hermitian_components(x["h"]), 1),

@@ -3,6 +3,7 @@ function's docstring says: results of the documented types carrying certificates
 that hold, refusals of the expected class, errors only from the package's
 taxonomy, no warnings.  No digest is pinned: digests move with the BLAS kernel."""
 
+import inspect
 import json
 import math
 
@@ -10,9 +11,15 @@ import numpy as np
 import pytest
 
 import corpus
+import stategeom
 from stategeom import config
+from stategeom.cli import main
 from stategeom.errors import NumericalError, StateGeomError, ValidationError
+from stategeom.gns import AbelianGnsTriple, GnsTriple
+from stategeom.isotropy import RealBasis
+from stategeom.orbits import SpectrumGenerator, TruncationReport
 from stategeom.states import PositiveFunctional, ProbabilityVector, StateDensity
+from test_api import PUBLIC_NAMES
 
 # the functions whose code the small-n work touches, each of which must be covered
 TOUCHED = {
@@ -116,12 +123,66 @@ CHECKS = {
                                      and r.dim_alpha == isotropy_dimension(r)
                                      and 0.0 <= r.max_residual < math.inf),
     "hermitian_components": lambda r, t: r.dtype == float and r.ndim == 1,
+    "matrix_exp triangular": lambda r, t: r.dtype == complex and np.all(np.isfinite(r)),
+    "maximally_mixed": state_ok,
+    "gibbs_spectrum": lambda r, t: (r.ndim == 1 and abs(r.sum() - 1.0) <= 1e-12
+                                    and np.all(np.diff(r) < 0.0)),
+    "gibbs_family": state_ok,
+    "embed_classical": state_ok,
+    "gns_construct": lambda r, t: (isinstance(r, GnsTriple)
+                                   and abs(np.linalg.norm(r.cyclic) - 1.0) <= 1e-12),
+    "gns_transform": lambda r, t: (isinstance(r, GnsTriple)
+                                   and abs(np.linalg.norm(r.cyclic) - 1.0) <= 1e-12),
+    "gns_construct_abelian": lambda r, t: (isinstance(r, AbelianGnsTriple)
+                                           and r.dim == r.support.size
+                                           and abs(np.linalg.norm(r.cyclic) - 1.0) <= 1e-12),
+    "commutant_dimension": lambda r, t: isinstance(r, int) and r >= 1,
+    "purity_check": lambda r, t: isinstance(r, bool),
+    "hermitian_basis": lambda r, t: (len(r) == r[0].shape[0] ** 2
+                                     and all(exactly_hermitian(m) for m in r)),
+    "isotropy_basis_alpha": lambda r, t: isinstance(r, RealBasis) and r.gram_floor > 0.0,
+    "isotropy_basis_phi": lambda r, t: isinstance(r, RealBasis) and r.gram_floor > 0.0,
+    "complement_basis_alpha": lambda r, t: isinstance(r, RealBasis) and r.gram_floor > 0.0,
+    "isotropy_dimension_alpha": lambda r, t: isinstance(r, int) and r >= 0,
+    "orbit_dimension": lambda r, t: isinstance(r, int) and r >= 0,
+    "convex_recombine_classical": lambda r, t: np.all(r[0] > 0.0) and 0.0 <= r[1] <= 1e-12,
+    "make_spectrum_generator": lambda r, t: isinstance(r, SpectrumGenerator),
+    "truncation_sweep": lambda r, t: (isinstance(r, TruncationReport)
+                                      and len(r.dims) == len(r.bound_constants)),
 }
 
 
 def test_the_corpus_covers_every_touched_function(records):
     assert TOUCHED <= {r.function for r in records}
     assert {r.function for r in records if not r.function.startswith("cli")} <= set(CHECKS)
+
+
+def test_the_corpus_covers_every_public_function_and_command(records):
+    # a line for each public function of stategeom and one for each CLI command,
+    # read off the records this module's tests share
+    functions = {name for name in PUBLIC_NAMES if inspect.isfunction(getattr(stategeom, name))}
+    commands = {f"cli {name}" for name in main.commands}
+    covered = {r.function for r in records}
+    assert functions - covered == set()
+    assert commands - covered == set()
+
+
+def test_differing_prints_only_the_lines_that_differ():
+    digest = {c: c * 64 for c in "abcde"}
+    base = [f"alpha {digest['a']} 3", f"matrix_exp {digest['b']} 5",
+            f"cli act {digest['c']} 2", f"gone {digest['d']} 1",
+            "numpy 2.0, OpenBLAS kernel X", ""]
+    change = [f"alpha {digest['a']} 3", f"matrix_exp {digest['e']} 5",
+              f"cli act {digest['c']} 3", f"matrix_exp triangular {digest['d']} 1",
+              "numpy 2.0, OpenBLAS kernel X"]
+    assert corpus.differing(base, change) == [
+        f"- cli act {digest['c']} 2", f"+ cli act {digest['c']} 3",
+        f"- gone {digest['d']} 1",
+        f"- matrix_exp {digest['b']} 5", f"+ matrix_exp {digest['e']} 5",
+        f"+ matrix_exp triangular {digest['d']} 1",
+    ]
+    assert corpus.differing(base, base) == []
+    assert corpus.differing(change, list(reversed(change))) == []
 
 
 def test_each_refusal_raises_the_class_its_docstring_names(records):
@@ -165,6 +226,8 @@ def test_cli_exits_0_2_or_3_with_one_line_of_taxonomy(records):
                 + ValidationError.__subclasses__() + NumericalError.__subclasses__()}
         elif r.function == "cli flow" and "--format json" not in r.label:
             assert result.stdout.startswith("t,")
+        elif r.function == "cli truncate" and "--format json" not in r.label:
+            assert result.stdout.startswith("n,C,")
         else:
             json.loads(result.stdout)
 

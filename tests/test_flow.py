@@ -19,7 +19,7 @@ from click.testing import CliRunner
 
 from oracles import matrix_text
 from sampling import random_direction, random_state
-from stategeom import config, states, tangent
+from stategeom import actions, config, states, tangent
 from stategeom.actions import group_element, phi
 from stategeom.cli import main
 from stategeom.errors import NumericalError, NumericallySingular, ValidationError
@@ -75,7 +75,7 @@ def svd_calls(monkeypatch):
 @pytest.fixture
 def eigvalsh_calls(monkeypatch):
     """Count the eigvalsh taken: one per point that fell back to validate_state;
-    rho's floor comes from its eigen-record."""
+    rho's floor comes from its gate record."""
     return _counted(monkeypatch, np.linalg, "eigvalsh")
 
 
@@ -197,14 +197,16 @@ class TestPositivityCertificate:
 
     def test_a_miss_tests_hermitian_symmetry_once(self, monkeypatch, eigvalsh_calls):
         # the point passed require_hermitian before _positive, so its fallback
-        # runs psd_gate's eigvalsh alone; at tolerance scale 1e-5 every point misses
+        # runs psd_gate's eigvalsh alone; at tolerance scale 1e-5 every point misses.
+        # The point's Hermitian test is phi_state's, in actions
         rng = np.random.default_rng(727)
         rho = random_state(rng, 4)
         a = random_direction(rng, 4, 1.0)
         config.set_tolerance_scale(1e-5)
         grid = np.linspace(-1.0, 2.0, 10)
         eigvalsh_calls.clear()  # validating rho took one
-        tests = [_counted(monkeypatch, module, "require_hermitian") for module in (states, tangent)]
+        tests = [_counted(monkeypatch, module, "require_hermitian")
+                 for module in (states, actions, tangent)]
         points = flow(rho, a, grid)
         assert len(eigvalsh_calls) == grid.size  # each point's
         assert sum(map(len, tests)) == grid.size
@@ -217,22 +219,18 @@ class TestPositivityCertificate:
         a = random_direction(rng, 4, 1.0)
         config.set_tolerance_scale(1e-5)
         grid = np.linspace(-1.0, 2.0, 10)
-        positive = []
-
-        def recording(*args, _decide=tangent._positive):
-            positive.append(_decide(*args))
-            return positive[-1]
-
-        monkeypatch.setattr(tangent, "_positive", recording)
-        copies = [_counted(monkeypatch, module, "_frozen") for module in (states, tangent)]
+        gates = _counted(monkeypatch, actions, "psd_gate")  # run where the certificate fails
+        copies = [_counted(monkeypatch, module, "_frozen") for module in (states, actions, tangent)]
         points = flow(rho, a, grid)
-        assert positive == [False] * grid.size
+        assert len(gates) == grid.size
         assert sum(map(len, copies)) == 0
         assert [p.matrix.tobytes() for p in points] == [_reference(rho, a, t) for t in grid]
 
 
 def test_a_value_without_a_record_flows_with_the_same_bits():
-    # a writable matrix keeps no eigen-record, so rho's floor is decomposed afresh
+    # a value built from its class has no gate record, so the flow reads its floor off
+    # its spectrum, and a writable matrix keeps no eigen-record: it is decomposed
+    # afresh; a validated rho's floor is its gate record's, so it takes no eigh
     rng = np.random.default_rng(728)
     for n, rank in ((4, 2), (16, 16)):
         rho = random_state(rng, n, rank)
@@ -243,7 +241,7 @@ def test_a_value_without_a_record_flows_with_the_same_bits():
             [p.matrix.tobytes() for p in flow(rho, a, grid)]
         assert fd_tangent_check(bare, a) == fd_tangent_check(rho, a)
         assert "_eigenpairs" not in bare.__dict__
-        assert "_eigenpairs" in rho.__dict__
+        assert "_eigenpairs" not in rho.__dict__
 
 
 def test_a_tolerance_scale_no_state_can_clear_falls_back_with_the_same_bits(svd_calls):
@@ -274,15 +272,16 @@ def test_underflowing_products_keep_the_bits_of_phi_without_an_svd(svd_calls):
 
 @pytest.mark.parametrize("scale", [1e-5, 1e-3, 1.0, 10.0])
 def test_each_miss_runs_the_one_test_it_stands_in_for(scale, monkeypatch):
-    # one congruence per point; an SVD per point where _invertible fails and an
-    # eigvalsh per point where _positive fails; rho's floor is its eigen-record's
-    decisions = {"_invertible": [], "_positive": []}
-    for name, log in decisions.items():
-        def recording(*args, _decide=getattr(tangent, name), _log=log):
-            _log.append(_decide(*args))
-            return _log[-1]
+    # one congruence per point; an SVD per point where _invertible fails, and an
+    # eigvalsh per point where the congruence certificate fails, psd_gate's, which
+    # actions._positive runs only then; rho's floor is its gate record's
+    decisions = []
 
-        monkeypatch.setattr(tangent, name, recording)
+    def recording(*args, _decide=tangent._invertible):
+        decisions.append(_decide(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(tangent, "_invertible", recording)
     rng = np.random.default_rng(740)
     # exp(t diag(3, -3)) shrinks the support of diag(0, 1): positivity misses at t >= 1
     cases = [(validate_state(np.diag([0.0, 1.0]).astype(complex)),
@@ -294,20 +293,21 @@ def test_each_miss_runs_the_one_test_it_stands_in_for(scale, monkeypatch):
             for b, norm in ((h, 1.0), (h - h.conj().T, 12.0), (h + h.conj().T, 3.0)):
                 cases.append((rho, norm * b / frobenius(b)))
     config.set_tolerance_scale(scale)
-    congruences = _counted(monkeypatch, tangent, "prescaled_phi")
+    congruences = _counted(monkeypatch, actions, "_normalization")
+    gates = _counted(monkeypatch, actions, "psd_gate")
     svds = _counted(monkeypatch, np.linalg, "svd")
     eigvalshs = _counted(monkeypatch, np.linalg, "eigvalsh")
     grid = np.linspace(-1.0, 2.0, 5)
-    misses = {name: 0 for name in decisions}
+    misses = {"_invertible": 0, "_positive": 0}
     for rho, a in cases:
-        for calls in (*decisions.values(), congruences, svds, eigvalshs):
+        for calls in (decisions, gates, congruences, svds, eigvalshs):
             calls.clear()
         assert len(flow(rho, a, grid)) == grid.size
         assert len(congruences) == grid.size
-        assert len(svds) == decisions["_invertible"].count(False)
-        assert len(eigvalshs) == decisions["_positive"].count(False)
-        for name, log in decisions.items():
-            misses[name] += log.count(False)
+        assert len(svds) == decisions.count(False)
+        assert len(eigvalshs) == len(gates)
+        misses["_invertible"] += decisions.count(False)
+        misses["_positive"] += len(gates)
     assert all(misses.values()), misses  # both fallbacks ran
 
 
@@ -397,7 +397,7 @@ def test_clears_is_read_only_by_the_flow_certificates():
     # take a threshold decision without raising
     assert _call_sites("clears") == {
         ("tangent.py", "_invertible"),
-        ("tangent.py", "_positive"),
+        ("actions.py", "_positive"),
     }
 
 

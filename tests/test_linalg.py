@@ -209,7 +209,7 @@ class TestInertia:
         rng = np.random.default_rng(11)
         disagree = 0
         for _ in range(6000):
-            m, scale = require_hermitian(_near_the_clamp(rng, int(rng.integers(3, 9)), 4e-4))
+            m, _, scale = require_hermitian(_near_the_clamp(rng, int(rng.integers(3, 9)), 4e-4))
             n_minus = signature(m, config.PSD_CLAMP_RTOL * scale, default_rank_tol(m), scale)[2]
             disagree += (n_minus > 0) != _refused(validate_positive, m)
         assert disagree == 0

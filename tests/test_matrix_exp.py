@@ -11,6 +11,7 @@ difference.
 """
 
 import ast
+import cmath
 import math
 import os
 import subprocess
@@ -141,6 +142,80 @@ def test_near_overflow_is_non_finite_in_the_same_places(shift):
             diff = np.abs(part(ours)[finite] - part(theirs)[finite]).max()
             assert diff <= tol * np.abs(part(theirs)[finite]).max()
     assert np.all(np.isfinite(ours)) == (shift < 710.0)
+
+
+# Al-Mohy and Higham (2009), Code Fragment 2.1: triangular input, whose diagonal and
+# first off-diagonal are recomputed after each squaring.  Without that recomputation
+# the first two lose their diagonal to (1, 1) and the third overflows.
+TRIANGULAR = {
+    "equal-diagonal": [[1.0, 1e150], [0.0, 1.0]],
+    "distinct-diagonal": [[1.0, 1e150], [0.0, 2.0]],
+    "corner-5e299": [[0.5, 1e150, 3.0], [0.0, 0.25, 1e150], [0.0, 0.0, -0.5]],
+}
+
+
+def _scaled_norm(x):
+    """||x||_F, taken on x / max|x| so that it does not overflow."""
+    top = float(np.max(np.abs(x)))
+    return top * float(np.linalg.norm(x / top)) if top else 0.0
+
+
+def _triangular_bound(a, reference):
+    """The forward bound's multiple for triangular a, relative to the reference: each
+    of the s squarings rounds by gamma_8n, as ``_bound`` counts them by x."""
+    e = _Exponential(np.asarray(a, dtype=complex))
+    n, s = e._stack.shape[1], e._order(e.e)[1]
+    return MULTIPLE * gamma(8 * n) * (2.0 + (1.0 + math.sqrt(n)) * s) * _scaled_norm(reference)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", TRIANGULAR)
+def test_triangular_input_keeps_its_diagonal_and_scipys_values(name):
+    a = np.array(TRIANGULAR[name], dtype=complex)
+    ours = matrix_exp(a)
+    with np.errstate(all="ignore"):  # scipy's own squarings overflow on the third
+        theirs = _scipy_expm(a)
+    diagonal = np.exp(np.diagonal(a))
+    assert np.all(np.abs(np.diagonal(ours) - diagonal) <= 4 * 2.0 ** -53 * np.abs(diagonal))
+    assert _scaled_norm(ours - theirs) <= _triangular_bound(a, theirs)
+
+
+def _row_triangular(d, v):
+    """diag(d) plus v_j at (0, j), j >= 1, and its exponential in closed form: e^d_j
+    on the diagonal and, at (0, j), v_j times the divided difference
+    (e^d_j - e^d_0) / (d_j - d_0), the rest 0.  A path of the exponential's series
+    takes at most one entry of row 0, so it is finite for |v_j| up to 1e300."""
+    n = d.shape[0]
+    a, exact = np.diag(d), np.diag(np.exp(d))
+    for j in range(1, n):
+        z = (d[j] - d[0]) / 2.0
+        a[0, j] = v[j]
+        exact[0, j] = v[j] * cmath.exp((d[0] + d[j]) / 2.0) * (cmath.sinh(z) / z if z else 1.0)
+    return a, exact
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", range(1, 17))
+def test_triangular_input_with_huge_entries_is_accurate(n):
+    # upper and lower, from matrix_exp and at t = -1/2 from a flow's evaluator; the
+    # closed form is the reference, as scipy's expm overflows or errs by percents on
+    # part of these
+    rng = np.random.default_rng([1902, n])
+    for _ in range(2):
+        d = rng.uniform(-2.0, 2.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+        v = 10.0 ** rng.uniform(0.0, 300.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        upper, exact = _row_triangular(d, v)
+        half = _row_triangular(-0.5 * d, -0.5 * v)[1]
+        for a, reference, t in ((upper, exact, 1.0), (upper.T.copy(), exact.T, 1.0),
+                                (upper, half, -0.5), (upper.T.copy(), half.T, -0.5)):
+            if t == 1.0:
+                ours = matrix_exp(a)
+            else:
+                with np.errstate(over="ignore", invalid="ignore"):  # as a flow runs it
+                    ours = _Exponential(a)(t)
+            diagonal = np.diagonal(reference)
+            assert np.all(np.abs(np.diagonal(ours) - diagonal) <= 4 * 2.0 ** -53 * np.abs(diagonal))
+            assert _scaled_norm(ours - reference) <= _triangular_bound(a, reference)
 
 
 def _forms(rng, n):

@@ -75,16 +75,17 @@ def count_norms(monkeypatch):
     return calls
 
 
-# a validated state is its own Hermitian certificate: only the rank cut
-# takes a norm, and validation takes the defect and the scale
+# a validated state is its own Hermitian certificate, and its rank cut reads the
+# norm that validation took; validation takes the defect and the scale, and the
+# rank cut of a bare operand reads its Hermitian test's scale
 NORMS = {
-    "spectral_split": (lambda: sg.spectral_split(RHO), 1),
-    "classify_orbit": (lambda: sg.classify_orbit(RHO), 1),
-    "gns_construct": (lambda: sg.gns_construct(RHO), 1),
-    "tangent_map_rank": (lambda: sg.tangent_map_rank(RHO), 1),
+    "spectral_split": (lambda: sg.spectral_split(RHO), 0),
+    "classify_orbit": (lambda: sg.classify_orbit(RHO), 0),
+    "gns_construct": (lambda: sg.gns_construct(RHO), 0),
+    "tangent_map_rank": (lambda: sg.tangent_map_rank(RHO), 0),
     "validate_state": (lambda: sg.validate_state(RHO.matrix), 2),
     "matrix_sqrt_psd": (lambda: sg.matrix_sqrt_psd(RHO.matrix), 2),
-    "same_orbit_alpha": (lambda: sg.same_orbit_alpha(RHO.matrix, G2), 6),
+    "same_orbit_alpha": (lambda: sg.same_orbit_alpha(RHO.matrix, G2), 4),
 }
 
 

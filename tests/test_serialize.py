@@ -473,11 +473,13 @@ def count_calls(monkeypatch):
 
 
 # a state file is validated once, when it is decoded; validate's min_eigenvalue
-# reads the eigh that classify_orbit kept on the value
+# reads the eigh that classify_orbit kept on the value; the rank cut reads the norm
+# that validation took, and phi's image is certified positive from the input's
+# gate record
 CALL_COUNTS = {
-    "validate": (lambda files: ["validate", files["rho"]], 1, 3),
-    "act-phi": (lambda files: ["act", "phi", files["g"], files["rho"]], 2, 4),
-    "gns": (lambda files: ["gns", files["rho"]], 1, 3),
+    "validate": (lambda files: ["validate", files["rho"]], 1, 2),
+    "act-phi": (lambda files: ["act", "phi", files["g"], files["rho"]], 1, 4),
+    "gns": (lambda files: ["gns", files["rho"]], 1, 2),
 }
 
 
@@ -491,10 +493,11 @@ def test_state_file_is_validated_once(runner, tmp_path, count_calls, args, eigva
 
 # a positive file read as a state is validated when it is decoded, then only
 # its trace is tested; connect phi's image is not validated, its residual is
-# guarded
+# guarded; each state's rank cut and the residual's scale read the norm that
+# validation took
 POSITIVE_CALL_COUNTS = {
-    "connect-phi": (lambda files: ["connect", "phi", files["rho"], files["rho"]], 2, 7),
-    "gns": (lambda files: ["gns", files["rho"]], 1, 3),
+    "connect-phi": (lambda files: ["connect", "phi", files["rho"], files["rho"]], 2, 4),
+    "gns": (lambda files: ["gns", files["rho"]], 1, 2),
 }
 
 

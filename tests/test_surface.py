@@ -128,6 +128,7 @@ PRIVATE_IMPORTS = {
     ("gns", "states", "_frozen"),
     ("orbits", "actions", "_require_weight"),
     ("orbits", "actions", "_weight_squares"),
+    ("tangent", "actions", "_rates"),
     ("tangent", "linalg", "_Exponential"),
     ("tangent", "states", "_eigenpairs"),
     ("tangent", "states", "_frozen"),
