@@ -32,6 +32,7 @@ from .states import (
     ProbabilityVector,
     StateDensity,
     _frozen,
+    min_eigenvalue,
     psd_gate,
     unit_trace,
     validate_probability,
@@ -94,7 +95,7 @@ def alpha(g, xi):
 
     A PositiveFunctional's image is exactly Hermitian and finite, so of
     ``validate_positive``'s tests it takes the eigenvalue tests alone: the
-    congruence certificate from xi's gate record at ratio ||g||_F^2, and
+    congruence certificate from xi's ``_rates`` at ratio ||g||_F^2, and
     ``psd_gate`` where that cannot decide (``_positive``).
     """
     if isinstance(xi, PositiveFunctional):
@@ -103,7 +104,7 @@ def alpha(g, xi):
         norm, g_norm = frobenius(mat), frobenius(m)
         value = PositiveFunctional(matrix=mat)
         value.__dict__[GATE] = _positive(mat, norm, fro_scale(mat, norm), g_norm * g_norm,
-                                         _rates(xi.n, xi.__dict__.get(GATE)))
+                                         _rates(xi))
         return value
     ge = group_element(g)
     return hermitian_part(_congruence(ge.matrix, require_hermitian(xi, "functional", ge.n)[0]))
@@ -136,13 +137,13 @@ def phi(g, rho: StateDensity) -> StateDensity:
     and is what every ``flow`` point divides by, and the floor test applies
     to the trace of the unscaled product.  The image takes ``validate_state``'s
     tests (``phi_state``), its eigenvalue tests decided by the congruence
-    certificate from rho's gate record, and by ``psd_gate`` where that cannot.
+    certificate from rho's ``_rates``, and by ``psd_gate`` where that cannot.
     """
     rho = validate_state(rho)
-    return phi_state(group_element(g, rho.n).matrix, rho, _rates(rho.n, rho.__dict__.get(GATE)))
+    return phi_state(group_element(g, rho.n).matrix, rho, _rates(rho))
 
 
-def phi_state(g: np.ndarray, rho: StateDensity, rates: tuple | None) -> StateDensity:
+def phi_state(g: np.ndarray, rho: StateDensity, rates: tuple) -> StateDensity:
     """phi's image of the validated state ``rho`` under the matrix g, with
     ``validate_state``'s tests: the Hermitian test, the eigenvalue tests
     (``_positive``, from rho's ``rates`` at the ratio ||m||_F^2 / d of m and d from
@@ -153,30 +154,30 @@ def phi_state(g: np.ndarray, rho: StateDensity, rates: tuple | None) -> StateDen
     return unit_trace(mat, _positive(mat, norm, scale, m_norm * m_norm / d, rates))
 
 
-def _rates(n: int, record: tuple | None) -> tuple[float, float, float] | None:
-    """``_positive``'s factors for the congruences of an n x n value xi, from its gate
-    record (low, ||xi||_F), None for no record: the deficit gamma_{4n+8} ||xi||_F -
-    floor + n^2 2^-1070, with floor = min(0, low - eig_allowance(n) ||xi||_F) a lower
-    bound on the smallest eigenvalue of xi's Hermitian part (``states.scale_of``),
-    ``eig_allowance``(n) and the trace's rounding sqrt(n) gamma_n."""
-    if record is None:
-        return None
-    low, norm = record
+def _rates(xi: PositiveFunctional) -> tuple[float, float, float]:
+    """``_positive``'s factors for the congruences of the n x n value xi, from its
+    (low, ||xi||_F): the gate record validation left, or for a value built from its
+    class, which has none, its eigen-record's smallest eigenvalue and its norm.  They
+    are the deficit gamma_{4n+8} ||xi||_F - floor + n^2 2^-1070, with floor = min(0,
+    low - eig_allowance(n) ||xi||_F) a lower bound on the smallest eigenvalue of xi's
+    Hermitian part (``states.scale_of``), ``eig_allowance``(n) and the trace's
+    rounding sqrt(n) gamma_n."""
+    low, norm = xi.__dict__.get(GATE) or (min_eigenvalue(xi), frobenius(xi.matrix))
+    n = xi.matrix.shape[0]
     allowance = eig_allowance(n)
     deficit = gamma(4 * n + 8) * norm - min(0.0, low - allowance * norm)
     return deficit + n * n * 2.0 ** -1070, allowance, math.sqrt(n) * gamma(n)
 
 
 def _positive(mat: np.ndarray, norm: float, scale: float, ratio: float,
-              rates: tuple | None) -> tuple[float, float]:
+              rates: tuple) -> tuple[float, float]:
     """``psd_gate``'s verdict on mat = m xi m† / d, with its norm ||mat||_F and
     scale 1 + ||mat||_F, ratio ||m||_F^2 / d (d = 1 for ``alpha`` and ``unitary_phi``,
-    phi's from ``_normalization``) and xi's ``_rates`` (None for a value without a
-    gate record), and the gate record (low, norm) it leaves.  The congruence
-    certificate decides where it can, without eigvalsh: low is then its lower bound
-    -(deficit ratio + allowance scale) on the smallest eigenvalue of mat's exact
-    Hermitian part; elsewhere ``psd_gate`` runs, and low is its smallest eigenvalue.
-    mat is frozen in place.
+    phi's from ``_normalization``) and xi's ``_rates``, and the gate record (low, norm)
+    it leaves.  The congruence certificate decides where it can, without eigvalsh: low
+    is then its lower bound -(deficit ratio + allowance scale) on the smallest
+    eigenvalue of mat's exact Hermitian part; elsewhere ``psd_gate`` runs, and low is
+    its smallest eigenvalue.  mat is frozen in place.
 
     PSD: the Hermitian part of the exact m xi m† / d is m xi_H m† / d, whose
     smallest eigenvalue is at least floor sigma_max(m)^2 / d >= floor ratio for
@@ -196,8 +197,8 @@ def _positive(mat: np.ndarray, norm: float, scale: float, ratio: float,
     Nonzero: the largest eigenvalue is at least Tr(mat) / n less the same
     allowance and the trace's rounding, which must be above that bound.
     """
-    # the deficit per unit of ratio, the others per unit of scale; no record, no certificate
-    deficit, allowance, slack = rates or (math.inf, 0.0, math.inf)
+    # the deficit per unit of ratio, the others per unit of scale
+    deficit, allowance, slack = rates
     bound = deficit * ratio + allowance * scale
     top = (float(mat.trace().real) - slack * scale) / mat.shape[0]
     # an infinite deficit (an overflowing ||xi||_F) at a ratio that underflowed to 0 is NaN
@@ -250,8 +251,7 @@ def unitary_phi(u, rho: StateDensity) -> StateDensity:
               else math.inf)
     config.check("||u†u - I||_F", defect, config.UNITARY_ATOL, 1.0, NotUnitary)
     mat, mat_norm, scale = require_hermitian(m @ rho.matrix @ dagger(m), "functional")
-    return unit_trace(mat, _positive(mat, mat_norm, scale, norm * norm,
-                                     _rates(rho.n, rho.__dict__.get(GATE))))
+    return unit_trace(mat, _positive(mat, mat_norm, scale, norm * norm, _rates(rho)))
 
 
 def _weight_squares(w) -> np.ndarray:

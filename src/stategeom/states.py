@@ -192,7 +192,7 @@ def scale_of(value: PositiveFunctional) -> float:
     that allowance); the congruence certificate's lower bound is another
     (``actions._positive``), which its outputs keep.  So a value certifies the
     positivity of its congruences without a second eigensolver.  A value built from
-    its class has no record."""
+    its class has no record; ``actions._rates`` reads its eigen-record in its place."""
     record = value.__dict__.get(GATE)
     return fro_scale(value.matrix, None if record is None else record[1])
 

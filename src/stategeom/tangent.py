@@ -5,7 +5,7 @@ A tangent vector is a velocity formula of ``actions`` (``alpha_velocity`` or
 is the point function t -> phi(exp(ta), rho) that ``_flow_of`` returns: a
 closure over one evaluator of exp(ta), whose powers of a every point shares, and
 the norm its invertibility certificate reads; the positivity certificate reads
-the floor and norm of rho's gate record.  Each point evaluates
+rho's floor and norm (``actions._rates``).  Each point evaluates
 exp(ta) exactly rather than stepping an ODE, with one congruence; two O(n^2)
 certificates stand in for the SVD of ``group_element`` and the eigvalsh of
 ``psd_gate``, the positivity tests of ``validate_state``, and where one cannot
@@ -30,7 +30,7 @@ from .errors import NumericalError, ValidationError
 from .linalg import (_Exponential, as_operator, fro_scale, frobenius, gamma, in_range,
                      require_hermitian)
 from .states import (GATE, PositiveFunctional, StateDensity, _eigenpairs, _frozen,
-                     default_rank_tol, min_eigenvalue, scale_of, validate_positive, validate_state)
+                     default_rank_tol, scale_of, validate_positive, validate_state)
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,7 @@ def _flow_of(rho: StateDensity, a):
     runs the one test it stands in for: ``group_element``'s SVD where
     ``_invertible`` fails, before the congruence as in phi (so Singular comes
     before NumericallySingular), and ``psd_gate``'s eigvalsh where the congruence
-    certificate from rho's gate record fails (``actions._positive``).  A value built
-    from its class has no gate record: the flow reads its eigen-record's smallest
-    eigenvalue and its norm in its place.
+    certificate from rho's ``actions._rates`` fails (``actions._positive``).
 
     exp(t a) is invertible for every t, so a group element or state that
     fails validation here means the exponential overflowed or became too
@@ -132,10 +130,7 @@ def _flow_of(rho: StateDensity, a):
     errors report them.
     """
     rho = validate_state(rho)
-    record = rho.__dict__.get(GATE)
-    if record is None:  # a value built from its class: its eigen-record's smallest eigenvalue
-        record = min_eigenvalue(rho), frobenius(rho.matrix)
-    rates = _rates(rho.n, record)
+    rates = _rates(rho)
     gen = as_operator(a, "generator", rho.n)
     exp, gen_norm = _Exponential(gen), frobenius(gen)
 
@@ -169,7 +164,7 @@ def flow(rho0: StateDensity, a, t_grid) -> list[StateDensity]:
       sqrt(n) gamma_8n (e^x + err), exceeds SINGULAR_RTOL (1 + e^x + err);
     - a state: with B = PSD_CLAMP_RTOL (1 + ||rho_t||_F), the congruence
       certificate's lower bound on the spectrum of rho_t (``actions._positive``, from
-      the floor and norm in rho0's gate record) is above -B, and Tr(rho_t) / n less
+      rho0's floor and norm, ``actions._rates``) is above -B, and Tr(rho_t) / n less
       eigvalsh's allowance is above B.
 
     Where a certificate fails, the point runs the one test it stands in for
@@ -201,7 +196,7 @@ def fd_tangent_check(rho: StateDensity, a, h: float = config.FD_STEP) -> float:
     ``a`` is a generator, whose velocity is then ``tangent_phi``'s, or the
     TangentVector ``tangent_phi`` gave at rho.  The two points are ``flow``'s,
     with its certificates and fallback, so they share one exponential, cost two
-    congruences, and read rho's gate record.  A step so small that the quotient
+    congruences, and read rho's ``actions._rates``.  A step so small that the quotient
     overflows raises NumericalError, and so does one whose quotient rounding
     may swallow whole: the allowance gamma_{4n+8} (||fwd||_F + ||bwd||_F) / 2|h|
     of the two points' congruences (as in ``actions._positive``; the norms are the
